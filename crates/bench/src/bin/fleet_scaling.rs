@@ -1,5 +1,5 @@
-//! Fleet scaling: sharded `concord serve` vs the unsharded engine on
-//! the same corpus — answer identity and CHECK-after-edit throughput.
+//! Fleet scaling: sharded `concord serve` vs a one-shard serve on the
+//! same corpus — answer identity and CHECK-after-edit throughput.
 //!
 //! The harness boots one real `concord serve --listen` instance per
 //! shard count (1, 2, 4, 8) over a shared on-disk corpus and drives it
@@ -11,19 +11,19 @@
 //!   byte-identical to the `--shards 1` transcript. This is asserted,
 //!   not just recorded.
 //! * **Scaling.** Per shard count: rounds of "UPSERT one device, then
-//!   CHECK", timing only the CHECK round trips. The unsharded engine
-//!   re-assembles its full report (per-config coverage clones, O(corpus)
-//!   per CHECK) while the fleet rechecks one shard and merges cached
-//!   per-shard aggregates — the near-linear CHECK-scaling claim. GEN
-//!   round trips are timed the same way as a read-path baseline.
+//!   CHECK", timing only the CHECK round trips. Every shard count runs
+//!   the same fleet code with the same per-shard parts cache, so the
+//!   ratio over `--shards 1` measures sharding alone: a CHECK after one
+//!   edit rechecks the owning shard and merges the others from cache.
+//!   GEN round trips are timed the same way as a read-path baseline.
 //! * **Replication.** A `--shards 4 --replicas 1` cell alternates
 //!   UPSERT and GEN on one device (read-your-writes through the
 //!   replica), then reads the v8 STATS `fleet.totals` for replica
 //!   reads and the maximum observed lag.
 //!
 //! Results go to `target/experiments/fleet_scaling.json`; full runs
-//! snapshot `BENCH_fleet.json` at the repository root, where CI holds
-//! the 8-shard CHECK speedup at >= 3x. Pass `--smoke` (or
+//! snapshot `BENCH_fleet.json` at the repository root, where CI gates
+//! the sharded CHECK speedups. Pass `--smoke` (or
 //! `CONCORD_FLEET_SMOKE=1`) for the small CI sizes.
 
 use concord_bench::{timed, write_result};
@@ -38,9 +38,9 @@ fn smoke() -> bool {
         || std::env::var("CONCORD_FLEET_SMOKE").is_ok_and(|v| v == "1")
 }
 
-/// Corpus devices. The fleet's per-CHECK merge is O(shards) integer
-/// sums; the single engine's per-CHECK assembly is O(devices) — this is
-/// the axis that separates them.
+/// Corpus devices. A CHECK after one edit rechecks the owning shard's
+/// share of them; the merge of the other shards' cached parts is
+/// O(shards) integer sums.
 fn devices() -> usize {
     if smoke() {
         48
@@ -49,9 +49,8 @@ fn devices() -> usize {
     }
 }
 
-/// Lines per device config. Scales the single engine's per-CHECK
-/// coverage cloning (O(devices * lines)) and both sides' one-config
-/// recheck equally.
+/// Lines per device config. Scales the one-config recheck equally at
+/// every shard count.
 fn lines_per_device() -> usize {
     if smoke() {
         24
@@ -343,7 +342,7 @@ fn main() {
     let (dir, glob) = write_corpus(count, lines);
 
     // Identity: every shard count (and a replicated variant) answers
-    // byte-identically to the unsharded engine.
+    // byte-identically to one shard.
     let baseline = identity_transcript(&spawn_server(&server_args(&glob, 1, 0, None)), lines);
     let mut identity_cells: Vec<Json> = Vec::new();
     for &shards in shard_counts().iter().skip(1) {

@@ -3,11 +3,11 @@
 //!
 //! For each corpus size the harness builds two engines over the same
 //! corpus — one with the sketch cache (the default), one with
-//! `delta_learn` off (the full-relearn oracle) — learns once to warm
+//! `delta_learn` off (the from-scratch oracle) — learns once to warm
 //! the cache, then measures the steady-state edit loop both ways:
 //!
-//! * **full relearn** — what `--full-relearn` pays per LEARN: re-mine
-//!   every configuration from scratch;
+//! * **full relearn** — the `EngineOptions::delta_learn = false`
+//!   oracle: re-mine every configuration from scratch on every LEARN;
 //! * **delta relearn** — `Engine::upsert_config` of the one edited file
 //!   followed by `Engine::relearn`, which re-sketches one configuration
 //!   and folds the cached sketches of everything else.

@@ -34,8 +34,12 @@ fn env_u64(name: &str, default: u64) -> u64 {
         .unwrap_or(default)
 }
 
-fn soak_dir() -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("concord-fault-soak-{}", std::process::id()));
+/// A fresh state directory private to one test. The harness runs these
+/// tests in parallel, so a directory named by the pid alone would let
+/// one test delete another's state; `tag` must name the test.
+fn soak_dir(tag: &str) -> PathBuf {
+    assert!(!tag.is_empty(), "every soak test needs its own directory");
+    let dir = std::env::temp_dir().join(format!("concord-fault-soak-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
 }
@@ -97,7 +101,7 @@ fn reboot(dir: &Path) -> ResilientEngine {
 fn storage_and_panic_fault_soak() {
     let seed = env_u64("CONCORD_SOAK_SEED", 0xC0C0);
     let iters = env_u64("CONCORD_SOAK_ITERS", 48) as usize;
-    let dir = soak_dir();
+    let dir = soak_dir("panic");
     let mut plan = FaultPlan::new(seed);
 
     let corpus: Vec<(String, String)> = (0..8)
@@ -239,7 +243,7 @@ fn storage_and_panic_fault_soak() {
 #[test]
 fn sketch_cache_survives_kill_and_torn_persistence() {
     let seed = env_u64("CONCORD_SOAK_SEED", 0xC0C0);
-    let dir = soak_dir();
+    let dir = soak_dir("sketch");
     let mut plan = FaultPlan::new(seed ^ 0x5E7C);
 
     let corpus: Vec<(String, String)> = (0..8)
@@ -311,7 +315,7 @@ fn sketch_cache_survives_kill_and_torn_persistence() {
 #[test]
 fn kill_between_segment_writes_and_manifest_recovers_from_old_manifest() {
     let seed = env_u64("CONCORD_SOAK_SEED", 0xC0C0);
-    let dir = soak_dir();
+    let dir = soak_dir("manifest");
     let mut plan = FaultPlan::new(seed ^ 0x0DD5);
 
     let corpus: Vec<(String, String)> = (0..6)
@@ -385,7 +389,7 @@ fn kill_between_segment_writes_and_manifest_recovers_from_old_manifest() {
 #[test]
 fn rotated_but_untruncated_wal_does_not_double_apply() {
     let seed = env_u64("CONCORD_SOAK_SEED", 0xC0C0);
-    let dir = soak_dir();
+    let dir = soak_dir("rotated-wal");
     let mut plan = FaultPlan::new(seed ^ 0x3A1B);
 
     let corpus: Vec<(String, String)> = (0..6)
@@ -422,15 +426,6 @@ fn rotated_but_untruncated_wal_does_not_double_apply() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A state directory private to one storage-fault test, so these runs
-/// never race the shared soak directory.
-fn storage_dir(tag: &str) -> PathBuf {
-    let dir =
-        std::env::temp_dir().join(format!("concord-storage-soak-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
 fn boot_with_vfs(corpus: &[(String, String)], dir: &Path, vfs: &FaultVfs) -> ResilientEngine {
     let (mut me, _) = ResilientEngine::with_store_vfs(
         corpus,
@@ -453,7 +448,7 @@ fn boot_with_vfs(corpus: &[(String, String)], dir: &Path, vfs: &FaultVfs) -> Res
 #[test]
 fn enospc_mid_segment_write_is_retried_clean() {
     let seed = env_u64("CONCORD_SOAK_SEED", 0xC0C0);
-    let dir = storage_dir("enospc");
+    let dir = soak_dir("enospc");
     let mut plan = FaultPlan::new(seed ^ 0x5E6C);
     let corpus: Vec<(String, String)> = (0..6)
         .map(|i| (format!("dev{i}"), plan.config_text()))
@@ -502,7 +497,7 @@ fn enospc_mid_segment_write_is_retried_clean() {
 #[test]
 fn fsync_failure_then_retry_recovers() {
     let seed = env_u64("CONCORD_SOAK_SEED", 0xC0C0);
-    let dir = storage_dir("fsync");
+    let dir = soak_dir("fsync");
     let mut plan = FaultPlan::new(seed ^ 0xF5C0);
     let corpus: Vec<(String, String)> = (0..6)
         .map(|i| (format!("dev{i}"), plan.config_text()))
@@ -550,7 +545,7 @@ fn fsync_failure_then_retry_recovers() {
 #[test]
 fn degraded_read_only_serves_then_recovers_when_faults_clear() {
     let seed = env_u64("CONCORD_SOAK_SEED", 0xC0C0);
-    let dir = storage_dir("degraded");
+    let dir = soak_dir("degraded");
     let mut plan = FaultPlan::new(seed ^ 0xDE64);
     let corpus: Vec<(String, String)> = (0..8)
         .map(|i| (format!("dev{i}"), plan.config_text()))

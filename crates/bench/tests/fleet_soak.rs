@@ -1,5 +1,5 @@
 //! Fleet fault soak: a sharded, replicated `concord serve` under
-//! seeded fault injection, byte-compared against an unsharded oracle.
+//! seeded fault injection, byte-compared against a one-shard oracle.
 //!
 //! Two real servers boot in-process over loopback TCP from the same
 //! seeded corpus: the subject (`--shards 3 --replicas 1` with a durable
@@ -14,7 +14,7 @@
 //! * every CHECK's violations and coverage are byte-identical (the
 //!   `dirty=`/`reused=` counters may legitimately differ right after a
 //!   failover, while the rebuilt leader re-checks from scratch — see
-//!   the fleet module docs);
+//!   DESIGN.md, "Fleet architecture");
 //! * the *second* CHECK of each round — both servers answering from
 //!   their caches — is byte-identical in full, counters included.
 //!

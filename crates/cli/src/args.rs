@@ -29,7 +29,6 @@ USAGE:
                 [--max-body-bytes N] [--state-dir <dir>]
                 [--shards N] [--replicas M]
                 [--lex-cache-cap N] [--enable-fault-injection]
-                [--full-relearn]
   concord help
 
 Categories for --disable: present ordering type sequence unique relational
@@ -43,12 +42,12 @@ summary.
 serve holds a resident incremental engine and answers a request
 protocol on stdin/stdout or TCP (--listen). On Linux, TCP runs on an
 epoll event loop: pipelined requests on one connection execute in
-order while connections proceed concurrently, read-only requests
-(CHECK/GEN/CONTRACTS/STATS) share the engine lock, and --workers
-executor threads run requests. Text verbs: UPSERT <name> (+ body, `.`
+order while connections proceed concurrently, a repeated CHECK and
+GEN/CONTRACTS/HEALTH reads run side by side, and --workers executor
+threads run requests. Text verbs: UPSERT <name> (+ body, `.`
 terminated), REMOVE <name>, LEARN, CHECK, GEN <name>, CONTRACTS,
-STATS, CHECKPOINT, BATCH <n> (the next n commands under one engine
-acquisition, answered in order plus an `ok batch <n>` trailer), QUIT.
+STATS, HEALTH, CHECKPOINT, BATCH <n> (the next n commands, answered in
+order plus an `ok batch <n>` trailer), QUIT.
 A connection whose first byte is 0xC3 speaks the equivalent
 length-prefixed binary framing instead (see DESIGN.md).
 Requests are bounded by --max-line-bytes / --max-body-bytes and a
@@ -56,16 +55,15 @@ per-request --deadline-ms; beyond --max-conns concurrent connections
 (default: twice --workers) load is shed with `err busy`. With
 --state-dir the engine checkpoints snapshots and fsyncs a write-ahead
 log so a killed process resumes exactly where it stopped. --shards N
-consistent-hashes device names onto N engine shards (each with its own
-state subdirectory under --state-dir) so an edit dirties only its
-shard; answers stay byte-identical to --shards 1. --replicas M
+(default 1) consistent-hashes device names onto N engine shards (with
+more than one, each keeps a state subdirectory under --state-dir) so
+an edit dirties only its shard; violations and coverage match
+--shards 1, and DESIGN.md lists the counters that can differ. --replicas M
 (requires --state-dir) attaches M WAL-tailing read replicas per shard
 that serve GEN at a tracked replication lag and take over CHECK when a
-shard leader is recovering. LEARN folds
-cached per-config miner sketches by default, re-mining only edited
-configurations; --full-relearn disables the cache and re-mines the
-whole corpus every time (same result, used as the equivalence
-oracle). See TUTORIAL.md for a walkthrough.";
+shard leader is recovering. LEARN folds cached per-config miner
+sketches, re-mining only edited configurations. See TUTORIAL.md for a
+walkthrough.";
 
 /// Per-stage statistics reporting mode (`--stats`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -148,7 +146,7 @@ pub struct ServeArgs {
     /// Durable state directory (snapshot + write-ahead log).
     pub state_dir: Option<String>,
     /// Number of engine shards device names are consistent-hashed onto
-    /// (1 = the classic single resident engine).
+    /// (1 = one engine holding the whole corpus).
     pub shards: usize,
     /// WAL-tailing read replicas attached to each shard (requires
     /// `--state-dir`; replicas follow the shard leader's log).
@@ -158,9 +156,6 @@ pub struct ServeArgs {
     /// Enable the FAULT verb (deterministic panic injection for the
     /// robustness harness).
     pub enable_faults: bool,
-    /// Disable the incremental sketch cache: every LEARN re-mines the
-    /// whole corpus (the byte-identical equivalence oracle).
-    pub full_relearn: bool,
 }
 
 /// Arguments for `concord coverage`.
@@ -489,7 +484,6 @@ fn parse_serve(argv: &[String]) -> Result<Command, UsageError> {
         replicas: 0,
         lex_cache_cap: 64 * 1024,
         enable_faults: false,
-        full_relearn: false,
     };
     let mut flags = Flags { argv, pos: 0 };
     while let Some(flag) = flags.next_flag() {
@@ -538,7 +532,6 @@ fn parse_serve(argv: &[String]) -> Result<Command, UsageError> {
             "--replicas" => args.replicas = flags.parse(flag)?,
             "--lex-cache-cap" => args.lex_cache_cap = flags.parse(flag)?,
             "--enable-fault-injection" => args.enable_faults = true,
-            "--full-relearn" => args.full_relearn = true,
             other => return Err(UsageError(format!("unknown flag {other:?}"))),
         }
     }
@@ -668,7 +661,6 @@ mod tests {
             "--lex-cache-cap",
             "1024",
             "--enable-fault-injection",
-            "--full-relearn",
         ]))
         .unwrap();
         match cmd {
@@ -689,7 +681,6 @@ mod tests {
                 assert_eq!(a.replicas, 1);
                 assert_eq!(a.lex_cache_cap, 1024);
                 assert!(a.enable_faults);
-                assert!(a.full_relearn);
             }
             other => panic!("unexpected {other:?}"),
         }
@@ -701,10 +692,9 @@ mod tests {
                 assert_eq!(a.deadline_ms, 5000);
                 assert_eq!(a.lex_cache_cap, 64 * 1024);
                 assert!(a.state_dir.is_none());
-                assert_eq!(a.shards, 1, "single shard is the classic engine");
+                assert_eq!(a.shards, 1, "one shard holds the whole corpus");
                 assert_eq!(a.replicas, 0);
                 assert!(!a.enable_faults);
-                assert!(!a.full_relearn, "delta learn is the default");
             }
             other => panic!("unexpected {other:?}"),
         }

@@ -9,7 +9,7 @@
 //! ([`crate::serve::respond`]). Because a connection never has two jobs
 //! in flight, pipelined requests execute and answer strictly in order
 //! while different connections proceed concurrently (readers sharing
-//! the engine lock, writers exclusive).
+//! a shard engine's lock, writers exclusive).
 //!
 //! Executors signal completion back through a channel plus a one-byte
 //! write to a `UnixStream` self-pipe registered in the epoll set, so

@@ -1,19 +1,19 @@
-//! Sharded fleet serving: consistent-hash routing, WAL-shipping read
-//! replicas, and cross-shard answer assembly.
+//! The serving fleet: every `concord serve` request runs here, against
+//! N shard engines behind a consistent-hash router (`--shards`, default
+//! 1).
 //!
-//! A [`Fleet`] holds N independent [`ResilientEngine`] shard leaders
-//! (each with its own state subdirectory, WAL, and checkpoint) behind
-//! one protocol endpoint. Device names are consistent-hashed onto
-//! shards by [`ShardRouter`], so:
+//! A [`Fleet`] holds N [`ResilientEngine`] shard leaders behind one
+//! protocol endpoint. Device names are consistent-hashed onto shards by
+//! [`ShardRouter`], so:
 //!
 //! * **Writes** (UPSERT/REMOVE) touch exactly one shard leader, and
 //!   dirty only `O(corpus / N)` of the next CHECK's work.
 //! * **CHECK** runs [`ResilientEngine::check_parts`] per shard and
-//!   merges with [`merge_check_parts`], reproducing the single-engine
-//!   report byte for byte (a clean shard is served from its cached
-//!   parts without touching its engine at all — the per-shard parts
-//!   cache is what makes CHECK scale past the single engine's
-//!   per-check reassembly cost).
+//!   merges with [`merge_check_aggregates`], reproducing the engine's
+//!   batch-equivalent report byte for byte. A shard unchanged since the
+//!   last CHECK is served from its cached parts without touching its
+//!   engine, and a CHECK with no write since the last one is served
+//!   from the rendered-report cache (`dirty=0 reused=<all>`).
 //! * **GEN** is answered by a read replica when the shard has one:
 //!   the replica tails the leader's crc32-framed WAL by offset
 //!   ([`Replica::poll`]) up to the last acknowledged sequence, so an
@@ -21,46 +21,52 @@
 //!   mid-CHECK, its replica serves the parts instead (failover at a
 //!   tracked, reported lag).
 //!
-//! # Byte identity with `--shards 1`
+//! # One shard
 //!
-//! The fleet keeps a device-id registry (ids assigned in arrival
-//! order over the name-sorted boot corpus, exactly like
-//! `Engine::from_corpus`) so UPSERT responses carry the same
-//! `id=`/`gen=` the unsharded engine would emit; LEARN mines a
-//! scratch engine over the name-sorted union corpus, so the contract
-//! set — and every later CHECK — is byte-identical; BATCH reserves
-//! ids sequentially in batch order before fanning sub-requests out to
-//! their shards concurrently, and reassembles responses by item index.
+//! The shard holds the whole corpus, so LEARN is the leader's own delta
+//! relearn, and UPSERT ids and every STATS counter come from the leader
+//! engine. Its state lives at the `--state-dir` root: the layout
+//! [`ResilientEngine::with_store`] writes.
 //!
-//! Two documented divergences: per-shard `dirty=`/`reused=` CHECK
-//! counters can differ from the single engine after a
-//! resolution-invalidating edit (the single engine drops its whole
-//! cache, the fleet only the owning shard — violations and coverage
-//! stay identical), and a restarted fleet's LEARN mined/reused
-//! counters restart like the restarted single engine's do.
+//! # More shards
+//!
+//! No shard sees the whole corpus, so LEARN mines a scratch engine over
+//! the name-sorted union corpus (the contracts one engine over the
+//! union learns) and distributes them to every leader, and a registry
+//! assigns device ids in arrival order over the name-sorted boot corpus
+//! and replays the one-engine sketch-cache counters. BATCH reserves ids
+//! in batch order before fanning sub-requests out to their shards
+//! concurrently, and reassembles responses by item index. Shard `i`
+//! lives under `<state-dir>/shard-<i>/`. The tests pin the counters
+//! that differ from one shard: `dirty=`/`reused=` after an edit that
+//! changes how contracts resolve, and after a restart the ids of new
+//! devices and LEARN's `mined=`/`reused=`. A LEARN that fails on one
+//! shard after another took the new set leaves the shards split, and
+//! CHECK refuses to merge their parts until a LEARN succeeds on all.
 
 use std::collections::{HashMap, HashSet};
-use std::path::Path;
+use std::fmt::Write as _;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
 use concord_core::{
-    ContractSet, EngineCheckStats, EngineStats, FleetReplicaStats, FleetShardStats, FleetStats,
-    LearnDeltaStats, RobustnessStats, StorageStats,
+    EngineCheckStats, EngineStats, FleetReplicaStats, FleetShardStats, FleetStats, LearnDeltaStats,
+    RobustnessStats, StorageStats,
 };
 use concord_engine::{
-    merge_check_aggregates, CheckParts, Engine, EngineFault, EngineOptions, FleetCheckReport,
-    OpKind, Replica, ResilientEngine, ShardCheckAggregate, ShardRouter,
+    merge_check_aggregates, CheckParts, Engine, EngineOptions, OpKind, Replica, ResilientEngine,
+    ShardCheckAggregate, ShardRouter,
 };
 use concord_json::ToJson;
 use concord_lexer::Lexer;
 
 use crate::args::ServeArgs;
 use crate::protocol::{BatchItem, Request};
-use crate::serve::{engine_inputs, fault_line, is_write_op, render_gen, ServeShared};
+use crate::serve::{fault_line, render_gen, ServeShared};
 use crate::sync::DeadlineRwLock;
-use crate::CliError;
+use crate::{build_lexer, read_file, read_glob, CliError};
 
 /// Mutex acquisition that rides through poisoning. Fleet bookkeeping is
 /// rebuilt-safe (shard engines recover from their last-known-good
@@ -81,8 +87,8 @@ struct FleetShard {
     /// has replayed every acked write, which is what makes replica GEN
     /// reads read-your-writes consistent.
     leader_seq: AtomicU64,
-    /// Bumped on every successful mutation of this shard; keys the
-    /// check-parts cache.
+    /// Bumped whenever the leader's next CHECK may answer differently;
+    /// keys the check-parts cache.
     version: AtomicU64,
     replicas: Vec<Mutex<Replica>>,
     /// Replica polls to skip before reading (replica-lag / stale-read
@@ -93,25 +99,24 @@ struct FleetShard {
     /// `(shard version, aggregate)`: the last CHECK's per-shard
     /// contribution, pre-sorted and pre-summed for the merge fast
     /// path. A CHECK at an unchanged version reuses it without locking
-    /// the leader — the single engine re-assembles its full report per
-    /// CHECK; the fleet pays only for shards that changed.
+    /// the leader, so a CHECK pays only for shards that changed.
     parts: Mutex<Option<(u64, Arc<ShardCheckAggregate>)>>,
 }
 
-/// The currently loaded contract set, kept in both forms the fleet
-/// needs: the count for CONTRACTS and the parsed set for the CHECK
-/// merge. (The JSON form lives in each shard's image — it is
-/// distributed at boot and LEARN, never re-read from here.)
-struct FleetContracts {
-    len: usize,
-    set: ContractSet,
+/// What a fleet of more than one shard keeps because no shard sees the
+/// whole corpus: the inputs its LEARN builds the union engine from, and
+/// the registry that stands in for one engine's ids and counters.
+struct Union {
+    metadata: Vec<(String, String)>,
+    lexer: Lexer,
+    options: EngineOptions,
+    registry: Mutex<Registry>,
 }
 
-/// Fleet-wide identity and learn bookkeeping. Ids are assigned in
+/// Union-corpus identity and learn bookkeeping. Ids are assigned in
 /// arrival order over the name-sorted union corpus — the same order
-/// `Engine::from_corpus` assigns — so UPSERT responses match the
-/// unsharded engine's; `clean` mirrors the single engine's sketch cache
-/// (evicted on edit, refilled by LEARN) to reproduce its
+/// `Engine::from_corpus` assigns; `clean` mirrors one engine's sketch
+/// cache (evicted on edit, refilled by LEARN) to reproduce its
 /// `mined=`/`reused=` counters.
 struct Registry {
     ids: HashMap<String, u64>,
@@ -119,13 +124,20 @@ struct Registry {
     clean: HashSet<String>,
     mined_last_learn: u64,
     reused_last_learn: u64,
-    /// Fleet edit counter value when the current contracts were learned.
+    /// Shard edit total when the current contracts were learned.
     contracts_edits: u64,
+    relearns: u64,
+    /// The merged counters of the last CHECK that recomputed anything.
+    last_check: Option<EngineCheckStats>,
+    /// A failed LEARN left leaders holding different contract sets:
+    /// CHECK refuses to merge their parts until a LEARN succeeds on
+    /// every shard (a restart also re-unifies them).
+    split: bool,
 }
 
 /// A reserved upsert id, with enough context to roll the reservation
-/// back if the shard operation faults (the single engine's rebuild
-/// doesn't consume an id, so neither may the fleet).
+/// back if the shard operation faults (a panic rebuild doesn't consume
+/// an engine id, so neither may the registry).
 struct ReservedUpsert {
     id: u64,
     new: bool,
@@ -134,75 +146,84 @@ struct ReservedUpsert {
 
 /// Registry side effects already applied by the batch walk (ids must be
 /// assigned sequentially in batch order, before sub-requests fan out to
-/// their shards concurrently).
+/// their shards concurrently). Both hold `None` at one shard.
 enum Pre {
     /// Direct request: apply registry effects inline.
     Direct,
-    Upsert(ReservedUpsert),
+    Upsert(Option<ReservedUpsert>),
     Remove(Option<(u64, bool)>),
 }
 
-/// A sharded serve backend: router, shard leaders with replicas, and
-/// the fleet-level caches that keep answers byte-identical to
-/// `--shards 1`.
+/// The serve backend: router, shard leaders with replicas, and the
+/// fleet-level caches.
 pub(crate) struct Fleet {
     router: ShardRouter,
     shards: Vec<FleetShard>,
-    /// Fleet-wide mutation version; keys the rendered CHECK cache.
+    /// Fleet-wide version (bumped with every shard version); keys the
+    /// rendered CHECK cache.
     version: AtomicU64,
-    /// Successful UPSERTs + REMOVEs across all shards.
-    edits: AtomicU64,
-    relearns: AtomicU64,
-    contracts: Mutex<Option<FleetContracts>>,
-    registry: Mutex<Registry>,
     /// `(fleet version, rendered replay-form response)`: a repeat CHECK
-    /// with no intervening edit answers from here with `dirty=0
-    /// reused=N`, exactly like the single engine's cached-report path.
+    /// with no intervening write answers from here with `dirty=0
+    /// reused=N`.
     check_cache: Mutex<Option<(u64, String)>>,
-    last_check: Mutex<Option<EngineCheckStats>>,
-    metadata: Vec<(String, String)>,
-    lexer: Lexer,
-    options: EngineOptions,
+    /// `None` at one shard, whose leader holds the whole corpus.
+    union: Option<Union>,
 }
 
 /// Builds the fleet from the serve arguments: partitions the corpus by
-/// router, boots one shard leader per partition (each under
-/// `<state-dir>/shard-<i>` when durable), records/validates the shard
-/// count in `<state-dir>/fleet.json` (resuming with a different
-/// `--shards` would silently re-route devices), adopts resumed
-/// contracts (or the `--contracts` file on a fresh boot) and
-/// distributes them, then attaches the read replicas.
+/// router, boots one shard leader per partition (under
+/// [`shard_dir`] when durable), records/validates the shard count in
+/// `<state-dir>/fleet.json` (resuming with a different `--shards` would
+/// silently re-route devices), adopts resumed contracts (or the
+/// `--contracts` file on a fresh boot) and distributes them, then
+/// attaches the read replicas.
 pub(crate) fn build_fleet(args: &ServeArgs) -> Result<Fleet, CliError> {
-    let (lexer, corpus, metadata, options) = engine_inputs(args)?;
+    let lexer = match &args.tokens {
+        Some(path) => build_lexer(path)?,
+        None => Lexer::standard(),
+    };
+    let read = |glob: &Option<String>| match glob {
+        Some(glob) => read_glob(glob),
+        None => Ok(Vec::new()),
+    };
+    let corpus = read(&args.configs)?;
+    let metadata = read(&args.metadata)?;
+    let options = EngineOptions {
+        embed_context: args.embed,
+        parallelism: args.parallelism,
+        learn: args.params.clone(),
+        staleness_threshold: args.staleness,
+        lex_cache_cap: args.lex_cache_cap,
+        ..EngineOptions::default()
+    };
     let router = ShardRouter::new(args.shards);
-    let mut partitions: Vec<Vec<(String, String)>> = vec![Vec::new(); router.shards()];
+    let n = router.shards();
+    let mut partitions: Vec<Vec<(String, String)>> = vec![Vec::new(); n];
     for (name, text) in corpus {
         let shard = router.route(&name);
         partitions[shard].push((name, text));
     }
-    if let Some(dir) = &args.state_dir {
-        check_manifest(Path::new(dir), router.shards())?;
+    let root = args.state_dir.as_deref().map(Path::new);
+    if let Some(root) = root {
+        check_manifest(root, n)?;
     }
 
-    let mut leaders = Vec::with_capacity(router.shards());
+    let mut leaders = Vec::with_capacity(n);
     let mut adopted: Option<String> = None;
     let mut resumed_any = false;
     for (i, part) in partitions.iter().enumerate() {
-        let (engine, resumed) = match &args.state_dir {
-            Some(dir) => {
-                let shard_dir = Path::new(dir).join(format!("shard-{i}"));
-                ResilientEngine::with_store(
-                    part,
-                    &metadata,
-                    lexer.clone(),
-                    options.clone(),
-                    &shard_dir,
-                )
-                .map_err(|e| CliError::Invalid(format!("shard {i}: {e}")))?
-            }
+        let (engine, resumed) = match root {
+            Some(root) => ResilientEngine::with_store(
+                part,
+                &metadata,
+                lexer.clone(),
+                options.clone(),
+                &shard_dir(root, n, i),
+            )
+            .map_err(|e| boot_error(n, i, e))?,
             None => (
                 ResilientEngine::new(part, &metadata, lexer.clone(), options.clone())
-                    .map_err(|e| CliError::Invalid(format!("shard {i}: {e}")))?,
+                    .map_err(|e| boot_error(n, i, e))?,
                 false,
             ),
         };
@@ -217,134 +238,211 @@ pub(crate) fn build_fleet(args: &ServeArgs) -> Result<Fleet, CliError> {
 
     // The state directory is the durable truth: a resumed fleet keeps
     // the contracts it persisted; only a fresh boot loads the file.
-    let contracts_json = match adopted {
-        Some(json) => Some(json),
+    let contracts = match adopted {
+        Some(json) => Some(("contracts".to_string(), json)),
         None if resumed_any => None,
         None => match &args.contracts {
-            Some(path) => Some(crate::read_file(path)?),
+            Some(path) => Some((path.clone(), read_file(path)?)),
             None => None,
         },
     };
-    let contracts = match &contracts_json {
-        Some(json) => {
-            let set = ContractSet::from_json(json)
-                .map_err(|e| CliError::Invalid(format!("contracts: {e}")))?;
-            for (i, leader) in leaders.iter_mut().enumerate() {
-                if leader.image().contracts.as_deref() != Some(json.as_str()) {
-                    leader
-                        .set_contracts_json(json)
-                        .map_err(|e| CliError::Invalid(format!("shard {i}: {}", fault_line(&e))))?;
-                }
-            }
-            Some(FleetContracts {
-                len: set.len(),
-                set,
-            })
-        }
-        None => None,
-    };
-
-    // Ids in name-sorted arrival order over the (possibly resumed)
-    // union corpus — the order `Engine::from_corpus` assigns.
-    let mut names: Vec<String> = leaders
-        .iter()
-        .flat_map(|l| l.image().corpus().into_iter().map(|(name, _)| name))
-        .collect();
-    names.sort();
-    let registry = Registry {
-        next_id: names.len() as u64,
-        ids: names
-            .into_iter()
-            .enumerate()
-            .map(|(i, name)| (name, i as u64))
-            .collect(),
-        clean: HashSet::new(),
-        mined_last_learn: 0,
-        reused_last_learn: 0,
-        contracts_edits: 0,
-    };
-
-    let mut shards = Vec::with_capacity(leaders.len());
-    for (i, leader) in leaders.into_iter().enumerate() {
-        let mut replicas = Vec::with_capacity(args.replicas);
-        if args.replicas > 0 {
-            // Validated in args: replicas require --state-dir.
-            if let Some(dir) = &args.state_dir {
-                let shard_dir = Path::new(dir).join(format!("shard-{i}"));
-                for _ in 0..args.replicas {
-                    let replica = Replica::attach(&shard_dir, lexer.clone(), options.clone())
-                        .map_err(|e| CliError::Invalid(format!("shard {i} replica: {e}")))?;
-                    replicas.push(Mutex::new(replica));
-                }
+    if let Some((source, json)) = &contracts {
+        for (i, leader) in leaders.iter_mut().enumerate() {
+            if leader.image().contracts.as_deref() != Some(json.as_str()) {
+                leader
+                    .set_contracts_json(json)
+                    .map_err(|e| boot_error(n, i, format!("{source}: {e}")))?;
             }
         }
-        shards.push(FleetShard {
-            leader_seq: AtomicU64::new(leader.image().applied_seq),
-            leader: DeadlineRwLock::new(leader),
-            version: AtomicU64::new(0),
-            replicas,
-            poll_suppress: AtomicU64::new(0),
-            reads: AtomicU64::new(0),
-            writes: AtomicU64::new(0),
-            parts: Mutex::new(None),
-        });
     }
 
-    Ok(Fleet {
-        router,
-        shards,
-        version: AtomicU64::new(0),
-        edits: AtomicU64::new(0),
-        relearns: AtomicU64::new(0),
-        contracts: Mutex::new(contracts),
-        registry: Mutex::new(registry),
-        check_cache: Mutex::new(None),
-        last_check: Mutex::new(None),
-        metadata,
-        lexer,
-        options,
+    let union = (n > 1).then(|| {
+        // Ids in name-sorted arrival order over the (possibly resumed)
+        // union corpus — the order `Engine::from_corpus` assigns.
+        let mut names: Vec<String> = leaders
+            .iter()
+            .flat_map(|l| l.image().corpus().into_iter().map(|(name, _)| name))
+            .collect();
+        names.sort();
+        let registry = Registry {
+            next_id: names.len() as u64,
+            ids: names
+                .into_iter()
+                .enumerate()
+                .map(|(i, name)| (name, i as u64))
+                .collect(),
+            clean: HashSet::new(),
+            mined_last_learn: 0,
+            reused_last_learn: 0,
+            contracts_edits: 0,
+            relearns: 0,
+            last_check: None,
+            split: false,
+        };
+        Union {
+            metadata,
+            lexer: lexer.clone(),
+            options: options.clone(),
+            registry: Mutex::new(registry),
+        }
+    });
+
+    let mut shards = Vec::with_capacity(n);
+    for (i, leader) in leaders.into_iter().enumerate() {
+        let mut replicas = Vec::with_capacity(args.replicas);
+        // Validated in args: replicas require --state-dir.
+        if let Some(root) = root {
+            for _ in 0..args.replicas {
+                let replica =
+                    Replica::attach(&shard_dir(root, n, i), lexer.clone(), options.clone())
+                        .map_err(|e| boot_error(n, i, format!("replica: {e}")))?;
+                replicas.push(replica);
+            }
+        }
+        shards.push((leader, replicas));
+    }
+    Ok(Fleet::new(router, shards, union))
+}
+
+/// A boot failure, naming the shard when there is more than one.
+fn boot_error(shards: usize, i: usize, e: impl std::fmt::Display) -> CliError {
+    CliError::Invalid(if shards == 1 {
+        e.to_string()
+    } else {
+        format!("shard {i}: {e}")
     })
+}
+
+/// Where shard `i` of `shards` keeps its durable state: the state
+/// directory itself for one shard, `shard-<i>/` below it otherwise.
+fn shard_dir(root: &Path, shards: usize, i: usize) -> PathBuf {
+    if shards == 1 {
+        root.to_path_buf()
+    } else {
+        root.join(format!("shard-{i}"))
+    }
 }
 
 /// Records the shard count on first boot and refuses to reopen a state
 /// directory under a different one: the router would silently send
-/// devices to shards that don't hold them.
+/// devices to shards that don't hold them. Also refuses a one-shard
+/// directory that still keeps its shard under `shard-0/`, the layout of
+/// a `--shards 1 --replicas M` serve before shard 0 moved to the root.
 fn check_manifest(dir: &Path, shards: usize) -> Result<(), CliError> {
     std::fs::create_dir_all(dir).map_err(|e| CliError::Io(dir.display().to_string(), e))?;
     let path = dir.join("fleet.json");
-    match std::fs::read_to_string(&path) {
+    let recorded = match std::fs::read_to_string(&path) {
         Ok(text) => {
             let json = concord_json::Json::parse(&text)
                 .map_err(|e| CliError::Invalid(format!("{}: {e}", path.display())))?;
-            let recorded = json["shards"].as_u64().unwrap_or(0) as usize;
-            if recorded != shards {
-                return Err(CliError::Invalid(format!(
-                    "{}: state directory was created with --shards {recorded}; reopening with \
-                     --shards {shards} would re-route devices away from the shards that hold them",
-                    path.display()
-                )));
-            }
-            Ok(())
+            Some(json["shards"].as_u64().unwrap_or(0) as usize)
         }
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-            let manifest = concord_json::json!({ "shards": shards });
-            std::fs::write(&path, manifest.render())
-                .map_err(|e| CliError::Io(path.display().to_string(), e))?;
-            Ok(())
-        }
-        Err(e) => Err(CliError::Io(path.display().to_string(), e)),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => None,
+        Err(e) => return Err(CliError::Io(path.display().to_string(), e)),
+    };
+    if let Some(recorded) = recorded.filter(|r| *r != shards) {
+        return Err(CliError::Invalid(format!(
+            "{}: state directory was created with --shards {recorded}; reopening with \
+             --shards {shards} would re-route devices away from the shards that hold them",
+            path.display()
+        )));
     }
+    if shards == 1 && dir.join("shard-0").is_dir() {
+        return Err(CliError::Invalid(format!(
+            "{}: one-shard state lives at the state directory root; move the files in \
+             shard-0/ up one level to reopen it",
+            dir.display()
+        )));
+    }
+    if recorded.is_none() {
+        let manifest = concord_json::json!({ "shards": shards });
+        std::fs::write(&path, manifest.render())
+            .map_err(|e| CliError::Io(path.display().to_string(), e))?;
+    }
+    Ok(())
 }
 
 impl Fleet {
+    /// A one-shard fleet over `leader`, without replicas.
+    pub(crate) fn one(leader: ResilientEngine) -> Fleet {
+        Fleet::new(ShardRouter::new(1), vec![(leader, Vec::new())], None)
+    }
+
+    fn new(
+        router: ShardRouter,
+        shards: Vec<(ResilientEngine, Vec<Replica>)>,
+        union: Option<Union>,
+    ) -> Fleet {
+        Fleet {
+            router,
+            shards: shards
+                .into_iter()
+                .map(|(leader, replicas)| FleetShard {
+                    leader_seq: AtomicU64::new(leader.image().applied_seq),
+                    leader: DeadlineRwLock::new(leader),
+                    version: AtomicU64::new(0),
+                    replicas: replicas.into_iter().map(Mutex::new).collect(),
+                    poll_suppress: AtomicU64::new(0),
+                    reads: AtomicU64::new(0),
+                    writes: AtomicU64::new(0),
+                    parts: Mutex::new(None),
+                })
+                .collect(),
+            version: AtomicU64::new(0),
+            check_cache: Mutex::new(None),
+            union,
+        }
+    }
+
     fn shard_for(&self, name: &str) -> &FleetShard {
         &self.shards[self.router.route(name)]
     }
 
-    fn reserve_upsert(&self, name: &str) -> ReservedUpsert {
-        let mut reg = lock(&self.registry);
+    /// Drops `shard`'s cached CHECK parts and the fleet's rendered
+    /// CHECK: the next CHECK runs on the leader.
+    fn invalidate(&self, shard: &FleetShard) {
+        shard.version.fetch_add(1, Ordering::Release);
+        self.version.fetch_add(1, Ordering::Release);
+    }
+
+    /// Runs one write op on `shard`'s locked leader, then publishes
+    /// the acked WAL sequence (for replicas) and, when the op changed
+    /// what the leader's next CHECK answers, new versions. The leader's
+    /// persisted counters move with every applied edit or contract swap
+    /// (even one whose WAL append then failed), and a panic recovery
+    /// rebuilds the engine, so its next CHECK recomputes everything.
+    fn apply<T>(
+        &self,
+        shard: &FleetShard,
+        leader: &mut ResilientEngine,
+        op: impl FnOnce(&mut ResilientEngine) -> T,
+    ) -> T {
+        let state = |leader: &ResilientEngine| {
+            (
+                leader.image().counters,
+                leader.robustness().panics_recovered,
+                leader.poisoned(),
+            )
+        };
+        let before = state(leader);
+        let result = op(leader);
+        shard
+            .leader_seq
+            .store(leader.image().applied_seq, Ordering::Release);
+        if state(leader) != before {
+            self.invalidate(shard);
+        }
+        result
+    }
+
+    fn registry(&self) -> Option<MutexGuard<'_, Registry>> {
+        self.union.as_ref().map(|u| lock(&u.registry))
+    }
+
+    fn reserve_upsert(&self, name: &str) -> Option<ReservedUpsert> {
+        let mut reg = self.registry()?;
         let was_clean = reg.clean.remove(name);
-        match reg.ids.get(name).copied() {
+        Some(match reg.ids.get(name).copied() {
             Some(id) => ReservedUpsert {
                 id,
                 new: false,
@@ -360,15 +458,16 @@ impl Fleet {
                     was_clean,
                 }
             }
-        }
+        })
     }
 
     /// Undoes a reservation after a faulted upsert. Under concurrent
-    /// reservations the freed id may stay consumed (the single engine
-    /// serializes and never hits this); sequential traffic rolls back
-    /// exactly.
-    fn rollback_upsert(&self, name: &str, reserved: &ReservedUpsert) {
-        let mut reg = lock(&self.registry);
+    /// reservations the freed id may stay consumed; sequential traffic
+    /// rolls back exactly.
+    fn rollback_upsert(&self, name: &str, reserved: Option<&ReservedUpsert>) {
+        let (Some(reserved), Some(mut reg)) = (reserved, self.registry()) else {
+            return;
+        };
         if reserved.new && reg.ids.get(name) == Some(&reserved.id) {
             reg.ids.remove(name);
             if reg.next_id == reserved.id + 1 {
@@ -381,44 +480,25 @@ impl Fleet {
     }
 
     fn registry_remove(&self, name: &str) -> Option<(u64, bool)> {
-        let mut reg = lock(&self.registry);
+        let mut reg = self.registry()?;
         let id = reg.ids.remove(name)?;
         let was_clean = reg.clean.remove(name);
         Some((id, was_clean))
     }
 
-    fn registry_restore(&self, name: &str, entry: (u64, bool)) {
-        let mut reg = lock(&self.registry);
-        reg.ids.insert(name.to_string(), entry.0);
-        if entry.1 {
+    fn registry_restore(&self, name: &str, entry: Option<(u64, bool)>) {
+        let (Some((id, was_clean)), Some(mut reg)) = (entry, self.registry()) else {
+            return;
+        };
+        reg.ids.insert(name.to_string(), id);
+        if was_clean {
             reg.clean.insert(name.to_string());
-        }
-    }
-
-    /// Publishes a successful mutation on `shard`: leader sequence (for
-    /// replicas), shard + fleet versions (cache invalidation), counters.
-    fn published_write(&self, shard: &FleetShard, guard: &ResilientEngine, edit: bool) {
-        shard
-            .leader_seq
-            .store(guard.image().applied_seq, Ordering::Release);
-        shard.version.fetch_add(1, Ordering::Release);
-        shard.writes.fetch_add(1, Ordering::Relaxed);
-        self.version.fetch_add(1, Ordering::Release);
-        if edit {
-            self.edits.fetch_add(1, Ordering::Relaxed);
         }
     }
 }
 
-/// Executes one non-batch request against the fleet; the response
-/// string is byte-identical to the single-engine path wherever the
-/// protocol promises it (see module docs for the two counter caveats).
+/// Executes one non-batch request against the fleet.
 pub(crate) fn execute(shared: &ServeShared, fleet: &Fleet, req: &Request) -> String {
-    if is_write_op(req) {
-        shared.count_exclusive_op();
-    } else {
-        shared.count_shared_read();
-    }
     run_one(shared, fleet, req, Pre::Direct)
 }
 
@@ -427,20 +507,24 @@ fn run_one(shared: &ServeShared, fleet: &Fleet, req: &Request, pre: Pre) -> Stri
         Request::Upsert { name, body } => fleet_upsert(shared, fleet, name, body, pre),
         Request::Remove { name } => fleet_remove(shared, fleet, name, pre),
         Request::Gen { name } => fleet_gen(shared, fleet, name),
-        Request::Learn => fleet_learn(shared, fleet),
-        Request::Check => fleet_check(shared, fleet),
-        Request::Contracts => match lock(&fleet.contracts).as_ref() {
-            Some(contracts) => format!("ok contracts {}\n", contracts.len),
-            None => "err not-learned\n".to_string(),
+        Request::Learn => match &fleet.union {
+            None => learn_in_place(shared, fleet),
+            Some(union) => learn_union(shared, fleet, union),
         },
+        Request::Check => fleet_check(shared, fleet),
+        Request::Contracts => fleet_contracts(shared, fleet),
         Request::Stats => fleet_stats(shared, fleet),
         Request::Checkpoint => fleet_checkpoint(shared, fleet),
         Request::Health => fleet_health(shared, fleet),
         Request::Fault { rest } => fleet_fault(shared, fleet, rest),
         // Routed before dispatch; a dispatch bug is answered, not
-        // panicked over (same as the single-engine path).
+        // panicked over.
         Request::Quit | Request::Batch(_) => "err internal invalid request routing\n".to_string(),
     }
+}
+
+fn cutoff(shared: &ServeShared) -> Instant {
+    Instant::now() + shared.limits().deadline
 }
 
 fn deadline(shared: &ServeShared) -> String {
@@ -454,24 +538,23 @@ fn fleet_upsert(shared: &ServeShared, fleet: &Fleet, name: &str, body: &str, pre
         _ => fleet.reserve_upsert(name),
     };
     let shard = fleet.shard_for(name);
-    let cutoff = Instant::now() + shared.limits().deadline;
-    let Some(mut guard) = shard.leader.write(cutoff) else {
-        fleet.rollback_upsert(name, &reserved);
+    let Some(mut guard) = shard.leader.write(cutoff(shared)) else {
+        fleet.rollback_upsert(name, reserved.as_ref());
         return deadline(shared);
     };
-    match guard.upsert(name, body) {
-        Ok(_) => {
-            fleet.published_write(shard, &guard, true);
+    let result = fleet.apply(shard, &mut guard, |leader| leader.upsert(name, body));
+    match result {
+        Ok(id) => {
+            shard.writes.fetch_add(1, Ordering::Relaxed);
+            let id = reserved.map_or(id.0, |r| r.id);
             match guard.config_generation(name) {
-                Ok(Some(gen)) => format!("ok upsert {name} id={} gen={gen}\n", reserved.id),
+                Ok(Some(gen)) => format!("ok upsert {name} id={id} gen={gen}\n"),
                 Ok(None) => format!("err unknown-config {name}\n"),
                 Err(fault) => format!("{}\n", fault_line(&fault)),
             }
         }
         Err(fault) => {
-            // The leader rebuilt from its image — the edit didn't land,
-            // so the id reservation must not stick either.
-            fleet.rollback_upsert(name, &reserved);
+            fleet.rollback_upsert(name, reserved.as_ref());
             format!("{}\n", fault_line(&fault))
         }
     }
@@ -483,28 +566,22 @@ fn fleet_remove(shared: &ServeShared, fleet: &Fleet, name: &str, pre: Pre) -> St
         _ => fleet.registry_remove(name),
     };
     let shard = fleet.shard_for(name);
-    let cutoff = Instant::now() + shared.limits().deadline;
-    let Some(mut guard) = shard.leader.write(cutoff) else {
-        if let Some(entry) = removed {
-            fleet.registry_restore(name, entry);
-        }
+    let Some(mut guard) = shard.leader.write(cutoff(shared)) else {
+        fleet.registry_restore(name, removed);
         return deadline(shared);
     };
-    match guard.remove(name) {
+    let result = fleet.apply(shard, &mut guard, |leader| leader.remove(name));
+    match result {
         Ok(Some(_)) => {
-            fleet.published_write(shard, &guard, true);
+            shard.writes.fetch_add(1, Ordering::Relaxed);
             format!("ok remove {name}\n")
         }
         Ok(None) => {
-            if let Some(entry) = removed {
-                fleet.registry_restore(name, entry);
-            }
+            fleet.registry_restore(name, removed);
             format!("err unknown-config {name}\n")
         }
         Err(fault) => {
-            if let Some(entry) = removed {
-                fleet.registry_restore(name, entry);
-            }
+            fleet.registry_restore(name, removed);
             format!("{}\n", fault_line(&fault))
         }
     }
@@ -530,21 +607,40 @@ fn fleet_gen(shared: &ServeShared, fleet: &Fleet, name: &str) -> String {
             return render_gen(Ok(replica.engine_mut().config_generation(name)), name);
         }
     }
-    let cutoff = Instant::now() + shared.limits().deadline;
-    match shard.leader.read(cutoff) {
+    match shard.leader.read(cutoff(shared)) {
         Some(guard) => render_gen(guard.config_generation(name), name),
         None => deadline(shared),
     }
 }
 
-/// LEARN takes every shard's write lock (in shard order — the one
-/// global lock order every multi-shard path uses), mines a scratch
-/// engine over the name-sorted union corpus (byte-identical contracts
-/// to the unsharded engine), distributes the set to every leader
-/// (WAL-logged, so replicas replay it), and reports the single engine's
-/// mined/reused counters from the registry's clean set.
-fn fleet_learn(shared: &ServeShared, fleet: &Fleet) -> String {
-    let cutoff = Instant::now() + shared.limits().deadline;
+/// LEARN at one shard: the leader holds the whole corpus, so its own
+/// delta relearn (WAL-logged, so replicas replay it) is the answer.
+fn learn_in_place(shared: &ServeShared, fleet: &Fleet) -> String {
+    let shard = &fleet.shards[0];
+    let Some(mut guard) = shard.leader.write(cutoff(shared)) else {
+        return deadline(shared);
+    };
+    if let Err(fault) = fleet.apply(shard, &mut guard, ResilientEngine::relearn) {
+        return format!("{}\n", fault_line(&fault));
+    }
+    shard.writes.fetch_add(1, Ordering::Relaxed);
+    // A relearn that succeeded leaves a live engine holding its set.
+    let n = guard.contracts().ok().flatten().map_or(0, |c| c.len());
+    let delta = guard.learn_delta().unwrap_or_default();
+    format!(
+        "ok learn {n} contracts mined={} reused={}\n",
+        delta.mined_last_learn, delta.reused_last_learn
+    )
+}
+
+/// LEARN at more than one shard takes every shard's write lock (in
+/// shard order — the one global lock order every multi-shard path
+/// uses), mines a scratch engine over the name-sorted union corpus
+/// (the contracts one engine over it learns), distributes the set to
+/// every leader (WAL-logged, so replicas replay it), and reports one
+/// engine's mined/reused counters from the registry's clean set.
+fn learn_union(shared: &ServeShared, fleet: &Fleet, union: &Union) -> String {
+    let cutoff = cutoff(shared);
     let mut guards = Vec::with_capacity(fleet.shards.len());
     for shard in &fleet.shards {
         match shard.leader.write(cutoff) {
@@ -552,69 +648,64 @@ fn fleet_learn(shared: &ServeShared, fleet: &Fleet) -> String {
             None => return deadline(shared),
         }
     }
-    let mut union: Vec<(String, String)> = guards
+    let mut corpus: Vec<(String, String)> = guards
         .iter()
         .flat_map(|guard| guard.image().corpus())
         .collect();
-    union.sort();
+    corpus.sort();
     let mut scratch = match Engine::from_corpus_with_lexer(
-        &union,
-        &fleet.metadata,
-        fleet.lexer.clone(),
-        fleet.options.clone(),
+        &corpus,
+        &union.metadata,
+        union.lexer.clone(),
+        union.options.clone(),
     ) {
         Ok(engine) => engine,
         // Unreachable in practice: the same inputs built the shards.
         Err(e) => return format!("err internal {}\n", one_line(&e.to_string())),
     };
     scratch.relearn();
-    let set = match scratch.contracts() {
-        Some(set) => set.clone(),
-        None => return "err not-learned\n".to_string(),
+    let Some(set) = scratch.shared_contracts() else {
+        return "err not-learned\n".to_string();
     };
     let json = set.to_json();
-    for (i, guard) in guards.iter_mut().enumerate() {
-        match guard.set_contracts_json(&json) {
-            Ok(_) => fleet.published_write(&fleet.shards[i], guard, false),
+    // Every leader is offered the set even after one fails, so a failed
+    // WAL append (which leaves the set installed in memory) cannot split
+    // the fleet by itself.
+    let mut failed = None;
+    for (shard, guard) in fleet.shards.iter().zip(guards.iter_mut()) {
+        match fleet.apply(shard, guard, |leader| leader.set_contracts_json(&json)) {
+            Ok(_) => {
+                shard.writes.fetch_add(1, Ordering::Relaxed);
+            }
             Err(fault) => {
-                // Earlier shards already swapped; conservatively
-                // invalidate everything so no stale parts survive the
-                // half-applied learn.
-                for shard in &fleet.shards {
-                    shard.version.fetch_add(1, Ordering::Release);
-                }
-                fleet.version.fetch_add(1, Ordering::Release);
-                return format!("{}\n", fault_line(&fault));
+                failed.get_or_insert(fault);
             }
         }
     }
-    let n = set.len();
-    let (mined, reused) = {
-        let mut reg = lock(&fleet.registry);
-        let total = reg.ids.len() as u64;
-        let (mined, reused) = if fleet.options.delta_learn {
-            let reused = reg.clean.len() as u64;
-            (total - reused, reused)
-        } else {
-            (total, 0)
-        };
-        if fleet.options.delta_learn {
-            reg.clean = reg.ids.keys().cloned().collect();
-        }
-        reg.mined_last_learn = mined;
-        reg.reused_last_learn = reused;
-        reg.contracts_edits = fleet.edits.load(Ordering::Relaxed);
-        (mined, reused)
-    };
-    *lock(&fleet.contracts) = Some(FleetContracts { len: n, set });
-    fleet.relearns.fetch_add(1, Ordering::Relaxed);
-    format!("ok learn {n} contracts mined={mined} reused={reused}\n")
+    let mut reg = lock(&union.registry);
+    if let Some(fault) = failed {
+        let sets: Vec<_> = guards.iter().map(|g| g.contracts().ok()).collect();
+        reg.split = sets.windows(2).any(|pair| pair[0] != pair[1]);
+        return format!("{}\n", fault_line(&fault));
+    }
+    reg.split = false;
+    let reused = reg.clean.len() as u64;
+    let mined = reg.ids.len() as u64 - reused;
+    reg.clean = reg.ids.keys().cloned().collect();
+    reg.mined_last_learn = mined;
+    reg.reused_last_learn = reused;
+    reg.contracts_edits = guards.iter().map(|g| g.image().counters.edits).sum();
+    reg.relearns += 1;
+    format!(
+        "ok learn {} contracts mined={mined} reused={reused}\n",
+        set.len()
+    )
 }
 
 /// CHECK: per-shard parts (cached for clean shards, recomputed under
 /// the leader's write lock for dirty ones, served by a replica when the
 /// leader faults), merged in deterministic shard order into the
-/// byte-identical single-engine report.
+/// engine's report.
 fn fleet_check(shared: &ServeShared, fleet: &Fleet) -> String {
     let fleet_version = fleet.version.load(Ordering::Acquire);
     if let Some((version, text)) = lock(&fleet.check_cache).as_ref() {
@@ -622,14 +713,10 @@ fn fleet_check(shared: &ServeShared, fleet: &Fleet) -> String {
             return text.clone();
         }
     }
-    let contracts = match lock(&fleet.contracts).as_ref() {
-        // Cloned so the CHECK merge never holds the contracts lock
-        // while acquiring shard locks (LEARN takes them the other way
-        // around).
-        Some(contracts) => contracts.set.clone(),
-        None => return "err no contracts loaded\n".to_string(),
-    };
-    let cutoff = Instant::now() + shared.limits().deadline;
+    if fleet.registry().is_some_and(|reg| reg.split) {
+        return "err internal shards hold different contract sets; LEARN again\n".to_string();
+    }
+    let cutoff = cutoff(shared);
     let mut parts: Vec<Arc<ShardCheckAggregate>> = Vec::with_capacity(fleet.shards.len());
     let mut dirty = 0usize;
     let mut reused = 0usize;
@@ -639,10 +726,10 @@ fn fleet_check(shared: &ServeShared, fleet: &Fleet) -> String {
         let cached_version = shard.version.load(Ordering::Acquire);
         if let Some((version, cached)) = slot.as_ref() {
             if *version == cached_version {
-                // Clean shard: the single engine would have reused every
-                // one of its configurations (the cached parts still
-                // carry the dirty counters of the check that computed
-                // them, so the counters are summed here, not there).
+                // Clean shard: every one of its configurations is reused
+                // (the cached parts still carry the dirty counters of the
+                // check that computed them, so the counters are summed
+                // here, not there).
                 reused += cached.parts.configs.len();
                 parts.push(Arc::clone(cached));
                 continue;
@@ -657,8 +744,9 @@ fn fleet_check(shared: &ServeShared, fleet: &Fleet) -> String {
         let computed = match guard.check_parts() {
             Ok(computed) => computed,
             Err(fault) => {
+                let contracts = guard.image().contracts.clone();
                 drop(guard); // the leader already rebuilt; free it
-                match failover_parts(shard, &fault) {
+                match failover_parts(shard, contracts.as_deref()) {
                     Some(computed) => computed,
                     None => return format!("{}\n", fault_line(&fault)),
                 }
@@ -672,107 +760,110 @@ fn fleet_check(shared: &ServeShared, fleet: &Fleet) -> String {
         *slot = Some((shard_version, Arc::clone(&arc)));
         parts.push(arc);
     }
+    // Every shard checked under the same set: one LEARN installed it
+    // everywhere, and a split or a stale replica never reaches here.
     let refs: Vec<&ShardCheckAggregate> = parts.iter().map(|p| p.as_ref()).collect();
-    let report = merge_check_aggregates(&contracts, &refs);
+    let report = merge_check_aggregates(&parts[0].parts.contracts, &refs);
+    let mut violations = String::new();
+    for v in &report.violations {
+        let _ = writeln!(violations, "{v}");
+    }
+    let summary = |dirty: usize, reused: usize| {
+        format!(
+            "ok check {} violations; coverage {:.1}% of {} lines; dirty={dirty} reused={reused}\n",
+            report.violations.len(),
+            report.coverage_fraction() * 100.0,
+            report.total_lines,
+        )
+    };
+    let first = format!("{violations}{}", summary(dirty, reused));
+    // A repeat CHECK at this fleet version recomputes nothing: dirty=0,
+    // reused=all.
     let total_configs: usize = parts.iter().map(|p| p.parts.configs.len()).sum();
-    let first = render_fleet_check(&report, dirty, reused);
-    // A repeat CHECK at this fleet version reuses everything — the
-    // single engine's cached-report path reports dirty=0, reused=all.
-    let replay = render_fleet_check(&report, 0, total_configs);
+    let replay = violations + &summary(0, total_configs);
     *lock(&fleet.check_cache) = Some((fleet_version, replay));
-    *lock(&fleet.last_check) = Some(EngineCheckStats {
-        dirty_configs: dirty,
-        reused_configs: reused,
-        resolution_invalidated,
-        witness_indexes_rebuilt: 0,
-        witness_indexes_patched: 0,
-    });
+    if let Some(mut reg) = fleet.registry() {
+        reg.last_check = Some(EngineCheckStats {
+            dirty_configs: dirty,
+            reused_configs: reused,
+            resolution_invalidated,
+            witness_indexes_rebuilt: 0,
+            witness_indexes_patched: 0,
+        });
+    }
     first
 }
 
 /// Shard-leader CHECK failover: when the leader faulted mid-check (it
-/// has already rebuilt from its image) or its storage degraded (the
-/// shard is quarantined read-only), serve the parts from a replica
-/// caught up to the last acked write. Only recovery/storage faults fail
-/// over — a missing-contracts fault would fail identically on the
-/// replica.
-fn failover_parts(shard: &FleetShard, fault: &EngineFault) -> Option<CheckParts> {
-    if !matches!(
-        fault,
-        EngineFault::Panicked(_) | EngineFault::Poisoned | EngineFault::StorageDegraded(_)
-    ) {
-        return None;
-    }
+/// has already rebuilt from its image), serve the parts from a replica
+/// caught up to the last acked write that holds the set the leader's
+/// image holds (`contracts`). Without a set there is nothing to fail
+/// over to; a replica that lacks a swap the leader could not log is
+/// passed over, since its parts would merge under the wrong set.
+fn failover_parts(shard: &FleetShard, contracts: Option<&str>) -> Option<CheckParts> {
+    let contracts = contracts?;
     let leader_seq = shard.leader_seq.load(Ordering::Acquire);
     for replica in &shard.replicas {
         let mut replica = lock(replica);
         if replica.poll(leader_seq).is_err() {
             continue;
         }
-        if let Ok(parts) = replica.engine_mut().check_parts() {
-            shard.reads.fetch_add(1, Ordering::Relaxed);
-            return Some(parts);
+        match replica.engine_mut().check_parts() {
+            Ok(parts) if parts.contracts.to_json() == contracts => {
+                shard.reads.fetch_add(1, Ordering::Relaxed);
+                return Some(parts);
+            }
+            _ => {}
         }
     }
     None
 }
 
-/// Renders the merged fleet report in the single engine's CHECK format.
-fn render_fleet_check(report: &FleetCheckReport, dirty: usize, reused: usize) -> String {
-    let mut out = String::new();
-    for v in &report.violations {
-        out.push_str(&format!("{v}\n"));
-    }
-    out.push_str(&format!(
-        "ok check {} violations; coverage {:.1}% of {} lines; dirty={} reused={}\n",
-        report.violations.len(),
-        report.coverage_fraction() * 100.0,
-        report.total_lines,
-        dirty,
-        reused,
-    ));
-    out
-}
-
-/// STATS: per-shard engine snapshots aggregated in shard order, plus
-/// the v8 `fleet` object (per-shard counters, replica lag, router
-/// distribution, and one-pass totals).
+/// STATS: per-shard engine snapshots summed in shard order (at one
+/// shard, the leader's own snapshot), plus the `fleet` object
+/// (per-shard counters, replica lag, router distribution, and one-pass
+/// totals).
 fn fleet_stats(shared: &ServeShared, fleet: &Fleet) -> String {
-    let cutoff = Instant::now() + shared.limits().deadline;
+    let cutoff = cutoff(shared);
     let mut shard_stats: Vec<EngineStats> = Vec::with_capacity(fleet.shards.len());
     for shard in &fleet.shards {
         let Some(mut guard) = shard.leader.write(cutoff) else {
             return deadline(shared);
         };
-        match guard.snapshot_stats() {
+        match fleet.apply(shard, &mut guard, ResilientEngine::snapshot_stats) {
             Ok(stats) => shard_stats.push(stats),
             Err(fault) => return format!("{}\n", fault_line(&fault)),
         }
     }
-    let mut stats = EngineStats::default();
+    let mut stats = EngineStats {
+        last_check: shard_stats[0].last_check,
+        learn_delta: shard_stats[0].learn_delta,
+        ..EngineStats::default()
+    };
     let mut robustness = RobustnessStats::default();
     let mut storage = StorageStats::default();
     let mut fleet_shards = Vec::with_capacity(fleet.shards.len());
-    for (i, s) in shard_stats.iter().enumerate() {
+    for (i, (shard, s)) in fleet.shards.iter().zip(&shard_stats).enumerate() {
         stats.configs += s.configs;
         stats.lines += s.lines;
         // Approximate: a pattern shared by configs on two shards counts
         // once per shard (each shard interns independently).
         stats.patterns += s.patterns;
         stats.edits += s.edits;
+        stats.relearns += s.relearns;
         stats.dirty_configs += s.dirty_configs;
         stats.staleness = stats.staleness.max(s.staleness);
         stats.lex_cache_hits += s.lex_cache_hits;
         stats.lex_cache_misses += s.lex_cache_misses;
         stats.lex_cache_evictions += s.lex_cache_evictions;
         stats.generations.extend(s.generations.iter().cloned());
+        stats.memory.accumulate(&s.memory);
         if let Some(r) = &s.robustness {
             robustness.accumulate(r);
         }
         if let Some(st) = &s.storage {
             storage.accumulate(st);
         }
-        let shard = &fleet.shards[i];
         let leader_seq = shard.leader_seq.load(Ordering::Acquire);
         let mut replicas = Vec::with_capacity(shard.replicas.len());
         for replica in &shard.replicas {
@@ -796,18 +887,11 @@ fn fleet_stats(shared: &ServeShared, fleet: &Fleet) -> String {
     }
     // The union dataset is name-sorted; shards partition the names.
     stats.generations.sort_by(|a, b| a.0.cmp(&b.0));
-    let (rejected, deadlines) = shared.serve_overlay();
-    robustness.requests_rejected = rejected;
-    robustness.deadlines_hit = deadlines;
-    stats.robustness = Some(robustness);
-    stats.storage = Some(storage);
-    stats.contracts = lock(&fleet.contracts).as_ref().map(|c| c.len);
-    stats.relearns = fleet.relearns.load(Ordering::Relaxed);
-    stats.last_check = *lock(&fleet.last_check);
-    {
-        let reg = lock(&fleet.registry);
+    if let Some(reg) = fleet.registry() {
+        stats.relearns = reg.relearns;
+        stats.last_check = reg.last_check;
         stats.learn_delta = LearnDeltaStats {
-            enabled: fleet.options.delta_learn,
+            enabled: true,
             sketches: reg.clean.len(),
             dirty: reg.ids.len().saturating_sub(reg.clean.len()),
             mined_last_learn: reg.mined_last_learn,
@@ -815,6 +899,12 @@ fn fleet_stats(shared: &ServeShared, fleet: &Fleet) -> String {
             contracts_edits: reg.contracts_edits,
         };
     }
+    let (rejected, deadlines) = shared.serve_overlay();
+    robustness.requests_rejected = rejected;
+    robustness.deadlines_hit = deadlines;
+    stats.robustness = Some(robustness);
+    stats.storage = Some(storage);
+    stats.contracts = shard_stats[0].contracts;
     stats.serve = Some(shared.transport_snapshot());
     let router: Vec<usize> = fleet_shards.iter().map(|s| s.configs).collect();
     let totals = FleetStats::rollup(&fleet_shards);
@@ -826,11 +916,23 @@ fn fleet_stats(shared: &ServeShared, fleet: &Fleet) -> String {
     format!("ok stats {}\n", stats.to_json().render())
 }
 
+/// CONTRACTS: the size of leader 0's set (every leader holds it).
+fn fleet_contracts(shared: &ServeShared, fleet: &Fleet) -> String {
+    let Some(guard) = fleet.shards[0].leader.read(cutoff(shared)) else {
+        return deadline(shared);
+    };
+    match guard.contracts() {
+        Ok(Some(contracts)) => format!("ok contracts {}\n", contracts.len()),
+        Ok(None) => "err not-learned\n".to_string(),
+        Err(fault) => format!("{}\n", fault_line(&fault)),
+    }
+}
+
 /// HEALTH: per-shard storage counters accumulated under shared read
 /// locks, plus the shard/degraded-shard census. The fleet is degraded
 /// when any shard leader is.
 fn fleet_health(shared: &ServeShared, fleet: &Fleet) -> String {
-    let cutoff = Instant::now() + shared.limits().deadline;
+    let cutoff = cutoff(shared);
     let mut storage = StorageStats::default();
     let mut degraded_shards = 0usize;
     for shard in &fleet.shards {
@@ -856,7 +958,7 @@ fn fleet_health(shared: &ServeShared, fleet: &Fleet) -> String {
 }
 
 fn fleet_checkpoint(shared: &ServeShared, fleet: &Fleet) -> String {
-    let cutoff = Instant::now() + shared.limits().deadline;
+    let cutoff = cutoff(shared);
     for shard in &fleet.shards {
         let Some(mut guard) = shard.leader.write(cutoff) else {
             return deadline(shared);
@@ -868,8 +970,9 @@ fn fleet_checkpoint(shared: &ServeShared, fleet: &Fleet) -> String {
     "ok checkpoint\n".to_string()
 }
 
-/// The FAULT verb, extended with fleet scenarios. `FAULT <op> [shard]`
-/// arms a deterministic panic on that shard's leader (default shard 0);
+/// The FAULT verb. `FAULT <op> [shard]` arms a deterministic panic on
+/// that shard's leader (default shard 0) and invalidates the shard's
+/// caches, so the armed operation runs next instead of a cached answer;
 /// `FAULT replica-lag [shard] [n]` suppresses the next n replica polls
 /// (reads serve the stale image and report real lag); `FAULT stale-read
 /// [shard]` is one suppressed poll.
@@ -913,10 +1016,11 @@ fn fleet_fault(shared: &ServeShared, fleet: &Fleet, rest: &str) -> String {
         },
         Some(op) => match (OpKind::parse(op), shard_at(1)) {
             (Some(kind), Some(s)) => {
-                let cutoff = Instant::now() + shared.limits().deadline;
-                match fleet.shards[s].leader.write(cutoff) {
+                let shard = &fleet.shards[s];
+                match shard.leader.write(cutoff(shared)) {
                     Some(mut guard) => {
                         guard.arm_panic(kind);
+                        fleet.invalidate(shard);
                         format!("ok fault armed {rest}\n")
                     }
                     None => deadline(shared),
@@ -941,23 +1045,15 @@ struct Queued<'a> {
 }
 
 /// BATCH against the fleet: sub-requests are walked in order (registry
-/// ids assigned sequentially, exactly like the single engine's
-/// serialized batch), grouped into per-shard queues, and the queues
-/// executed concurrently — one thread per shard with pending work.
-/// Global verbs (LEARN/CHECK/STATS/CHECKPOINT/FAULT/CONTRACTS) are
-/// barriers: pending queues flush first, so every sub-request observes
-/// the same engine states it would have under one serialized lock.
-/// Responses are reassembled by item index, then the `ok batch` trailer
-/// — byte-identical to `--shards 1`.
+/// ids assigned sequentially, as one engine would), grouped into
+/// per-shard queues, and the queues executed concurrently — one thread
+/// per shard with pending work. Global verbs
+/// (LEARN/CHECK/STATS/CHECKPOINT/FAULT/CONTRACTS) are barriers: pending
+/// queues flush first, so every sub-request observes the engine states
+/// it would have in a serial run. Responses are reassembled by item
+/// index, then the `ok batch` trailer — byte-identical to the same
+/// commands sent singly.
 pub(crate) fn execute_batch(shared: &ServeShared, fleet: &Fleet, items: &[BatchItem]) -> String {
-    let any_write = items
-        .iter()
-        .any(|item| matches!(item, BatchItem::Run(req) if is_write_op(req)));
-    if any_write {
-        shared.count_exclusive_op();
-    } else {
-        shared.count_shared_read();
-    }
     let mut slots: Vec<Option<String>> = vec![None; items.len()];
     let mut queues: Vec<Vec<Queued>> = (0..fleet.shards.len()).map(|_| Vec::new()).collect();
     for (index, item) in items.iter().enumerate() {
@@ -971,17 +1067,17 @@ pub(crate) fn execute_batch(shared: &ServeShared, fleet: &Fleet, items: &[BatchI
             BatchItem::Run(req) => match req {
                 Request::Upsert { name, .. } => {
                     let pre = Pre::Upsert(fleet.reserve_upsert(name));
-                    queues[self::route(fleet, name)].push(Queued { index, req, pre });
+                    queues[fleet.router.route(name)].push(Queued { index, req, pre });
                 }
                 Request::Remove { name } => {
                     // Applied at walk time so a later upsert of the same
-                    // name in this batch draws a fresh id, like the
-                    // single engine's serialized order would.
+                    // name in this batch draws a fresh id, as in a
+                    // serial run.
                     let pre = Pre::Remove(fleet.registry_remove(name));
-                    queues[self::route(fleet, name)].push(Queued { index, req, pre });
+                    queues[fleet.router.route(name)].push(Queued { index, req, pre });
                 }
                 Request::Gen { name } => {
-                    queues[self::route(fleet, name)].push(Queued {
+                    queues[fleet.router.route(name)].push(Queued {
                         index,
                         req,
                         pre: Pre::Direct,
@@ -1001,10 +1097,6 @@ pub(crate) fn execute_batch(shared: &ServeShared, fleet: &Fleet, items: &[BatchI
     }
     out.push_str(&format!("ok batch {}\n", items.len()));
     out
-}
-
-fn route(fleet: &Fleet, name: &str) -> usize {
-    fleet.router.route(name)
 }
 
 /// Drains the per-shard queues concurrently (scoped threads, one per
@@ -1068,17 +1160,27 @@ mod tests {
         dir
     }
 
-    /// Writes the serve tests' six-config corpus as files and returns
-    /// the glob that selects them.
+    /// The serve tests' six-config corpus.
+    fn corpus() -> Vec<(String, String)> {
+        (0..6)
+            .map(|i| {
+                (
+                    format!("dev{i}"),
+                    format!(
+                        "hostname DEV{}\nrouter bgp 65000\nvlan {}\n",
+                        100 + i,
+                        250 + i
+                    ),
+                )
+            })
+            .collect()
+    }
+
+    /// Writes [`corpus`] as files and returns the glob that selects them.
     fn corpus_glob(tag: &str) -> String {
         let dir = temp_dir(&format!("corpus-{tag}"));
-        for i in 0..6 {
-            let text = format!(
-                "hostname DEV{}\nrouter bgp 65000\nvlan {}\n",
-                100 + i,
-                250 + i
-            );
-            std::fs::write(dir.join(format!("dev{i}.cfg")), text).expect("write config");
+        for (name, text) in corpus() {
+            std::fs::write(dir.join(format!("{name}.cfg")), text).expect("write config");
         }
         format!("{}/*.cfg", dir.display())
     }
@@ -1110,20 +1212,12 @@ mod tests {
             replicas,
             lex_cache_cap: 64 * 1024,
             enable_faults: true,
-            full_relearn: false,
         }
     }
 
     fn fleet_shared(args: &ServeArgs) -> ServeShared {
         let fleet = build_fleet(args).expect("fleet builds");
-        ServeShared::new_fleet(fleet, ServeLimits::default(), args.enable_faults)
-    }
-
-    /// The unsharded oracle over the exact same inputs and options.
-    fn single_shared(args: &ServeArgs) -> ServeShared {
-        let (lexer, corpus, metadata, options) = engine_inputs(args).expect("inputs");
-        let engine = ResilientEngine::new(&corpus, &metadata, lexer, options).expect("engine");
-        ServeShared::new(engine, ServeLimits::default(), args.enable_faults)
+        ServeShared::with_fleet(fleet, ServeLimits::default(), args.enable_faults)
     }
 
     fn session(shared: &ServeShared, script: &str) -> String {
@@ -1143,7 +1237,7 @@ mod tests {
         let script = "LEARN\nCHECK\nUPSERT dev0\nhostname DEV100\nvlan 250\n.\nCHECK\nGEN dev0\n\
                       GEN dev3\nCONTRACTS\nUPSERT dev9\nhostname DEV109\nrouter bgp 65000\n\
                       vlan 999\n.\nCHECK\nLEARN\nREMOVE dev3\nGEN nope\nCHECK\nLEARN\nQUIT\n";
-        let single = session(&single_shared(&serve_args(&glob, 1, 0, None)), script);
+        let single = session(&fleet_shared(&serve_args(&glob, 1, 0, None)), script);
         let fleet = session(&fleet_shared(&serve_args(&glob, 3, 0, None)), script);
         assert_eq!(single, fleet);
         // The script exercised real work, not just error paths.
@@ -1157,7 +1251,7 @@ mod tests {
 
     /// A BATCH against the fleet (sub-requests fanned out per shard,
     /// responses reassembled by index) equals the same commands issued
-    /// singly, and equals the single engine's batch, byte for byte.
+    /// singly, and equals the one-shard batch, byte for byte.
     #[test]
     fn fleet_batch_matches_singles_and_single_engine() {
         let glob = corpus_glob("batch");
@@ -1170,19 +1264,19 @@ mod tests {
         let batched = session(&fleet_shared(&args), batch_script);
         let singles_body = singles.strip_suffix("ok bye\n").expect("quit ack");
         assert_eq!(batched, format!("{singles_body}ok batch 5\nok bye\n"));
-        let oracle = session(&single_shared(&serve_args(&glob, 1, 0, None)), batch_script);
+        let oracle = session(&fleet_shared(&serve_args(&glob, 1, 0, None)), batch_script);
         assert_eq!(batched, oracle);
     }
 
     /// A REMOVE and an UPSERT of the same name inside one batch must
     /// assign a fresh id (walk-order registry effects), exactly like the
-    /// single engine's serialized batch.
+    /// one-shard batch.
     #[test]
     fn fleet_batch_remove_then_upsert_assigns_fresh_id() {
         let glob = corpus_glob("batch-reuse");
         let script = "BATCH 2\nREMOVE dev1\nUPSERT dev1\nhostname DEV101\nvlan 251\n.\nQUIT\n";
         let fleet = session(&fleet_shared(&serve_args(&glob, 3, 0, None)), script);
-        let single = session(&single_shared(&serve_args(&glob, 1, 0, None)), script);
+        let single = session(&fleet_shared(&serve_args(&glob, 1, 0, None)), script);
         assert_eq!(fleet, single);
         assert!(fleet.contains("ok upsert dev1 id=6"), "{fleet}");
     }
@@ -1238,7 +1332,7 @@ mod tests {
     /// (read-your-writes: an acked upsert is visible), and a shard
     /// leader panicking mid-CHECK fails over to its replica — the
     /// session answers, and the next CHECK is byte-identical to the
-    /// unsharded oracle's.
+    /// one-shard oracle's.
     #[test]
     fn replica_serves_gen_and_check_fails_over_on_shard_crash() {
         let glob = corpus_glob("failover");
@@ -1262,7 +1356,7 @@ mod tests {
         assert!(!out.contains("err internal"), "{out}");
         // And the steady-state CHECK matches the oracle byte for byte.
         let oracle = session(
-            &single_shared(&serve_args(&glob, 1, 0, None)),
+            &fleet_shared(&serve_args(&glob, 1, 0, None)),
             "LEARN\nUPSERT dev0\nhostname DEV100\nvlan 250\n.\nGEN dev0\nCHECK\nCHECK\nQUIT\n",
         );
         let last = |s: &str| {
@@ -1312,21 +1406,30 @@ mod tests {
         );
     }
 
-    /// Reopening a fleet state directory under a different `--shards`
-    /// is refused: the router would re-route devices away from the
-    /// shards that hold them.
+    /// Reopening a state directory under a different `--shards` is
+    /// refused: the router would re-route devices away from the shards
+    /// that hold them. A one-shard directory that keeps its shard under
+    /// `shard-0/` is refused too, rather than silently re-seeded.
     #[test]
     fn reopening_with_a_different_shard_count_is_refused() {
         let glob = corpus_glob("manifest");
-        let dir = temp_dir("manifest-state");
-        let args = serve_args(&glob, 2, 0, Some(&dir));
-        drop(fleet_shared(&args));
-        let again = serve_args(&glob, 4, 0, Some(&dir));
-        let err = match build_fleet(&again) {
-            Ok(_) => panic!("shard count mismatch must refuse"),
-            Err(e) => e.to_string(),
-        };
-        assert!(err.contains("--shards 2"), "unexpected error: {err}");
+        let refusal =
+            |shards: usize, dir: &Path| match build_fleet(&serve_args(&glob, shards, 0, Some(dir)))
+            {
+                Ok(_) => panic!("--shards {shards} on {} must refuse", dir.display()),
+                Err(e) => e.to_string(),
+            };
+        for (created, reopened) in [(2, 4), (1, 2)] {
+            let dir = temp_dir(&format!("manifest-state-{created}"));
+            drop(fleet_shared(&serve_args(&glob, created, 0, Some(&dir))));
+            assert_eq!(dir.join("manifest.json").exists(), created == 1);
+            let err = refusal(reopened, &dir);
+            assert!(err.contains(&format!("--shards {created}")), "{err}");
+        }
+        let legacy = temp_dir("manifest-state-legacy");
+        std::fs::create_dir_all(legacy.join("shard-0")).expect("legacy layout");
+        let err = refusal(1, &legacy);
+        assert!(err.contains("shard-0/"), "{err}");
     }
 
     /// A sharded fleet resumes from its state directories: edits from a
@@ -1352,5 +1455,326 @@ mod tests {
         assert!(out.contains("ok contracts"), "{out}");
         assert!(out.contains("missing required line"), "{out}");
         assert!(out.contains("ok check"), "{out}");
+    }
+
+    /// The last STATS response of a session, parsed.
+    fn stats_json(out: &str) -> concord_json::Json {
+        let line = out
+            .lines()
+            .rfind(|l| l.starts_with("ok stats "))
+            .expect("stats line");
+        concord_json::Json::parse(line.trim_start_matches("ok stats ")).expect("stats parse")
+    }
+
+    /// Shard `i` leader's own `snapshot_stats()`, as JSON.
+    fn leader_stats(shared: &ServeShared, i: usize) -> concord_json::Json {
+        let cutoff = Instant::now() + std::time::Duration::from_secs(5);
+        let mut leader = shared.fleet.shards[i]
+            .leader
+            .write(cutoff)
+            .expect("leader lock");
+        leader.snapshot_stats().expect("leader stats").to_json()
+    }
+
+    /// The CHECK summary with the incremental counters masked.
+    fn masked(check: &str) -> &str {
+        check.split("; dirty=").next().unwrap_or(check)
+    }
+
+    /// An armed fault fires on the next CHECK even when every cache is
+    /// warm: `FAULT check 0` invalidates shard 0's cached parts and the
+    /// rendered report, so the CHECK runs on the armed leader. The
+    /// rebuilt leader then answers as before.
+    #[test]
+    fn armed_fault_is_not_swallowed_by_a_warm_cache() {
+        let glob = corpus_glob("warm-fault");
+        let shared = fleet_shared(&serve_args(&glob, 2, 0, None));
+        let out = session(&shared, "LEARN\nCHECK\nFAULT check 0\nCHECK\nCHECK\nQUIT\n");
+        let lines: Vec<&str> = out.lines().collect();
+        assert_eq!(lines[2], "ok fault armed check 0", "{out}");
+        assert_eq!(lines[3], "err internal injected fault: Check", "{out}");
+        assert_eq!(masked(lines[4]), masked(lines[1]), "{out}");
+    }
+
+    /// UPSERTs that give every config one more line, so the next LEARN
+    /// learns a different set.
+    fn edits_adding_a_line() -> String {
+        corpus()
+            .iter()
+            .map(|(name, text)| format!("UPSERT {name}\n{text}logging host 10.0.0.1\n.\n"))
+            .collect()
+    }
+
+    /// Everything from the last LEARN answer on.
+    fn from_last_learn(out: &str) -> &str {
+        &out[out.rfind("ok learn").expect("a learn")..]
+    }
+
+    /// A LEARN that installs the new set on shard 0 but not on shard 1
+    /// (an armed `set-contracts` panic rebuilds that leader with its old
+    /// set) leaves parts that must not be merged under one set: CHECK
+    /// refuses until a LEARN succeeds on every shard, and then answers
+    /// as one shard does.
+    #[test]
+    fn check_refuses_shards_split_by_a_failed_learn_until_relearned() {
+        let glob = corpus_glob("split");
+        let edits = edits_adding_a_line();
+        let script =
+            format!("LEARN\n{edits}FAULT set-contracts 1\nLEARN\nCHECK\nLEARN\nCHECK\nQUIT\n");
+        let out = session(&fleet_shared(&serve_args(&glob, 2, 0, None)), &script);
+        let refused = "err internal injected fault: SetContracts\n\
+                       err internal shards hold different contract sets";
+        assert!(out.contains(refused), "{out}");
+        let oracle = session(
+            &fleet_shared(&serve_args(&glob, 1, 0, None)),
+            &format!("LEARN\n{edits}LEARN\nCHECK\nQUIT\n"),
+        );
+        assert_eq!(from_last_learn(&out), from_last_learn(&oracle));
+    }
+
+    /// A leader that swapped in a new set but failed to log the swap
+    /// holds contracts its replica lacks, so a faulted CHECK must not
+    /// fail over to that replica (its parts would merge under the old
+    /// set): it answers the leader's fault instead.
+    #[test]
+    fn check_failover_skips_a_replica_without_the_leaders_contracts() {
+        use concord_engine::{FaultKind, FaultVfs};
+        let glob = corpus_glob("unlogged-swap");
+        let dir = temp_dir("unlogged-swap-state");
+        let shared = fleet_shared(&serve_args(&glob, 2, 1, Some(&dir)));
+        let fault = FaultVfs::new(0x5A1);
+        {
+            // Reopen shard 1's leader over a fault-injecting filesystem.
+            let cutoff = Instant::now() + std::time::Duration::from_secs(5);
+            let mut leader = shared.fleet.shards[1].leader.write(cutoff).expect("lock");
+            let (reopened, resumed) = ResilientEngine::with_store_vfs(
+                &[],
+                &[],
+                Lexer::standard(),
+                EngineOptions::default(),
+                &shard_dir(&dir, 2, 1),
+                Arc::new(fault.clone()),
+            )
+            .expect("reopens");
+            assert!(resumed);
+            *leader = reopened;
+        }
+        session(&shared, &format!("LEARN\n{}", edits_adding_a_line()));
+        fault.fail_all_writes(Some(FaultKind::Eio));
+        let out = session(&shared, "LEARN\n");
+        assert!(out.starts_with("err storage-degraded"), "{out}");
+        fault.fail_all_writes(None);
+        let out = session(&shared, "FAULT check 1\nCHECK\n");
+        assert!(
+            out.ends_with("\nerr internal injected fault: Check\n"),
+            "{out}"
+        );
+    }
+
+    /// The STATS fields one engine reports.
+    const ENGINE_FIELDS: [&str; 11] = [
+        "configs",
+        "lines",
+        "patterns",
+        "edits",
+        "relearns",
+        "staleness",
+        "learn_delta",
+        "last_check",
+        "memory",
+        "storage",
+        "robustness",
+    ];
+
+    /// At one shard, STATS is the leader's own snapshot (plus the
+    /// serve and fleet objects), before and after a restart on the
+    /// same state directory.
+    #[test]
+    fn one_shard_stats_are_the_leaders_own_before_and_after_restart() {
+        let glob = corpus_glob("leader-stats");
+        let dir = temp_dir("leader-stats-state");
+        let args = serve_args(&glob, 1, 0, Some(&dir));
+        let scripts = [
+            "LEARN\nCHECK\nUPSERT dev0\nhostname DEV100\nvlan 250\n.\nREMOVE dev4\nCHECK\nLEARN\n\
+             STATS\nQUIT\n",
+            "CHECK\nUPSERT dev4\nvlan 254\n.\nLEARN\nSTATS\nQUIT\n",
+        ];
+        for (round, script) in scripts.iter().enumerate() {
+            let shared = fleet_shared(&args);
+            let stats = stats_json(&session(&shared, script));
+            let leader = leader_stats(&shared, 0);
+            for field in ENGINE_FIELDS {
+                assert_eq!(stats[field], leader[field], "round {round}: {field}");
+            }
+            assert_eq!(stats["contracts"], leader["contracts"]);
+            assert_eq!(stats["generations"], leader["generations"]);
+            assert_eq!(stats["fleet"]["totals"]["configs"], leader["configs"]);
+        }
+    }
+
+    /// At more than one shard, STATS `memory` is the sum of the shards'.
+    #[test]
+    fn multi_shard_memory_is_the_sum_over_shards() {
+        let glob = corpus_glob("memory");
+        let shared = fleet_shared(&serve_args(&glob, 3, 0, None));
+        let stats = stats_json(&session(
+            &shared,
+            "LEARN\nUPSERT dev0\nhostname DEV100\nvlan 250\n.\nCHECK\nSTATS\nQUIT\n",
+        ));
+        let shards: Vec<concord_json::Json> = (0..3).map(|i| leader_stats(&shared, i)).collect();
+        for key in [
+            "string_arena_bytes",
+            "param_arena_bytes",
+            "pattern_table_bytes",
+            "column_bytes",
+            "interned_strings",
+            "interned_param_slices",
+            "segments_written",
+            "segments_skipped",
+        ] {
+            let sum: u64 = shards
+                .iter()
+                .map(|s| s["memory"][key].as_u64().expect("shard memory"))
+                .sum();
+            assert_eq!(stats["memory"][key].as_u64(), Some(sum), "{key}");
+        }
+        assert!(stats["memory"]["string_arena_bytes"].as_u64() > Some(0));
+    }
+
+    /// A state directory a bare [`ResilientEngine::with_store`] wrote —
+    /// the root layout the unsharded serve has always written — reopens
+    /// through `serve --state-dir` with the engine's own answers. A new
+    /// device draws the engine's next id, never a removed device's.
+    #[test]
+    fn engine_written_root_layout_reopens_with_identical_answers() {
+        let glob = corpus_glob("root-layout");
+        let dir = temp_dir("root-layout-state");
+        let (mut engine, resumed) = ResilientEngine::with_store(
+            &corpus(),
+            &[],
+            Lexer::standard(),
+            EngineOptions::default(),
+            &dir,
+        )
+        .expect("engine boots");
+        assert!(!resumed);
+        engine.relearn().expect("learns");
+        engine
+            .upsert("dev0", "hostname DEV100\nvlan 250\n")
+            .expect("upserts");
+        engine.upsert("dev9", "vlan 9\n").expect("upserts");
+        engine.remove("dev9").expect("removes");
+        let report = engine.check().expect("checks").report;
+        let next_id = engine.image().counters.next_id;
+        drop(engine);
+
+        let mut want_check = String::new();
+        for v in &report.violations {
+            want_check.push_str(&format!("{v}\n"));
+        }
+        let summary = report.coverage.summary();
+        // A reopened engine rechecks everything once.
+        want_check.push_str(&format!(
+            "ok check {} violations; coverage {:.1}% of {} lines; dirty=6 reused=0\n",
+            report.violations.len(),
+            summary.fraction * 100.0,
+            summary.total_lines,
+        ));
+        assert!(!report.violations.is_empty(), "dev0 lost its bgp line");
+
+        let shared = fleet_shared(&serve_args(&glob, 1, 0, Some(&dir)));
+        let out = session(
+            &shared,
+            "GEN dev0\nGEN dev9\nCHECK\nUPSERT zz\nvlan 1\n.\nQUIT\n",
+        );
+        assert_eq!(
+            out,
+            format!(
+                "ok gen dev0 1\nerr unknown-config dev9\n{want_check}ok upsert zz id={next_id} \
+                 gen=0\nok bye\n"
+            )
+        );
+        // Six boot devices took ids 0-5 and dev9 took 6: re-deriving ids
+        // from the six surviving names would hand out 6 again.
+        assert_eq!(next_id, 7);
+    }
+
+    /// First divergence from one shard at N > 1: after an edit that
+    /// changes how contracts resolve, one engine drops its whole
+    /// outcome cache while the fleet drops only the owning shard's, so
+    /// the `dirty=`/`reused=` counters differ. Violations and coverage
+    /// do not.
+    #[test]
+    fn multi_shard_counters_diverge_after_a_resolution_changing_edit() {
+        // Contracts learned where every device runs NTP resolve nothing
+        // for that line until an edit brings the first one in.
+        let with_ntp: Vec<(String, String)> = corpus()
+            .into_iter()
+            .map(|(name, text)| (name, format!("{text}ntp server 10.0.0.1\n")))
+            .collect();
+        let mut learner =
+            Engine::from_corpus(&with_ntp, &[], EngineOptions::default()).expect("learner");
+        learner.relearn();
+        let contracts = temp_dir("resolution-contracts").join("contracts.json");
+        std::fs::write(&contracts, learner.contracts().expect("learned").to_json())
+            .expect("write contracts");
+
+        let glob = corpus_glob("resolution");
+        let script = format!("CHECK\nUPSERT dev0\n{}.\nCHECK\nQUIT\n", with_ntp[0].1);
+        let run = |shards: usize| {
+            let mut args = serve_args(&glob, shards, 0, None);
+            args.contracts = Some(contracts.display().to_string());
+            session(&fleet_shared(&args), &script)
+        };
+        let (one, three) = (run(1), run(3));
+        let last_check = |out: &str| {
+            out.lines()
+                .rfind(|l| l.starts_with("ok check"))
+                .expect("check line")
+                .to_string()
+        };
+        assert!(last_check(&one).ends_with("dirty=6 reused=0"), "{one}");
+        assert_ne!(last_check(&one), last_check(&three), "{three}");
+        let masked_lines =
+            |out: &str| -> Vec<String> { out.lines().map(|l| masked(l).to_string()).collect() };
+        assert_eq!(masked_lines(&one), masked_lines(&three));
+    }
+
+    /// Second divergence from one shard at N > 1: a restarted fleet
+    /// re-derives ids from the sorted surviving names and starts its
+    /// sketch-cache mirror empty, so after a REMOVE and a restart a new
+    /// device can draw the removed one's id, and the first LEARN reports
+    /// every config mined. One shard keeps the engine's persisted id
+    /// counter and sketches.
+    #[test]
+    fn multi_shard_restart_rederives_ids_and_learn_counters() {
+        let glob = corpus_glob("restart-ids");
+        let first = "LEARN\nUPSERT dev9\nvlan 9\n.\nREMOVE dev9\nQUIT\n";
+        let second = "LEARN\nUPSERT zz\nvlan 1\n.\nQUIT\n";
+        let mut answers = Vec::new();
+        for shards in [1, 3] {
+            let dir = temp_dir(&format!("restart-ids-state-{shards}"));
+            let args = serve_args(&glob, shards, 0, Some(&dir));
+            session(&fleet_shared(&args), first);
+            let out = session(&fleet_shared(&args), second);
+            answers.push(out.lines().skip(1).collect::<Vec<_>>().join("\n"));
+            let learn = out.lines().next().unwrap_or_default().to_string();
+            answers.push(
+                learn
+                    .split(" contracts ")
+                    .nth(1)
+                    .unwrap_or_default()
+                    .to_string(),
+            );
+        }
+        assert_eq!(
+            answers,
+            [
+                "ok upsert zz id=7 gen=0\nok bye",
+                "mined=0 reused=6",
+                "ok upsert zz id=6 gen=0\nok bye",
+                "mined=6 reused=0",
+            ]
+        );
     }
 }

@@ -8,9 +8,9 @@
 //!
 //! * **Text** — the original line protocol (one command per LF/CRLF
 //!   line, UPSERT bodies terminated by a `.` line), extended with
-//!   `BATCH <n>`: the next `n` command lines execute under a single
-//!   engine-lock acquisition and their responses are concatenated in
-//!   order, followed by an `ok batch <n>` trailer.
+//!   `BATCH <n>`: the next `n` command lines execute in order and
+//!   their responses are concatenated, followed by an `ok batch <n>`
+//!   trailer.
 //! * **Binary** — opt-in length-prefixed frames with zero-copy parsing:
 //!   the payload is sliced out of the connection's read buffer and
 //!   validated in place; the only copy is the one that materializes the

@@ -1,11 +1,11 @@
-//! `concord serve`: a resident incremental engine behind a request
+//! `concord serve`: resident incremental engines behind a request
 //! protocol.
 //!
 //! The batch commands (`learn`, `check`) rebuild the pipeline from disk
-//! on every invocation. `serve` instead holds one resident engine for
-//! the whole session and absorbs single-configuration edits, so each
-//! CHECK costs work proportional to what changed since the last one
-//! (§3.7's interactive workflow).
+//! on every invocation. `serve` instead holds resident engines for the
+//! whole session and absorbs single-configuration edits, so each CHECK
+//! costs work proportional to what changed since the last one (§3.7's
+//! interactive workflow).
 //!
 //! The default protocol is plain text, one command per line (LF or
 //! CRLF):
@@ -16,15 +16,15 @@
 //! REMOVE <name>
 //! LEARN             -- relearn contracts from the current snapshot;
 //!                      folds cached per-config sketches, re-mining
-//!                      only edited configs (unless --full-relearn)
+//!                      only edited configs
 //! CHECK             -- report violations; recomputes only dirty configs
 //! GEN <name>        -- the configuration's edit generation
 //! CONTRACTS         -- how many contracts are loaded
-//! STATS             -- one-line JSON engine snapshot (v8 schema)
+//! STATS             -- one-line JSON engine snapshot
+//! HEALTH            -- storage health one-liner
 //! CHECKPOINT        -- force a durable checkpoint (needs --state-dir)
-//! BATCH <n>         -- the next n commands execute under one engine
-//!                      acquisition; their responses stream back in
-//!                      order, then an `ok batch <n>` trailer
+//! BATCH <n>         -- the next n commands, their responses streamed
+//!                      back in order, then an `ok batch <n>` trailer
 //! QUIT
 //! ```
 //!
@@ -39,24 +39,26 @@
 //! `err unknown-config …`, `err not-learned`, `err internal …`,
 //! `err persist …`, `err poisoned`).
 //!
-//! # Concurrency
+//! # One serving path
 //!
-//! The engine sits behind a deadline-bounded read/write lock
-//! ([`crate::sync::DeadlineRwLock`]) instead of a mutex: CHECK (when the
-//! engine's tagged report cache is current), GEN, CONTRACTS, and STATS
-//! run concurrently under the shared side, while UPSERT/REMOVE/LEARN,
-//! CHECKPOINT, fault verbs, and any read that misses the shared path
-//! take the exclusive side. On Linux (x86_64/aarch64) TCP connections
-//! are served by a readiness event loop (`epoll` via raw syscalls, no
-//! external crates): one I/O thread owns every socket and feeds parsed
-//! requests to a small executor pool (`--workers`), pipelined requests
-//! on one connection execute in order, and responses never interleave.
-//! Other targets fall back to a thread-per-connection loop with the
-//! same limits.
+//! Every request executes against a [`crate::fleet::Fleet`]: N shard
+//! engines behind a consistent-hash router, N = `--shards` (default 1,
+//! one engine holding the whole corpus). Each shard leader sits behind
+//! a deadline-bounded read/write lock ([`crate::sync::DeadlineRwLock`]),
+//! and CHECK is answered from cached per-shard parts and a rendered
+//! report cache whenever nothing changed. See the fleet module for what
+//! differs between one shard and many.
+//!
+//! On Linux (x86_64/aarch64) TCP connections are served by a readiness
+//! event loop (`epoll` via raw syscalls, no external crates): one I/O
+//! thread owns every socket and feeds parsed requests to a small
+//! executor pool (`--workers`), pipelined requests on one connection
+//! execute in order, and responses never interleave. Other targets fall
+//! back to a thread-per-connection loop with the same limits.
 //!
 //! # Robustness
 //!
-//! The engine is wrapped in [`ResilientEngine`]: a panic inside any
+//! Each shard engine is a [`ResilientEngine`]: a panic inside any
 //! operation poisons the live snapshot and rebuilds from the
 //! last-known-good image, so the process never dies and never answers
 //! from suspect state. With `--state-dir` every acknowledged mutation
@@ -70,30 +72,19 @@
 //! `err bad-utf8`, and a client that trickles a request slower than
 //! `--deadline-ms` (slow-loris) is disconnected with `err deadline`.
 //! Everything is `std`-only.
-//!
-//! # Sharding
-//!
-//! With `--shards N` the resident engine is replaced by a
-//! [`crate::fleet::Fleet`]: N shard engines behind a consistent-hash
-//! router, each with its own WAL and checkpoint under `--state-dir`,
-//! optionally followed by `--replicas M` WAL-tailing read replicas per
-//! shard. Responses stay byte-identical to `--shards 1`; STATS grows a
-//! `fleet` object (schema v8).
 
 use std::io::{Read, Write};
-use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use concord_core::ServeTransportStats;
-use concord_engine::{EngineCheckReport, EngineFault, EngineOptions, OpKind, ResilientEngine};
-use concord_json::ToJson;
+use concord_engine::{EngineFault, ResilientEngine};
 
 use crate::args::ServeArgs;
+use crate::fleet::Fleet;
 use crate::protocol::{frame_response, BatchItem, Framing, ParseEvent, Request, SessionParser};
-use crate::sync::DeadlineRwLock;
-use crate::{build_lexer, read_file, read_glob, CliError};
+use crate::CliError;
 
 /// Request-level limits shared by every connection.
 #[derive(Debug, Clone, Copy)]
@@ -146,24 +137,22 @@ impl TransportCounters {
             exclusive_ops: self.exclusive_ops.load(Ordering::Relaxed),
         }
     }
+
+    /// Counts one request (or whole batch) as a write when any part of
+    /// it mutates, as a read otherwise.
+    fn count_access(&self, write: bool) {
+        TransportCounters::bump(if write {
+            &self.exclusive_ops
+        } else {
+            &self.shared_reads
+        });
+    }
 }
 
-/// The engine(s) a session executes against: the classic single
-/// resident engine, or a sharded fleet (`--shards` / `--replicas`).
-// One `Backend` exists per process (inside the `Arc<ServeShared>`), so
-// the variant size gap is irrelevant and boxing would only add a deref
-// to every request.
-#[allow(clippy::large_enum_variant)]
-pub(crate) enum Backend {
-    Single(DeadlineRwLock<ResilientEngine>),
-    Fleet(crate::fleet::Fleet),
-}
-
-/// State shared by every connection: the backend (single engine behind
-/// its read/write lock, or the fleet), the limits, and the serve-layer
-/// counters.
+/// State shared by every connection: the fleet, the limits, and the
+/// serve-layer counters.
 pub struct ServeShared {
-    backend: Backend,
+    pub(crate) fleet: Fleet,
     limits: ServeLimits,
     /// `FAULT <op>` verb enabled (deterministic panic injection for the
     /// robustness harness; off unless `--enable-fault-injection`).
@@ -174,27 +163,18 @@ pub struct ServeShared {
 }
 
 impl ServeShared {
-    /// Wraps an engine for serving.
+    /// Serves one engine: a one-shard fleet.
     pub fn new(engine: ResilientEngine, limits: ServeLimits, faults_enabled: bool) -> ServeShared {
-        ServeShared::with_backend(
-            Backend::Single(DeadlineRwLock::new(engine)),
-            limits,
-            faults_enabled,
-        )
+        ServeShared::with_fleet(Fleet::one(engine), limits, faults_enabled)
     }
 
-    /// Wraps a sharded fleet for serving.
-    pub(crate) fn new_fleet(
-        fleet: crate::fleet::Fleet,
+    pub(crate) fn with_fleet(
+        fleet: Fleet,
         limits: ServeLimits,
         faults_enabled: bool,
     ) -> ServeShared {
-        ServeShared::with_backend(Backend::Fleet(fleet), limits, faults_enabled)
-    }
-
-    fn with_backend(backend: Backend, limits: ServeLimits, faults_enabled: bool) -> ServeShared {
         ServeShared {
-            backend,
+            fleet,
             limits,
             faults_enabled,
             requests_rejected: AtomicU64::new(0),
@@ -235,14 +215,6 @@ impl ServeShared {
     pub(crate) fn transport_snapshot(&self) -> ServeTransportStats {
         self.transport.snapshot()
     }
-
-    pub(crate) fn count_shared_read(&self) {
-        TransportCounters::bump(&self.transport.shared_reads);
-    }
-
-    pub(crate) fn count_exclusive_op(&self) {
-        TransportCounters::bump(&self.transport.exclusive_ops);
-    }
 }
 
 /// One rendered response, already in the session's framing.
@@ -253,7 +225,7 @@ pub(crate) struct Reply {
 }
 
 /// Turns one parse event into its framed response, applying the
-/// rejection taxonomy and executing requests against the engine. This
+/// rejection taxonomy and executing requests against the fleet. This
 /// is the single request handler every transport drives.
 pub(crate) fn respond(shared: &ServeShared, event: ParseEvent, framing: Framing) -> Reply {
     if framing == Framing::Binary {
@@ -290,8 +262,8 @@ pub(crate) fn deadline_reply(framing: Framing) -> Vec<u8> {
     bytes
 }
 
-/// Whether a request needs the exclusive side of the engine lock.
-pub(crate) fn is_write_op(req: &Request) -> bool {
+/// Whether a request mutates engine state.
+fn is_write_op(req: &Request) -> bool {
     matches!(
         req,
         Request::Upsert { .. }
@@ -307,280 +279,32 @@ pub(crate) fn is_write_op(req: &Request) -> bool {
 fn execute_request(shared: &ServeShared, req: Request) -> (String, bool) {
     match req {
         Request::Quit => ("ok bye\n".to_string(), true),
-        Request::Batch(items) => (execute_batch(shared, &items), false),
+        Request::Batch(items) => {
+            TransportCounters::bump(&shared.transport.batches);
+            shared
+                .transport
+                .batched_requests
+                .fetch_add(items.len() as u64, Ordering::Relaxed);
+            let write = items
+                .iter()
+                .any(|item| matches!(item, BatchItem::Run(req) if is_write_op(req)));
+            shared.transport.count_access(write);
+            (
+                crate::fleet::execute_batch(shared, &shared.fleet, &items),
+                false,
+            )
+        }
         req => {
-            let engine = match &shared.backend {
-                Backend::Fleet(fleet) => {
-                    return (crate::fleet::execute(shared, fleet, &req), false)
-                }
-                Backend::Single(engine) => engine,
-            };
-            let cutoff = Instant::now() + shared.limits.deadline;
-            if !is_write_op(&req) {
-                // Shared-read fast path: concurrent CHECK/GEN/STATS
-                // don't serialize behind each other.
-                match engine.read(cutoff) {
-                    Some(guard) => {
-                        if let Some(text) = exec_shared(shared, &guard, &req) {
-                            TransportCounters::bump(&shared.transport.shared_reads);
-                            return (text, false);
-                        }
-                        // Cache miss (or a state the shared path must
-                        // not serve): fall through to exclusive.
-                    }
-                    None => {
-                        shared.deadline_hit();
-                        return ("err deadline\n".to_string(), false);
-                    }
-                }
-            }
-            match engine.write(cutoff) {
-                Some(mut guard) => {
-                    TransportCounters::bump(&shared.transport.exclusive_ops);
-                    (exec_exclusive(shared, &mut guard, &req), false)
-                }
-                None => {
-                    shared.deadline_hit();
-                    ("err deadline\n".to_string(), false)
-                }
-            }
+            shared.transport.count_access(is_write_op(&req));
+            (crate::fleet::execute(shared, &shared.fleet, &req), false)
         }
     }
-}
-
-/// Executes a BATCH under one engine acquisition. All-read batches run
-/// under the shared lock; if any item misses the shared path the
-/// partial output is discarded and the whole batch reruns exclusively
-/// (reads are idempotent, so nothing double-fires). Any mutating item
-/// takes the exclusive lock up front.
-fn execute_batch(shared: &ServeShared, items: &[BatchItem]) -> String {
-    TransportCounters::bump(&shared.transport.batches);
-    shared
-        .transport
-        .batched_requests
-        .fetch_add(items.len() as u64, Ordering::Relaxed);
-    let engine = match &shared.backend {
-        Backend::Fleet(fleet) => return crate::fleet::execute_batch(shared, fleet, items),
-        Backend::Single(engine) => engine,
-    };
-    let cutoff = Instant::now() + shared.limits.deadline;
-    let needs_write = items
-        .iter()
-        .any(|item| matches!(item, BatchItem::Run(req) if is_write_op(req)));
-    if !needs_write {
-        match engine.read(cutoff) {
-            Some(guard) => {
-                let mut out = String::new();
-                // Rejection counts are deferred until the shared run is
-                // known to stick, so an exclusive rerun can't double-count.
-                let mut rejects = 0u64;
-                let mut complete = true;
-                for item in items {
-                    match item {
-                        BatchItem::Error { line, reject } => {
-                            if *reject {
-                                rejects += 1;
-                            }
-                            out.push_str(line);
-                            out.push('\n');
-                        }
-                        BatchItem::Run(req) => match exec_shared(shared, &guard, req) {
-                            Some(text) => out.push_str(&text),
-                            None => {
-                                complete = false;
-                                break;
-                            }
-                        },
-                    }
-                }
-                if complete {
-                    TransportCounters::bump(&shared.transport.shared_reads);
-                    shared
-                        .requests_rejected
-                        .fetch_add(rejects, Ordering::Relaxed);
-                    out.push_str(&format!("ok batch {}\n", items.len()));
-                    return out;
-                }
-            }
-            None => {
-                shared.deadline_hit();
-                return "err deadline\n".to_string();
-            }
-        }
-    }
-    match engine.write(cutoff) {
-        Some(mut guard) => {
-            TransportCounters::bump(&shared.transport.exclusive_ops);
-            let mut out = String::new();
-            for item in items {
-                match item {
-                    BatchItem::Error { line, reject } => {
-                        if *reject {
-                            shared.reject();
-                        }
-                        out.push_str(line);
-                        out.push('\n');
-                    }
-                    BatchItem::Run(req) => out.push_str(&exec_exclusive(shared, &mut guard, req)),
-                }
-            }
-            out.push_str(&format!("ok batch {}\n", items.len()));
-            out
-        }
-        None => {
-            shared.deadline_hit();
-            "err deadline\n".to_string()
-        }
-    }
-}
-
-/// Attempts a request under the shared (read) lock. `None` means the
-/// shared path cannot serve it — stale report cache, armed fault, or
-/// post-recovery state that must go through the guarded exclusive path.
-fn exec_shared(shared: &ServeShared, engine: &ResilientEngine, req: &Request) -> Option<String> {
-    match req {
-        Request::Check => engine.check_shared().map(|report| render_check(&report)),
-        Request::Gen { name } => Some(render_gen(engine.config_generation(name), name)),
-        Request::Contracts => Some(render_contracts(engine.contracts_len())),
-        Request::Health => Some(render_health(&engine.storage_stats())),
-        Request::Stats => engine.stats_shared().map(|mut stats| {
-            if let Some(r) = &mut stats.robustness {
-                r.requests_rejected = shared.requests_rejected.load(Ordering::Relaxed);
-                r.deadlines_hit = shared.deadlines_hit.load(Ordering::Relaxed);
-            }
-            stats.serve = Some(shared.transport.snapshot());
-            format!("ok stats {}\n", stats.to_json().render())
-        }),
-        _ => None,
-    }
-}
-
-/// Executes a request under the exclusive lock (the original
-/// single-mutex semantics, response strings byte-identical).
-fn exec_exclusive(shared: &ServeShared, engine: &mut ResilientEngine, req: &Request) -> String {
-    match req {
-        Request::Upsert { name, body } => match engine.upsert(name, body) {
-            Ok(id) => match engine.config_generation(name) {
-                Ok(Some(gen)) => format!("ok upsert {name} id={} gen={gen}\n", id.0),
-                Ok(None) => format!("err unknown-config {name}\n"),
-                Err(fault) => format!("{}\n", fault_line(&fault)),
-            },
-            Err(fault) => format!("{}\n", fault_line(&fault)),
-        },
-        Request::Remove { name } => match engine.remove(name) {
-            Ok(Some(_)) => format!("ok remove {name}\n"),
-            Ok(None) => format!("err unknown-config {name}\n"),
-            Err(fault) => format!("{}\n", fault_line(&fault)),
-        },
-        Request::Learn => match engine.relearn() {
-            Ok(_) => match engine.contracts_len() {
-                Ok(Some(n)) => {
-                    let delta = engine.learn_delta().unwrap_or_default();
-                    format!(
-                        "ok learn {n} contracts mined={} reused={}\n",
-                        delta.mined_last_learn, delta.reused_last_learn
-                    )
-                }
-                Ok(None) => "err not-learned\n".to_string(),
-                Err(fault) => format!("{}\n", fault_line(&fault)),
-            },
-            Err(fault) => format!("{}\n", fault_line(&fault)),
-        },
-        Request::Check => match engine.check() {
-            Ok(result) => render_check(&result),
-            Err(fault) => format!("{}\n", fault_line(&fault)),
-        },
-        Request::Gen { name } => render_gen(engine.config_generation(name), name),
-        Request::Contracts => render_contracts(engine.contracts_len()),
-        Request::Health => render_health(&engine.storage_stats()),
-        Request::Stats => {
-            engine.add_serve_counters(
-                shared.requests_rejected.load(Ordering::Relaxed),
-                shared.deadlines_hit.load(Ordering::Relaxed),
-            );
-            match engine.snapshot_stats() {
-                Ok(mut stats) => {
-                    stats.serve = Some(shared.transport.snapshot());
-                    format!("ok stats {}\n", stats.to_json().render())
-                }
-                Err(fault) => format!("{}\n", fault_line(&fault)),
-            }
-        }
-        Request::Checkpoint => {
-            if engine.checkpoint() {
-                "ok checkpoint\n".to_string()
-            } else {
-                "err persist checkpoint failed or no --state-dir\n".to_string()
-            }
-        }
-        Request::Fault { rest } => {
-            if !shared.faults_enabled {
-                shared.reject();
-                return "err unknown-command \"FAULT\"\n".to_string();
-            }
-            match OpKind::parse(rest) {
-                Some(kind) => {
-                    engine.arm_panic(kind);
-                    format!("ok fault armed {rest}\n")
-                }
-                None => {
-                    shared.reject();
-                    format!("err bad-request unknown fault kind {rest:?}\n")
-                }
-            }
-        }
-        // Quit and Batch are routed before lock acquisition; reaching
-        // here would be a dispatch bug, answered, not panicked over.
-        Request::Quit | Request::Batch(_) => "err internal invalid request routing\n".to_string(),
-    }
-}
-
-/// Renders a CHECK report: violation lines, then the summary line.
-fn render_check(result: &EngineCheckReport) -> String {
-    let mut out = String::new();
-    for v in &result.report.violations {
-        out.push_str(&format!("{v}\n"));
-    }
-    let summary = result.report.coverage.summary();
-    out.push_str(&format!(
-        "ok check {} violations; coverage {:.1}% of {} lines; dirty={} reused={}\n",
-        result.report.violations.len(),
-        summary.fraction * 100.0,
-        summary.total_lines,
-        result.engine.dirty_configs,
-        result.engine.reused_configs,
-    ));
-    out
 }
 
 pub(crate) fn render_gen(result: Result<Option<u64>, EngineFault>, name: &str) -> String {
     match result {
         Ok(Some(gen)) => format!("ok gen {name} {gen}\n"),
         Ok(None) => format!("err unknown-config {name}\n"),
-        Err(fault) => format!("{}\n", fault_line(&fault)),
-    }
-}
-
-/// Renders the HEALTH response from the engine's storage counters.
-pub(crate) fn render_health(storage: &concord_core::StorageStats) -> String {
-    format!(
-        "ok health {} faults={} retries={} transitions={} recoveries={}\n",
-        if storage.degraded {
-            "degraded"
-        } else {
-            "healthy"
-        },
-        storage.faults_injected,
-        storage.retries,
-        storage.degraded_transitions,
-        storage.recoveries,
-    )
-}
-
-fn render_contracts(result: Result<Option<usize>, EngineFault>) -> String {
-    match result {
-        Ok(Some(n)) => format!("ok contracts {n}\n"),
-        Ok(None) => "err not-learned\n".to_string(),
         Err(fault) => format!("{}\n", fault_line(&fault)),
     }
 }
@@ -607,13 +331,8 @@ pub fn run_serve(args: &ServeArgs, out: &mut dyn Write) -> Result<i32, CliError>
         max_line: args.max_line_bytes.max(64),
         max_body: args.max_body_bytes.max(64),
     };
-    let shared = if args.shards > 1 || args.replicas > 0 {
-        let fleet = crate::fleet::build_fleet(args)?;
-        Arc::new(ServeShared::new_fleet(fleet, limits, args.enable_faults))
-    } else {
-        let engine = build_engine(args)?;
-        Arc::new(ServeShared::new(engine, limits, args.enable_faults))
-    };
+    let fleet = crate::fleet::build_fleet(args)?;
+    let shared = Arc::new(ServeShared::with_fleet(fleet, limits, args.enable_faults));
     let workers = args.workers.max(1);
     let max_conns = if args.max_conns == 0 {
         workers * 2
@@ -629,73 +348,6 @@ pub fn run_serve(args: &ServeArgs, out: &mut dyn Write) -> Result<i32, CliError>
             Ok(0)
         }
     }
-}
-
-/// Builds the session's engine from the serve arguments: optional
-/// initial corpus, metadata globs, preloaded contracts, and state
-/// directory. With `--state-dir`, an existing snapshot wins over the
-/// corpus glob (the directory is the durable truth) and `--contracts`
-/// applies only on a fresh (non-resumed) boot.
-fn build_engine(args: &ServeArgs) -> Result<ResilientEngine, CliError> {
-    let (lexer, corpus, metadata, options) = engine_inputs(args)?;
-    let (mut engine, resumed) = match &args.state_dir {
-        Some(dir) => {
-            ResilientEngine::with_store(&corpus, &metadata, lexer, options, Path::new(dir))
-                .map_err(|e| CliError::Invalid(e.to_string()))?
-        }
-        None => (
-            ResilientEngine::new(&corpus, &metadata, lexer, options)
-                .map_err(|e| CliError::Invalid(e.to_string()))?,
-            false,
-        ),
-    };
-    if !resumed {
-        if let Some(path) = &args.contracts {
-            let json = read_file(path)?;
-            engine
-                .set_contracts_json(&json)
-                .map_err(|e| CliError::Invalid(format!("{path}: {e}")))?;
-        }
-    }
-    Ok(engine)
-}
-
-/// The inputs every serve engine boots from (shared by the single
-/// engine and each fleet shard): lexer, corpus, metadata, and the
-/// engine options derived from the flags.
-#[allow(clippy::type_complexity)]
-pub(crate) fn engine_inputs(
-    args: &ServeArgs,
-) -> Result<
-    (
-        concord_lexer::Lexer,
-        Vec<(String, String)>,
-        Vec<(String, String)>,
-        EngineOptions,
-    ),
-    CliError,
-> {
-    let lexer = match &args.tokens {
-        Some(path) => build_lexer(path)?,
-        None => concord_lexer::Lexer::standard(),
-    };
-    let corpus = match &args.configs {
-        Some(glob) => read_glob(glob)?,
-        None => Vec::new(),
-    };
-    let metadata = match &args.metadata {
-        Some(glob) => read_glob(glob)?,
-        None => Vec::new(),
-    };
-    let options = EngineOptions {
-        embed_context: args.embed,
-        parallelism: args.parallelism,
-        learn: args.params.clone(),
-        staleness_threshold: args.staleness,
-        lex_cache_cap: args.lex_cache_cap,
-        delta_learn: !args.full_relearn,
-    };
-    Ok((lexer, corpus, metadata, options))
 }
 
 /// On Linux, TCP is served by the epoll readiness event loop.
@@ -848,6 +500,7 @@ pub fn serve_session<R: Read, W: Write + ?Sized>(
 mod tests {
     use super::*;
     use crate::protocol::{decode_response, encode_frame, encode_subframe, opcode};
+    use concord_engine::EngineOptions;
     use std::io::Cursor;
 
     fn corpus() -> Vec<(String, String)> {
@@ -1058,6 +711,59 @@ mod tests {
         assert!(out.contains("err internal injected fault"), "{out}");
         // The recovered engine re-checks from scratch, same answer.
         assert!(out.contains(&check_line), "{out}");
+    }
+
+    /// A LEARN whose WAL append fails has already swapped the new set in
+    /// memory: it answers `err storage-degraded`, and CONTRACTS and
+    /// CHECK then answer from that set, as `ResilientEngine::contracts`
+    /// and `check` do — first with no earlier set, then with one.
+    #[test]
+    fn learn_whose_wal_append_fails_still_serves_the_engines_contracts() {
+        use concord_engine::{FaultKind, FaultVfs};
+        let dir = std::env::temp_dir().join(format!("concord-serve-wal-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let fault = FaultVfs::new(0x1EA2);
+        let (lexer, options) = (concord_lexer::Lexer::standard(), EngineOptions::default());
+        let (engine, _) = ResilientEngine::with_store_vfs(
+            &corpus(),
+            &[],
+            lexer.clone(),
+            options.clone(),
+            &dir,
+            Arc::new(fault.clone()),
+        )
+        .unwrap();
+        let shared = ServeShared::new(engine, ServeLimits::default(), false);
+        let mut oracle = ResilientEngine::new(&corpus(), &[], lexer, options).unwrap();
+        let mut sizes = Vec::new();
+        for round in 0..2 {
+            if round == 1 {
+                // Every config gains a line, so the second set differs.
+                for (name, text) in corpus() {
+                    let text = format!("{text}logging host 10.0.0.1\n");
+                    oracle.upsert(&name, &text).unwrap();
+                    let out = session(&shared, &format!("UPSERT {name}\n{text}.\n"));
+                    assert!(out.starts_with("ok upsert"), "{out}");
+                }
+            }
+            fault.fail_all_writes(Some(FaultKind::Eio));
+            let out = session(&shared, "LEARN\n");
+            assert!(out.starts_with("err storage-degraded"), "{out}");
+            fault.fail_all_writes(None);
+            oracle.relearn().unwrap();
+            sizes.push(oracle.contracts().unwrap().expect("learned").len());
+            let report = oracle.check().unwrap().report;
+            let violations: String = report.violations.iter().map(|v| format!("{v}\n")).collect();
+            let (n, count) = (sizes[round], report.violations.len());
+            let want = format!("ok contracts {n}\n{violations}ok check {count} violations;");
+            let got = session(&shared, "CONTRACTS\nCHECK\n");
+            assert!(
+                got.starts_with(&want),
+                "round {round}: {got}\nwant:\n{want}"
+            );
+        }
+        assert_ne!(sizes[0], sizes[1]);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

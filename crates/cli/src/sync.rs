@@ -1,10 +1,10 @@
-//! Deadline-bounded read/write lock for the serve engine.
+//! Deadline-bounded read/write lock for the serve engines.
 //!
 //! [`DeadlineRwLock`] is the serve layer's replacement for the old
 //! `Mutex<ResilientEngine>` + spin-poll `lock_engine` pair: readers
-//! (CHECK/GEN/STATS/CONTRACTS on a healthy engine) share the lock,
-//! writers (UPSERT/REMOVE/LEARN, fault verbs, and any read that misses
-//! the shared-path cache) get it exclusively, and both acquisitions park
+//! (GEN/HEALTH) share a shard leader's lock, writers
+//! (UPSERT/REMOVE/LEARN/STATS, fault verbs, and a CHECK that recomputes
+//! the shard) get it exclusively, and both acquisitions park
 //! on a `Condvar` until granted or a caller-supplied deadline passes —
 //! no core is burned while waiting.
 //!

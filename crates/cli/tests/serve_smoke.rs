@@ -142,7 +142,7 @@ fn tcp_session_round_trips() {
     let health = read_until_ok(&mut reader);
     assert_eq!(
         health.last().unwrap(),
-        "ok health healthy faults=0 retries=0 transitions=0 recoveries=0",
+        "ok health healthy faults=0 retries=0 transitions=0 recoveries=0 shards=1 degraded_shards=0",
         "{health:?}"
     );
 

@@ -268,7 +268,7 @@ fn param_name(pattern: &str, index: u16) -> String {
 }
 
 /// A set of learned contracts plus learning statistics.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ContractSet {
     /// The contracts, in a stable order.
     pub contracts: Vec<Contract>,

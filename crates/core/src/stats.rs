@@ -33,8 +33,8 @@ use crate::learn::LearnStats;
 /// under the shared lock vs exclusive engine operations); v8 added the
 /// fleet object (`engine.fleet`: per-shard counters with applied WAL
 /// sequence and robustness, replica lag entries, the router's hash
-/// distribution, and one-pass summed totals — `null` when serving a
-/// single unsharded engine); v9 added the memory object
+/// distribution, and one-pass summed totals — `null` outside `concord
+/// serve`); v9 added the memory object
 /// (`engine.memory`: arena-interner heap accounting for the
 /// structure-of-arrays dataset — string/param/pattern-table/column
 /// bytes and interned-entry counts — plus the segmented-checkpoint
@@ -349,6 +349,20 @@ pub struct MemoryStats {
     pub segments_skipped: u64,
 }
 
+impl MemoryStats {
+    /// Adds another shard's accounting into this one (the fleet rollup).
+    pub fn accumulate(&mut self, other: &MemoryStats) {
+        self.string_arena_bytes += other.string_arena_bytes;
+        self.param_arena_bytes += other.param_arena_bytes;
+        self.pattern_table_bytes += other.pattern_table_bytes;
+        self.column_bytes += other.column_bytes;
+        self.interned_strings += other.interned_strings;
+        self.interned_param_slices += other.interned_param_slices;
+        self.segments_written += other.segments_written;
+        self.segments_skipped += other.segments_skipped;
+    }
+}
+
 impl ToJson for MemoryStats {
     fn to_json(&self) -> Json {
         concord_json::json!({
@@ -421,9 +435,8 @@ impl ToJson for StorageStats {
 
 /// Transport-layer counters of one `concord serve` process: how traffic
 /// actually reached the engine (connections, pipelined requests, BATCH
-/// amortization, binary frames) and how often the read/write engine
-/// split let a request run under the shared lock instead of serializing
-/// behind writers.
+/// amortization, binary frames) and the split between requests that
+/// only read engine state and requests that mutate it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServeTransportStats {
     /// Connections accepted (stdin counts as one).
@@ -438,11 +451,11 @@ pub struct ServeTransportStats {
     pub batched_requests: u64,
     /// Requests that arrived as length-prefixed binary frames.
     pub binary_frames: u64,
-    /// Read-only requests (CHECK/GEN/STATS/CONTRACTS) served under the
-    /// shared read lock, concurrently with other readers.
+    /// Requests (a BATCH counts once) that only read engine state:
+    /// CHECK/GEN/STATS/CONTRACTS/HEALTH.
     pub shared_reads: u64,
-    /// Requests that took the exclusive write lock (mutations, fault
-    /// verbs, and reads that missed the shared-path cache).
+    /// Requests (a BATCH counts once) that mutate engine state:
+    /// UPSERT/REMOVE/LEARN/CHECKPOINT and fault verbs.
     pub exclusive_ops: u64,
 }
 
@@ -554,10 +567,10 @@ impl ToJson for FleetTotals {
     }
 }
 
-/// Fleet-level statistics of a sharded `concord serve` process: the
-/// consistent-hash router's device distribution, per-shard counters with
-/// replica lag, and one-pass summed totals. `None` in `EngineStats` when
-/// serving a single unsharded engine.
+/// Fleet-level statistics of a `concord serve` process (one shard
+/// unless `--shards`): the consistent-hash router's device
+/// distribution, per-shard counters with replica lag, and one-pass
+/// summed totals. `None` in `EngineStats` outside `concord serve`.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct FleetStats {
     /// Per-shard entries, in shard (router) order.
@@ -647,8 +660,8 @@ pub struct EngineStats {
     /// Serve transport counters, when the stats were produced by a
     /// `concord serve` process (`None` for a bare engine).
     pub serve: Option<ServeTransportStats>,
-    /// Fleet rollup, when the stats were produced by a sharded serve
-    /// process (`None` for a single unsharded engine).
+    /// Fleet rollup, when the stats were produced by a `concord serve`
+    /// process (`None` for a bare engine).
     pub fleet: Option<FleetStats>,
 }
 

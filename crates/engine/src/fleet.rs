@@ -200,7 +200,7 @@ pub fn merge_check_parts(contracts: &ContractSet, shards: &[&CheckParts]) -> Fle
         let empty = UniqueTable::default();
         let tables: Vec<(&str, &UniqueTable)> = order
             .iter()
-            .map(|c| (c.name.as_str(), c.unique.as_ref().unwrap_or(&empty)))
+            .map(|c| (c.name.as_str(), c.unique.as_deref().unwrap_or(&empty)))
             .collect();
         violations.extend(replay_unique_tables(contracts, &unique_indices, &tables));
     }

@@ -39,6 +39,7 @@
 //! full relearn once the drift crosses a threshold.
 
 use std::fmt;
+use std::sync::Arc;
 use std::time::Instant;
 
 use concord_core::{
@@ -193,8 +194,9 @@ pub struct CheckPartConfig {
     pub total_lines: usize,
     /// The configuration's unique-pass event table; `None` when no
     /// unique contract resolved against this shard's dataset (an empty
-    /// contribution — the fleet replays it as an empty table).
-    pub unique: Option<UniqueTable>,
+    /// contribution — the fleet replays it as an empty table). Shared
+    /// with the engine's outcome cache, not copied per check.
+    pub unique: Option<Arc<UniqueTable>>,
 }
 
 /// The unassembled result of one [`Engine::check_parts`] call.
@@ -212,6 +214,9 @@ pub struct CheckParts {
     pub reused_configs: usize,
     /// Whether a resolution change invalidated this engine's cache.
     pub resolution_invalidated: bool,
+    /// The contract set these parts were checked under — the set to
+    /// merge them with.
+    pub contracts: Arc<ContractSet>,
 }
 
 /// One configuration's engine-side bookkeeping, parallel to
@@ -225,7 +230,7 @@ struct Slot {
     outcome: Option<ConfigOutcome>,
     /// Cached unique-pass events (`None` while dirty, `Some` — possibly
     /// empty — once checked under a program with unique contracts).
-    unique: Option<UniqueTable>,
+    unique: Option<Arc<UniqueTable>>,
     /// Cached learn sketch (`None` while dirty; mined lazily by the next
     /// delta relearn, or restored from a persisted snapshot).
     sketch: Option<ConfigSketch>,
@@ -247,7 +252,9 @@ pub struct Engine {
     /// `dataset.configs` through every upsert/remove.
     slots: Vec<Slot>,
     next_id: u64,
-    contracts: Option<ContractSet>,
+    /// Shared so [`CheckParts`] can carry the set they were checked
+    /// under without deep-copying it.
+    contracts: Option<Arc<ContractSet>>,
     /// Bumped whenever the contract set object is swapped; part of the
     /// outcome-cache key (two different sets can resolve identically).
     contracts_epoch: u64,
@@ -267,13 +274,6 @@ pub struct Engine {
     last_learn_mined: u64,
     last_learn_reused: u64,
     last_check: Option<EngineCheckStats>,
-    /// The fully assembled report of the most recent `check_dirty`,
-    /// tagged with the `(edits, contracts_epoch)` it was computed at.
-    /// Both counters move on every mutation (upsert/remove bump `edits`;
-    /// set_contracts/relearn bump `contracts_epoch`), so a tag match
-    /// proves the report still describes the current snapshot and
-    /// [`Engine::check_cached`] can serve it through `&self`.
-    cached_report: Option<(u64, u64, EngineCheckReport)>,
 }
 
 impl Engine {
@@ -303,7 +303,6 @@ impl Engine {
             last_learn_mined: 0,
             last_learn_reused: 0,
             last_check: None,
-            cached_report: None,
         }
     }
 
@@ -392,7 +391,7 @@ impl Engine {
         if let Some(json) = &image.contracts {
             let contracts =
                 ContractSet::from_json(json).map_err(|e| ImageError::Contracts(e.to_string()))?;
-            engine.contracts = Some(contracts);
+            engine.contracts = Some(Arc::new(contracts));
         }
         let c = &image.counters;
         engine.next_id = c.next_id;
@@ -451,7 +450,12 @@ impl Engine {
 
     /// The current contract set, if any.
     pub fn contracts(&self) -> Option<&ContractSet> {
-        self.contracts.as_ref()
+        self.contracts.as_deref()
+    }
+
+    /// The current contract set as a shared handle (no deep copy).
+    pub fn shared_contracts(&self) -> Option<Arc<ContractSet>> {
+        self.contracts.clone()
     }
 
     /// The engine's options.
@@ -535,7 +539,7 @@ impl Engine {
     /// made *after* this call accumulate staleness normally and drive
     /// [`Engine::relearn_if_stale`] as usual.
     pub fn set_contracts(&mut self, contracts: ContractSet) {
-        self.contracts = Some(contracts);
+        self.contracts = Some(Arc::new(contracts));
         self.contracts_epoch += 1;
         self.contracts_edits = self.edits;
         self.lines_at_last_learn = self.dataset.total_lines();
@@ -556,7 +560,7 @@ impl Engine {
             self.relearn_delta()
         } else {
             let (contracts, stats) = learn_with_stats(&self.dataset, &self.options.learn);
-            self.contracts = Some(contracts);
+            self.contracts = Some(Arc::new(contracts));
             self.last_learn_mined = self.dataset.configs.len() as u64;
             self.last_learn_reused = 0;
             stats
@@ -599,7 +603,7 @@ impl Engine {
                 .collect();
             finalize_sketches(&self.dataset, &sketches, &self.options.learn)
         };
-        self.contracts = Some(contracts);
+        self.contracts = Some(Arc::new(contracts));
         stats
     }
 
@@ -756,7 +760,7 @@ impl Engine {
     /// only moves when cached outcomes genuinely went stale).
     pub fn check_dirty(&mut self) -> Result<EngineCheckReport, EngineError> {
         let start = Instant::now();
-        let contracts = self.contracts.as_ref().ok_or(EngineError::NoContracts)?;
+        let contracts = self.contracts.as_deref().ok_or(EngineError::NoContracts)?;
         let program = CheckProgram::compile(contracts, &self.dataset);
         let (dirty, resolution_invalidated) = refresh_outcomes(
             &mut self.slots,
@@ -772,18 +776,11 @@ impl Engine {
         let mut violations = Vec::new();
         let mut coverages = Vec::new();
         let mut counters = concord_core::CheckCounters::default();
-        let mut rebuilt = 0u64;
-        let mut patched = 0u64;
-        for (i, slot) in self.slots.iter().enumerate() {
+        for slot in &self.slots {
             let outcome = slot.outcome.as_ref().expect("just populated");
             violations.extend_from_slice(&outcome.violations);
             coverages.push(outcome.coverage.clone());
             counters.accumulate(&outcome.counters);
-            if dirty.binary_search(&i).is_ok() {
-                rebuilt += outcome.counters.indexes_built;
-            } else {
-                patched += outcome.counters.indexes_built;
-            }
         }
         if program.has_unique() {
             let tables: Vec<(&str, &UniqueTable)> = self
@@ -794,7 +791,7 @@ impl Engine {
                 .map(|(c, s)| {
                     (
                         self.dataset.name_of(c),
-                        s.unique.as_ref().expect("just populated"),
+                        s.unique.as_deref().expect("just populated"),
                     )
                 })
                 .collect();
@@ -817,16 +814,9 @@ impl Engine {
             // Per-phase times are not replayable from cached outcomes.
             category_times: Vec::new(),
         };
-        let engine = EngineCheckStats {
-            dirty_configs: dirty.len(),
-            reused_configs: self.slots.len() - dirty.len(),
-            resolution_invalidated,
-            witness_indexes_rebuilt: rebuilt,
-            witness_indexes_patched: patched,
-        };
+        let engine = check_stats(&self.slots, &dirty, resolution_invalidated);
         self.last_check = Some(engine);
-
-        let report = EngineCheckReport {
+        Ok(EngineCheckReport {
             report: CheckReport {
                 violations,
                 coverage: CoverageReport {
@@ -835,48 +825,26 @@ impl Engine {
             },
             stats,
             engine,
-        };
-        // Cache the assembled report for `check_cached`, with its engine
-        // counters rewritten to what a clean replay (a second check_dirty
-        // with nothing dirty) would report: everything reused, every
-        // witness index patched in from cache.
-        let replay = EngineCheckStats {
-            dirty_configs: 0,
-            reused_configs: self.slots.len(),
-            resolution_invalidated: false,
-            witness_indexes_rebuilt: 0,
-            witness_indexes_patched: counters.indexes_built,
-        };
-        self.cached_report = Some((
-            self.edits,
-            self.contracts_epoch,
-            EngineCheckReport {
-                engine: replay,
-                ..report.clone()
-            },
-        ));
-        Ok(report)
+        })
     }
 
     /// Checks the current snapshot like [`Engine::check_dirty`], but
     /// returns the *unassembled* per-configuration parts instead of the
     /// merged report: each configuration's violations, covered/total
     /// line counts, and unique-pass event table, plus the resolved
-    /// unique-contract indices. A sharded fleet collects every shard's
+    /// unique-contract indices. A serving fleet collects every shard's
     /// parts, merges the configurations in global name order (the
     /// dataset order an unsharded engine would hold), replays the union
     /// of the unique tables, and applies the engine's final stable sort
     /// — reproducing [`Engine::check_dirty`]'s report byte for byte
     /// while each shard pays only for its own dirty configurations.
     ///
-    /// Shares the outcome cache with `check_dirty`: both paths refresh
-    /// the same per-slot outcomes, so interleaving them never recomputes
-    /// a clean configuration. The assembled-report cache
-    /// ([`Engine::check_cached`]) is left untouched — this path does not
-    /// build the merged report it would hold.
+    /// Shares the outcome cache and the `last_check` counters with
+    /// `check_dirty`: both paths refresh the same per-slot outcomes, so
+    /// interleaving them never recomputes a clean configuration.
     pub fn check_parts(&mut self) -> Result<CheckParts, EngineError> {
-        let contracts = self.contracts.as_ref().ok_or(EngineError::NoContracts)?;
-        let program = CheckProgram::compile(contracts, &self.dataset);
+        let contracts = self.contracts.clone().ok_or(EngineError::NoContracts)?;
+        let program = CheckProgram::compile(&contracts, &self.dataset);
         let (dirty, resolution_invalidated) = refresh_outcomes(
             &mut self.slots,
             &mut self.cached_key,
@@ -902,29 +870,16 @@ impl Engine {
                 }
             })
             .collect();
+        let engine = check_stats(&self.slots, &dirty, resolution_invalidated);
+        self.last_check = Some(engine);
         Ok(CheckParts {
             configs,
             unique_indices: program.unique_indices(),
-            dirty_configs: dirty.len(),
-            reused_configs: self.slots.len() - dirty.len(),
+            dirty_configs: engine.dirty_configs,
+            reused_configs: engine.reused_configs,
             resolution_invalidated,
+            contracts,
         })
-    }
-
-    /// Serves the most recent [`Engine::check_dirty`] report through
-    /// `&self`, when it provably still describes the current snapshot —
-    /// i.e. no edit and no contract change happened since (the
-    /// `(edits, contracts_epoch)` tag matches; both counters move on
-    /// every mutation). Violations, coverage, and the incremental
-    /// counters are identical to what a fresh `check_dirty` would
-    /// produce (clean replay: `dirty=0`, everything reused); only the
-    /// wall-clock timings in `stats` are those of the original
-    /// computation. `last_check` is deliberately not updated — this path
-    /// never touches engine state, which is what lets many readers call
-    /// it concurrently.
-    pub fn check_cached(&self) -> Option<EngineCheckReport> {
-        let (edits, epoch, report) = self.cached_report.as_ref()?;
-        (*edits == self.edits && *epoch == self.contracts_epoch).then(|| report.clone())
     }
 
     /// The incremental-learn cache counters: occupancy, configs mined
@@ -948,7 +903,7 @@ impl Engine {
             configs: self.dataset.configs.len(),
             lines: self.dataset.configs.iter().map(|c| c.len()).sum(),
             patterns: self.dataset.pattern_count(),
-            contracts: self.contracts.as_ref().map(ContractSet::len),
+            contracts: self.contracts.as_deref().map(ContractSet::len),
             edits: self.edits,
             relearns: self.relearns,
             dirty_configs: self.slots.iter().filter(|s| s.outcome.is_none()).count(),
@@ -1031,9 +986,36 @@ fn refresh_outcomes(
     );
     for (&i, (outcome, unique)) in dirty.iter().zip(recomputed) {
         slots[i].outcome = Some(outcome);
-        slots[i].unique = unique;
+        slots[i].unique = unique.map(Arc::new);
     }
     (dirty, resolution_invalidated)
+}
+
+/// What one check call recomputed versus patched in from the outcome
+/// cache (`dirty` is sorted), for `last_check`.
+fn check_stats(slots: &[Slot], dirty: &[usize], resolution_invalidated: bool) -> EngineCheckStats {
+    let mut rebuilt = 0u64;
+    let mut patched = 0u64;
+    for (i, slot) in slots.iter().enumerate() {
+        let built = slot
+            .outcome
+            .as_ref()
+            .expect("just populated")
+            .counters
+            .indexes_built;
+        if dirty.binary_search(&i).is_ok() {
+            rebuilt += built;
+        } else {
+            patched += built;
+        }
+    }
+    EngineCheckStats {
+        dirty_configs: dirty.len(),
+        reused_configs: slots.len() - dirty.len(),
+        resolution_invalidated,
+        witness_indexes_rebuilt: rebuilt,
+        witness_indexes_patched: patched,
+    }
 }
 
 #[cfg(test)]
@@ -1137,44 +1119,24 @@ mod tests {
     }
 
     #[test]
-    fn check_cached_serves_the_report_until_any_mutation() {
-        let mut engine = Engine::from_corpus(&corpus(), &[], EngineOptions::default()).unwrap();
-        assert!(engine.check_cached().is_none(), "nothing checked yet");
-        engine.relearn();
-        assert!(engine.check_cached().is_none(), "relearn moved the epoch");
-
-        let fresh = engine.check_dirty().unwrap();
-        let cached = engine.check_cached().expect("report is current");
-        assert_eq!(cached.report.violations, fresh.report.violations);
-        assert_eq!(
-            cached.report.coverage.per_config,
-            fresh.report.coverage.per_config
-        );
-        // Cached counters are the clean-replay form: what a second
-        // check_dirty with nothing dirty would report.
-        let replay = engine.check_dirty().unwrap();
-        assert_eq!(cached.engine, replay.engine);
-        assert_eq!(cached.engine.dirty_configs, 0);
-        assert_eq!(cached.engine.reused_configs, 6);
-        assert_eq!(cached.engine.witness_indexes_rebuilt, 0);
-
-        // Every mutation class invalidates the tag.
-        engine.upsert_config("dev0", "vlan 9\n");
-        assert!(engine.check_cached().is_none(), "upsert bumped edits");
-        engine.check_dirty().unwrap();
-        assert!(engine.check_cached().is_some());
-        engine.remove_config("dev5");
-        assert!(engine.check_cached().is_none(), "remove bumped edits");
-        engine.check_dirty().unwrap();
-        engine.relearn();
-        assert!(engine.check_cached().is_none(), "relearn bumped the epoch");
-
-        // And the cached report stays byte-equal to a batch oracle.
-        let incremental = engine.check_dirty().unwrap();
-        let cached = engine.check_cached().expect("current again");
-        assert_reports_equal(&cached.report, &incremental.report);
-        let (oracle, _) = batch(&engine);
-        assert_reports_equal(&cached.report, &oracle);
+    fn check_parts_records_the_same_last_check_as_check_dirty() {
+        let mut parts = Engine::from_corpus(&corpus(), &[], EngineOptions::default()).unwrap();
+        let mut dirty = Engine::from_corpus(&corpus(), &[], EngineOptions::default()).unwrap();
+        for engine in [&mut parts, &mut dirty] {
+            engine.relearn();
+        }
+        for step in 0..3 {
+            if step == 1 {
+                for engine in [&mut parts, &mut dirty] {
+                    engine.upsert_config("dev2", "hostname DEV102\nvlan 252\n");
+                }
+            }
+            let computed = parts.check_parts().unwrap();
+            let report = dirty.check_dirty().unwrap();
+            assert_eq!(parts.snapshot_stats().last_check, Some(report.engine));
+            assert_eq!(computed.dirty_configs, report.engine.dirty_configs);
+            assert_eq!(computed.reused_configs, report.engine.reused_configs);
+        }
     }
 
     #[test]

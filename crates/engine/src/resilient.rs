@@ -301,13 +301,6 @@ impl ResilientEngine {
         self.robustness
     }
 
-    /// Adds serve-layer rejections/deadlines into the robustness
-    /// counters reported by [`ResilientEngine::snapshot_stats`].
-    pub fn add_serve_counters(&mut self, requests_rejected: u64, deadlines_hit: u64) {
-        self.robustness.requests_rejected = requests_rejected;
-        self.robustness.deadlines_hit = deadlines_hit;
-    }
-
     /// Sets the auto-checkpoint cadence (`0` disables auto
     /// checkpoints; explicit [`ResilientEngine::checkpoint`] calls
     /// still work).
@@ -345,14 +338,13 @@ impl ResilientEngine {
             .learn_delta())
     }
 
-    /// The number of loaded contracts, if any are loaded.
-    pub fn contracts_len(&self) -> Result<Option<usize>, EngineFault> {
+    /// The loaded contract set, if any, as a shared handle.
+    pub fn contracts(&self) -> Result<Option<Arc<ContractSet>>, EngineFault> {
         Ok(self
             .engine
             .as_ref()
             .ok_or(EngineFault::Poisoned)?
-            .contracts()
-            .map(ContractSet::len))
+            .shared_contracts())
     }
 
     /// Inserts or replaces one configuration.
@@ -440,23 +432,6 @@ impl ResilientEngine {
         Ok(parts)
     }
 
-    /// Shared-read CHECK: serves the cached report through `&self` when
-    /// that is provably equivalent to [`ResilientEngine::check`].
-    ///
-    /// Returns `None` — caller must fall back to the exclusive path —
-    /// whenever the exclusive path would do observable work this path
-    /// cannot replicate: no cached report for the current snapshot, an
-    /// armed injected fault (the panic must fire inside the guarded
-    /// region), a pending degraded-check acknowledgement (the
-    /// `degraded_checks` counter must stay exact), or a poisoned engine
-    /// (the caller surfaces `EngineFault::Poisoned` exclusively).
-    pub fn check_shared(&self) -> Option<EngineCheckReport> {
-        if !self.armed.is_empty() || self.degraded_pending {
-            return None;
-        }
-        self.engine.as_ref()?.check_cached()
-    }
-
     /// Engine statistics with the robustness counters and segmented-
     /// checkpoint counters attached.
     pub fn snapshot_stats(&mut self) -> Result<EngineStats, EngineFault> {
@@ -466,23 +441,6 @@ impl ResilientEngine {
         stats.memory.segments_skipped = self.segments_skipped;
         stats.storage = Some(self.storage_stats());
         Ok(stats)
-    }
-
-    /// Shared-read STATS: snapshots statistics through `&self`.
-    ///
-    /// `None` when an injected fault is armed (it must fire inside the
-    /// exclusive guarded region) or the engine is poisoned; the caller
-    /// falls back to [`ResilientEngine::snapshot_stats`].
-    pub fn stats_shared(&self) -> Option<EngineStats> {
-        if !self.armed.is_empty() {
-            return None;
-        }
-        let mut stats = self.engine.as_ref()?.snapshot_stats();
-        stats.robustness = Some(self.robustness);
-        stats.memory.segments_written = self.segments_written;
-        stats.memory.segments_skipped = self.segments_skipped;
-        stats.storage = Some(self.storage_stats());
-        Some(stats)
     }
 
     /// Whether the engine is in degraded read-only mode (storage is
@@ -843,53 +801,6 @@ mod tests {
     }
 
     #[test]
-    fn shared_reads_match_exclusive_and_refuse_armed_or_degraded_state() {
-        let mut me =
-            ResilientEngine::new(&corpus(), &[], Lexer::standard(), EngineOptions::default())
-                .expect("builds");
-        me.relearn().expect("learns");
-        assert!(
-            me.check_shared().is_none(),
-            "no report cached before the first exclusive check"
-        );
-        let exclusive = me.check().expect("checks");
-        let shared = me.check_shared().expect("cached report is current");
-        assert_eq!(shared.report.violations, exclusive.report.violations);
-        assert_eq!(
-            shared.report.coverage.per_config,
-            exclusive.report.coverage.per_config
-        );
-
-        let shared_stats = me.stats_shared().expect("healthy engine");
-        assert_eq!(shared_stats.robustness, Some(me.robustness()));
-        assert_eq!(
-            shared_stats.configs,
-            me.snapshot_stats().expect("exclusive stats").configs
-        );
-
-        // Mutations invalidate the shared CHECK until the next exclusive
-        // check republishes a report.
-        me.upsert("dev0", "vlan 999\n").expect("upserts");
-        assert!(me.check_shared().is_none(), "edit invalidated the cache");
-        me.check().expect("checks");
-        assert!(me.check_shared().is_some());
-
-        // An armed fault must fire inside the exclusive guarded region,
-        // so both shared paths step aside while one is pending.
-        me.arm_panic(OpKind::Check);
-        assert!(me.check_shared().is_none(), "armed fault forces exclusive");
-        assert!(me.stats_shared().is_none(), "armed fault forces exclusive");
-        assert!(matches!(me.check(), Err(EngineFault::Panicked(_))));
-
-        // Post-recovery the first check is degraded and must be counted
-        // by the exclusive path, not silently served from a stale cache.
-        assert!(me.check_shared().is_none(), "degraded check pending");
-        me.check().expect("recovered");
-        assert_eq!(me.robustness().degraded_checks, 1);
-        assert!(me.check_shared().is_some(), "healthy again");
-    }
-
-    #[test]
     fn durable_engine_resumes_after_drop_without_checkpoint() {
         let dir = tmp_dir("resume");
         let (mut me, resumed) = ResilientEngine::with_store(
@@ -1168,11 +1079,8 @@ mod tests {
         me.relearn().expect("learns");
         me.arm_panic(OpKind::Learn);
         assert!(me.relearn().is_err());
-        me.add_serve_counters(3, 2);
         let stats = me.snapshot_stats().expect("stats");
         let rob = stats.robustness.expect("attached");
         assert_eq!(rob.panics_recovered, 1);
-        assert_eq!(rob.requests_rejected, 3);
-        assert_eq!(rob.deadlines_hit, 2);
     }
 }
