@@ -551,6 +551,29 @@ mod tests {
     }
 
     #[test]
+    fn tokens_file_with_a_huge_repetition_is_refused() {
+        // Unrolled, `x{20000}` would be a 20001-instruction program; the
+        // regex crate refuses it like any other malformed definition.
+        let dir = tempdir("hugetokens");
+        let tokens = dir.join("tokens.txt");
+        std::fs::write(&tokens, "big x{20000}\n").unwrap();
+        std::fs::write(dir.join("dev0.cfg"), "hostname dev0\n").unwrap();
+        let (code, out) = run_str(&[
+            "learn",
+            "--configs",
+            &format!("{}/*.cfg", dir.display()),
+            "--out",
+            &format!("{}/contracts.json", dir.display()),
+            "--tokens",
+            tokens.to_str().unwrap(),
+        ]);
+        assert_eq!(code, 2, "{out}");
+        assert!(out.contains("invalid token definition [big]"), "{out}");
+        assert!(!dir.join("contracts.json").exists());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn disable_ordering_drops_ordering_contracts() {
         let dir = tempdir("noord");
         for i in 0..6 {

@@ -3,32 +3,52 @@
 use concord_regex::Regex;
 use concord_types::{Value, ValueType};
 
-/// A quick first-character filter so the scanner can skip regex execution
-/// at positions where a token cannot possibly start.
+/// A byte-level shape that every match of a built-in token's regex starts
+/// with, checked before the regex runs so the scanner skips positions
+/// where the token cannot start. Each check is a necessary condition of
+/// the regex, never a sufficient one, so skipping never changes a match;
+/// `tests/lexer_lead_checks.rs` pins this against the unfiltered rule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum FirstSet {
-    /// ASCII digit.
-    Digit,
-    /// ASCII hex digit or `:` (MAC / IPv6 shapes).
-    HexOrColon,
-    /// Exactly `0` (the `0x...` hex literal prefix).
+enum Lead {
+    /// 1-3 ASCII digits, then `.` (IPv4 addresses and prefixes).
+    DottedQuad,
+    /// At most four hex digits, then `:` (IPv6 and MAC shapes).
+    HexColon,
+    /// `0` (the `0x...` hex literal prefix).
     Zero,
+    /// An ASCII digit.
+    Digit,
     /// `t` or `f` (booleans).
     TrueFalse,
-    /// No filter (user-defined tokens).
+    /// No check (user-defined tokens).
     Any,
 }
 
-impl FirstSet {
-    fn admits(self, c: char) -> bool {
+impl Lead {
+    /// Whether `rest`, the text from the candidate position on, starts
+    /// with this shape.
+    fn admits(self, rest: &[u8]) -> bool {
         match self {
-            FirstSet::Digit => c.is_ascii_digit(),
-            FirstSet::HexOrColon => c.is_ascii_hexdigit() || c == ':',
-            FirstSet::Zero => c == '0',
-            FirstSet::TrueFalse => c == 't' || c == 'f',
-            FirstSet::Any => true,
+            Lead::DottedQuad => {
+                let digits = run_len(rest, 4, |b| b.is_ascii_digit());
+                (1..=3).contains(&digits) && rest.get(digits) == Some(&b'.')
+            }
+            Lead::HexColon => {
+                let digits = run_len(rest, 5, |b| b.is_ascii_hexdigit());
+                digits <= 4 && rest.get(digits) == Some(&b':')
+            }
+            Lead::Zero => rest.first() == Some(&b'0'),
+            Lead::Digit => rest.first().is_some_and(u8::is_ascii_digit),
+            Lead::TrueFalse => matches!(rest.first(), Some(b't' | b'f')),
+            Lead::Any => true,
         }
     }
+}
+
+/// Length of the run of bytes satisfying `pred` at the start of `bytes`,
+/// counted up to `cap`.
+fn run_len(bytes: &[u8], cap: usize, pred: impl Fn(&u8) -> bool) -> usize {
+    bytes.iter().take(cap).take_while(|b| pred(b)).count()
 }
 
 /// A single token definition: a type, its regex, and matching rules.
@@ -36,7 +56,7 @@ impl FirstSet {
 pub struct TokenDef {
     ty: ValueType,
     regex: Regex,
-    first: FirstSet,
+    lead: Lead,
     /// Require non-alphanumeric characters on both sides of the match
     /// (used by word-like tokens such as booleans so `trueness` does not
     /// contain a `[bool]`).
@@ -74,7 +94,7 @@ impl TokenDef {
         Ok(TokenDef {
             ty: ValueType::Custom(name.to_string()),
             regex,
-            first: FirstSet::Any,
+            lead: Lead::Any,
             word_boundary: false,
         })
     }
@@ -94,8 +114,7 @@ impl TokenDef {
     /// Returns the match length only if the regex matches, boundary rules
     /// hold, and the matched text semantically parses as the token's type.
     pub fn match_at(&self, text: &str, pos: usize) -> Option<usize> {
-        let next = text[pos..].chars().next()?;
-        if !self.first.admits(next) {
+        if pos >= text.len() || !self.lead.admits(&text.as_bytes()[pos..]) {
             return None;
         }
         if self.word_boundary && !boundary_before(text, pos) {
@@ -138,51 +157,51 @@ pub fn builtin_defs() -> Vec<TokenDef> {
         "(({g}:){{7}}{g}|({g}:){{1,7}}:|({g}:){{1,6}}(:{g}){{1,6}}|:(:{g}){{1,7}}|::)",
         g = hex_group
     );
-    let defs: Vec<(ValueType, String, FirstSet, bool)> = vec![
+    let defs: Vec<(ValueType, String, Lead, bool)> = vec![
         (
             ValueType::Pfx4,
             r"[0-9]{1,3}(\.[0-9]{1,3}){3}/[0-9]{1,2}".to_string(),
-            FirstSet::Digit,
+            Lead::DottedQuad,
             false,
         ),
         (
             ValueType::Ip4,
             r"[0-9]{1,3}(\.[0-9]{1,3}){3}".to_string(),
-            FirstSet::Digit,
+            Lead::DottedQuad,
             false,
         ),
         (
             ValueType::Pfx6,
             format!("{ip6}/[0-9]{{1,3}}"),
-            FirstSet::HexOrColon,
+            Lead::HexColon,
             false,
         ),
-        (ValueType::Ip6, ip6.clone(), FirstSet::HexOrColon, false),
+        (ValueType::Ip6, ip6.clone(), Lead::HexColon, false),
         (
             ValueType::Mac,
             "[0-9a-fA-F]{1,2}(:[0-9a-fA-F]{1,2}){5}".to_string(),
-            FirstSet::HexOrColon,
+            Lead::HexColon,
             false,
         ),
         (
             ValueType::Hex,
             "0x[0-9a-fA-F]+".to_string(),
-            FirstSet::Zero,
+            Lead::Zero,
             false,
         ),
-        (ValueType::Num, "[0-9]+".to_string(), FirstSet::Digit, false),
+        (ValueType::Num, "[0-9]+".to_string(), Lead::Digit, false),
         (
             ValueType::Bool,
             "true|false".to_string(),
-            FirstSet::TrueFalse,
+            Lead::TrueFalse,
             true,
         ),
     ];
     defs.into_iter()
-        .map(|(ty, pattern, first, word_boundary)| TokenDef {
+        .map(|(ty, pattern, lead, word_boundary)| TokenDef {
             regex: Regex::new(&pattern).expect("built-in token regex must compile"),
             ty,
-            first,
+            lead,
             word_boundary,
         })
         .collect()
@@ -248,6 +267,19 @@ mod tests {
         let def = def_for(&ValueType::Num);
         // Starts with a letter: filtered before regex execution.
         assert_eq!(def.match_at("abc", 0), None);
+    }
+
+    #[test]
+    fn lead_checks_need_the_separator() {
+        let quad = |s: &str| Lead::DottedQuad.admits(s.as_bytes());
+        assert!(quad("1.") && quad("10.0.0.1") && quad("255.x"));
+        assert!(!quad("1234.5") && !quad("10") && !quad(".1") && !quad(""));
+        let hex = |s: &str| Lead::HexColon.admits(s.as_bytes());
+        assert!(hex(":") && hex("::1") && hex("fe80::1") && hex("00:1c") && hex("dead:"));
+        assert!(!hex("12345:") && !hex("beef") && !hex("g:") && !hex(""));
+        // The checks run before the regex and skip it outright.
+        assert_eq!(def_for(&ValueType::Ip4).match_at("10 0.0.1", 0), None);
+        assert_eq!(def_for(&ValueType::Mac).match_at("a0", 0), None);
     }
 
     #[test]

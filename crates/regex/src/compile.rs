@@ -3,11 +3,55 @@
 use crate::ast::Ast;
 use crate::program::{Inst, Program};
 
+/// The most instructions a compiled program may hold. Bounded repetition
+/// unrolls, so `x{50000000}` would compile to 50 million instructions;
+/// the largest built-in lexer token (`pfx6`) needs 312.
+pub const MAX_PROGRAM_LEN: usize = 10_000;
+
+/// Returns the number of instructions [`compile`] emits for `ast`,
+/// saturating at `usize::MAX`, without emitting them.
+pub fn program_len(ast: &Ast) -> usize {
+    fragment_len(ast).saturating_add(1) // The final `Match`.
+}
+
+fn fragment_len(node: &Ast) -> usize {
+    match node {
+        Ast::Empty => 0,
+        Ast::Literal(_) | Ast::Dot | Ast::Class(_) | Ast::StartAnchor | Ast::EndAnchor => 1,
+        Ast::Concat(parts) => parts
+            .iter()
+            .fold(0, |n, part| n.saturating_add(fragment_len(part))),
+        // A split and a jump around every branch but the last.
+        Ast::Alternate(branches) => branches
+            .iter()
+            .fold(2 * branches.len().saturating_sub(1), |n, branch| {
+                n.saturating_add(fragment_len(branch))
+            }),
+        Ast::Repeat { node, min, max } => {
+            let body = fragment_len(node);
+            let min = *min as usize;
+            match max {
+                // `min` copies (one for `e*`) and a split, plus a jump for `e*`.
+                None => {
+                    body.saturating_mul(min.max(1))
+                        .saturating_add(if min == 0 { 2 } else { 1 })
+                }
+                // `min` copies, then a split and a copy per optional one.
+                Some(max) => body.saturating_mul(min).saturating_add(
+                    body.saturating_add(1)
+                        .saturating_mul((*max as usize).saturating_sub(min)),
+                ),
+            }
+        }
+    }
+}
+
 /// Compiles `ast` into an executable NFA program.
 pub fn compile(ast: &Ast) -> Program {
     let mut compiler = Compiler { insts: Vec::new() };
     compiler.emit_node(ast);
     compiler.insts.push(Inst::Match);
+    debug_assert_eq!(compiler.insts.len(), program_len(ast));
     Program {
         insts: compiler.insts,
         matches_empty: ast.matches_empty(),
@@ -159,6 +203,29 @@ mod tests {
         // `a{3}` should be three Char instructions plus Match.
         let prog = program("a{3}");
         assert_eq!(prog.len(), 4);
+    }
+
+    #[test]
+    fn program_len_counts_without_compiling() {
+        for pattern in [
+            "",
+            "ab",
+            "a|b|c",
+            "(ab|cd)*e?",
+            "x{2,5}",
+            "(a+)+",
+            "a{0,3}",
+            "a{0}b",
+            "a{3,}",
+            "(a|)*",
+            "^a$",
+            "[0-9a-fA-F]{1,4}(:[0-9a-fA-F]{1,4}){1,6}",
+        ] {
+            let ast = parse(pattern).unwrap();
+            assert_eq!(program_len(&ast), compile(&ast).len(), "{pattern}");
+        }
+        let huge = parse("((x{4000000000}){4000000000}){4000000000}").unwrap();
+        assert_eq!(program_len(&huge), usize::MAX);
     }
 
     #[test]

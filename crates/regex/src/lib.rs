@@ -18,6 +18,13 @@
 //! `(?:...)`), the quantifiers `*`, `+`, `?`, `{n}`, `{n,}`, `{n,m}`, and
 //! the anchors `^` and `$`.
 //!
+//! A bounded repetition compiles to one copy of its body per repetition,
+//! so [`Regex::new`] refuses a pattern whose program would exceed 10,000
+//! instructions (`x{20000}`, or `(x{100}){200}`) instead of allocating it;
+//! the largest pattern the Concord lexer builds in needs 312. The limit
+//! also bounds the scratch each matching thread keeps: matching reuses one
+//! pair of thread sets per thread and allocates nothing once it is warm.
+//!
 //! # Examples
 //!
 //! ```
@@ -53,7 +60,8 @@ impl Regex {
     /// Compiles `pattern` into a [`Regex`].
     ///
     /// Returns a [`ParseError`] describing the offending position when the
-    /// pattern is malformed.
+    /// pattern is malformed, or when it would compile to more than 10,000
+    /// instructions (see the crate docs).
     ///
     /// # Examples
     ///
@@ -65,6 +73,15 @@ impl Regex {
     /// ```
     pub fn new(pattern: &str) -> Result<Self, ParseError> {
         let ast = parse::parse(pattern)?;
+        if compile::program_len(&ast) > compile::MAX_PROGRAM_LEN {
+            return Err(ParseError {
+                position: pattern.len(),
+                message: format!(
+                    "pattern compiles to more than {} instructions",
+                    compile::MAX_PROGRAM_LEN
+                ),
+            });
+        }
         let program = compile::compile(&ast);
         Ok(Regex {
             pattern: pattern.to_string(),
@@ -343,6 +360,32 @@ mod tests {
         assert!(Regex::new("*a").is_err());
         assert!(Regex::new(r"\q").is_err());
         assert!(Regex::new("a{").is_err());
+    }
+
+    #[test]
+    fn program_size_is_limited() {
+        for pattern in [
+            "x{20000}",
+            "(x{100}){200}",
+            "x{4294967295}",
+            "(x{65536}){65536}",
+        ] {
+            let err = Regex::new(pattern).unwrap_err();
+            assert!(
+                err.message.contains("10000 instructions"),
+                "{pattern}: {err}"
+            );
+        }
+        // Exactly at the limit: 9999 characters and the final `Match`.
+        let r = re("x{9999}");
+        assert_eq!(r.program.len(), compile::MAX_PROGRAM_LEN);
+        assert!(r.is_full_match(&"x".repeat(9999)));
+        // The largest built-in lexer token, `pfx6`, sits far below it.
+        let g = "[0-9a-fA-F]{1,4}";
+        let ip6 =
+            format!("(({g}:){{7}}{g}|({g}:){{1,7}}:|({g}:){{1,6}}(:{g}){{1,6}}|:(:{g}){{1,7}}|::)");
+        assert_eq!(re(&format!("{ip6}/[0-9]{{1,3}}")).program.len(), 312);
+        assert_eq!(re(&ip6).program.len(), 306);
     }
 
     #[test]

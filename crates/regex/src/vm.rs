@@ -4,8 +4,21 @@
 //! character at a time. Because the thread set is deduplicated, the total
 //! work per character is bounded by the program size, giving linear-time
 //! matching regardless of the pattern.
+//!
+//! Every match on a thread runs on that thread's one pair of thread sets,
+//! grown to the largest program it has run, so matching allocates nothing
+//! once the pair is warm. Compilation caps a program at
+//! [`MAX_PROGRAM_LEN`](crate::compile::MAX_PROGRAM_LEN) instructions, which
+//! also caps this scratch.
+
+use std::cell::RefCell;
 
 use crate::program::{Inst, Program};
+
+thread_local! {
+    static SCRATCH: RefCell<[ThreadSet; 2]> =
+        const { RefCell::new([ThreadSet::EMPTY, ThreadSet::EMPTY]) };
+}
 
 /// Returns the length in bytes of the longest match of `program` starting
 /// at byte offset `start` of `text`, or `None` when nothing matches there.
@@ -14,13 +27,26 @@ pub fn longest_match_at(program: &Program, text: &str, start: usize) -> Option<u
         text.is_char_boundary(start),
         "start offset {start} is not a char boundary"
     );
-    let n = program.len();
-    let mut current = ThreadSet::new(n);
-    let mut next = ThreadSet::new(n);
+    SCRATCH.with(|scratch| {
+        let mut scratch = scratch.borrow_mut();
+        let [current, next] = &mut *scratch;
+        current.reset(program.len());
+        next.reset(program.len());
+        run(program, text, start, current, next)
+    })
+}
+
+fn run<'a>(
+    program: &Program,
+    text: &str,
+    start: usize,
+    mut current: &'a mut ThreadSet,
+    mut next: &'a mut ThreadSet,
+) -> Option<usize> {
     let mut best: Option<usize> = None;
 
     let at_input_start = start == 0;
-    add_thread(program, &mut current, 0, at_input_start, {
+    add_thread(program, current, 0, at_input_start, {
         // Whether position `start` is at the end of input.
         start == text.len()
     });
@@ -28,10 +54,8 @@ pub fn longest_match_at(program: &Program, text: &str, start: usize) -> Option<u
         best = Some(0);
     }
 
-    let mut consumed = 0;
     let tail = &text[start..];
-    let chars = tail.char_indices().peekable();
-    for (offset, c) in chars {
+    for (offset, c) in tail.char_indices() {
         if current.is_dead() {
             break;
         }
@@ -49,16 +73,14 @@ pub fn longest_match_at(program: &Program, text: &str, start: usize) -> Option<u
                 _ => false,
             };
             if advance {
-                add_thread(program, &mut next, pc + 1, false, at_end_after);
+                add_thread(program, next, pc + 1, false, at_end_after);
             }
         }
-        consumed = next_offset;
         if next.matched {
-            best = Some(consumed);
+            best = Some(next_offset);
         }
         std::mem::swap(&mut current, &mut next);
     }
-    let _ = consumed;
     best
 }
 
@@ -75,12 +97,21 @@ struct ThreadSet {
 }
 
 impl ThreadSet {
-    fn new(n: usize) -> Self {
-        ThreadSet {
-            pcs: Vec::with_capacity(n),
-            stamp: vec![0; n],
-            generation: 1,
-            matched: false,
+    const EMPTY: ThreadSet = ThreadSet {
+        pcs: Vec::new(),
+        stamp: Vec::new(),
+        generation: 0,
+        matched: false,
+    };
+
+    /// Empties the set for a run of a program of `n` instructions. Stamps
+    /// left by earlier runs are all below the new generation, so growing
+    /// is the only work that depends on `n`.
+    fn reset(&mut self, n: usize) {
+        self.clear();
+        if self.stamp.len() < n {
+            self.stamp.resize(n, 0);
+            self.pcs.reserve(n);
         }
     }
 

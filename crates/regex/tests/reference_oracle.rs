@@ -1,12 +1,14 @@
 //! Differential testing: the Pike VM against a naive backtracking
-//! reference matcher over the same AST.
-
-// NOTE: the hermetic build has no `proptest`; enable the `proptests`
-// feature after vendoring it to run this suite.
-#![cfg(feature = "proptests")]
+//! reference matcher over the same AST, on seeded inputs from
+//! `concord_rng::prop` (`CONCORD_PROP_SEED`, `CONCORD_PROP_CASES`).
+//!
+//! Every match on a thread reuses that thread's VM scratch, so checking
+//! patterns of every size one after another on the test thread also pins
+//! that no run sees state left by the one before.
 
 use concord_regex::{Ast, ClassItem, ClassSet, Regex};
-use proptest::prelude::*;
+use concord_rng::prop::{self, pick, string_of};
+use concord_rng::{Rng, StdRng};
 
 /// A tiny backtracking matcher: returns every possible match length of
 /// `ast` starting at `pos` (the VM's longest match must be its maximum).
@@ -77,8 +79,8 @@ fn match_lengths(ast: &Ast, chars: &[char], pos: usize, total_len: usize) -> Vec
         }
         Ast::Repeat { node, min, max } => {
             // Lengths achievable with exactly k repetitions, k from min to
-            // max (bounded to the input length to terminate).
-            let cap = max.map(|m| m as usize).unwrap_or(chars.len() + 1);
+            // max (past `min`, bounded by the input length to terminate).
+            let cap = max.map_or(*min as usize + chars.len() + 1, |m| m as usize);
             let mut per_count = vec![0usize];
             let mut result: Vec<usize> = if *min == 0 { vec![0] } else { vec![] };
             for k in 1..=cap {
@@ -108,48 +110,56 @@ fn match_lengths(ast: &Ast, chars: &[char], pos: usize, total_len: usize) -> Vec
     }
 }
 
-/// Strategy for small ASTs rendered back to pattern strings.
-fn arb_pattern() -> impl Strategy<Value = String> {
-    let leaf = prop_oneof![
-        "[abc]".prop_map(|s| s),
-        Just(".".to_string()),
-        Just("[ab]".to_string()),
-        Just("[^c]".to_string()),
-    ];
-    leaf.prop_recursive(3, 12, 3, |inner| {
-        prop_oneof![
-            (inner.clone(), inner.clone()).prop_map(|(a, b)| format!("{a}{b}")),
-            (inner.clone(), inner.clone()).prop_map(|(a, b)| format!("(?:{a}|{b})")),
-            inner.clone().prop_map(|a| format!("(?:{a})*")),
-            inner.clone().prop_map(|a| format!("(?:{a})?")),
-            inner.clone().prop_map(|a| format!("(?:{a})+")),
-            inner.prop_map(|a| format!("(?:{a}){{1,2}}")),
-        ]
-    })
+/// A small random pattern: leaves combined up to `depth` levels deep by
+/// concatenation, alternation and the quantifiers, rendered as a string.
+fn arb_pattern(rng: &mut StdRng, depth: u32) -> String {
+    if depth == 0 || rng.gen_bool(0.3) {
+        return pick(rng, &["a", "b", "c", ".", "[ab]", "[^c]"]).to_string();
+    }
+    let a = arb_pattern(rng, depth - 1);
+    match rng.gen_range(0..9u32) {
+        0 | 1 => format!("{a}{}", arb_pattern(rng, depth - 1)),
+        2 | 3 => format!("(?:{a}|{})", arb_pattern(rng, depth - 1)),
+        4 => format!("(?:{a})*"),
+        5 => format!("(?:{a})?"),
+        6 => format!("(?:{a})+"),
+        _ => format!(
+            "(?:{a}){}",
+            pick(rng, &["{1,2}", "{2}", "{0,3}", "{2,}", "{0}"])
+        ),
+    }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(200))]
-
-    /// The VM's longest match equals the reference matcher's maximum
-    /// match length at every start position.
-    #[test]
-    fn vm_agrees_with_backtracking_reference(pattern in arb_pattern(), input in "[abc]{0,8}") {
+/// The VM's longest match equals the reference matcher's maximum match
+/// length at every start position, with or without anchors around the
+/// pattern and with multi-byte characters in the input.
+#[test]
+fn vm_agrees_with_backtracking_reference() {
+    prop::check("vm_agrees_with_backtracking_reference", 200, |rng| {
+        let mut pattern = arb_pattern(rng, 3);
+        if rng.gen_bool(0.2) {
+            pattern.insert(0, '^');
+        }
+        if rng.gen_bool(0.2) {
+            pattern.push('$');
+        }
+        let input = string_of(rng, "aaabbbccc\u{e9}", 0..=8);
         let regex = Regex::new(&pattern).unwrap();
         let ast = parse_for_reference(&pattern);
         let chars: Vec<char> = input.chars().collect();
         for start in 0..=chars.len() {
             let byte_start: usize = chars[..start].iter().map(|c| c.len_utf8()).sum();
             let vm = regex.match_at(&input, byte_start);
-            let mut reference = match_lengths(&ast, &chars, start, chars.len());
-            reference.sort_unstable();
-            let expected = reference.last().copied();
-            prop_assert_eq!(
+            let expected = match_lengths(&ast, &chars, start, chars.len())
+                .into_iter()
+                .max()
+                .map(|n| chars[start..start + n].iter().map(|c| c.len_utf8()).sum());
+            assert_eq!(
                 vm, expected,
-                "pattern {:?} input {:?} start {}", pattern, input, start
+                "pattern {pattern:?} input {input:?} start {start}"
             );
         }
-    }
+    });
 }
 
 /// Re-parses a pattern into the public AST (the parser itself is under
@@ -166,8 +176,8 @@ fn parse_for_reference(pattern: &str) -> Ast {
 fn concord_regex_parse(pattern: &str) -> Ast {
     // The engine does not expose its parser; reconstruct the AST with a
     // tiny recursive-descent parser for the restricted grammar used by
-    // `arb_pattern`: literals a-c, `.`, classes, `(?:..|..)`, postfix
-    // `*?+{1,2}` on groups.
+    // `arb_pattern`: literals a-c, `.`, anchors, classes, `(?:..|..)`,
+    // postfix `*?+` and `{n}`, `{n,}`, `{n,m}` on groups.
     Parser {
         chars: pattern.chars().collect(),
         pos: 0,
@@ -224,9 +234,15 @@ impl Parser {
                 (0, Some(1))
             }
             Some('{') => {
-                // Only `{1,2}` appears in generated patterns.
-                self.pos += "{1,2}".len();
-                (1, Some(2))
+                self.pos += 1;
+                let min = self.number();
+                let max = if self.eat(',') {
+                    (self.peek() != Some('}')).then(|| self.number())
+                } else {
+                    Some(min)
+                };
+                assert!(self.eat('}'));
+                (min, max)
             }
             _ => return atom,
         };
@@ -259,8 +275,19 @@ impl Parser {
                 Ast::Class(ClassSet { items, negated })
             }
             '.' => Ast::Dot,
+            '^' => Ast::StartAnchor,
+            '$' => Ast::EndAnchor,
             c => Ast::Literal(c),
         }
+    }
+
+    fn number(&mut self) -> u32 {
+        let mut n = 0;
+        while let Some(d) = self.peek().and_then(|c| c.to_digit(10)) {
+            n = n * 10 + d;
+            self.pos += 1;
+        }
+        n
     }
 
     fn peek(&self) -> Option<char> {

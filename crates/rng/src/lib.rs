@@ -8,6 +8,10 @@
 //! generators need (`StdRng::seed_from_u64`, `gen_range`, `gen_bool`), so
 //! call sites read identically; determinism per seed is guaranteed across
 //! platforms, which is what the experiment harness actually relies on.
+//! The same generator drives the workspace's property suites through
+//! [`prop::check`].
+
+pub mod prop;
 
 /// Seedable random number generators (API parity with `rand::rngs`).
 pub mod rngs {
