@@ -13,9 +13,10 @@
 //! parallelism 1 and 8.
 
 use concord_bench::seed;
-use concord_core::LearnParams;
+use concord_core::{sketch_config, ConfigSketch, LearnParams};
 use concord_datagen::{generate_role, RoleSpec, Style};
 use concord_engine::{Engine, EngineOptions};
+use concord_json::Json;
 use concord_rng::rngs::StdRng;
 use concord_rng::{Rng, SeedableRng};
 
@@ -152,4 +153,50 @@ fn random_edit_relearns_match_full_wan_indent() {
     for parallelism in [1, 8] {
         run_sequence(Style::WanIndent, parallelism, 307 + parallelism as u64);
     }
+}
+
+/// Persisted sketches round-trip exactly and stay compact: every
+/// config's checkpoint bundle decodes to the sketch it was rendered
+/// from, and the bundles total at most 20x the configs' text (the
+/// relational section indexes its nodes and witnesses instead of
+/// repeating them per candidate).
+#[test]
+fn persisted_sketches_round_trip_and_stay_compact() {
+    let spec = RoleSpec {
+        name: "LDSIZE".to_string(),
+        devices: 24,
+        style: Style::EdgeIndent,
+        blocks: 32,
+        with_metadata: true,
+    };
+    let role = generate_role(&spec, seed());
+    let options = EngineOptions::default();
+    let params = options.learn.clone();
+    let mut engine =
+        Engine::from_corpus(&role.configs, &role.metadata, options).expect("engine builds");
+    engine.relearn();
+    let ds = engine.dataset();
+
+    let mut sketch_bytes = 0;
+    for ci in 0..ds.configs.len() {
+        let name = ds.config_name(ci);
+        let rendered = engine.export_sketch_for(name).expect("sketched").render();
+        sketch_bytes += rendered.len();
+        let bundle = Json::parse(&rendered).expect("bundle parses");
+        let entry = &bundle["configs"][0];
+        assert_eq!(entry["name"].as_str(), Some(name));
+        let decoded = ConfigSketch::from_json(&entry["sketch"], &ds.table);
+        assert_eq!(
+            decoded.as_ref(),
+            Some(&sketch_config(ds, ci, &params)),
+            "{name}"
+        );
+    }
+
+    let text_bytes: usize = role.configs.iter().map(|(_, text)| text.len()).sum();
+    assert!(
+        sketch_bytes <= 20 * text_bytes,
+        "sketch bundles are {sketch_bytes} B, {:.1}x the {text_bytes} B of config text",
+        sketch_bytes as f64 / text_bytes as f64
+    );
 }

@@ -16,14 +16,20 @@
 //! (pattern *text*, not ids, so they survive snapshot/restore where ids
 //! are reassigned). Witness hashes and diversity scores are stored as
 //! fixed-width hex bit-patterns: the JSON number type is an `f64` and
-//! cannot round-trip full-range `u64` hashes.
+//! cannot round-trip full-range `u64` hashes. The relational section is
+//! the bulk of a sketch — thousands of candidates over a few hundred
+//! nodes and witnesses — so it is written as a table of distinct nodes,
+//! a table of distinct witnesses, and candidates that refer to both by
+//! index.
 
+use std::fmt::Write as _;
 use std::time::Instant;
 
 use concord_json::{FromJson, Json, ToJson};
 use concord_types::{BigNum, Transform};
 
 use crate::contract::{Contract, ContractSet, RelationKind};
+use crate::fxhash::FxHashMap;
 use crate::ir::{Dataset, PatternId, PatternTable};
 use crate::learn::indexes::{NodeKey, TransformTag};
 use crate::learn::LearnStats;
@@ -31,8 +37,9 @@ use crate::learn::{minimize, ordering, present, range, relational, sequence, typ
 use crate::params::LearnParams;
 
 /// Format version of the serialized sketch; bump on any layout change
-/// so stale persisted sketches are dropped instead of misread.
-pub const SKETCH_FORMAT_VERSION: u64 = 1;
+/// so stale persisted sketches are dropped instead of misread. Version 2
+/// indexes the relational section's nodes and witnesses.
+pub const SKETCH_FORMAT_VERSION: u64 = 2;
 
 /// One configuration's complete miner sketch.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -300,13 +307,125 @@ fn node_to_json(node: NodeKey, table: &PatternTable) -> Json {
 
 fn node_from_json(json: &Json, table: &PatternTable) -> Option<NodeKey> {
     let pattern = table.get(json.get("pattern")?.as_str()?)?;
-    let param = json.get("param")?.as_u64()? as u16;
+    let param = u16::from_json(json.get("param")?).ok()?;
     let transform = Transform::from_json(json.get("transform")?).ok()?;
     Some(NodeKey {
         pattern,
         param,
         transform_tag: TransformTag::from_transform(&transform),
     })
+}
+
+/// Returns `key`'s index in the table behind `index`, appending it (via
+/// `push`) on first sight.
+fn intern<K: std::hash::Hash + Eq>(
+    index: &mut FxHashMap<K, usize>,
+    key: K,
+    push: impl FnOnce(),
+) -> usize {
+    let next = index.len();
+    *index.entry(key).or_insert_with(|| {
+        push();
+        next
+    })
+}
+
+/// Writes a relational run as a table of its distinct nodes, a table of
+/// its distinct `(hash, score)` witnesses, and one
+/// `[antecedent, relation, consequent, valid, witnesses]` entry per
+/// candidate, where the nodes are indices into the node table and
+/// `witnesses` is one string of space-separated hex indices into the
+/// witness table, in list order. Both tables are in first-use order.
+fn relational_to_json(run: &relational::PartialRun, table: &PatternTable) -> Json {
+    let mut node_index: FxHashMap<NodeKey, usize> = FxHashMap::default();
+    let mut nodes = Vec::new();
+    let mut witness_index: FxHashMap<(u64, u64), usize> = FxHashMap::default();
+    let mut witnesses = Vec::new();
+    let mut candidates = Vec::with_capacity(run.len());
+    for (code, partial) in run {
+        let key = relational::decode_cand(*code);
+        let mut node = |node: NodeKey| {
+            intern(&mut node_index, node, || {
+                nodes.push(node_to_json(node, table));
+            })
+        };
+        let antecedent = node(key.antecedent);
+        let consequent = node(key.consequent);
+        let mut refs = String::with_capacity(4 * partial.witnesses.len());
+        for &(hash, score) in &partial.witnesses {
+            let i = intern(&mut witness_index, (hash, score.to_bits()), || {
+                witnesses.push(Json::Array(vec![hex64(hash), hex_f64(score)]));
+            });
+            if !refs.is_empty() {
+                refs.push(' ');
+            }
+            let _ = write!(refs, "{i:x}");
+        }
+        candidates.push(Json::Array(vec![
+            antecedent.to_json(),
+            key.relation.to_json(),
+            consequent.to_json(),
+            partial.valid.to_json(),
+            Json::Str(refs),
+        ]));
+    }
+    Json::Object(vec![
+        ("nodes".to_string(), Json::Array(nodes)),
+        ("witnesses".to_string(), Json::Array(witnesses)),
+        ("candidates".to_string(), Json::Array(candidates)),
+    ])
+}
+
+/// Inverts [`relational_to_json`], re-encoding nodes under `table`'s
+/// current ids and restoring the run's sort order. `None` on any shape
+/// mismatch, out-of-range integer, or index outside its table.
+fn relational_from_json(json: &Json, table: &PatternTable) -> Option<relational::PartialRun> {
+    let nodes = json
+        .get("nodes")?
+        .as_array()?
+        .iter()
+        .map(|node| node_from_json(node, table))
+        .collect::<Option<Vec<NodeKey>>>()?;
+    let witnesses = json
+        .get("witnesses")?
+        .as_array()?
+        .iter()
+        .map(|pair| match pair.as_array()? {
+            [hash, score] => Some((parse_hex64(hash)?, parse_hex_f64(score)?)),
+            _ => None,
+        })
+        .collect::<Option<Vec<(u64, f64)>>>()?;
+    let node_at = |j: &Json| nodes.get(usize::try_from(j.as_u64()?).ok()?).copied();
+    let mut run: relational::PartialRun = Vec::new();
+    for entry in json.get("candidates")?.as_array()? {
+        let [antecedent, relation, consequent, valid, refs] = entry.as_array()? else {
+            return None;
+        };
+        let code = relational::cand_code(
+            relational::node_code(node_at(antecedent)?),
+            relational::consequent_code(
+                RelationKind::from_json(relation).ok()?,
+                node_at(consequent)?,
+            ),
+        );
+        let witnesses = refs
+            .as_str()?
+            .split_ascii_whitespace()
+            .map(|i| witnesses.get(usize::from_str_radix(i, 16).ok()?).copied())
+            .collect::<Option<Vec<(u64, f64)>>>()?;
+        run.push((
+            code,
+            relational::Partial {
+                valid: u32::from_json(valid).ok()?,
+                witnesses,
+                seen: None,
+            },
+        ));
+    }
+    // Ids may have been reassigned since the sketch was written:
+    // restore the sorted-run invariant under the current encoding.
+    run.sort_unstable_by_key(|&(code, _)| code);
+    Some(run)
 }
 
 impl ConfigSketch {
@@ -430,38 +549,6 @@ impl ConfigSketch {
                 })
                 .collect(),
         );
-        let relational = Json::Array(
-            self.relational
-                .iter()
-                .map(|(code, partial)| {
-                    let key = relational::decode_cand(*code);
-                    Json::Object(vec![
-                        (
-                            "antecedent".to_string(),
-                            node_to_json(key.antecedent, table),
-                        ),
-                        ("relation".to_string(), key.relation.to_json()),
-                        (
-                            "consequent".to_string(),
-                            node_to_json(key.consequent, table),
-                        ),
-                        ("valid".to_string(), u64::from(partial.valid).to_json()),
-                        (
-                            "witnesses".to_string(),
-                            Json::Array(
-                                partial
-                                    .witnesses
-                                    .iter()
-                                    .map(|&(hash, score)| {
-                                        Json::Array(vec![hex64(hash), hex_f64(score)])
-                                    })
-                                    .collect(),
-                            ),
-                        ),
-                    ])
-                })
-                .collect(),
-        );
         Json::Object(vec![
             ("patterns".to_string(), patterns),
             ("constants".to_string(), constants),
@@ -470,7 +557,10 @@ impl ConfigSketch {
             ("sequence".to_string(), sequence),
             ("unique".to_string(), unique),
             ("range".to_string(), range),
-            ("relational".to_string(), relational),
+            (
+                "relational".to_string(),
+                relational_to_json(&self.relational, table),
+            ),
             (
                 "truncations".to_string(),
                 self.relational_truncations.to_json(),
@@ -479,7 +569,8 @@ impl ConfigSketch {
     }
 
     /// Decodes a sketch against `table`, re-encoding pattern texts into
-    /// the table's current ids. Returns `None` on any shape mismatch or
+    /// the table's current ids. Returns `None` on any shape mismatch, an
+    /// integer outside its field's type, an index outside its table, or
     /// when a referenced pattern is no longer interned — callers treat
     /// that as "no sketch" and re-mine the config.
     pub fn from_json(json: &Json, table: &PatternTable) -> Option<ConfigSketch> {
@@ -528,7 +619,7 @@ impl ConfigSketch {
             };
             sequence_entries.push((
                 pattern_of(pattern)?,
-                param.as_u64()? as u16,
+                u16::from_json(param).ok()?,
                 sequential.as_bool()?,
             ));
         }
@@ -545,7 +636,7 @@ impl ConfigSketch {
                 distinct.push((rendered.as_str()?.to_string(), parse_hex_f64(score)?));
             }
             unique_entries.push((
-                (pattern_of(pattern)?, param.as_u64()? as u16),
+                (pattern_of(pattern)?, u16::from_json(param).ok()?),
                 unique::ParamSketch {
                     distinct,
                     instances: body.get("instances")?.as_u64()?,
@@ -564,7 +655,7 @@ impl ConfigSketch {
                 distinct.push(BigNum::from_json(value).ok()?);
             }
             range_entries.push((
-                (pattern_of(pattern)?, param.as_u64()? as u16),
+                (pattern_of(pattern)?, u16::from_json(param).ok()?),
                 range::ParamSketch {
                     min: BigNum::from_json(body.get("min")?).ok()?,
                     max: BigNum::from_json(body.get("max")?).ok()?,
@@ -573,35 +664,6 @@ impl ConfigSketch {
                 },
             ));
         }
-        let mut relational_run: relational::PartialRun = Vec::new();
-        for entry in json.get("relational")?.as_array()? {
-            let antecedent = node_from_json(entry.get("antecedent")?, table)?;
-            let relation = RelationKind::from_json(entry.get("relation")?).ok()?;
-            let consequent = node_from_json(entry.get("consequent")?, table)?;
-            let mut witnesses = Vec::new();
-            for pair in entry.get("witnesses")?.as_array()? {
-                let [hash, score] = pair.as_array()? else {
-                    return None;
-                };
-                witnesses.push((parse_hex64(hash)?, parse_hex_f64(score)?));
-            }
-            let code = relational::cand_code(
-                relational::node_code(antecedent),
-                relational::consequent_code(relation, consequent),
-            );
-            relational_run.push((
-                code,
-                relational::Partial {
-                    valid: entry.get("valid")?.as_u64()? as u32,
-                    witnesses,
-                    seen: None,
-                },
-            ));
-        }
-        // Ids may have been reassigned since the sketch was written:
-        // restore the sorted-run invariant under the current encoding.
-        relational_run.sort_unstable_by_key(|&(code, _)| code);
-
         Some(ConfigSketch {
             patterns,
             present: present::Sketch { constants },
@@ -616,7 +678,7 @@ impl ConfigSketch {
             range: range::Sketch {
                 entries: range_entries,
             },
-            relational: relational_run,
+            relational: relational_from_json(json.get("relational")?, table)?,
             relational_truncations: json.get("truncations")?.as_u64()?,
         })
     }
@@ -706,6 +768,120 @@ mod tests {
         // Decode against a table that lacks the patterns.
         let other = dataset(&["completely different\n".to_string()]);
         assert!(ConfigSketch::from_json(&json, &other.table).is_none());
+    }
+
+    /// The value under `key` of a JSON object.
+    fn field<'a>(json: &'a mut Json, key: &str) -> &'a mut Json {
+        let Json::Object(pairs) = json else {
+            panic!("not an object: {json}")
+        };
+        &mut pairs.iter_mut().find(|(k, _)| k == key).expect(key).1
+    }
+
+    fn items(json: &mut Json) -> &mut Vec<Json> {
+        let Json::Array(items) = json else {
+            panic!("not an array: {json}")
+        };
+        items
+    }
+
+    /// A sketch with non-empty sequence, unique, range and relational
+    /// sections, and its JSON.
+    fn full_sketch() -> (Dataset, ConfigSketch, Json) {
+        let texts: Vec<String> = rich_texts()
+            .into_iter()
+            .map(|text| format!("{text}vlan 900\n"))
+            .collect();
+        let ds = dataset(&texts);
+        let params = LearnParams {
+            learn_constants: true,
+            enable_range: true,
+            ..LearnParams::default()
+        };
+        let sketch = sketch_config(&ds, 0, &params);
+        assert!(!sketch.sequence.entries.is_empty());
+        assert!(!sketch.unique.entries.is_empty());
+        assert!(!sketch.range.entries.is_empty());
+        assert!(sketch
+            .relational
+            .iter()
+            .any(|(_, p)| !p.witnesses.is_empty()));
+        let json = sketch.to_json(&ds.table);
+        (ds, sketch, json)
+    }
+
+    #[test]
+    fn from_json_rejects_params_beyond_u16() {
+        let (ds, sketch, json) = full_sketch();
+        assert_eq!(ConfigSketch::from_json(&json, &ds.table), Some(sketch));
+        // Raised by 2^16, every param would decode to itself if it were
+        // truncated to 16 bits.
+        for section in ["sequence", "unique", "range"] {
+            let mut raised = json.clone();
+            for entry in items(field(&mut raised, section)) {
+                let param = &mut items(entry)[1];
+                *param = (param.as_u64().expect("param") + 65_536).to_json();
+            }
+            assert!(
+                ConfigSketch::from_json(&raised, &ds.table).is_none(),
+                "{section}"
+            );
+        }
+    }
+
+    #[test]
+    fn from_json_rejects_out_of_range_relational_entries() {
+        let (ds, _, json) = full_sketch();
+        let decodes = |edit: &dyn Fn(&mut Json)| {
+            let mut edited = json.clone();
+            edit(field(&mut edited, "relational"));
+            ConfigSketch::from_json(&edited, &ds.table).is_some()
+        };
+        // A node index one past the node table.
+        assert!(!decodes(&|relational| {
+            let nodes = items(field(relational, "nodes")).len();
+            items(&mut items(field(relational, "candidates"))[0])[0] = nodes.to_json();
+        }));
+        // A witness index one past the witness table.
+        assert!(!decodes(&|relational| {
+            let witnesses = items(field(relational, "witnesses")).len();
+            items(&mut items(field(relational, "candidates"))[0])[4] =
+                Json::Str(format!("0 {witnesses:x}"));
+        }));
+        // A node param and a valid count beyond their integer types.
+        assert!(!decodes(&|relational| {
+            *field(&mut items(field(relational, "nodes"))[0], "param") = 65_536u64.to_json();
+        }));
+        assert!(!decodes(&|relational| {
+            items(&mut items(field(relational, "candidates"))[0])[3] = (1u64 << 32).to_json();
+        }));
+    }
+
+    #[test]
+    fn relational_section_indexes_distinct_nodes_and_witnesses() {
+        let (_, sketch, json) = full_sketch();
+        let relational = &json["relational"];
+        let count = |key: &str| relational[key].as_array().expect(key).len();
+        assert_eq!(count("candidates"), sketch.relational.len());
+        let mut witnesses: Vec<(u64, u64)> = sketch
+            .relational
+            .iter()
+            .flat_map(|(_, p)| p.witnesses.iter().map(|&(h, s)| (h, s.to_bits())))
+            .collect();
+        witnesses.sort_unstable();
+        witnesses.dedup();
+        assert_eq!(count("witnesses"), witnesses.len());
+        let mut nodes: Vec<NodeKey> = sketch
+            .relational
+            .iter()
+            .flat_map(|&(code, _)| {
+                let key = relational::decode_cand(code);
+                [key.antecedent, key.consequent]
+            })
+            .collect();
+        nodes.sort_unstable();
+        nodes.dedup();
+        assert_eq!(count("nodes"), nodes.len());
     }
 
     #[test]

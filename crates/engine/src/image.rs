@@ -36,13 +36,13 @@ pub struct ImageConfig {
     pub id: u64,
     /// Edit generation.
     pub generation: u64,
-    /// This configuration's learn sketch as a complete single-config
-    /// `Engine::export_sketches`-shaped bundle, captured at checkpoint
-    /// time. Purely derived state: `None` (or a stale/undecodable
-    /// bundle) is simply re-mined by the next delta relearn. Keeping the
-    /// sketch *per config* is what makes segmented checkpoints O(dirty):
-    /// an unedited config's segment — text and sketch — never has to be
-    /// re-serialized.
+    /// This configuration's learn sketch as rendered by
+    /// [`Engine::export_sketch_for`](crate::Engine::export_sketch_for),
+    /// captured at checkpoint time. Purely derived state: `None` (or a
+    /// stale/undecodable bundle) is simply re-mined by the next delta
+    /// relearn. Keeping the sketch *per config* is what makes segmented
+    /// checkpoints O(dirty): an unedited config's segment — text and
+    /// sketch — never has to be re-serialized.
     pub sketch: Option<String>,
 }
 
@@ -335,53 +335,17 @@ impl FromJson for EngineImage {
             .get("applied_seq")
             .and_then(Json::as_u64)
             .ok_or_else(|| JsonError::custom("image missing applied_seq"))?;
-        let mut image = EngineImage {
+        // Snapshots written before sketches moved into the per-config
+        // segments also carry one top-level `sketches` bundle. It is in
+        // sketch format 1, which import rejects, so it is ignored and the
+        // next LEARN re-mines those configs.
+        Ok(EngineImage {
             configs,
             metadata,
             contracts,
             counters,
             applied_seq,
-        };
-        // Snapshots written before sketches moved into the per-config
-        // segments carried one monolithic `Engine::export_sketches`
-        // bundle; split it into per-config single-entry bundles so the
-        // rest of the engine only ever sees the per-config shape.
-        if let Some(bundle) = value.get("sketches").and_then(Json::as_str) {
-            distribute_legacy_sketches(&mut image.configs, bundle);
-        }
-        Ok(image)
-    }
-}
-
-/// Splits a legacy monolithic sketch bundle into per-config
-/// single-entry bundles (each self-contained with the format version
-/// and learn-params fingerprint, so `Engine::import_sketches` applies
-/// its staleness guards unchanged). Best-effort: an unparsable bundle
-/// or an unknown config name is silently dropped — sketches are derived
-/// state and re-mining is always correct.
-fn distribute_legacy_sketches(configs: &mut [ImageConfig], bundle: &str) {
-    let Ok(bundle) = Json::parse(bundle) else {
-        return;
-    };
-    let (Some(version), Some(params)) = (bundle.get("version"), bundle.get("params")) else {
-        return;
-    };
-    let Some(entries) = bundle.get("configs").and_then(Json::as_array) else {
-        return;
-    };
-    for entry in entries {
-        let Some(name) = entry.get("name").and_then(Json::as_str) else {
-            continue;
-        };
-        let Ok(i) = configs.binary_search_by(|c| c.name.as_str().cmp(name)) else {
-            continue;
-        };
-        let single = Json::Object(vec![
-            ("version".to_string(), version.clone()),
-            ("params".to_string(), params.clone()),
-            ("configs".to_string(), Json::Array(vec![entry.clone()])),
-        ]);
-        configs[i].sketch = Some(single.render());
+        })
     }
 }
 
@@ -465,41 +429,20 @@ mod tests {
     }
 
     #[test]
-    fn legacy_monolithic_sketch_bundle_distributes_per_config() {
+    fn legacy_monolithic_sketch_bundle_is_ignored() {
         // A pre-segmentation snapshot carried one top-level `sketches`
-        // bundle; decoding must split it into self-contained per-config
-        // bundles (version + params preserved) and drop unknown names.
+        // bundle in sketch format 1. It still decodes, without sketches.
         let image = EngineImage::from_corpus(&corpus(), &[]);
         let Json::Object(mut pairs) = image.to_json() else {
             panic!("image serializes as an object")
         };
         let bundle = concat!(
             "{\"version\": 1, \"params\": \"fp\", \"configs\": [",
-            "{\"name\": \"dev2\", \"generation\": 0, \"sketch\": {}},",
-            "{\"name\": \"ghost\", \"generation\": 0, \"sketch\": {}}]}",
+            "{\"name\": \"dev2\", \"generation\": 0, \"sketch\": {}}]}",
         );
         pairs.push(("sketches".to_string(), Json::Str(bundle.to_string())));
         let back = EngineImage::from_json(&Json::Object(pairs)).expect("decodes");
-        let dev2 = back
-            .configs
-            .iter()
-            .find(|c| c.name == "dev2")
-            .expect("dev2 present");
-        let single = Json::parse(dev2.sketch.as_deref().expect("distributed")).expect("parses");
-        assert_eq!(single.get("version").and_then(Json::as_u64), Some(1));
-        assert_eq!(single.get("params").and_then(Json::as_str), Some("fp"));
-        assert_eq!(
-            single
-                .get("configs")
-                .and_then(Json::as_array)
-                .map(<[Json]>::len),
-            Some(1)
-        );
-        assert!(back
-            .configs
-            .iter()
-            .filter(|c| c.name != "dev2")
-            .all(|c| c.sketch.is_none()));
+        assert_eq!(back, image);
     }
 
     #[test]

@@ -644,45 +644,15 @@ impl Engine {
         }
     }
 
-    /// Serializes the cached per-configuration learn sketches for
-    /// persistence. The bundle records the sketch format version, a
-    /// fingerprint of the learn parameters the sketches were mined
-    /// under, and each sketch's configuration name + edit generation, so
-    /// [`Engine::import_sketches`] can reject anything stale.
-    pub fn export_sketches(&self) -> Json {
-        let configs: Vec<Json> = self
-            .dataset
-            .configs
-            .iter()
-            .zip(&self.slots)
-            .filter_map(|(c, s)| {
-                let sketch = s.sketch.as_ref()?;
-                Some(Json::Object(vec![
-                    (
-                        "name".to_string(),
-                        Json::Str(self.dataset.name_of(c).to_string()),
-                    ),
-                    ("generation".to_string(), s.generation.to_json()),
-                    ("sketch".to_string(), sketch.to_json(&self.dataset.table)),
-                ]))
-            })
-            .collect();
-        Json::Object(vec![
-            ("version".to_string(), SKETCH_FORMAT_VERSION.to_json()),
-            (
-                "params".to_string(),
-                Json::Str(sketch_params_fingerprint(&self.options.learn)),
-            ),
-            ("configs".to_string(), Json::Array(configs)),
-        ])
-    }
-
-    /// Serializes one configuration's cached learn sketch as a complete
-    /// single-config bundle (same shape as [`Engine::export_sketches`],
-    /// with one entry), or `None` when the config is unknown or its
-    /// sketch has not been mined yet. The segmented checkpoint path
-    /// stores this per config so an unedited configuration's sketch is
-    /// never re-rendered.
+    /// Serializes one configuration's cached learn sketch for
+    /// persistence, or `None` when the config is unknown or its sketch
+    /// has not been mined yet. The bundle records the sketch format
+    /// version, a fingerprint of the learn parameters the sketch was
+    /// mined under, and a one-entry `configs` list holding the
+    /// configuration's name, edit generation and sketch, so
+    /// [`Engine::import_sketches`] can reject anything stale. The
+    /// segmented checkpoint path stores one bundle per config so an
+    /// unedited configuration's sketch is never re-rendered.
     pub fn export_sketch_for(&self, name: &str) -> Option<Json> {
         let i = self.dataset.config_index(name)?;
         let slot = &self.slots[i];
@@ -704,13 +674,13 @@ impl Engine {
         ]))
     }
 
-    /// Restores cached sketches from an [`Engine::export_sketches`]
-    /// bundle, returning how many were accepted. Sketches are derived
-    /// state, so every guard fails *safe* to "no sketch" (re-mined by
-    /// the next delta relearn): a format-version or learn-params
-    /// mismatch drops the whole bundle; per configuration, an unknown
-    /// name, a generation mismatch, or an undecodable sketch (e.g. a
-    /// pattern no longer interned) drops just that entry.
+    /// Restores cached sketches from a bundle written by
+    /// [`Engine::export_sketch_for`], returning how many were accepted.
+    /// Sketches are derived state, so every guard fails *safe* to "no
+    /// sketch" (re-mined by the next delta relearn): a format-version or
+    /// learn-params mismatch drops the whole bundle; per configuration,
+    /// an unknown name, a generation mismatch, or an undecodable sketch
+    /// (e.g. a pattern no longer interned) drops just that entry.
     pub fn import_sketches(&mut self, bundle: &Json) -> usize {
         if bundle.get("version").and_then(Json::as_u64) != Some(SKETCH_FORMAT_VERSION) {
             return 0;
@@ -1384,14 +1354,27 @@ mod tests {
         assert_eq!(engine.snapshot_stats().learn_delta.contracts_edits, 2);
     }
 
+    /// Every config's sketch bundle, as the checkpoint path writes them.
+    fn export_all_sketches(engine: &Engine) -> Vec<Json> {
+        engine
+            .generations()
+            .iter()
+            .map(|(name, _)| engine.export_sketch_for(name).expect("sketched"))
+            .collect()
+    }
+
+    fn import_all(engine: &mut Engine, bundles: &[Json]) -> usize {
+        bundles.iter().map(|b| engine.import_sketches(b)).sum()
+    }
+
     #[test]
     fn sketches_round_trip_through_export_import() {
         let mut source = Engine::from_corpus(&corpus(), &[], EngineOptions::default()).unwrap();
         source.relearn();
-        let bundle = source.export_sketches();
+        let bundles = export_all_sketches(&source);
 
         let mut restored = Engine::from_corpus(&corpus(), &[], EngineOptions::default()).unwrap();
-        assert_eq!(restored.import_sketches(&bundle), 6);
+        assert_eq!(import_all(&mut restored, &bundles), 6);
         assert_eq!(restored.snapshot_stats().learn_delta.sketches, 6);
         restored.relearn();
         let ld = restored.snapshot_stats().learn_delta;
@@ -1407,19 +1390,21 @@ mod tests {
     fn import_sketches_rejects_stale_bundles() {
         let mut source = Engine::from_corpus(&corpus(), &[], EngineOptions::default()).unwrap();
         source.relearn();
-        let bundle = source.export_sketches();
+        let bundles = export_all_sketches(&source);
 
-        // Format-version mismatch drops the whole bundle.
-        let mut wrong_version = bundle.clone();
-        if let Json::Object(fields) = &mut wrong_version {
-            for (k, v) in fields.iter_mut() {
-                if k == "version" {
-                    *v = (SKETCH_FORMAT_VERSION + 1).to_json();
+        // A format-version mismatch drops the bundle.
+        let mut engine = Engine::from_corpus(&corpus(), &[], EngineOptions::default()).unwrap();
+        for version in [SKETCH_FORMAT_VERSION - 1, SKETCH_FORMAT_VERSION + 1] {
+            let mut wrong_version = bundles[0].clone();
+            if let Json::Object(fields) = &mut wrong_version {
+                for (k, v) in fields.iter_mut() {
+                    if k == "version" {
+                        *v = version.to_json();
+                    }
                 }
             }
+            assert_eq!(engine.import_sketches(&wrong_version), 0);
         }
-        let mut engine = Engine::from_corpus(&corpus(), &[], EngineOptions::default()).unwrap();
-        assert_eq!(engine.import_sketches(&wrong_version), 0);
 
         // Learn-params mismatch drops the whole bundle: these sketches
         // were mined under different semantics.
@@ -1431,19 +1416,19 @@ mod tests {
             ..EngineOptions::default()
         };
         let mut engine = Engine::from_corpus(&corpus(), &[], options).unwrap();
-        assert_eq!(engine.import_sketches(&bundle), 0);
+        assert_eq!(import_all(&mut engine, &bundles), 0);
 
         // A replaced config's entry is stale (generation moved on); the
-        // rest of the bundle still imports.
+        // other configs' bundles still import.
         let mut engine = Engine::from_corpus(&corpus(), &[], EngineOptions::default()).unwrap();
         engine.upsert_config("dev3", "vlan 9999\n");
-        assert_eq!(engine.import_sketches(&bundle), 5);
+        assert_eq!(import_all(&mut engine, &bundles), 5);
         assert_eq!(engine.snapshot_stats().learn_delta.dirty, 1);
 
         // An unknown config's entry is skipped too.
         let mut engine =
             Engine::from_corpus(&corpus()[..5], &[], EngineOptions::default()).unwrap();
-        assert_eq!(engine.import_sketches(&bundle), 5);
+        assert_eq!(import_all(&mut engine, &bundles), 5);
     }
 
     #[test]
