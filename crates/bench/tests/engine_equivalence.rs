@@ -3,8 +3,8 @@
 //! must be byte-identical — violations, order, coverage, and witness
 //! counters — to a from-scratch batch build-and-check of the same
 //! corpus. This is the contract that lets the engine cache outcomes,
-//! replay unique tables, and skip clean configurations without a
-//! semantics review: the batch pipeline is the spec.
+//! keep a resident unique index, and skip clean configurations without
+//! a semantics review: the batch pipeline is the spec.
 //!
 //! Edits are deterministic (seeded xoshiro) and deliberately messy:
 //! duplicated lines (tripping unique contracts), deleted lines (tripping

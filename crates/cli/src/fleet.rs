@@ -398,8 +398,9 @@ impl Fleet {
         &self.shards[self.router.route(name)]
     }
 
-    /// Drops `shard`'s cached CHECK parts and the fleet's rendered
-    /// CHECK: the next CHECK runs on the leader.
+    /// Bumps `shard`'s version and the fleet's: the next CHECK stops
+    /// serving the rendered report and `shard`'s cached parts, and runs
+    /// that shard on its leader (dropping the stale parts first).
     fn invalidate(&self, shard: &FleetShard) {
         shard.version.fetch_add(1, Ordering::Release);
         self.version.fetch_add(1, Ordering::Release);
@@ -718,19 +719,19 @@ fn fleet_check(shared: &ServeShared, fleet: &Fleet) -> String {
     }
     let cutoff = cutoff(shared);
     let mut parts: Vec<Arc<ShardCheckAggregate>> = Vec::with_capacity(fleet.shards.len());
-    let mut dirty = 0usize;
-    let mut reused = 0usize;
-    let mut resolution_invalidated = false;
+    let mut stats = EngineCheckStats::default();
     for shard in &fleet.shards {
         let mut slot = lock(&shard.parts);
         let cached_version = shard.version.load(Ordering::Acquire);
         if let Some((version, cached)) = slot.as_ref() {
             if *version == cached_version {
-                // Clean shard: every one of its configurations is reused
-                // (the cached parts still carry the dirty counters of the
-                // check that computed them, so the counters are summed
-                // here, not there).
-                reused += cached.parts.configs.len();
+                // Clean shard: every one of its configurations is reused,
+                // and every witness index patched (the cached parts still
+                // carry the counters of the check that computed them, so
+                // the counters are summed here, not there).
+                stats.reused_configs += cached.parts.configs.len();
+                stats.witness_indexes_patched +=
+                    cached.parts.witness_indexes_rebuilt + cached.parts.witness_indexes_patched;
                 parts.push(Arc::clone(cached));
                 continue;
             }
@@ -738,6 +739,9 @@ fn fleet_check(shared: &ServeShared, fleet: &Fleet) -> String {
         let Some(mut guard) = shard.leader.write(cutoff) else {
             return deadline(shared);
         };
+        // Stale parts share the leader's unique index; dropping them
+        // first lets the leader update the index in place.
+        *slot = None;
         // Re-read under the write lock: the version is stable while we
         // hold it, so the cache entry is keyed consistently.
         let shard_version = shard.version.load(Ordering::Acquire);
@@ -753,9 +757,11 @@ fn fleet_check(shared: &ServeShared, fleet: &Fleet) -> String {
             }
         };
         shard.reads.fetch_add(1, Ordering::Relaxed);
-        dirty += computed.dirty_configs;
-        reused += computed.reused_configs;
-        resolution_invalidated |= computed.resolution_invalidated;
+        stats.dirty_configs += computed.dirty_configs;
+        stats.reused_configs += computed.reused_configs;
+        stats.witness_indexes_rebuilt += computed.witness_indexes_rebuilt;
+        stats.witness_indexes_patched += computed.witness_indexes_patched;
+        stats.resolution_invalidated |= computed.resolution_invalidated;
         let arc = Arc::new(ShardCheckAggregate::new(computed));
         *slot = Some((shard_version, Arc::clone(&arc)));
         parts.push(arc);
@@ -776,20 +782,17 @@ fn fleet_check(shared: &ServeShared, fleet: &Fleet) -> String {
             report.total_lines,
         )
     };
-    let first = format!("{violations}{}", summary(dirty, reused));
+    let first = format!(
+        "{violations}{}",
+        summary(stats.dirty_configs, stats.reused_configs)
+    );
     // A repeat CHECK at this fleet version recomputes nothing: dirty=0,
     // reused=all.
     let total_configs: usize = parts.iter().map(|p| p.parts.configs.len()).sum();
     let replay = violations + &summary(0, total_configs);
     *lock(&fleet.check_cache) = Some((fleet_version, replay));
     if let Some(mut reg) = fleet.registry() {
-        reg.last_check = Some(EngineCheckStats {
-            dirty_configs: dirty,
-            reused_configs: reused,
-            resolution_invalidated,
-            witness_indexes_rebuilt: 0,
-            witness_indexes_patched: 0,
-        });
+        reg.last_check = Some(stats);
     }
     first
 }
@@ -1610,6 +1613,28 @@ mod tests {
             assert_eq!(stats["generations"], leader["generations"]);
             assert_eq!(stats["fleet"]["totals"]["configs"], leader["configs"]);
         }
+    }
+
+    /// STATS `last_check` after an edit is the same at every shard
+    /// count: a rechecked shard contributes its own witness-index split,
+    /// and a shard served from cache counts all of its indexes as
+    /// patched.
+    #[test]
+    fn last_check_after_an_edit_is_the_same_at_every_shard_count() {
+        let glob = format!(
+            "{}/../../examples/configs/*.cfg",
+            env!("CARGO_MANIFEST_DIR")
+        );
+        let script = "LEARN\nCHECK\nUPSERT leaf2\nhostname X\n.\nCHECK\nSTATS\nQUIT\n";
+        let last_checks = [1, 2, 3].map(|shards| {
+            let mut args = serve_args(&glob, shards, 0, None);
+            args.params.support = 3;
+            stats_json(&session(&fleet_shared(&args), script))["last_check"].clone()
+        });
+        let patched = last_checks[0]["witness_indexes_patched"].as_u64();
+        assert!(patched.is_some_and(|n| n > 0), "{:?}", last_checks[0]);
+        assert_eq!(last_checks[1], last_checks[0]);
+        assert_eq!(last_checks[2], last_checks[0]);
     }
 
     /// At more than one shard, STATS `memory` is the sum of the shards'.

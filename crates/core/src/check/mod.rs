@@ -15,9 +15,11 @@
 
 pub mod coverage;
 pub mod program;
+mod unique;
 mod witness;
 
-pub use program::{replay_unique_tables, CheckCounters, CheckProgram, ConfigOutcome, UniqueTable};
+pub use program::{CheckCounters, CheckProgram, ConfigOutcome};
+pub use unique::{join_unique_indexes, UniqueIndex, UniqueTable, UniqueViolation};
 
 use std::collections::{HashMap, HashSet};
 
@@ -184,7 +186,7 @@ pub fn check_parallel_with_stats(
         phases.coverage += outcome.phases.coverage;
     }
 
-    // Unique contracts are global: one pass across all configs at once.
+    // Unique contracts are global: one index across all configs at once.
     let unique_start = Instant::now();
     violations.extend(program.check_unique(dataset));
     let unique_time = unique_start.elapsed();

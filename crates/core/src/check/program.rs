@@ -16,20 +16,19 @@
 //!   antecedent probe from O(consequents) into O(1)/O(log) with one fused
 //!   query that answers checking ("any witness?") and coverage ("the sole
 //!   witness?") in a single index walk;
-//! - **single-pass uniques**: unique contracts are grouped by pattern id
-//!   and evaluated in one pass over the dataset
-//!   ([`CheckProgram::check_unique`]), instead of one full dataset
-//!   re-scan per unique contract.
+//! - **single-pass uniques**: unique contracts are grouped by pattern id,
+//!   so one pass over a configuration's pattern column extracts its
+//!   [`UniqueTable`] for every unique contract at once; the tables meet
+//!   in a [`UniqueIndex`] ([`CheckProgram::check_unique`]).
 //!
 //! Coverage ([`coverage::config_coverage`]) executes against the same
 //! program and per-configuration context, so checking and coverage share
 //! the transformed-value cache and the witness indexes.
 
 use std::cell::{Cell, RefCell};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::rc::Rc;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use concord_types::Transform;
@@ -40,6 +39,7 @@ use crate::learn::indexes::TransformTag;
 use crate::learn::sequence_is_sequential;
 
 use super::coverage::{self, ConfigCoverage};
+use super::unique::{UniqueIndex, UniqueTable};
 use super::witness::{WitnessIndex, WitnessProbe};
 use super::{ConfigContext, Resolved, ResolvedContract, Violation};
 
@@ -184,7 +184,7 @@ impl CheckCounters {
 }
 
 /// Everything one configuration contributes to a check run, minus the
-/// global unique pass (see [`CheckProgram::unique_table`]): the unit of
+/// unique pass (see [`CheckProgram::unique_table`]): the unit of
 /// work `check_parallel` fans out — and the unit of caching for the
 /// incremental engine, which recomputes outcomes only for edited
 /// configurations.
@@ -688,22 +688,15 @@ impl<'c> CheckProgram<'c> {
         (out, phases)
     }
 
-    /// Whether any unique contract resolved against the dataset — i.e.
-    /// whether the global unique pass has work to do.
-    pub fn has_unique(&self) -> bool {
-        !self.unique.is_empty()
-    }
-
     /// Extracts one configuration's [`UniqueTable`]: every event the
-    /// configuration contributes to the global unique pass, in line
-    /// order. Like [`CheckProgram::run_config`], the table depends only
-    /// on the configuration's lines and the contract resolution, so the
-    /// incremental engine caches it per configuration and re-extracts it
-    /// only after an edit.
+    /// configuration contributes to the unique pass, in line order. Like
+    /// [`CheckProgram::run_config`], the table depends only on the
+    /// configuration's lines and the contract resolution, so the
+    /// incremental engine re-extracts it only after an edit.
     pub fn unique_table(&self, config: &ConfigIr) -> UniqueTable {
-        let mut events = Vec::new();
+        let mut table = UniqueTable::default();
         if self.unique.is_empty() {
-            return UniqueTable { events };
+            return table;
         }
         for li in 0..config.len() {
             let Some(ops) = self.unique_ops.get(&config.pattern(li)) else {
@@ -718,160 +711,33 @@ impl<'c> CheckProgram<'c> {
                     .params
                     .get(usize::from(*param))
                     .map(|p| p.value.render());
-                events.push(UniqueEvent {
-                    contract: idx,
-                    line_no: line.line_no,
-                    line: Arc::from(line.original),
-                    rendered,
-                });
+                table.push(idx, line.line_no, line.original, rendered);
             }
         }
-        UniqueTable { events }
+        table
     }
 
-    /// Replays per-configuration [`UniqueTable`]s in dataset order,
-    /// reproducing the global unique pass byte for byte: reuse violations
-    /// surface in line order against cross-configuration first-seen
-    /// state, and `once_per_config` "found none" violations follow each
-    /// configuration in compiled contract order.
-    pub fn check_unique_tables(&self, tables: &[(&str, &UniqueTable)]) -> Vec<Violation> {
-        let indices: Vec<usize> = self.unique.iter().map(|&(idx, _)| idx).collect();
-        replay_unique_tables(self.contracts, &indices, tables)
+    /// An empty [`UniqueIndex`] over the unique contracts that resolved
+    /// against this program's dataset.
+    pub fn unique_index(&self) -> UniqueIndex {
+        UniqueIndex::new(self.contracts, self.unique.iter().map(|&(idx, _)| idx))
     }
 
-    /// Contract indices of the unique contracts that resolved against
-    /// this program's dataset, in compiled (contract-set) order. A fleet
-    /// of shards unions these per-shard lists to recover the global
-    /// resolution before replaying tables with
-    /// [`replay_unique_tables`].
-    pub fn unique_indices(&self) -> Vec<usize> {
-        self.unique.iter().map(|&(idx, _)| idx).collect()
-    }
-
-    /// Checks all unique contracts in a single pass over the dataset —
-    /// expressed as "extract every configuration's table, replay them in
-    /// dataset order", so the batch path and the incremental engine share
-    /// one implementation.
+    /// Checks all unique contracts over the dataset: every
+    /// configuration's table goes into one index, ranked by dataset
+    /// position, which then lists its violations.
     pub(crate) fn check_unique(&self, dataset: &Dataset) -> Vec<Violation> {
         if self.unique.is_empty() {
             return Vec::new();
         }
-        let tables: Vec<UniqueTable> = dataset
-            .configs
-            .iter()
-            .map(|c| self.unique_table(c))
-            .collect();
-        let refs: Vec<(&str, &UniqueTable)> = dataset
-            .configs
-            .iter()
-            .zip(&tables)
-            .map(|(c, t)| (dataset.name_of(c), t))
-            .collect();
-        self.check_unique_tables(&refs)
-    }
-}
-
-/// Replays per-configuration [`UniqueTable`]s in dataset order against
-/// an explicit contract set and list of resolved unique-contract
-/// indices, reproducing the global unique pass byte for byte. This is
-/// the program-independent core of
-/// [`CheckProgram::check_unique_tables`]: a sharded fleet extracts
-/// tables with per-shard programs, unions the shards' resolved indices
-/// (each stays in compiled order, so a sorted merge preserves it), and
-/// replays here to recover exactly the single-engine unique pass.
-pub fn replay_unique_tables(
-    contracts: &ContractSet,
-    unique_indices: &[usize],
-    tables: &[(&str, &UniqueTable)],
-) -> Vec<Violation> {
-    if unique_indices.is_empty() {
-        return Vec::new();
-    }
-    let mut out = Vec::new();
-    // Per-contract cross-config seen sets, keyed by contract index.
-    let mut seen: HashMap<usize, HashSet<String>> = HashMap::new();
-    let mut counts: HashMap<usize, u32> = HashMap::new();
-    for &(name, table) in tables {
-        counts.clear();
-        for event in &table.events {
-            let idx = event.contract;
-            let Contract::Unique { pattern, param, .. } = &contracts.contracts[idx] else {
-                unreachable!("unique event on non-unique contract")
-            };
-            *counts.entry(idx).or_insert(0) += 1;
-            let Some(rendered) = &event.rendered else {
-                continue;
-            };
-            let seen_set = seen.entry(idx).or_default();
-            if seen_set.contains(rendered) {
-                out.push(Violation {
-                    contract_index: idx,
-                    category: contracts.contracts[idx].category().to_string(),
-                    config: name.to_string(),
-                    line_no: Some(event.line_no),
-                    line: event.line.to_string(),
-                    message: format!("value {rendered} of param {param} of {pattern} is reused"),
-                });
-            } else {
-                seen_set.insert(rendered.clone());
-            }
+        let mut index = self.unique_index();
+        for (rank, config) in dataset.configs.iter().enumerate() {
+            index.insert_ranked(rank, dataset.name_of(config), self.unique_table(config));
         }
-        for &idx in unique_indices {
-            let Contract::Unique {
-                pattern,
-                once_per_config,
-                ..
-            } = &contracts.contracts[idx]
-            else {
-                unreachable!("unique op on non-unique contract")
-            };
-            if *once_per_config && counts.get(&idx).copied().unwrap_or(0) == 0 {
-                out.push(Violation {
-                    contract_index: idx,
-                    category: contracts.contracts[idx].category().to_string(),
-                    config: name.to_string(),
-                    line_no: None,
-                    line: pattern.clone(),
-                    message: format!("expected exactly one line matching {pattern}, found none"),
-                });
-            }
-        }
+        index
+            .violations(self.contracts)
+            .into_iter()
+            .map(|row| row.violation)
+            .collect()
     }
-    out
-}
-
-/// One configuration's contribution to the global unique pass: an event
-/// per (unique contract, matching line), in line order. Extracted by
-/// [`CheckProgram::unique_table`] and replayed by
-/// [`CheckProgram::check_unique_tables`].
-#[derive(Debug, Clone, Default)]
-pub struct UniqueTable {
-    events: Vec<UniqueEvent>,
-}
-
-impl UniqueTable {
-    /// Number of events in this table.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Whether this configuration contributes nothing to the unique pass.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-}
-
-/// One matching line of one unique contract.
-#[derive(Debug, Clone)]
-struct UniqueEvent {
-    /// Contract index in the checked set.
-    contract: usize,
-    /// 1-based source line number.
-    line_no: u32,
-    /// The line's original text (shared with the dataset record).
-    line: Arc<str>,
-    /// The rendered parameter value; `None` when the line lacks the
-    /// contract's parameter (counts toward presence, contributes no
-    /// value).
-    rendered: Option<String>,
 }

@@ -60,8 +60,8 @@ mod stats;
 
 pub use check::coverage::{ConfigCoverage, CoverageReport, CoverageSummary};
 pub use check::{
-    check, check_parallel, check_parallel_with_stats, replay_unique_tables, CheckCounters,
-    CheckProgram, CheckReport, ConfigOutcome, UniqueTable, Violation,
+    check, check_parallel, check_parallel_with_stats, join_unique_indexes, CheckCounters,
+    CheckProgram, CheckReport, ConfigOutcome, UniqueIndex, UniqueTable, UniqueViolation, Violation,
 };
 #[cfg(any(test, feature = "naive-check"))]
 pub use check::{check_naive, check_naive_parallel};

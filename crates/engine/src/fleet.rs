@@ -6,34 +6,40 @@
 //! merge reproduces [`Engine::check_dirty`]'s report byte for byte:
 //!
 //! 1. **Global name order.** Every shard's parts arrive name-sorted
-//!    (dataset order); the merge interleaves them into one name-sorted
-//!    sequence — exactly the dataset order an unsharded engine over
-//!    the union corpus would hold, because shards partition the names.
-//! 2. **Per-config violations concatenate** in that order, matching
-//!    the unsharded assembly loop before its final sort.
-//! 3. **The unique pass replays globally.** Per-shard programs resolve
-//!    a unique contract only when some local line matches it, so the
-//!    sorted union of the shards' resolved indices equals the global
-//!    program's resolution (compiled order is ascending contract
-//!    index), and [`replay_unique_tables`] over every config's event
-//!    table — empty tables included, so `once_per_config` "found none"
-//!    fires for configs whose shard resolved nothing — emits the exact
-//!    violations the global unique pass would.
-//! 4. **The same final stable sort** by `(config, line_no,
-//!    contract_index)` lands every violation in the same place; ties
-//!    arrive in the same pre-sort order by steps 2–3, so stability
-//!    preserves byte identity.
+//!    (dataset order); names are disjoint across shards, so the shards'
+//!    sorted violation lists merge K-way into the order an unsharded
+//!    engine over the union corpus would sort them into.
+//! 2. **Per-config violations** come from each shard's cached outcomes,
+//!    pre-sorted once per shard recheck ([`ShardCheckAggregate`]).
+//! 3. **The unique pass joins the shards' indexes.** Each shard's
+//!    resident [`UniqueIndex`](concord_core::UniqueIndex) already lists
+//!    the violations its own configurations show. Per-shard programs
+//!    resolve a unique contract only when some local line matches it,
+//!    and the union of the shards' resolutions is the global one, so
+//!    [`join_unique_indexes`] adds only what needs the union: a value
+//!    whose first occurrences sit in more than one shard reports all but
+//!    the earliest, and a `once_per_config` contract a shard did not
+//!    resolve reports "found none" for each of that shard's
+//!    configurations.
+//! 4. **The same final order.** Unique rows sort by `(config, line_no,
+//!    contract_index)` with ties broken by table position, and a
+//!    per-config row precedes a unique row on a tie: exactly where the
+//!    engine's stable sort of per-config rows followed by unique rows
+//!    puts them.
 //!
 //! Coverage merges as integer sums (`covered_lines` / `total_lines`
 //! per config), from which the renderer's fraction recomputes to the
 //! identical `f64`. Incremental counters (`dirty` / `reused`) sum
 //! across shards — after one edit only the owning shard reports dirty
-//! work, which is what makes fleet CHECK scale: the merge is O(corpus)
-//! concatenation but the *recheck* is O(corpus / shards).
+//! work, which is what makes fleet CHECK scale: the recheck is
+//! O(edit), and the merge is O(violations) plus a hash probe per unique
+//! value outside the largest shard.
 
-use concord_core::{replay_unique_tables, ContractSet, Violation};
+use std::cmp::Ordering;
 
-use crate::{CheckPartConfig, CheckParts, UniqueTable};
+use concord_core::{join_unique_indexes, ContractSet, UniqueIndex, UniqueViolation, Violation};
+
+use crate::CheckParts;
 
 /// A fleet-wide CHECK answer assembled from per-shard
 /// [`CheckParts`] — the same facts `Engine::check_dirty` reports,
@@ -69,20 +75,21 @@ impl FleetCheckReport {
 }
 
 /// A shard's [`CheckParts`] plus the merge-ready facts a serve layer
-/// caches per shard version: the shard's violations flattened and
-/// pre-sorted by the engine's final `(config, line_no, contract_index)`
-/// key, and its integer coverage sums.
+/// caches per shard version: the shard's per-config violations
+/// flattened and pre-sorted by the engine's final `(config, line_no,
+/// contract_index)` key, the unique violations its own index shows, and
+/// its integer coverage sums.
 ///
-/// Both are stable for as long as the shard itself is unchanged, which
-/// is what makes [`merge_check_aggregates`]'s fast path scale: a fleet
-/// CHECK after one edit re-aggregates only the owning shard and merges
-/// the rest from cache — O(shard + total violations) instead of
+/// All are stable for as long as the shard itself is unchanged, so a
+/// fleet CHECK after one edit re-aggregates only the owning shard and
+/// merges the rest from cache — O(shard + total violations) instead of
 /// re-walking and re-sorting every configuration in the fleet.
 #[derive(Debug, Clone)]
 pub struct ShardCheckAggregate {
-    /// The raw per-config parts (the slow-path / unique-replay input).
+    /// The raw per-config parts and the shard's unique index.
     pub parts: CheckParts,
     sorted_violations: Vec<Violation>,
+    unique_violations: Vec<UniqueViolation>,
     covered_lines: usize,
     total_lines: usize,
 }
@@ -97,11 +104,10 @@ impl ShardCheckAggregate {
             .collect();
         // Stable, like the engine's final sort: within a config (the
         // only place keys can tie) the pre-sort order survives.
-        sorted_violations.sort_by(|a, b| {
-            (&a.config, a.line_no, a.contract_index).cmp(&(&b.config, b.line_no, b.contract_index))
-        });
+        sorted_violations.sort_by(report_order);
         ShardCheckAggregate {
             sorted_violations,
+            unique_violations: parts.unique.violations(&parts.contracts),
             covered_lines: parts.configs.iter().map(|c| c.covered_lines).sum(),
             total_lines: parts.configs.iter().map(|c| c.total_lines).sum(),
             parts,
@@ -109,50 +115,59 @@ impl ShardCheckAggregate {
     }
 }
 
-/// Merges per-shard aggregates into the fleet-wide report —
-/// byte-identical to [`merge_check_parts`] over the same shards.
+/// The engine's final violation order.
+fn report_order(a: &Violation, b: &Violation) -> Ordering {
+    (&a.config, a.line_no, a.contract_index).cmp(&(&b.config, b.line_no, b.contract_index))
+}
+
+/// Merges per-shard aggregates into the fleet-wide report, byte-identical
+/// to one engine's [`Engine::check_dirty`](crate::Engine::check_dirty)
+/// over the union of the shards' configurations. `contracts` must be the
+/// set every shard checked under.
 ///
-/// When no shard resolved a unique contract, the report needs no
-/// per-config walk at all: coverage merges as K integer sums, and the
-/// violations are a K-way merge of the cached per-shard sorted lists.
-/// Config names are disjoint across shards, so equal sort keys never
-/// cross shards and the merge reproduces the single engine's stable
-/// sort exactly. Unique contracts replay over every config's event
-/// table by construction, so that case falls back to the full merge.
+/// The per-config violations are a K-way merge of the cached per-shard
+/// sorted lists: config names are disjoint across shards, so equal sort
+/// keys never cross shards. The unique violations are every shard's own
+/// plus the [`join_unique_indexes`] rows, sorted; they merge in last, so
+/// a per-config violation wins a tie, as in the engine's stable sort.
 pub fn merge_check_aggregates(
     contracts: &ContractSet,
     shards: &[&ShardCheckAggregate],
 ) -> FleetCheckReport {
-    if shards.iter().any(|s| !s.parts.unique_indices.is_empty()) {
-        let refs: Vec<&CheckParts> = shards.iter().map(|s| &s.parts).collect();
-        return merge_check_parts(contracts, &refs);
-    }
-    let total: usize = shards.iter().map(|s| s.sorted_violations.len()).sum();
+    let indexes: Vec<&UniqueIndex> = shards.iter().map(|s| s.parts.unique.as_ref()).collect();
+    let joined = join_unique_indexes(contracts, &indexes);
+    let mut unique: Vec<&UniqueViolation> = shards
+        .iter()
+        .flat_map(|s| &s.unique_violations)
+        .chain(&joined)
+        .collect();
+    unique.sort_by(|a, b| UniqueViolation::order(a, b));
+
+    // K + 1 sorted lists, the unique rows last so they lose every tie.
+    let at = |list: usize, head: usize| match shards.get(list) {
+        Some(shard) => shard.sorted_violations.get(head),
+        None => unique.get(head).map(|row| &row.violation),
+    };
+    let mut heads = vec![0usize; shards.len() + 1];
+    let total = shards
+        .iter()
+        .map(|s| s.sorted_violations.len())
+        .sum::<usize>()
+        + unique.len();
     let mut violations: Vec<Violation> = Vec::with_capacity(total);
-    let mut heads = vec![0usize; shards.len()];
     while violations.len() < total {
-        let mut best: Option<usize> = None;
-        for (i, shard) in shards.iter().enumerate() {
-            let Some(v) = shard.sorted_violations.get(heads[i]) else {
+        let mut best: Option<(usize, &Violation)> = None;
+        for (list, &head) in heads.iter().enumerate() {
+            let Some(v) = at(list, head) else {
                 continue;
             };
-            best = match best {
-                Some(b) => {
-                    let bv = &shards[b].sorted_violations[heads[b]];
-                    if (&v.config, v.line_no, v.contract_index)
-                        < (&bv.config, bv.line_no, bv.contract_index)
-                    {
-                        Some(i)
-                    } else {
-                        Some(b)
-                    }
-                }
-                None => Some(i),
-            };
+            if best.is_none_or(|(_, b)| report_order(v, b) == Ordering::Less) {
+                best = Some((list, v));
+            }
         }
-        let i = best.expect("an unexhausted shard list remains");
-        violations.push(shards[i].sorted_violations[heads[i]].clone());
-        heads[i] += 1;
+        let (list, v) = best.expect("an unexhausted list remains");
+        violations.push(v.clone());
+        heads[list] += 1;
     }
     FleetCheckReport {
         violations,
@@ -161,60 +176,6 @@ pub fn merge_check_aggregates(
         dirty_configs: shards.iter().map(|s| s.parts.dirty_configs).sum(),
         reused_configs: shards.iter().map(|s| s.parts.reused_configs).sum(),
         resolution_invalidated: shards.iter().any(|s| s.parts.resolution_invalidated),
-    }
-}
-
-/// Merges every shard's [`CheckParts`] into the fleet-wide report.
-/// `contracts` must be the contract set every shard checked under.
-/// Takes references so a serve layer can merge straight out of its
-/// per-shard parts cache without cloning clean shards' parts.
-pub fn merge_check_parts(contracts: &ContractSet, shards: &[&CheckParts]) -> FleetCheckReport {
-    // Interleave the shards' name-sorted config lists into global name
-    // order. Names are disjoint across shards, so a plain sort of
-    // (shard, index) handles any shard count; each shard's internal
-    // order is already correct.
-    let mut order: Vec<&CheckPartConfig> = shards.iter().flat_map(|p| p.configs.iter()).collect();
-    order.sort_by(|a, b| a.name.cmp(&b.name));
-
-    let mut violations: Vec<Violation> = Vec::new();
-    let mut covered_lines = 0usize;
-    let mut total_lines = 0usize;
-    for config in &order {
-        violations.extend_from_slice(&config.violations);
-        covered_lines += config.covered_lines;
-        total_lines += config.total_lines;
-    }
-
-    // Sorted union of per-shard resolved unique indices = the global
-    // program's unique set in compiled (ascending-index) order.
-    let mut unique_indices: Vec<usize> = shards
-        .iter()
-        .flat_map(|p| p.unique_indices.iter().copied())
-        .collect();
-    unique_indices.sort_unstable();
-    unique_indices.dedup();
-    if !unique_indices.is_empty() {
-        // Configs from shards that resolved no unique contract carry no
-        // table; an empty one keeps them in the replay so their
-        // "found none" violations still fire.
-        let empty = UniqueTable::default();
-        let tables: Vec<(&str, &UniqueTable)> = order
-            .iter()
-            .map(|c| (c.name.as_str(), c.unique.as_deref().unwrap_or(&empty)))
-            .collect();
-        violations.extend(replay_unique_tables(contracts, &unique_indices, &tables));
-    }
-    violations.sort_by(|a, b| {
-        (&a.config, a.line_no, a.contract_index).cmp(&(&b.config, b.line_no, b.contract_index))
-    });
-
-    FleetCheckReport {
-        violations,
-        covered_lines,
-        total_lines,
-        dirty_configs: shards.iter().map(|p| p.dirty_configs).sum(),
-        reused_configs: shards.iter().map(|p| p.reused_configs).sum(),
-        resolution_invalidated: shards.iter().any(|p| p.resolution_invalidated),
     }
 }
 
@@ -263,12 +224,40 @@ mod tests {
         (router, engines)
     }
 
-    fn merged(contracts: &ContractSet, engines: &mut [Engine]) -> FleetCheckReport {
-        let parts: Vec<CheckParts> = engines
+    fn aggregates(engines: &mut [Engine]) -> Vec<ShardCheckAggregate> {
+        engines
             .iter_mut()
-            .map(|e| e.check_parts().expect("check parts"))
-            .collect();
-        merge_check_parts(contracts, &parts.iter().collect::<Vec<_>>())
+            .map(|e| ShardCheckAggregate::new(e.check_parts().expect("check parts")))
+            .collect()
+    }
+
+    fn merged(contracts: &ContractSet, engines: &mut [Engine]) -> FleetCheckReport {
+        let aggregates = aggregates(engines);
+        merge_check_aggregates(contracts, &aggregates.iter().collect::<Vec<_>>())
+    }
+
+    /// A one-contract set: unique values of `line`'s first parameter.
+    fn unique_contract(line: &str, once_per_config: bool) -> ContractSet {
+        let probe = [("probe".to_string(), format!("{line}\n"))];
+        let dataset = concord_core::Dataset::from_named_texts(&probe, &[]).expect("probe");
+        let (_, pattern) = dataset.table.iter().next().expect("one pattern");
+        ContractSet {
+            contracts: vec![concord_core::Contract::Unique {
+                pattern: pattern.to_string(),
+                param: 0,
+                once_per_config,
+            }],
+            relational_before_minimization: 0,
+        }
+    }
+
+    /// Device names `dev0`, `dev1`, ... that `router` sends to `shard`.
+    fn names_on(router: &ShardRouter, shard: usize, n: usize) -> Vec<String> {
+        (0..)
+            .map(|i| format!("dev{i}"))
+            .filter(|name| router.route(name) == shard)
+            .take(n)
+            .collect()
     }
 
     #[test]
@@ -338,7 +327,7 @@ mod tests {
         assert_eq!(fleet_report.dirty_configs, oracle.engine.dirty_configs);
         assert_eq!(fleet_report.reused_configs, oracle.engine.reused_configs);
 
-        // Removal replays the unique pass over the remaining tables.
+        // Removal drops dev1's values from its shard's unique index.
         single.remove_config("dev1");
         engines[router.route("dev1")].remove_config("dev1");
         let fleet_report = merged(&contracts, &mut engines);
@@ -346,11 +335,11 @@ mod tests {
         assert_eq!(fleet_report.violations, oracle.report.violations);
     }
 
-    /// The aggregate fast path (no unique contracts: uniform corpus,
-    /// every value repeated fleet-wide) and the unique-replay fallback
-    /// (distinct per-device values) both reproduce the full merge.
+    /// A corpus without unique contracts (uniform: every value repeated
+    /// fleet-wide) and one with them (distinct per-device values) both
+    /// merge to the single engine's report.
     #[test]
-    fn aggregate_merge_equals_full_merge_on_both_paths() {
+    fn aggregate_merge_equals_single_engine_with_and_without_uniques() {
         let uniform: Vec<(String, String)> = (0..10)
             .map(|i| {
                 (
@@ -371,25 +360,18 @@ mod tests {
             single.upsert_config(edit.0, edit.1);
             engines[router.route(edit.0)].upsert_config(edit.0, edit.1);
 
-            let parts: Vec<CheckParts> = engines
-                .iter_mut()
-                .map(|e| e.check_parts().expect("parts"))
-                .collect();
-            let full = merge_check_parts(&contracts, &parts.iter().collect::<Vec<_>>());
-            let aggregates: Vec<ShardCheckAggregate> =
-                parts.into_iter().map(ShardCheckAggregate::new).collect();
-            let fast = merge_check_aggregates(&contracts, &aggregates.iter().collect::<Vec<_>>());
-            assert_eq!(fast, full, "aggregate merge diverged from full merge");
-            assert_eq!(
-                fast.violations,
-                single.check_dirty().expect("oracle").report.violations
-            );
+            let merged = merged(&contracts, &mut engines);
+            let oracle = single.check_dirty().expect("oracle");
+            assert_eq!(merged.violations, oracle.report.violations);
+            let summary = oracle.report.coverage.summary();
+            assert_eq!(merged.covered_lines, summary.covered_lines);
+            assert_eq!(merged.total_lines, summary.total_lines);
         }
     }
 
     #[test]
     fn empty_and_single_shard_merges_degenerate_cleanly() {
-        let report = merge_check_parts(&ContractSet::default(), &[]);
+        let report = merge_check_aggregates(&ContractSet::default(), &[]);
         assert!(report.violations.is_empty());
         assert_eq!(report.total_lines, 0);
         assert_eq!(report.coverage_fraction(), 0.0);
@@ -399,9 +381,98 @@ mod tests {
             Engine::from_corpus(&configs, &[], EngineOptions::default()).expect("single engine");
         single.relearn();
         let contracts = single.contracts().expect("learned").clone();
-        let parts = single.check_parts().expect("parts");
-        let merged_one = merge_check_parts(&contracts, &[&parts]);
+        let one = ShardCheckAggregate::new(single.check_parts().expect("parts"));
+        let merged_one = merge_check_aggregates(&contracts, &[&one]);
         let oracle = single.check_dirty().expect("oracle");
         assert_eq!(merged_one.violations, oracle.report.violations);
+    }
+
+    /// A `once_per_config` contract only shard 0 resolves: shard 1 never
+    /// interned its pattern, yet each of its devices is found none.
+    #[test]
+    fn once_per_config_contract_unresolved_on_a_shard_reports_found_none() {
+        let router = ShardRouter::new(2);
+        let carriers = names_on(&router, 0, 3);
+        let others = names_on(&router, 1, 2);
+        let mut configs: Vec<(String, String)> = carriers
+            .iter()
+            .enumerate()
+            .map(|(i, n)| {
+                (
+                    n.clone(),
+                    format!("snmp-server location SITE{i}\nvlan 10\n"),
+                )
+            })
+            .collect();
+        configs.extend(others.iter().map(|n| (n.clone(), "vlan 10\n".to_string())));
+        let contracts = unique_contract("snmp-server location SITE0", true);
+        let (_, mut engines) = fleet(&configs, &contracts, 2);
+
+        let report = merged(&contracts, &mut engines);
+        let mut found_none: Vec<&str> = report
+            .violations
+            .iter()
+            .filter(|v| v.line_no.is_none() && v.message.ends_with("found none"))
+            .map(|v| v.config.as_str())
+            .collect();
+        found_none.sort_unstable();
+        let mut expected: Vec<&str> = others.iter().map(String::as_str).collect();
+        expected.sort_unstable();
+        assert_eq!(found_none, expected);
+        assert_eq!(report.violations.len(), others.len());
+
+        let mut single = Engine::from_corpus(&configs, &[], EngineOptions::default()).expect("one");
+        single.set_contracts(contracts.clone());
+        let oracle = single.check_dirty().expect("oracle");
+        assert_eq!(report.violations, oracle.report.violations);
+    }
+
+    /// A value held on both shards is reported at its later holder only
+    /// while the earlier holder exists.
+    #[test]
+    fn removing_the_first_holder_clears_the_later_holders_reuse() {
+        let router = ShardRouter::new(2);
+        let mut pair = [
+            names_on(&router, 0, 1).remove(0),
+            names_on(&router, 1, 1).remove(0),
+        ];
+        pair.sort();
+        let [first, later] = pair;
+        let mut configs = vec![
+            (first.clone(), "vlan 777\n".to_string()),
+            (later.clone(), "vlan 777\n".to_string()),
+        ];
+        configs.extend(
+            names_on(&router, 0, 4)
+                .into_iter()
+                .skip(1)
+                .enumerate()
+                .map(|(i, n)| (n, format!("vlan {}\n", 100 + i))),
+        );
+        let contracts = unique_contract("vlan 777", false);
+        let (router, mut engines) = fleet(&configs, &contracts, 2);
+        let mut single = Engine::from_corpus(&configs, &[], EngineOptions::default()).expect("one");
+        single.set_contracts(contracts.clone());
+
+        let before = merged(&contracts, &mut engines);
+        let reused: Vec<&str> = before
+            .violations
+            .iter()
+            .map(|v| v.config.as_str())
+            .collect();
+        assert_eq!(reused, [later.as_str()], "only the later holder is reused");
+        assert_eq!(
+            before.violations,
+            single.check_dirty().expect("oracle").report.violations
+        );
+
+        engines[router.route(&first)].remove_config(&first);
+        single.remove_config(&first);
+        let after = merged(&contracts, &mut engines);
+        assert!(after.violations.is_empty(), "{:?}", after.violations);
+        assert_eq!(
+            after.violations,
+            single.check_dirty().expect("oracle").report.violations
+        );
     }
 }

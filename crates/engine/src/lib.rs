@@ -28,10 +28,11 @@
 //! sequences against exactly that). The caching is sound because a
 //! configuration's outcome depends only on its own lines and on how the
 //! contract patterns resolved against the interner
-//! ([`CheckProgram::resolution_fingerprint`]); the one cross-configuration
-//! pass (unique contracts) is replayed from cached per-configuration
-//! [`UniqueTable`]s in dataset order, which reproduces the global
-//! first-seen-wins semantics exactly.
+//! ([`CheckProgram::resolution_fingerprint`]). The one cross-configuration
+//! pass (unique contracts) keeps its state resident in a [`UniqueIndex`]:
+//! a check after an edit swaps in only the edited configurations' unique
+//! values, and the index lists the pass's violations in time
+//! proportional to them.
 //!
 //! Learning stays corpus-global, so the engine does not patch contracts
 //! incrementally; instead it tracks *staleness* — the fraction of lines
@@ -46,7 +47,7 @@ use concord_core::{
     finalize_sketches, learn_with_stats, parallel, sketch_config, sketch_params_fingerprint,
     CheckProgram, CheckReport, CheckStats, ConfigOutcome, ConfigSketch, ContractSet,
     CoverageReport, Dataset, DatasetError, EngineCheckStats, EngineStats, LearnDeltaStats,
-    LearnParams, LearnStats, MemoryStats, UniqueTable, SKETCH_FORMAT_VERSION,
+    LearnParams, LearnStats, MemoryStats, UniqueIndex, UniqueTable, SKETCH_FORMAT_VERSION,
 };
 use concord_json::{Json, ToJson};
 use concord_lexer::{LexCache, Lexer};
@@ -61,7 +62,7 @@ mod store;
 mod vfs;
 mod wal;
 
-pub use fleet::{merge_check_aggregates, merge_check_parts, FleetCheckReport, ShardCheckAggregate};
+pub use fleet::{merge_check_aggregates, FleetCheckReport, ShardCheckAggregate};
 pub use image::{EngineImage, ImageConfig, ImageError};
 pub use replica::{Replica, ReplicaError};
 pub use resilient::{BootError, EngineFault, OpKind, ResilientEngine};
@@ -192,11 +193,6 @@ pub struct CheckPartConfig {
     pub covered_lines: usize,
     /// Total lines (the coverage denominator contribution).
     pub total_lines: usize,
-    /// The configuration's unique-pass event table; `None` when no
-    /// unique contract resolved against this shard's dataset (an empty
-    /// contribution — the fleet replays it as an empty table). Shared
-    /// with the engine's outcome cache, not copied per check.
-    pub unique: Option<Arc<UniqueTable>>,
 }
 
 /// The unassembled result of one [`Engine::check_parts`] call.
@@ -204,14 +200,18 @@ pub struct CheckPartConfig {
 pub struct CheckParts {
     /// Per-configuration parts, in this engine's dataset (name) order.
     pub configs: Vec<CheckPartConfig>,
-    /// Contract indices of the unique contracts that resolved against
-    /// this engine's dataset, in compiled order. The fleet unions these
-    /// across shards (sorted merge) to recover the global resolution.
-    pub unique_indices: Vec<usize>,
+    /// The engine's unique index, shared rather than copied. The engine
+    /// updates its own through [`Arc::make_mut`], so these parts never
+    /// change under a later edit.
+    pub unique: Arc<UniqueIndex>,
     /// Configurations re-checked by this call.
     pub dirty_configs: usize,
     /// Configurations served from the outcome cache.
     pub reused_configs: usize,
+    /// Witness indexes built for the re-checked configurations.
+    pub witness_indexes_rebuilt: u64,
+    /// Witness indexes of the configurations served from the cache.
+    pub witness_indexes_patched: u64,
     /// Whether a resolution change invalidated this engine's cache.
     pub resolution_invalidated: bool,
     /// The contract set these parts were checked under — the set to
@@ -228,9 +228,6 @@ struct Slot {
     generation: u64,
     /// Cached per-configuration outcome; `None` marks the slot dirty.
     outcome: Option<ConfigOutcome>,
-    /// Cached unique-pass events (`None` while dirty, `Some` — possibly
-    /// empty — once checked under a program with unique contracts).
-    unique: Option<Arc<UniqueTable>>,
     /// Cached learn sketch (`None` while dirty; mined lazily by the next
     /// delta relearn, or restored from a persisted snapshot).
     sketch: Option<ConfigSketch>,
@@ -261,6 +258,10 @@ pub struct Engine {
     /// The `(epoch, resolution fingerprint)` the cached outcomes were
     /// computed under; a mismatch in `check_dirty` invalidates them all.
     cached_key: Option<(u64, u64)>,
+    /// The unique pass's state over every checked configuration, built
+    /// under `cached_key`. Shared with [`CheckParts`]; updated in place
+    /// through [`Arc::make_mut`] when no parts hold it.
+    unique: Arc<UniqueIndex>,
     edits: u64,
     relearns: u64,
     /// Corpus size (own lines) when contracts were last learned/loaded.
@@ -295,6 +296,7 @@ impl Engine {
             contracts: None,
             contracts_epoch: 0,
             cached_key: None,
+            unique: Arc::default(),
             edits: 0,
             relearns: 0,
             lines_at_last_learn: 0,
@@ -498,7 +500,6 @@ impl Engine {
             let slot = &mut self.slots[i];
             slot.generation += 1;
             slot.outcome = None;
-            slot.unique = None;
             slot.sketch = None;
         } else {
             self.slots.insert(
@@ -517,13 +518,17 @@ impl Engine {
 
     /// Removes the configuration named `name`, returning its id (`None`
     /// when no such configuration exists). Other configurations' cached
-    /// outcomes stay valid; the global unique pass is replayed over the
-    /// remaining tables at the next [`Engine::check_dirty`].
+    /// outcomes stay valid, and the unique index drops only the removed
+    /// configuration's values: a value it held first passes to its next
+    /// holder.
     pub fn remove_config(&mut self, name: &str) -> Option<ConfigId> {
         let i = self.dataset.config_index(name)?;
         let own = self.dataset.configs[i].own_line_count();
         self.dataset.remove_config(name);
         let slot = self.slots.remove(i);
+        if self.unique.contains(name) {
+            Arc::make_mut(&mut self.unique).remove(name);
+        }
         self.edits += 1;
         self.changed_lines_since_learn += own;
         Some(ConfigId(slot.id))
@@ -735,6 +740,7 @@ impl Engine {
         let (dirty, resolution_invalidated) = refresh_outcomes(
             &mut self.slots,
             &mut self.cached_key,
+            &mut self.unique,
             &self.dataset,
             &program,
             self.contracts_epoch,
@@ -752,21 +758,12 @@ impl Engine {
             coverages.push(outcome.coverage.clone());
             counters.accumulate(&outcome.counters);
         }
-        if program.has_unique() {
-            let tables: Vec<(&str, &UniqueTable)> = self
-                .dataset
-                .configs
-                .iter()
-                .zip(&self.slots)
-                .map(|(c, s)| {
-                    (
-                        self.dataset.name_of(c),
-                        s.unique.as_deref().expect("just populated"),
-                    )
-                })
-                .collect();
-            violations.extend(program.check_unique_tables(&tables));
-        }
+        violations.extend(
+            self.unique
+                .violations(contracts)
+                .into_iter()
+                .map(|row| row.violation),
+        );
         violations.sort_by(|a, b| {
             (&a.config, a.line_no, a.contract_index).cmp(&(&b.config, b.line_no, b.contract_index))
         });
@@ -800,14 +797,14 @@ impl Engine {
 
     /// Checks the current snapshot like [`Engine::check_dirty`], but
     /// returns the *unassembled* per-configuration parts instead of the
-    /// merged report: each configuration's violations, covered/total
-    /// line counts, and unique-pass event table, plus the resolved
-    /// unique-contract indices. A serving fleet collects every shard's
-    /// parts, merges the configurations in global name order (the
-    /// dataset order an unsharded engine would hold), replays the union
-    /// of the unique tables, and applies the engine's final stable sort
-    /// — reproducing [`Engine::check_dirty`]'s report byte for byte
-    /// while each shard pays only for its own dirty configurations.
+    /// merged report: each configuration's violations and covered/total
+    /// line counts, plus the engine's unique index. A serving fleet
+    /// collects every shard's parts, merges the configurations in global
+    /// name order (the dataset order an unsharded engine would hold),
+    /// joins the shards' unique indexes, and applies the engine's final
+    /// stable sort — reproducing [`Engine::check_dirty`]'s report byte
+    /// for byte while each shard pays only for its own dirty
+    /// configurations.
     ///
     /// Shares the outcome cache and the `last_check` counters with
     /// `check_dirty`: both paths refresh the same per-slot outcomes, so
@@ -818,12 +815,12 @@ impl Engine {
         let (dirty, resolution_invalidated) = refresh_outcomes(
             &mut self.slots,
             &mut self.cached_key,
+            &mut self.unique,
             &self.dataset,
             &program,
             self.contracts_epoch,
             self.options.parallelism,
         );
-        let has_unique = program.has_unique();
         let configs = self
             .dataset
             .configs
@@ -836,7 +833,6 @@ impl Engine {
                     violations: outcome.violations.clone(),
                     covered_lines: outcome.coverage.covered.len(),
                     total_lines: outcome.coverage.total_lines,
-                    unique: has_unique.then(|| s.unique.clone().expect("just populated")),
                 }
             })
             .collect();
@@ -844,9 +840,11 @@ impl Engine {
         self.last_check = Some(engine);
         Ok(CheckParts {
             configs,
-            unique_indices: program.unique_indices(),
+            unique: Arc::clone(&self.unique),
             dirty_configs: engine.dirty_configs,
             reused_configs: engine.reused_configs,
+            witness_indexes_rebuilt: engine.witness_indexes_rebuilt,
+            witness_indexes_patched: engine.witness_indexes_patched,
             resolution_invalidated,
             contracts,
         })
@@ -911,14 +909,16 @@ impl Engine {
 }
 
 /// Ensures every slot holds a current outcome under `program`'s
-/// resolution key, re-running only dirty configurations (in parallel).
-/// Returns the sorted dirty indices and whether a resolution change
-/// invalidated the cache. A free function over disjoint [`Engine`]
-/// fields because `program` immutably borrows the engine's dataset and
-/// contracts while the slots are written.
+/// resolution key, and `unique` every configuration's current unique
+/// table, re-running only dirty configurations (in parallel). A new key
+/// starts a new index. Returns the sorted dirty indices and whether a
+/// resolution change invalidated the cache. A free function over
+/// disjoint [`Engine`] fields because `program` immutably borrows the
+/// engine's dataset and contracts while the slots are written.
 fn refresh_outcomes(
     slots: &mut [Slot],
     cached_key: &mut Option<(u64, u64)>,
+    unique: &mut Arc<UniqueIndex>,
     dataset: &Dataset,
     program: &CheckProgram<'_>,
     contracts_epoch: u64,
@@ -929,8 +929,8 @@ fn refresh_outcomes(
     if *cached_key != Some(key) {
         for slot in slots.iter_mut() {
             slot.outcome = None;
-            slot.unique = None;
         }
+        *unique = Arc::new(program.unique_index());
         *cached_key = Some(key);
     }
 
@@ -942,21 +942,22 @@ fn refresh_outcomes(
         .collect();
 
     // Re-check dirty configurations in parallel; each produces its
-    // cacheable outcome plus (when unique contracts resolved) its
-    // replayable unique-event table.
-    let recomputed: Vec<(ConfigOutcome, Option<UniqueTable>)> = parallel::map(
+    // cacheable outcome plus its unique-event table (empty when no
+    // unique contract resolved).
+    let recomputed: Vec<(ConfigOutcome, UniqueTable)> = parallel::map(
         &dirty,
         |&i| {
             let config = &dataset.configs[i];
-            let outcome = program.run_config(config);
-            let unique = program.has_unique().then(|| program.unique_table(config));
-            (outcome, unique)
+            (program.run_config(config), program.unique_table(config))
         },
         parallelism,
     );
-    for (&i, (outcome, unique)) in dirty.iter().zip(recomputed) {
-        slots[i].outcome = Some(outcome);
-        slots[i].unique = unique.map(Arc::new);
+    if !dirty.is_empty() {
+        let index = Arc::make_mut(unique);
+        for (&i, (outcome, table)) in dirty.iter().zip(recomputed) {
+            slots[i].outcome = Some(outcome);
+            index.insert(dataset.config_name(i), table);
+        }
     }
     (dirty, resolution_invalidated)
 }
@@ -1110,7 +1111,7 @@ mod tests {
     }
 
     #[test]
-    fn remove_config_replays_unique_pass_over_remaining_tables() {
+    fn remove_config_keeps_the_unique_pass_exact() {
         // vlan ids are globally unique in this corpus, so learning yields
         // unique contracts whose cross-config state must survive removal.
         let mut engine = Engine::from_corpus(&corpus(), &[], EngineOptions::default()).unwrap();
