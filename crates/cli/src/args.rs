@@ -36,7 +36,7 @@ Categories for --disable: present ordering type sequence unique relational
 --stats text prints a per-stage timing summary (lexing with cache
 hit/miss counts, each miner, minimization, checking); --stats json
 emits the same data as one machine-readable object (schema
-concord-pipeline-stats/v10, see DESIGN.md) instead of the human
+concord-pipeline-stats/v11, see DESIGN.md) instead of the human
 summary.
 
 serve holds a resident incremental engine and answers a request
@@ -73,7 +73,7 @@ pub enum StatsMode {
     Off,
     /// Human-readable summary appended to normal output.
     Text,
-    /// One `concord-pipeline-stats/v10` JSON object replacing the human
+    /// One `concord-pipeline-stats/v11` JSON object replacing the human
     /// summary.
     Json,
 }

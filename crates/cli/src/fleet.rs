@@ -1652,6 +1652,7 @@ mod tests {
             "param_arena_bytes",
             "pattern_table_bytes",
             "column_bytes",
+            "sketch_bytes",
             "interned_strings",
             "interned_param_slices",
             "segments_written",

@@ -32,6 +32,11 @@ use crate::ir::{Dataset, PatternId};
 use crate::parallel;
 use crate::params::LearnParams;
 
+/// Heap bytes of `v`'s buffer: its capacity, not its length.
+pub(crate) fn buffer_bytes<T>(v: &Vec<T>) -> usize {
+    v.capacity() * std::mem::size_of::<T>()
+}
+
 /// Statistics from a learning run: per-phase wall-clock durations and
 /// relational-minimization counts.
 #[derive(Debug, Clone, Default, PartialEq)]

@@ -21,7 +21,7 @@ use concord_types::Transform;
 use crate::contract::{PatternRef, RelationKind, RelationalContract};
 use crate::fxhash::{fx_hash_one, FxHashMap, FxHashSet};
 use crate::learn::indexes::{Entry, NodeKey, TransformTag, ValueIndex};
-use crate::learn::DatasetView;
+use crate::learn::{buffer_bytes, DatasetView};
 use crate::parallel;
 use crate::params::LearnParams;
 
@@ -63,11 +63,166 @@ const SEEN_THRESHOLD: usize = 32;
 /// finalization.
 pub(crate) type PartialRun = Vec<(u128, Partial)>;
 
-/// Per-configuration mining result, already folded into mergeable form.
-pub(crate) struct LocalOutcome {
-    pub(crate) partial: PartialRun,
-    /// Witness records dropped by the pathological fan-out guard.
-    pub(crate) truncations: u64,
+/// One configuration's relational run in the layout a resident sketch
+/// holds it in: the same candidates, valid counts and witness lists as
+/// the [`PartialRun`] the batch merge uses, in seven allocations instead
+/// of one per candidate. A config's candidates share a few dozen nodes
+/// and witnesses, so each is stored once in a table and the per-candidate
+/// parallel arrays refer to it by index.
+///
+/// Invariants: `nodes` is sorted and distinct, so candidate order by
+/// `(antecedents[i], consequents[i])` is [`cand_code`] order, and the
+/// candidates are stored in that order with distinct codes; `witnesses`
+/// is distinct by `(hash, score bits)` and in first-use order over the
+/// candidates' lists; `ends` is non-decreasing and its last entry is
+/// `refs.len()`.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub(crate) struct CompactRun {
+    /// Distinct [`node_code`]s the candidates refer to, ascending.
+    pub(crate) nodes: Vec<u64>,
+    /// Distinct `(hash, score)` witnesses, in first-use order.
+    pub(crate) witnesses: Vec<(u64, f64)>,
+    /// Per candidate: the antecedent's index into `nodes`.
+    pub(crate) antecedents: Vec<u32>,
+    /// Per candidate: the consequent's index into `nodes`, shifted left
+    /// two bits over the [`RelationKind`] discriminant.
+    pub(crate) consequents: Vec<u32>,
+    /// Per candidate: the valid-config count.
+    pub(crate) valid: Vec<u32>,
+    /// Per candidate: the end offset of its witness list in `refs`.
+    pub(crate) ends: Vec<u32>,
+    /// Every candidate's witness list, in candidate order, as indices
+    /// into `witnesses`.
+    pub(crate) refs: Vec<u32>,
+}
+
+impl CompactRun {
+    /// Number of candidates.
+    pub(crate) fn len(&self) -> usize {
+        self.valid.len()
+    }
+
+    /// Candidate `i`'s relation.
+    pub(crate) fn relation(&self, i: usize) -> RelationKind {
+        decode_relation(u64::from(self.consequents[i]))
+    }
+
+    /// Candidate `i`'s packed [`cand_code`].
+    pub(crate) fn code(&self, i: usize) -> u128 {
+        let consequent = self.consequents[i];
+        cand_code(
+            self.nodes[self.antecedents[i] as usize],
+            (self.nodes[(consequent >> 2) as usize] << 2) | u64::from(consequent & 0b11),
+        )
+    }
+
+    /// Candidate `i`'s witness list as indices into `witnesses`.
+    pub(crate) fn refs(&self, i: usize) -> &[u32] {
+        let start = match i {
+            0 => 0,
+            _ => self.ends[i - 1] as usize,
+        };
+        &self.refs[start..self.ends[i] as usize]
+    }
+
+    /// Candidate `i`'s witness list.
+    pub(crate) fn witnesses_of(&self, i: usize) -> impl ExactSizeIterator<Item = (u64, f64)> + '_ {
+        self.refs(i).iter().map(|&r| self.witnesses[r as usize])
+    }
+
+    /// Heap bytes held by the run's buffers.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        buffer_bytes(&self.nodes)
+            + buffer_bytes(&self.witnesses)
+            + buffer_bytes(&self.antecedents)
+            + buffer_bytes(&self.consequents)
+            + buffer_bytes(&self.valid)
+            + buffer_bytes(&self.ends)
+            + buffer_bytes(&self.refs)
+    }
+}
+
+/// Builds a [`CompactRun`] from candidates pushed in ascending code
+/// order, interning each witness on first use.
+pub(crate) struct Packer {
+    run: CompactRun,
+    witness_ids: FxHashMap<(u64, u64), u32>,
+}
+
+impl Packer {
+    /// A packer for the candidates whose codes `codes` yields, ascending;
+    /// `refs` is the total length of their witness lists.
+    pub(crate) fn new(codes: impl IntoIterator<Item = u128>, refs: usize) -> Packer {
+        let mut nodes = Vec::new();
+        for code in codes {
+            let (antecedent, ccode) = split_cand(code);
+            nodes.push(antecedent);
+            nodes.push(ccode >> 2);
+        }
+        let candidates = nodes.len() / 2;
+        nodes.sort_unstable();
+        nodes.dedup();
+        nodes.shrink_to_fit();
+        assert!(nodes.len() < 1 << 30, "node index overflows its 30 bits");
+        Packer {
+            run: CompactRun {
+                nodes,
+                witnesses: Vec::new(),
+                antecedents: Vec::with_capacity(candidates),
+                consequents: Vec::with_capacity(candidates),
+                valid: Vec::with_capacity(candidates),
+                ends: Vec::with_capacity(candidates),
+                refs: Vec::with_capacity(refs),
+            },
+            witness_ids: FxHashMap::default(),
+        }
+    }
+
+    fn node_index(&self, node: u64) -> u32 {
+        self.run
+            .nodes
+            .binary_search(&node)
+            .expect("every candidate's nodes are in the table") as u32
+    }
+
+    /// Appends the candidate `code`, which must be greater than every
+    /// code pushed before it.
+    pub(crate) fn push(
+        &mut self,
+        code: u128,
+        valid: u32,
+        witnesses: impl IntoIterator<Item = (u64, f64)>,
+    ) {
+        let (antecedent, ccode) = split_cand(code);
+        let antecedent = self.node_index(antecedent);
+        let consequent = self.node_index(ccode >> 2);
+        self.run.antecedents.push(antecedent);
+        self.run
+            .consequents
+            .push((consequent << 2) | (ccode & 0b11) as u32);
+        self.run.valid.push(valid);
+        let table = &mut self.run.witnesses;
+        for (hash, score) in witnesses {
+            let next = u32::try_from(table.len()).expect("witness table overflows u32");
+            let id = *self
+                .witness_ids
+                .entry((hash, score.to_bits()))
+                .or_insert_with(|| {
+                    table.push((hash, score));
+                    next
+                });
+            self.run.refs.push(id);
+        }
+        let end = u32::try_from(self.run.refs.len()).expect("witness pool overflows u32");
+        self.run.ends.push(end);
+    }
+
+    /// The packed run.
+    pub(crate) fn finish(mut self) -> CompactRun {
+        self.run.witnesses.shrink_to_fit();
+        self.run.refs.shrink_to_fit();
+        self.run
+    }
 }
 
 /// The result of relational mining, with merge-phase instrumentation.
@@ -98,17 +253,23 @@ pub(crate) fn mine(view: &DatasetView<'_>, params: &LearnParams) -> MineOutcome 
     for chunk in config_indices.chunks(chunk_len) {
         let locals = parallel::map(
             chunk,
-            |&ci| mine_config(view.dataset, ci, params),
+            |&ci| {
+                let mined = mine_config(view.dataset, ci, params);
+                (mined.truncations, mined.into_run())
+            },
             params.parallelism,
         );
-        fanout_truncations += locals.iter().map(|l| l.truncations).sum::<u64>();
+        fanout_truncations += locals
+            .iter()
+            .map(|(truncations, _)| truncations)
+            .sum::<u64>();
 
         // Merge the chunk's partials up a binary tree: pairwise merges
         // of adjacent runs preserve config-order witness accounting
         // while the pairs of each level run concurrently.
         let t = Instant::now();
         let run = parallel::reduce(
-            locals.into_iter().map(|l| l.partial).collect(),
+            locals.into_iter().map(|(_, run)| run).collect(),
             |a, b| merge_partials(a, b, params.max_score_witnesses),
             params.parallelism,
         )
@@ -156,7 +317,7 @@ pub(crate) fn merge_partials(left: PartialRun, right: PartialRun, cap: usize) ->
                     (lv, rv) = (Some(lp), r.next());
                 }
                 std::cmp::Ordering::Equal => {
-                    out.push((lp.0, merge_one(lp.1, rp.1, cap)));
+                    out.push((lp.0, merge_one(lp.1, rp.1.valid, rp.1.witnesses, cap)));
                     (lv, rv) = (l.next(), r.next());
                 }
             },
@@ -176,11 +337,42 @@ pub(crate) fn merge_partials(left: PartialRun, right: PartialRun, cap: usize) ->
     out
 }
 
-/// Combines one candidate's accumulations; `held` precedes `incoming`
-/// in config order.
-fn merge_one(mut held: Partial, incoming: Partial, cap: usize) -> Partial {
-    held.valid += incoming.valid;
-    for (hash, score) in incoming.witnesses {
+/// Merges `leaf`, a later config's run, into the key-sorted run `left`
+/// by reference: exactly `merge_partials(left, <leaf as a PartialRun>,
+/// cap)`, without materializing the leaf. Only candidates new to `left`
+/// get a witness list of their own.
+pub(crate) fn merge_compact(left: PartialRun, leaf: &CompactRun, cap: usize) -> PartialRun {
+    let mut out: PartialRun = Vec::with_capacity(left.len().max(leaf.len()));
+    let mut l = left.into_iter().peekable();
+    for i in 0..leaf.len() {
+        let code = leaf.code(i);
+        while let Some(held) = l.next_if(|(c, _)| *c < code) {
+            out.push(held);
+        }
+        let partial = match l.next_if(|(c, _)| *c == code) {
+            Some((_, held)) => merge_one(held, leaf.valid[i], leaf.witnesses_of(i), cap),
+            None => Partial {
+                valid: leaf.valid[i],
+                witnesses: leaf.witnesses_of(i).collect(),
+                seen: None,
+            },
+        };
+        out.push((code, partial));
+    }
+    out.extend(l);
+    out
+}
+
+/// Combines one candidate's accumulations; `held` precedes the incoming
+/// `valid` count and witness list in config order.
+fn merge_one(
+    mut held: Partial,
+    valid: u32,
+    witnesses: impl IntoIterator<Item = (u64, f64)>,
+    cap: usize,
+) -> Partial {
+    held.valid += valid;
+    for (hash, score) in witnesses {
         if held.witnesses.len() >= cap {
             break;
         }
@@ -301,15 +493,85 @@ pub(crate) fn finalize_scored(
     out
 }
 
+/// A kept witness in [`Mined::pool`], linked to the next witness of the
+/// same candidate.
+struct Linked {
+    hash: u64,
+    score: f64,
+    next: u32,
+}
+
+/// One mined candidate: its code, its instance count (its valid bit once
+/// mining ends), and its witness chain in [`Mined::pool`].
+struct MinedCand {
+    code: u128,
+    count: u32,
+    kept: u32,
+    head: u32,
+    tail: u32,
+}
+
+/// End of a witness chain.
+const NIL: u32 = u32::MAX;
+
+/// The witnesses chained through `pool` from `head`.
+fn chain(pool: &[Linked], head: u32) -> impl Iterator<Item = &Linked> {
+    let mut at = head;
+    std::iter::from_fn(move || {
+        let link = pool.get(at as usize)?;
+        at = link.next;
+        Some(link)
+    })
+}
+
+/// One configuration's mined candidates in code order, each with its
+/// witness list chained through one shared pool: the common source of
+/// the batch merge's [`PartialRun`] and a sketch's [`CompactRun`], with
+/// no per-candidate allocation while mining.
+pub(crate) struct Mined {
+    cands: Vec<MinedCand>,
+    pool: Vec<Linked>,
+    /// Witness records dropped by the pathological fan-out guard.
+    pub(crate) truncations: u64,
+}
+
+impl Mined {
+    fn witnesses(&self, cand: &MinedCand) -> impl Iterator<Item = (u64, f64)> + '_ {
+        chain(&self.pool, cand.head).map(|link| (link.hash, link.score))
+    }
+
+    /// The run in the batch merge's form.
+    pub(crate) fn into_run(self) -> PartialRun {
+        self.cands
+            .iter()
+            .map(|cand| {
+                let mut witnesses = Vec::with_capacity(cand.kept as usize);
+                witnesses.extend(self.witnesses(cand));
+                let partial = Partial {
+                    valid: cand.count,
+                    witnesses,
+                    seen: None,
+                };
+                (cand.code, partial)
+            })
+            .collect()
+    }
+
+    /// The run in a resident sketch's form.
+    pub(crate) fn to_compact(&self) -> CompactRun {
+        let mut packer = Packer::new(self.cands.iter().map(|c| c.code), self.pool.len());
+        for cand in &self.cands {
+            packer.push(cand.code, cand.count, self.witnesses(cand));
+        }
+        packer.finish()
+    }
+}
+
 /// Builds the per-configuration index and runs the query pass. Only the
 /// configuration itself is consulted — no cross-config state — which is
 /// what makes the result a per-config *sketch* the incremental engine
 /// can persist and re-merge.
-pub(crate) fn mine_config(
-    dataset: &crate::ir::Dataset,
-    ci: usize,
-    params: &LearnParams,
-) -> LocalOutcome {
+pub(crate) fn mine_config(dataset: &crate::ir::Dataset, ci: usize, params: &LearnParams) -> Mined {
     let config = &dataset.configs[ci];
     let mut index = ValueIndex::new(params.max_affix_fanout);
     let mut node_instances: FxHashMap<u64, u32> = FxHashMap::default();
@@ -363,11 +625,15 @@ pub(crate) fn mine_config(
 
     // Candidate accumulation, already in mergeable form: instance count
     // plus the first `max_score_witnesses` distinct witnesses in rep
-    // (= entry) order. Deduplication is a linear scan of the kept list —
-    // the set of seen hashes IS the kept list's hashes (a hash is
-    // recorded exactly when it is kept), and the list is capped small,
-    // so a per-candidate hash set would be pure allocator churn.
-    let mut candidates: FxHashMap<u128, (u32, Vec<(u64, f64)>)> = FxHashMap::default();
+    // (= entry) order, chained through one pool. A candidate's witnesses
+    // all come from earlier reps of its antecedent node, each with a
+    // distinct value, so a rep's hash can already be on the chain only
+    // if it collides with an earlier rep of the same node; the chain is
+    // scanned only then.
+    let mut slot_of: FxHashMap<u128, u32> = FxHashMap::default();
+    let mut cands: Vec<MinedCand> = Vec::new();
+    let mut pool: Vec<Linked> = Vec::new();
+    let mut rep_hashes: FxHashSet<(u64, u64)> = FxHashSet::default();
     let mut scratch: Vec<u32> = Vec::new();
     // Per-rep dedup keyed by the packed (relation, consequent) code — the
     // antecedent is fixed within a rep, so the 61-bit code identifies the
@@ -486,40 +752,55 @@ pub(crate) fn mine_config(
         }
 
         let a_hash = fx_hash_one(&a.value);
+        let collided = !rep_hashes.insert((a_code, a_hash));
         for &(ccode, score) in &satisfied {
-            let slot = candidates
-                .entry(cand_code(a_code, ccode))
-                .or_insert_with(|| (0, Vec::new()));
-            slot.0 += mult;
-            if slot.1.len() < params.max_score_witnesses
-                && !slot.1.iter().any(|&(h, _)| h == a_hash)
-            {
-                slot.1.push((a_hash, score));
+            let code = cand_code(a_code, ccode);
+            let slot = *slot_of.entry(code).or_insert_with(|| {
+                cands.push(MinedCand {
+                    code,
+                    count: 0,
+                    kept: 0,
+                    head: NIL,
+                    tail: NIL,
+                });
+                u32::try_from(cands.len() - 1).expect("candidate count overflows u32")
+            });
+            let cand = &mut cands[slot as usize];
+            cand.count += mult;
+            if (cand.kept as usize) >= params.max_score_witnesses {
+                continue;
             }
+            if collided && chain(&pool, cand.head).any(|link| link.hash == a_hash) {
+                continue;
+            }
+            let at = u32::try_from(pool.len()).expect("witness pool overflows u32");
+            pool.push(Linked {
+                hash: a_hash,
+                score,
+                next: NIL,
+            });
+            match cand.tail {
+                NIL => cand.head = at,
+                tail => pool[tail as usize].next = at,
+            }
+            cand.tail = at;
+            cand.kept += 1;
         }
     }
 
     // Resolve each candidate's valid bit (every antecedent instance in
     // this config satisfied); the witness lists are already deduplicated
     // and capped.
-    let mut partial: PartialRun = Vec::with_capacity(candidates.len());
-    for (code, (count, witnesses)) in candidates {
-        let antecedent = (code >> 61) as u64;
+    for cand in &mut cands {
+        let (antecedent, _) = split_cand(cand.code);
         let instances = node_instances.get(&antecedent).copied().unwrap_or(0);
-        let valid = u32::from(count == instances && instances > 0);
-        partial.push((
-            code,
-            Partial {
-                valid,
-                witnesses,
-                seen: None,
-            },
-        ));
+        cand.count = u32::from(cand.count == instances && instances > 0);
     }
-    partial.sort_unstable_by_key(|&(code, _)| code);
+    cands.sort_unstable_by_key(|cand| cand.code);
 
-    LocalOutcome {
-        partial,
+    Mined {
+        cands,
+        pool,
         truncations,
     }
 }
@@ -576,18 +857,28 @@ pub(crate) fn cand_code(antecedent: u64, consequent: u64) -> u128 {
     (u128::from(antecedent) << 61) | u128::from(consequent)
 }
 
-/// Inverts [`cand_code`] back into the full [`CandKey`].
-pub(crate) fn decode_cand(code: u128) -> CandKey {
-    let ccode = (code as u64) & ((1 << 61) - 1);
-    let relation = match ccode & 0b11 {
+/// The relation held in the low two bits of a [`consequent_code`].
+fn decode_relation(bits: u64) -> RelationKind {
+    match bits & 0b11 {
         0 => RelationKind::Equals,
         1 => RelationKind::Contains,
         2 => RelationKind::StartsWith,
         _ => RelationKind::EndsWith,
-    };
+    }
+}
+
+/// Splits a [`cand_code`] back into its antecedent node code and its
+/// [`consequent_code`].
+fn split_cand(code: u128) -> (u64, u64) {
+    ((code >> 61) as u64, (code as u64) & ((1 << 61) - 1))
+}
+
+/// Inverts [`cand_code`] back into the full [`CandKey`].
+pub(crate) fn decode_cand(code: u128) -> CandKey {
+    let (antecedent, ccode) = split_cand(code);
     CandKey {
-        antecedent: decode_node((code >> 61) as u64),
-        relation,
+        antecedent: decode_node(antecedent),
+        relation: decode_relation(ccode),
         consequent: decode_node(ccode >> 2),
     }
 }

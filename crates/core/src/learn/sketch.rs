@@ -7,32 +7,44 @@
 //! config. A [`ConfigSketch`] bundles one config's per-miner sketches
 //! (pattern occurrence set, constant-line set, follower pairs, type
 //! histograms, sequence/unique/range accumulators, and the relational
-//! sorted-run fragment), so an engine that caches sketches can relearn
+//! candidate run), so an engine that caches sketches can relearn
 //! after an edit by re-sketching only the changed config and re-running
 //! fold + emit ([`finalize_sketches`]) — the exact same code path as a
 //! full learn, hence byte-identical contracts by construction.
 //!
-//! Sketches serialize to JSON against the dataset's [`PatternTable`]
-//! (pattern *text*, not ids, so they survive snapshot/restore where ids
-//! are reassigned). Witness hashes and diversity scores are stored as
-//! fixed-width hex bit-patterns: the JSON number type is an `f64` and
-//! cannot round-trip full-range `u64` hashes. The relational section is
-//! the bulk of a sketch — thousands of candidates over a few hundred
-//! nodes and witnesses — so it is written as a table of distinct nodes,
-//! a table of distinct witnesses, and candidates that refer to both by
-//! index.
+//! The relational section is the bulk of a sketch — hundreds to
+//! thousands of candidates over a few dozen to a few hundred distinct
+//! nodes and witnesses — and both of its forms store each node and
+//! witness once:
+//!
+//! - **Resident.** An engine holds one sketch per config for as long as
+//!   the config is unedited, so the section is a
+//!   [`relational::CompactRun`]: a node table sorted by node code, a
+//!   `(hash, score)` witness table in first-use order, and per-candidate
+//!   parallel arrays (antecedent index, consequent index with the
+//!   relation, valid count, end offset into one witness-reference pool).
+//!   [`finalize_sketches`] merges each run into the fold's wide
+//!   accumulation by reference, without cloning it.
+//! - **JSON.** Sketches serialize against the dataset's [`PatternTable`]
+//!   (pattern *text*, not ids, so they survive snapshot/restore where ids
+//!   are reassigned). Witness hashes and diversity scores are stored as
+//!   fixed-width hex bit-patterns: the JSON number type is an `f64` and
+//!   cannot round-trip full-range `u64` hashes. The relational section is
+//!   written as a table of distinct nodes in first-use order, the witness
+//!   table as stored, and candidates that refer to both by index. Decoding
+//!   re-encodes the nodes under the current table and re-sorts nodes and
+//!   candidates, since reassigned ids can reorder them.
 
 use std::fmt::Write as _;
 use std::time::Instant;
 
 use concord_json::{FromJson, Json, ToJson};
-use concord_types::{BigNum, Transform};
+use concord_types::{BigNum, Transform, ValueType};
 
 use crate::contract::{Contract, ContractSet, RelationKind};
-use crate::fxhash::FxHashMap;
 use crate::ir::{Dataset, PatternId, PatternTable};
 use crate::learn::indexes::{NodeKey, TransformTag};
-use crate::learn::LearnStats;
+use crate::learn::{buffer_bytes, LearnStats};
 use crate::learn::{minimize, ordering, present, range, relational, sequence, typing, unique};
 use crate::params::LearnParams;
 
@@ -53,8 +65,9 @@ pub struct ConfigSketch {
     pub(crate) sequence: sequence::Sketch,
     pub(crate) unique: unique::Sketch,
     pub(crate) range: range::Sketch,
-    /// Relational sorted-run fragment (see [`relational`]).
-    pub(crate) relational: relational::PartialRun,
+    /// Relational run, in its compact resident form (see
+    /// [`relational::CompactRun`]).
+    pub(crate) relational: relational::CompactRun,
     /// Witness records this config's relational pass dropped to the
     /// fan-out guard.
     pub(crate) relational_truncations: u64,
@@ -71,10 +84,10 @@ pub fn sketch_config(dataset: &Dataset, ci: usize, params: &LearnParams) -> Conf
     }
     let patterns: Vec<PatternId> = lines_by_pattern.keys().copied().collect();
     let (relational, relational_truncations) = if params.enable_relational {
-        let outcome = relational::mine_config(dataset, ci, params);
-        (outcome.partial, outcome.truncations)
+        let mined = relational::mine_config(dataset, ci, params);
+        (mined.to_compact(), mined.truncations)
     } else {
-        (Vec::new(), 0)
+        (relational::CompactRun::default(), 0)
     };
     ConfigSketch {
         patterns,
@@ -210,11 +223,8 @@ pub fn finalize_sketches(
         let mut global: relational::PartialRun = Vec::new();
         for sketch in sketches {
             stats.fanout_truncations += sketch.relational_truncations;
-            global = relational::merge_partials(
-                global,
-                sketch.relational.clone(),
-                params.max_score_witnesses,
-            );
+            global =
+                relational::merge_compact(global, &sketch.relational, params.max_score_witnesses);
         }
         stats.relational_merge_time = tm.elapsed();
         let mined = relational::finalize(global, dataset, &config_count, params);
@@ -316,59 +326,50 @@ fn node_from_json(json: &Json, table: &PatternTable) -> Option<NodeKey> {
     })
 }
 
-/// Returns `key`'s index in the table behind `index`, appending it (via
-/// `push`) on first sight.
-fn intern<K: std::hash::Hash + Eq>(
-    index: &mut FxHashMap<K, usize>,
-    key: K,
-    push: impl FnOnce(),
-) -> usize {
-    let next = index.len();
-    *index.entry(key).or_insert_with(|| {
-        push();
-        next
-    })
-}
-
 /// Writes a relational run as a table of its distinct nodes, a table of
 /// its distinct `(hash, score)` witnesses, and one
 /// `[antecedent, relation, consequent, valid, witnesses]` entry per
 /// candidate, where the nodes are indices into the node table and
 /// `witnesses` is one string of space-separated hex indices into the
-/// witness table, in list order. Both tables are in first-use order.
-fn relational_to_json(run: &relational::PartialRun, table: &PatternTable) -> Json {
-    let mut node_index: FxHashMap<NodeKey, usize> = FxHashMap::default();
+/// witness table, in list order. Both tables are in first-use order:
+/// the witness table and references are written as the run stores them,
+/// and its code-sorted node table is renumbered in first-use order.
+fn relational_to_json(run: &relational::CompactRun, table: &PatternTable) -> Json {
+    let mut renumbered = vec![usize::MAX; run.nodes.len()];
     let mut nodes = Vec::new();
-    let mut witness_index: FxHashMap<(u64, u64), usize> = FxHashMap::default();
-    let mut witnesses = Vec::new();
+    let mut node = |index: u32| {
+        let slot = &mut renumbered[index as usize];
+        if *slot == usize::MAX {
+            *slot = nodes.len();
+            let key = relational::decode_node(run.nodes[index as usize]);
+            nodes.push(node_to_json(key, table));
+        }
+        *slot
+    };
     let mut candidates = Vec::with_capacity(run.len());
-    for (code, partial) in run {
-        let key = relational::decode_cand(*code);
-        let mut node = |node: NodeKey| {
-            intern(&mut node_index, node, || {
-                nodes.push(node_to_json(node, table));
-            })
-        };
-        let antecedent = node(key.antecedent);
-        let consequent = node(key.consequent);
-        let mut refs = String::with_capacity(4 * partial.witnesses.len());
-        for &(hash, score) in &partial.witnesses {
-            let i = intern(&mut witness_index, (hash, score.to_bits()), || {
-                witnesses.push(Json::Array(vec![hex64(hash), hex_f64(score)]));
-            });
+    for i in 0..run.len() {
+        let antecedent = node(run.antecedents[i]);
+        let consequent = node(run.consequents[i] >> 2);
+        let mut refs = String::with_capacity(4 * run.refs(i).len());
+        for r in run.refs(i) {
             if !refs.is_empty() {
                 refs.push(' ');
             }
-            let _ = write!(refs, "{i:x}");
+            let _ = write!(refs, "{r:x}");
         }
         candidates.push(Json::Array(vec![
             antecedent.to_json(),
-            key.relation.to_json(),
+            run.relation(i).to_json(),
             consequent.to_json(),
-            partial.valid.to_json(),
+            run.valid[i].to_json(),
             Json::Str(refs),
         ]));
     }
+    let witnesses = run
+        .witnesses
+        .iter()
+        .map(|&(hash, score)| Json::Array(vec![hex64(hash), hex_f64(score)]))
+        .collect();
     Json::Object(vec![
         ("nodes".to_string(), Json::Array(nodes)),
         ("witnesses".to_string(), Json::Array(witnesses)),
@@ -377,9 +378,12 @@ fn relational_to_json(run: &relational::PartialRun, table: &PatternTable) -> Jso
 }
 
 /// Inverts [`relational_to_json`], re-encoding nodes under `table`'s
-/// current ids and restoring the run's sort order. `None` on any shape
-/// mismatch, out-of-range integer, or index outside its table.
-fn relational_from_json(json: &Json, table: &PatternTable) -> Option<relational::PartialRun> {
+/// current ids. Ids may have been reassigned since the sketch was
+/// written, so the nodes and candidates are re-sorted and the witness
+/// table renumbered in first-use order under the current encoding.
+/// `None` on any shape mismatch, out-of-range integer, index outside its
+/// table, or repeated candidate.
+fn relational_from_json(json: &Json, table: &PatternTable) -> Option<relational::CompactRun> {
     let nodes = json
         .get("nodes")?
         .as_array()?
@@ -396,9 +400,10 @@ fn relational_from_json(json: &Json, table: &PatternTable) -> Option<relational:
         })
         .collect::<Option<Vec<(u64, f64)>>>()?;
     let node_at = |j: &Json| nodes.get(usize::try_from(j.as_u64()?).ok()?).copied();
-    let mut run: relational::PartialRun = Vec::new();
+    let mut candidates = Vec::new();
+    let mut refs: Vec<usize> = Vec::new();
     for entry in json.get("candidates")?.as_array()? {
-        let [antecedent, relation, consequent, valid, refs] = entry.as_array()? else {
+        let [antecedent, relation, consequent, valid, witness_refs] = entry.as_array()? else {
             return None;
         };
         let code = relational::cand_code(
@@ -408,27 +413,85 @@ fn relational_from_json(json: &Json, table: &PatternTable) -> Option<relational:
                 node_at(consequent)?,
             ),
         );
-        let witnesses = refs
-            .as_str()?
-            .split_ascii_whitespace()
-            .map(|i| witnesses.get(usize::from_str_radix(i, 16).ok()?).copied())
-            .collect::<Option<Vec<(u64, f64)>>>()?;
-        run.push((
-            code,
-            relational::Partial {
-                valid: u32::from_json(valid).ok()?,
-                witnesses,
-                seen: None,
-            },
-        ));
+        let start = refs.len();
+        for r in witness_refs.as_str()?.split_ascii_whitespace() {
+            let r = usize::from_str_radix(r, 16).ok()?;
+            if r >= witnesses.len() {
+                return None;
+            }
+            refs.push(r);
+        }
+        candidates.push((code, u32::from_json(valid).ok()?, start..refs.len()));
     }
-    // Ids may have been reassigned since the sketch was written:
-    // restore the sorted-run invariant under the current encoding.
-    run.sort_unstable_by_key(|&(code, _)| code);
-    Some(run)
+    candidates.sort_unstable_by_key(|&(code, _, _)| code);
+    if candidates.windows(2).any(|pair| pair[0].0 == pair[1].0) {
+        return None;
+    }
+    let mut packer = relational::Packer::new(candidates.iter().map(|c| c.0), refs.len());
+    for (code, valid, range) in candidates {
+        packer.push(code, valid, refs[range].iter().map(|&r| witnesses[r]));
+    }
+    Some(packer.finish())
 }
 
 impl ConfigSketch {
+    /// The heap this sketch owns, in bytes, computed from the capacities
+    /// of its buffers — exactly what the allocator holds for it.
+    pub fn heap_bytes(&self) -> usize {
+        let typing: usize = self
+            .typing
+            .groups
+            .iter()
+            .map(|(agnostic, holes)| {
+                let counts: usize = holes
+                    .iter()
+                    .map(|counts| {
+                        let custom: usize = counts
+                            .iter()
+                            .map(|(ty, _)| match ty {
+                                ValueType::Custom(name) => name.capacity(),
+                                _ => 0,
+                            })
+                            .sum();
+                        buffer_bytes(counts) + custom
+                    })
+                    .sum();
+                agnostic.capacity() + buffer_bytes(holes) + counts
+            })
+            .sum();
+        let unique: usize = self
+            .unique
+            .entries
+            .iter()
+            .map(|(_, ps)| {
+                let rendered: usize = ps.distinct.iter().map(|(r, _)| r.capacity()).sum();
+                buffer_bytes(&ps.distinct) + rendered
+            })
+            .sum();
+        let range: usize = self
+            .range
+            .entries
+            .iter()
+            .map(|(_, ps)| {
+                let distinct: usize = ps.distinct.iter().map(BigNum::heap_bytes).sum();
+                ps.min.heap_bytes() + ps.max.heap_bytes() + buffer_bytes(&ps.distinct) + distinct
+            })
+            .sum();
+        let constants: usize = self.present.constants.iter().map(String::capacity).sum();
+        buffer_bytes(&self.patterns)
+            + buffer_bytes(&self.present.constants)
+            + constants
+            + buffer_bytes(&self.ordering.pairs)
+            + buffer_bytes(&self.typing.groups)
+            + typing
+            + buffer_bytes(&self.sequence.entries)
+            + buffer_bytes(&self.unique.entries)
+            + unique
+            + buffer_bytes(&self.range.entries)
+            + range
+            + self.relational.heap_bytes()
+    }
+
     /// Serializes against `table` (the table the sketch's pattern ids
     /// refer to). Patterns are stored as text so the sketch survives
     /// table rebuilds that reassign ids.
@@ -603,10 +666,7 @@ impl ConfigSketch {
                     let [ty, count] = pair.as_array()? else {
                         return None;
                     };
-                    counts.push((
-                        concord_types::ValueType::from_json(ty).ok()?,
-                        count.as_u64()?,
-                    ));
+                    counts.push((ValueType::from_json(ty).ok()?, count.as_u64()?));
                 }
                 hole_counts.push(counts);
             }
@@ -802,10 +862,7 @@ mod tests {
         assert!(!sketch.sequence.entries.is_empty());
         assert!(!sketch.unique.entries.is_empty());
         assert!(!sketch.range.entries.is_empty());
-        assert!(sketch
-            .relational
-            .iter()
-            .any(|(_, p)| !p.witnesses.is_empty()));
+        assert!((0..sketch.relational.len()).any(|i| !sketch.relational.refs(i).is_empty()));
         let json = sketch.to_json(&ds.table);
         (ds, sketch, json)
     }
@@ -855,6 +912,11 @@ mod tests {
         assert!(!decodes(&|relational| {
             items(&mut items(field(relational, "candidates"))[0])[3] = (1u64 << 32).to_json();
         }));
+        // A candidate listed twice.
+        assert!(!decodes(&|relational| {
+            let candidates = items(field(relational, "candidates"));
+            candidates.push(candidates[0].clone());
+        }));
     }
 
     #[test]
@@ -863,19 +925,16 @@ mod tests {
         let relational = &json["relational"];
         let count = |key: &str| relational[key].as_array().expect(key).len();
         assert_eq!(count("candidates"), sketch.relational.len());
-        let mut witnesses: Vec<(u64, u64)> = sketch
-            .relational
-            .iter()
-            .flat_map(|(_, p)| p.witnesses.iter().map(|&(h, s)| (h, s.to_bits())))
+        let run = &sketch.relational;
+        let mut witnesses: Vec<(u64, u64)> = (0..run.len())
+            .flat_map(|i| run.witnesses_of(i).map(|(h, s)| (h, s.to_bits())))
             .collect();
         witnesses.sort_unstable();
         witnesses.dedup();
         assert_eq!(count("witnesses"), witnesses.len());
-        let mut nodes: Vec<NodeKey> = sketch
-            .relational
-            .iter()
-            .flat_map(|&(code, _)| {
-                let key = relational::decode_cand(code);
+        let mut nodes: Vec<NodeKey> = (0..run.len())
+            .flat_map(|i| {
+                let key = relational::decode_cand(run.code(i));
                 [key.antecedent, key.consequent]
             })
             .collect();

@@ -42,8 +42,10 @@ use crate::learn::LearnStats;
 /// object (`engine.storage`: injected storage faults, bounded-retry
 /// attempts, degraded-mode transitions and recoveries, and GC removal
 /// errors that were previously swallowed — plus the live degraded
-/// flag surfaced by the serve `HEALTH` verb).
-pub const STATS_SCHEMA: &str = "concord-pipeline-stats/v10";
+/// flag surfaced by the serve `HEALTH` verb); v11 added
+/// `engine.memory.sketch_bytes`, the heap held by the resident learn
+/// sketches.
+pub const STATS_SCHEMA: &str = "concord-pipeline-stats/v11";
 
 /// Statistics from one [`Dataset::build_with_stats`](crate::Dataset::build_with_stats) run.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -325,10 +327,11 @@ impl ToJson for LearnDeltaStats {
 }
 
 /// Memory accounting for the arena-interned structure-of-arrays
-/// dataset, plus the segmented-checkpoint scorecard (the v9 `memory`
-/// stats object). Byte figures are exact heap-allocation sums from the
-/// arenas themselves, not RSS estimates, so they are stable across
-/// allocators and platforms.
+/// dataset and the resident learn sketches, plus the
+/// segmented-checkpoint scorecard (the v9 `memory` stats object). Byte
+/// figures are exact heap-allocation sums from the structures
+/// themselves, not RSS estimates, so they are stable across allocators
+/// and platforms.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MemoryStats {
     /// Bytes held by the interned-string arena (originals and names).
@@ -339,6 +342,8 @@ pub struct MemoryStats {
     pub pattern_table_bytes: u64,
     /// Bytes held by the per-config SoA line columns.
     pub column_bytes: u64,
+    /// Bytes held by the resident per-config learn sketches (v11).
+    pub sketch_bytes: u64,
     /// Distinct strings interned (deduplicated across the corpus).
     pub interned_strings: u64,
     /// Distinct parameter slices interned.
@@ -356,6 +361,7 @@ impl MemoryStats {
         self.param_arena_bytes += other.param_arena_bytes;
         self.pattern_table_bytes += other.pattern_table_bytes;
         self.column_bytes += other.column_bytes;
+        self.sketch_bytes += other.sketch_bytes;
         self.interned_strings += other.interned_strings;
         self.interned_param_slices += other.interned_param_slices;
         self.segments_written += other.segments_written;
@@ -370,6 +376,7 @@ impl ToJson for MemoryStats {
             "param_arena_bytes": self.param_arena_bytes,
             "pattern_table_bytes": self.pattern_table_bytes,
             "column_bytes": self.column_bytes,
+            "sketch_bytes": self.sketch_bytes,
             "interned_strings": self.interned_strings,
             "interned_param_slices": self.interned_param_slices,
             "segments_written": self.segments_written,
@@ -1029,6 +1036,7 @@ mod tests {
                     param_arena_bytes: 1024,
                     pattern_table_bytes: 512,
                     column_bytes: 2048,
+                    sketch_bytes: 8192,
                     interned_strings: 100,
                     interned_param_slices: 40,
                     segments_written: 7,
@@ -1137,6 +1145,10 @@ mod tests {
         assert_eq!(
             json["engine"]["memory"]["column_bytes"].as_u64(),
             Some(2048)
+        );
+        assert_eq!(
+            json["engine"]["memory"]["sketch_bytes"].as_u64(),
+            Some(8192)
         );
         assert_eq!(
             json["engine"]["memory"]["interned_strings"].as_u64(),

@@ -246,6 +246,75 @@ fn decoded_sketches_fold_like_a_full_learn() {
     });
 }
 
+/// A config that leads a fleet's dataset so that its pattern ids are
+/// reassigned: a few lines of patterns the fleet lacks, then `text`'s
+/// top-level blocks in reverse order. The dataset interns the new
+/// patterns first, shifting every fleet pattern's id, and meets the
+/// fleet's patterns out of their usual order, so some pairs swap.
+fn reordering_lead(rng: &mut StdRng, text: &str) -> String {
+    let mut blocks: Vec<String> = Vec::new();
+    for line in text.lines() {
+        match blocks.last_mut() {
+            Some(block) if line.starts_with(' ') => block.push_str(line),
+            _ => blocks.push(line.to_string()),
+        }
+        blocks.last_mut().unwrap().push('\n');
+    }
+    let mut lead: String = (0..rng.gen_range(1..4u32))
+        .map(|k| format!("lead-only keyword{k} {}\n", rng.gen_range(0..100u32)))
+        .collect();
+    for block in blocks.iter().rev() {
+        lead.push_str(block);
+    }
+    lead
+}
+
+/// Sketches decoded against a table whose pattern ids were reassigned —
+/// shifted, and reordered — fold with a newly mined sketch into exactly
+/// what a full learn of that dataset gives.
+#[test]
+fn sketches_decode_under_reassigned_pattern_ids() {
+    prop::check(
+        "sketches_decode_under_reassigned_pattern_ids",
+        CASES,
+        |rng| {
+            let texts = fleet(rng);
+            let params = all_miners();
+            let ds = dataset(texts.clone());
+            let rendered: Vec<String> = (0..ds.configs.len())
+                .map(|ci| sketch_config(&ds, ci, &params).to_json(&ds.table).render())
+                .collect();
+
+            let lead = reordering_lead(rng, &texts[0]);
+            let shifted = dataset(std::iter::once(lead).chain(texts).collect());
+            let ids: Vec<(u32, u32)> = ds
+                .table
+                .iter()
+                .map(|(id, text)| (id.0, shifted.table.get(text).expect("still interned").0))
+                .collect();
+            assert!(ids.iter().any(|(old, new)| old != new), "no id moved");
+            assert!(
+                ids.windows(2).any(|pair| pair[1].1 < pair[0].1),
+                "no pair of ids swapped order"
+            );
+
+            let mut sketches = vec![sketch_config(&shifted, 0, &params)];
+            for text in &rendered {
+                let json = Json::parse(text).unwrap();
+                sketches.push(ConfigSketch::from_json(&json, &shifted.table).expect("decodes"));
+            }
+            let refs: Vec<&ConfigSketch> = sketches.iter().collect();
+            let (folded, folded_stats) = finalize_sketches(&shifted, &refs, &params);
+            let (full, full_stats) = learn_with_stats(&shifted, &params);
+            assert_eq!(folded.to_json(), full.to_json());
+            assert_eq!(
+                folded_stats.fanout_truncations,
+                full_stats.fanout_truncations
+            );
+        },
+    );
+}
+
 /// Removing a whole config from the dataset must never create violations
 /// in other configs (checking is per-config except `unique`, which only
 /// gets easier).

@@ -890,16 +890,24 @@ impl Engine {
         }
     }
 
-    /// Arena/interner heap accounting for the SoA dataset. The
-    /// segmented-checkpoint counters stay zero here: a bare engine has
-    /// no store; the resilient layer fills them in.
+    /// Arena/interner heap accounting for the SoA dataset, plus the
+    /// heap held by the cached learn sketches. The segmented-checkpoint
+    /// counters stay zero here: a bare engine has no store; the
+    /// resilient layer fills them in.
     fn memory_stats(&self) -> MemoryStats {
         let (strings, params, table, columns) = self.dataset.arena_bytes();
+        let sketches: usize = self
+            .slots
+            .iter()
+            .filter_map(|slot| slot.sketch.as_ref())
+            .map(ConfigSketch::heap_bytes)
+            .sum();
         MemoryStats {
             string_arena_bytes: strings as u64,
             param_arena_bytes: params as u64,
             pattern_table_bytes: table as u64,
             column_bytes: columns as u64,
+            sketch_bytes: sketches as u64,
             interned_strings: self.dataset.interned_strings() as u64,
             interned_param_slices: self.dataset.interned_param_slices() as u64,
             segments_written: 0,
@@ -1282,6 +1290,33 @@ mod tests {
         let ld = engine.snapshot_stats().learn_delta;
         assert_eq!(ld.mined_last_learn, 0);
         assert_eq!(ld.reused_last_learn, 6);
+    }
+
+    /// STATS `memory.sketch_bytes` is the heap of the cached sketches: an
+    /// UPSERT drops the edited config's bytes, and the next LEARN
+    /// restores them.
+    #[test]
+    fn sketch_bytes_follow_the_cached_sketches() {
+        let mut engine = Engine::from_corpus(&corpus(), &[], EngineOptions::default()).unwrap();
+        let sketch_bytes = |engine: &Engine| engine.snapshot_stats().memory.sketch_bytes;
+        assert_eq!(sketch_bytes(&engine), 0, "nothing sketched before a LEARN");
+        engine.relearn();
+        let learned = sketch_bytes(&engine);
+        let i = engine.dataset.config_index("dev2").unwrap();
+        let dev2 = engine.slots[i].sketch.as_ref().unwrap().heap_bytes() as u64;
+        assert!(dev2 > 0 && dev2 < learned);
+
+        let (_, text) = &corpus()[2];
+        engine.upsert_config("dev2", "hostname DEV902\nvlan 902\n");
+        assert_eq!(sketch_bytes(&engine), learned - dev2);
+        engine.relearn();
+        let edited = engine.slots[i].sketch.as_ref().unwrap().heap_bytes() as u64;
+        assert_eq!(sketch_bytes(&engine), learned - dev2 + edited);
+
+        engine.upsert_config("dev2", text);
+        assert_eq!(sketch_bytes(&engine), learned - dev2);
+        engine.relearn();
+        assert_eq!(sketch_bytes(&engine), learned);
     }
 
     #[test]

@@ -103,6 +103,11 @@ impl BigNum {
         Some(acc)
     }
 
+    /// Heap bytes held by the limb buffer.
+    pub fn heap_bytes(&self) -> usize {
+        self.limbs.capacity() * std::mem::size_of::<u32>()
+    }
+
     /// Returns the absolute difference `|self - other|`.
     pub fn abs_diff(&self, other: &BigNum) -> BigNum {
         match self.cmp(other) {
