@@ -5,10 +5,10 @@
 //! For each dataset size the harness times three learners (minimum of
 //! several samples): the pre-optimization reference (sequential miners,
 //! left-fold relational accumulation, std hashing), the optimized engine
-//! at parallelism 1 (isolating the algorithmic wins — Fx hashing,
-//! allocation discipline), and the optimized engine at parallelism 8
-//! (adding concurrent miners, the tree merge, and parallel
-//! minimization). Contract sets are asserted identical before the
+//! at parallelism 1 (isolating the algorithmic wins — per-config
+//! sketches, Fx hashing, allocation discipline), and the optimized
+//! engine at parallelism 8 (adding parallel sketching of each chunk of
+//! configs and parallel minimization; the fold stays sequential). Contract sets are asserted identical before the
 //! timings are compared, then the curve is recorded into
 //! `BENCH_learn.json` at the repository root (and
 //! `target/experiments/learn_scaling.json`). Pass `--smoke` (or set
@@ -16,7 +16,7 @@
 //!
 //! The workload is the EdgeIndent generator with many repeated blocks
 //! per device: relational candidate mining and witness accumulation
-//! dominate, which is exactly what the tree merge and Fx hot paths
+//! dominate, which is what parallel sketching and the Fx hot paths
 //! target.
 
 use concord_bench::{dataset_of, fmt_secs, seed, timed, write_result};
@@ -34,7 +34,7 @@ const SAMPLES: usize = 5;
 /// Repeated-block knob (`CONCORD_LEARN_BLOCKS` overrides): per-device
 /// VLAN/interface/prefix-list multiplicity. Relational mining cost grows
 /// with the number of candidate witnesses per config, so this is the
-/// axis that stresses the accumulation merge. Full runs use the value
+/// axis that stresses the relational sketch and fold. Full runs use the value
 /// the committed `BENCH_learn.json` was measured at; smoke runs shrink
 /// it to keep CI fast.
 const BLOCKS_FULL: usize = 96;
@@ -77,8 +77,8 @@ fn main() {
         };
         let role = generate_role(&spec, seed());
         let dataset = dataset_of(&role);
-        // Constants on: per-line Present mining adds miner-side load so
-        // the concurrent-miner stage has real work to overlap.
+        // Constants on: per-line Present mining adds sketch-side load, so
+        // every miner's sketch section has real work.
         let params = LearnParams {
             learn_constants: true,
             ..LearnParams::default()
@@ -143,7 +143,6 @@ fn main() {
             "optimized_p8_secs": p8_time.as_secs_f64(),
             "speedup_p1": speedup_p1,
             "speedup_p8": speedup_p8,
-            "miner_parallelism": stats.miner_parallelism,
             "relational_merge_secs": stats.relational_merge_time.as_secs_f64(),
             "fanout_truncations": stats.fanout_truncations,
             "minimize_secs": stats.minimize_time.as_secs_f64(),

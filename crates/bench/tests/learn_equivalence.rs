@@ -1,11 +1,11 @@
 //! Golden equivalence: the parallel learn engine must produce contract
 //! sets identical to the sequential reference learner (`learn_reference`,
 //! kept behind the `reference-learn` feature) — same contracts in the
-//! same order — across config styles and parallelism levels. This is the
-//! contract that lets every optimization in the learn engine (concurrent
-//! miners, the tree-merged relational accumulation, Fx hashing, parallel
-//! minimization) land without a semantics review: the reference is the
-//! spec.
+//! same order — across config styles, parallelism levels and learn
+//! chunk boundaries. This is the contract that lets every optimization
+//! in the learn engine (parallel per-config sketches, the chunked fold,
+//! Fx hashing, parallel minimization) land without a semantics review:
+//! the reference is the spec.
 
 use concord_bench::{default_params, seed};
 use concord_core::{learn, learn_reference, Dataset, LearnParams};
@@ -59,4 +59,40 @@ fn parallel_learner_matches_reference_on_edge_style() {
 #[test]
 fn parallel_learner_matches_reference_on_wan_style() {
     learn_style(Style::WanFlat, "WAN-LEARN-EQ");
+}
+
+#[test]
+fn parallel_learner_matches_reference_across_chunks() {
+    // More than two 64-config learn chunks, so the fold crosses chunk
+    // boundaries. With a one-witness cap a relational score is the score
+    // of the first witnessing config's value, so what is learned depends
+    // on which configs are folded first.
+    let spec = RoleSpec {
+        name: "EDGE-LEARN-CHUNKS".to_string(),
+        devices: 150,
+        style: Style::EdgeIndent,
+        blocks: 2,
+        with_metadata: true,
+    };
+    let role = generate_role(&spec, seed());
+    let dataset = Dataset::from_named_texts(&role.configs, &role.metadata).expect("dataset builds");
+    let params = LearnParams {
+        max_score_witnesses: 1,
+        ..default_params()
+    };
+    let reference = learn_reference(&dataset, &params);
+    assert!(!reference.contracts.is_empty());
+    for parallelism in [1, 2, 8] {
+        let learned = learn(
+            &dataset,
+            &LearnParams {
+                parallelism,
+                ..params.clone()
+            },
+        );
+        assert_eq!(
+            reference.contracts, learned.contracts,
+            "chunked learn diverges from the reference at parallelism {parallelism}"
+        );
+    }
 }

@@ -34,9 +34,10 @@ USAGE:
 Categories for --disable: present ordering type sequence unique relational
 
 --stats text prints a per-stage timing summary (lexing with cache
-hit/miss counts, each miner, minimization, checking); --stats json
+hit/miss counts, each miner's sketch, fold and emit, minimization,
+checking); --stats json
 emits the same data as one machine-readable object (schema
-concord-pipeline-stats/v11, see DESIGN.md) instead of the human
+concord-pipeline-stats/v12, see DESIGN.md) instead of the human
 summary.
 
 serve holds a resident incremental engine and answers a request
@@ -73,7 +74,7 @@ pub enum StatsMode {
     Off,
     /// Human-readable summary appended to normal output.
     Text,
-    /// One `concord-pipeline-stats/v11` JSON object replacing the human
+    /// One `concord-pipeline-stats/v12` JSON object replacing the human
     /// summary.
     Json,
 }

@@ -8,7 +8,6 @@
 use crate::contract::Contract;
 use crate::fxhash::{FxHashMap, FxHashSet};
 use crate::ir::PatternId;
-use crate::learn::DatasetView;
 use crate::params::LearnParams;
 
 /// Per-config ordering sketch: the config's non-conflicted
@@ -96,19 +95,18 @@ pub(crate) fn emit(
     out
 }
 
-pub(crate) fn mine(view: &DatasetView<'_>, params: &LearnParams) -> Vec<Contract> {
-    let mut acc = Acc::default();
-    for ci in 0..view.num_configs() {
-        let sketch = sketch_config(view.dataset, ci);
-        fold(&mut acc, &sketch);
-    }
-    emit(acc, view.dataset, &view.config_count, params)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ir::Dataset;
+
+    fn learn_alone(ds: &Dataset, params: &LearnParams) -> Vec<Contract> {
+        crate::learn::learn(
+            ds,
+            &crate::learn::only(params, |p| p.enable_ordering = true),
+        )
+        .contracts
+    }
 
     fn dataset(texts: &[String]) -> Dataset {
         let configs: Vec<(String, String)> = texts
@@ -141,8 +139,7 @@ mod tests {
             })
             .collect();
         let ds = dataset(&texts);
-        let view = DatasetView::new(&ds);
-        let contracts = mine(&view, &LearnParams::default());
+        let contracts = learn_alone(&ds, &LearnParams::default());
         let pairs = orderings(&contracts);
         assert!(pairs.iter().any(|(f, s)| {
             f.ends_with("evpn ether-segment") && s.contains("route-target import")
@@ -155,12 +152,11 @@ mod tests {
         // In one config, `a line` appears twice with different followers.
         texts.push("a line\nb line\na line\nc line\n".to_string());
         let ds = dataset(&texts);
-        let view = DatasetView::new(&ds);
         let params = LearnParams {
             confidence: 1.0,
             ..LearnParams::default()
         };
-        let pairs = orderings(&mine(&view, &params));
+        let pairs = orderings(&learn_alone(&ds, &params));
         assert!(pairs.is_empty());
     }
 
@@ -170,8 +166,7 @@ mod tests {
         let mut texts: Vec<String> = (0..25).map(|_| "a line\nb line\n".to_string()).collect();
         texts.push("a line\nc line\nb line\n".to_string());
         let ds = dataset(&texts);
-        let view = DatasetView::new(&ds);
-        let pairs = orderings(&mine(&view, &LearnParams::default()));
+        let pairs = orderings(&learn_alone(&ds, &LearnParams::default()));
         assert!(pairs.contains(&("/a line".to_string(), "/b line".to_string())));
     }
 
@@ -188,8 +183,7 @@ mod tests {
             })
             .collect();
         let ds = dataset(&texts);
-        let view = DatasetView::new(&ds);
-        let pairs = orderings(&mine(&view, &LearnParams::default()));
+        let pairs = orderings(&learn_alone(&ds, &LearnParams::default()));
         assert!(!pairs.iter().any(|(f, _)| f == "/a line"));
     }
 
@@ -200,7 +194,6 @@ mod tests {
         // contrived setup where p1 support is 3 too.
         let texts: Vec<String> = (0..3).map(|_| "x line\ny line\n".to_string()).collect();
         let ds = dataset(&texts);
-        let view = DatasetView::new(&ds);
-        assert!(orderings(&mine(&view, &LearnParams::default())).is_empty());
+        assert!(orderings(&learn_alone(&ds, &LearnParams::default())).is_empty());
     }
 }

@@ -9,7 +9,7 @@
 use crate::contract::Contract;
 use crate::fxhash::{FxHashMap, FxHashSet};
 use crate::ir::Dataset;
-use crate::learn::{fill_pattern_into, DatasetView};
+use crate::learn::fill_pattern_into;
 use crate::params::LearnParams;
 
 /// Per-config present sketch. The pattern-occurrence half of present
@@ -99,27 +99,14 @@ pub(crate) fn emit(
     out
 }
 
-pub(crate) fn mine(view: &DatasetView<'_>, params: &LearnParams) -> Vec<Contract> {
-    let mut acc = Acc::default();
-    if params.learn_constants {
-        for ci in 0..view.num_configs() {
-            let sketch = sketch_config(view.dataset, ci, params);
-            fold(&mut acc, &sketch);
-        }
-    }
-    emit(
-        acc,
-        view.dataset,
-        &view.config_count,
-        view.num_configs(),
-        params,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ir::Dataset;
+
+    fn learn_alone(ds: &Dataset, params: &LearnParams) -> Vec<Contract> {
+        crate::learn::learn(ds, &crate::learn::only(params, |p| p.enable_present = true)).contracts
+    }
 
     fn dataset(texts: &[String]) -> Dataset {
         let configs: Vec<(String, String)> = texts
@@ -144,8 +131,7 @@ mod tests {
     fn learns_universal_pattern() {
         let texts: Vec<String> = (0..6).map(|i| format!("router bgp 6500{i}\n")).collect();
         let ds = dataset(&texts);
-        let view = DatasetView::new(&ds);
-        let contracts = mine(&view, &LearnParams::default());
+        let contracts = learn_alone(&ds, &LearnParams::default());
         assert_eq!(present_patterns(&contracts), vec!["/router bgp [a:num]"]);
     }
 
@@ -154,8 +140,7 @@ mod tests {
         // Only 4 configs: below the default support of 5.
         let texts: Vec<String> = (0..4).map(|i| format!("vlan {i}\n")).collect();
         let ds = dataset(&texts);
-        let view = DatasetView::new(&ds);
-        assert!(mine(&view, &LearnParams::default()).is_empty());
+        assert!(learn_alone(&ds, &LearnParams::default()).is_empty());
     }
 
     #[test]
@@ -164,8 +149,7 @@ mod tests {
         let mut texts: Vec<String> = (0..5).map(|i| format!("vlan {i}\n")).collect();
         texts.push("other line\n".to_string());
         let ds = dataset(&texts);
-        let view = DatasetView::new(&ds);
-        let contracts = mine(&view, &LearnParams::default());
+        let contracts = learn_alone(&ds, &LearnParams::default());
         assert!(present_patterns(&contracts).is_empty());
     }
 
@@ -175,8 +159,7 @@ mod tests {
         let mut texts: Vec<String> = (0..24).map(|i| format!("vlan {i}\n")).collect();
         texts.push("vlan 99\nextra\n".to_string());
         let ds = dataset(&texts);
-        let view = DatasetView::new(&ds);
-        let contracts = mine(&view, &LearnParams::default());
+        let contracts = learn_alone(&ds, &LearnParams::default());
         // `vlan` is universal; `extra` (1/25 = 4%) is not learned.
         assert_eq!(present_patterns(&contracts), vec!["/vlan [a:num]"]);
     }
@@ -187,12 +170,11 @@ mod tests {
             .map(|_| "seq 20 permit 0.0.0.0/0\n".to_string())
             .collect();
         let ds = dataset(&texts);
-        let view = DatasetView::new(&ds);
         let params = LearnParams {
             learn_constants: true,
             ..LearnParams::default()
         };
-        let contracts = mine(&view, &params);
+        let contracts = learn_alone(&ds, &params);
         assert!(contracts.iter().any(|c| matches!(
             c,
             Contract::PresentExact { line } if line == "/seq 20 permit 0.0.0.0/0"
@@ -203,12 +185,11 @@ mod tests {
     fn constant_learning_skips_varying_lines() {
         let texts: Vec<String> = (0..6).map(|i| format!("hostname DEV{i}\n")).collect();
         let ds = dataset(&texts);
-        let view = DatasetView::new(&ds);
         let params = LearnParams {
             learn_constants: true,
             ..LearnParams::default()
         };
-        let contracts = mine(&view, &params);
+        let contracts = learn_alone(&ds, &params);
         assert!(!contracts
             .iter()
             .any(|c| matches!(c, Contract::PresentExact { .. })));

@@ -17,7 +17,6 @@ use concord_types::BigNum;
 use crate::contract::Contract;
 use crate::fxhash::{FxHashMap, FxHashSet};
 use crate::ir::PatternId;
-use crate::learn::DatasetView;
 use crate::params::LearnParams;
 
 /// One `(pattern, param)` pair's numeric evidence within a single
@@ -160,19 +159,14 @@ pub(crate) fn emit(acc: Acc, dataset: &crate::ir::Dataset, params: &LearnParams)
     out
 }
 
-pub(crate) fn mine(view: &DatasetView<'_>, params: &LearnParams) -> Vec<Contract> {
-    let mut acc = Acc::default();
-    for ci in 0..view.num_configs() {
-        let sketch = sketch_config(view.dataset, ci, &view.lines_by_pattern[ci]);
-        fold(&mut acc, &sketch);
-    }
-    emit(acc, view.dataset, params)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ir::Dataset;
+
+    fn learn_alone(ds: &Dataset, params: &LearnParams) -> Vec<Contract> {
+        crate::learn::learn(ds, &crate::learn::only(params, |p| p.enable_range = true)).contracts
+    }
 
     fn dataset(texts: &[String]) -> Dataset {
         let configs: Vec<(String, String)> = texts
@@ -197,8 +191,7 @@ mod tests {
             .map(|i| format!("mtu {}\n", if i % 2 == 0 { 1500 } else { 9214 }))
             .collect();
         let ds = dataset(&texts);
-        let view = DatasetView::new(&ds);
-        let contracts = mine(&view, &params());
+        let contracts = learn_alone(&ds, &params());
         assert_eq!(contracts.len(), 1);
         match &contracts[0] {
             Contract::Range { min, max, .. } => {
@@ -214,15 +207,13 @@ mod tests {
         // Every device has a distinct id: a range over it is meaningless.
         let texts: Vec<String> = (0..8).map(|i| format!("vlan {}\n", 100 + i)).collect();
         let ds = dataset(&texts);
-        let view = DatasetView::new(&ds);
-        assert!(mine(&view, &params()).is_empty());
+        assert!(learn_alone(&ds, &params()).is_empty());
     }
 
     #[test]
     fn support_threshold_applies() {
         let texts: Vec<String> = (0..3).map(|_| "mtu 1500\n".to_string()).collect();
         let ds = dataset(&texts);
-        let view = DatasetView::new(&ds);
-        assert!(mine(&view, &params()).is_empty());
+        assert!(learn_alone(&ds, &params()).is_empty());
     }
 }

@@ -11,8 +11,8 @@
 //!
 //! Intentional duplication: sharing code with the live engine would let
 //! an optimization bug change both sides in lockstep. Only the leaf data
-//! structures with no accumulation semantics of their own (tries, the
-//! dataset view, minimization) are shared.
+//! structures with no accumulation semantics of their own (tries,
+//! minimization) are shared.
 
 use crate::contract::{Contract, ContractSet};
 use crate::ir::{Dataset, PatternId};
@@ -46,12 +46,12 @@ pub(crate) fn learn(dataset: &Dataset, params: &LearnParams) -> ContractSet {
 
     let mut relational_before = 0;
     if params.enable_relational {
-        let outcome = mine_relational(&view, params);
-        relational_before = outcome.contracts.len();
+        let (mined, _) = mine_relational(&view, params);
+        relational_before = mined.len();
         let reduced = if params.minimize {
-            super::minimize::minimize(outcome.contracts, 1)
+            super::minimize::minimize(mined, 1)
         } else {
-            outcome.contracts
+            mined
         };
         contracts.extend(reduced.into_iter().map(Contract::Relational));
     }
@@ -65,9 +65,8 @@ pub(crate) fn learn(dataset: &Dataset, params: &LearnParams) -> ContractSet {
     }
 }
 
-/// The pre-optimization occurrence view: the same per-config pattern
-/// maps as [`crate::learn::DatasetView`], on the `std` SipHash maps it
-/// used before the Fx swap.
+/// The pre-optimization occurrence view: per-config pattern → line maps
+/// and per-pattern config counts, on `std` SipHash maps.
 pub(super) struct DatasetView<'a> {
     /// The dataset being learned from.
     pub dataset: &'a Dataset,
@@ -762,26 +761,37 @@ fn reference_index(affix_cap: usize) -> crate::learn::indexes::ValueIndex {
     }
 }
 
+/// [`mine_relational`] over `dataset`'s own view: the oracle the
+/// relational miner's unit tests compare against.
+#[cfg(test)]
+pub(crate) fn relational(
+    dataset: &Dataset,
+    params: &LearnParams,
+) -> (Vec<crate::contract::RelationalContract>, u64) {
+    mine_relational(&DatasetView::new(dataset), params)
+}
+
 /// The pre-optimization relational miner: per-config mining on SipHash
 /// `std` maps with a `DefaultHasher` witness fingerprint per antecedent,
 /// configs processed strictly sequentially, and the per-config results
 /// combined by a sequential left fold into a running-sum global map —
-/// the semantics the tree merge must reproduce bit-for-bit.
+/// the semantics the chunked sketch fold must reproduce bit-for-bit.
+/// Returns the contracts, sorted, and the witness records the fan-out
+/// guard dropped.
 pub(crate) fn mine_relational(
     view: &DatasetView<'_>,
     params: &LearnParams,
-) -> crate::learn::relational::MineOutcome {
+) -> (Vec<crate::contract::RelationalContract>, u64) {
     use std::collections::hash_map::DefaultHasher;
     use std::collections::{HashMap, HashSet};
     use std::hash::{Hash, Hasher};
-    use std::time::Instant;
 
     use concord_types::score::value_score;
     use concord_types::Transform;
 
     use crate::contract::RelationKind;
     use crate::learn::indexes::{Entry, NodeKey, TransformTag, ValueIndex};
-    use crate::learn::relational::{finalize_scored, CandKey, MineOutcome};
+    use crate::learn::relational::{finalize_scored, CandKey};
 
     struct LocalResult {
         /// Candidate → (satisfied instance count, witness (hash, score)
@@ -909,7 +919,6 @@ pub(crate) fn mine_relational(
         score: f64,
         seen: HashSet<u64>,
     }
-    let t = Instant::now();
     let mut global: HashMap<CandKey, Global> = HashMap::new();
     for local in locals {
         for (key, (count, witnesses)) in local.candidates {
@@ -933,12 +942,9 @@ pub(crate) fn mine_relational(
             }
         }
     }
-    let merge_time = t.elapsed();
-
     let scored = global.into_iter().map(|(key, g)| (key, g.valid, g.score));
-    MineOutcome {
-        contracts: finalize_scored(scored, view.dataset, &view.config_count, params),
-        merge_time,
+    (
+        finalize_scored(scored, view.dataset, &view.config_count, params),
         fanout_truncations,
-    }
+    )
 }

@@ -10,7 +10,6 @@ use concord_types::BigNum;
 use crate::contract::Contract;
 use crate::fxhash::FxHashMap;
 use crate::ir::PatternId;
-use crate::learn::DatasetView;
 use crate::params::LearnParams;
 
 /// Returns `true` when `values` (in order of appearance) are strictly
@@ -109,19 +108,18 @@ pub(crate) fn emit(acc: Acc, dataset: &crate::ir::Dataset, params: &LearnParams)
     out
 }
 
-pub(crate) fn mine(view: &DatasetView<'_>, params: &LearnParams) -> Vec<Contract> {
-    let mut acc = Acc::default();
-    for ci in 0..view.num_configs() {
-        let sketch = sketch_config(view.dataset, ci, &view.lines_by_pattern[ci]);
-        fold(&mut acc, &sketch);
-    }
-    emit(acc, view.dataset, params)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ir::Dataset;
+
+    fn learn_alone(ds: &Dataset, params: &LearnParams) -> Vec<Contract> {
+        crate::learn::learn(
+            ds,
+            &crate::learn::only(params, |p| p.enable_sequence = true),
+        )
+        .contracts
+    }
 
     fn num(v: u64) -> BigNum {
         BigNum::from(v)
@@ -169,8 +167,7 @@ mod tests {
             })
             .collect();
         let ds = dataset(&texts);
-        let view = DatasetView::new(&ds);
-        let contracts = mine(&view, &LearnParams::default());
+        let contracts = learn_alone(&ds, &LearnParams::default());
         assert!(contracts.iter().any(|c| matches!(
             c,
             Contract::Sequence { pattern, param: 0 } if pattern.contains("seq [a:num] permit")
@@ -189,8 +186,7 @@ mod tests {
             })
             .collect();
         let ds = dataset(&texts);
-        let view = DatasetView::new(&ds);
-        let contracts = mine(&view, &LearnParams::default());
+        let contracts = learn_alone(&ds, &LearnParams::default());
         assert!(!contracts
             .iter()
             .any(|c| matches!(c, Contract::Sequence { param: 0, .. })));
@@ -202,8 +198,7 @@ mod tests {
             .map(|i| format!("seq {} permit 10.0.0.0/8\n", 10 * (i + 1)))
             .collect();
         let ds = dataset(&texts);
-        let view = DatasetView::new(&ds);
-        assert!(mine(&view, &LearnParams::default()).is_empty());
+        assert!(learn_alone(&ds, &LearnParams::default()).is_empty());
     }
 
     #[test]
@@ -216,8 +211,7 @@ mod tests {
             (0..3).map(|_| "l\n seq 5 permit 1.0.0.0/8\n seq 10 permit 2.0.0.0/8\n".to_string()),
         );
         let ds = dataset(&texts);
-        let view = DatasetView::new(&ds);
-        let contracts = mine(&view, &LearnParams::default());
+        let contracts = learn_alone(&ds, &LearnParams::default());
         assert!(contracts
             .iter()
             .any(|c| matches!(c, Contract::Sequence { param: 0, .. })));

@@ -1,16 +1,19 @@
-//! Per-configuration miner sketches: the mergeable form of learning.
+//! Per-configuration miner sketches and the fold that turns them into
+//! contracts: the one way Concord learns.
 //!
 //! Every miner in this module's siblings is structured as three phases —
 //! *sketch* one configuration, *fold* sketches in config order into a
-//! global accumulation, *emit* contracts from the accumulation — and
-//! [`super::learn_with_stats`] is exactly sketch-fold-emit over every
-//! config. A [`ConfigSketch`] bundles one config's per-miner sketches
-//! (pattern occurrence set, constant-line set, follower pairs, type
-//! histograms, sequence/unique/range accumulators, and the relational
-//! candidate run), so an engine that caches sketches can relearn
-//! after an edit by re-sketching only the changed config and re-running
-//! fold + emit ([`finalize_sketches`]) — the exact same code path as a
-//! full learn, hence byte-identical contracts by construction.
+//! global accumulation, *emit* contracts from the accumulation. A
+//! [`ConfigSketch`] bundles one config's per-miner sketches (pattern
+//! occurrence set, constant-line set, follower pairs, type histograms,
+//! sequence/unique/range accumulators, and the relational candidate
+//! run), and a [`Fold`] holds every miner's accumulation. Batch learning
+//! ([`super::learn_with_stats`]) sketches the configs a chunk at a time
+//! and folds each chunk as it goes; an engine that caches sketches
+//! relearns after an edit by re-sketching only the changed configs and
+//! folding every cached sketch through a [`Fold`] of its own (as
+//! [`finalize_sketches`] does). Both run the same fold and emit code,
+//! hence byte-identical contracts by construction.
 //!
 //! The relational section is the bulk of a sketch — hundreds to
 //! thousands of candidates over a few dozen to a few hundred distinct
@@ -23,8 +26,8 @@
 //!   `(hash, score)` witness table in first-use order, and per-candidate
 //!   parallel arrays (antecedent index, consequent index with the
 //!   relation, valid count, end offset into one witness-reference pool).
-//!   [`finalize_sketches`] merges each run into the fold's wide
-//!   accumulation by reference, without cloning it.
+//!   A [`Fold`] merges each run into its wide accumulation by reference,
+//!   without cloning it.
 //! - **JSON.** Sketches serialize against the dataset's [`PatternTable`]
 //!   (pattern *text*, not ids, so they survive snapshot/restore where ids
 //!   are reassigned). Witness hashes and diversity scores are stored as
@@ -36,22 +39,69 @@
 //!   candidates, since reassigned ids can reorder them.
 
 use std::fmt::Write as _;
-use std::time::Instant;
+use std::sync::Mutex;
+use std::time::{Duration, Instant};
 
 use concord_json::{FromJson, Json, ToJson};
 use concord_types::{BigNum, Transform, ValueType};
 
 use crate::contract::{Contract, ContractSet, RelationKind};
+use crate::fxhash::FxHashMap;
 use crate::ir::{Dataset, PatternId, PatternTable};
 use crate::learn::indexes::{NodeKey, TransformTag};
 use crate::learn::{buffer_bytes, LearnStats};
 use crate::learn::{minimize, ordering, present, range, relational, sequence, typing, unique};
+use crate::parallel;
 use crate::params::LearnParams;
 
 /// Format version of the serialized sketch; bump on any layout change
 /// so stale persisted sketches are dropped instead of misread. Version 2
 /// indexes the relational section's nodes and witnesses.
 pub const SKETCH_FORMAT_VERSION: u64 = 2;
+
+/// The miners in canonical order: the order of
+/// [`LearnStats::miner_times`], and the index of each miner's slot in a
+/// [`MinerTimes`] array.
+const MINERS: [&str; 7] = [
+    "present",
+    "ordering",
+    "type",
+    "sequence",
+    "unique",
+    "range",
+    "relational",
+];
+const PRESENT: usize = 0;
+const ORDERING: usize = 1;
+const TYPE: usize = 2;
+const SEQUENCE: usize = 3;
+const UNIQUE: usize = 4;
+const RANGE: usize = 5;
+const RELATIONAL: usize = 6;
+
+/// One duration per miner, indexed like [`MINERS`].
+type MinerTimes = [Duration; MINERS.len()];
+
+/// Which miners `params` enables, indexed like [`MINERS`].
+fn enabled(params: &LearnParams) -> [bool; MINERS.len()] {
+    [
+        params.enable_present,
+        params.enable_ordering,
+        params.enable_type,
+        params.enable_sequence,
+        params.enable_unique,
+        params.enable_range,
+        params.enable_relational,
+    ]
+}
+
+/// Runs `f`, adding its wall-clock time to `slot`.
+fn timed<T>(slot: &mut Duration, f: impl FnOnce() -> T) -> T {
+    let t = Instant::now();
+    let out = f();
+    *slot += t.elapsed();
+    out
+}
 
 /// One configuration's complete miner sketch.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -77,184 +127,308 @@ pub struct ConfigSketch {
 /// enabled by `params` are accumulated, so the params fingerprint
 /// ([`sketch_params_fingerprint`]) must match before a sketch is reused.
 pub fn sketch_config(dataset: &Dataset, ci: usize, params: &LearnParams) -> ConfigSketch {
-    let mut lines_by_pattern: crate::fxhash::FxHashMap<PatternId, Vec<usize>> =
-        crate::fxhash::FxHashMap::default();
+    sketch_timed(dataset, ci, params).0
+}
+
+/// [`sketch_config`], also returning the time each miner's section took.
+fn sketch_timed(dataset: &Dataset, ci: usize, params: &LearnParams) -> (ConfigSketch, MinerTimes) {
+    let mut times = MinerTimes::default();
+    let mut lines_by_pattern: FxHashMap<PatternId, Vec<usize>> = FxHashMap::default();
     for (i, &pattern) in dataset.configs[ci].patterns().iter().enumerate() {
         lines_by_pattern.entry(pattern).or_default().push(i);
     }
-    let patterns: Vec<PatternId> = lines_by_pattern.keys().copied().collect();
-    let (relational, relational_truncations) = if params.enable_relational {
-        let mined = relational::mine_config(dataset, ci, params);
-        (mined.to_compact(), mined.truncations)
-    } else {
-        (relational::CompactRun::default(), 0)
+    let mut sketch = ConfigSketch {
+        patterns: lines_by_pattern.keys().copied().collect(),
+        ..ConfigSketch::default()
     };
-    ConfigSketch {
-        patterns,
-        present: if params.enable_present {
+    if params.enable_present {
+        sketch.present = timed(&mut times[PRESENT], || {
             present::sketch_config(dataset, ci, params)
-        } else {
-            present::Sketch::default()
-        },
-        ordering: if params.enable_ordering {
+        });
+    }
+    if params.enable_ordering {
+        sketch.ordering = timed(&mut times[ORDERING], || {
             ordering::sketch_config(dataset, ci)
-        } else {
-            ordering::Sketch::default()
-        },
-        typing: if params.enable_type {
-            typing::sketch_config(dataset, ci)
-        } else {
-            typing::Sketch::default()
-        },
-        sequence: if params.enable_sequence {
+        });
+    }
+    if params.enable_type {
+        sketch.typing = timed(&mut times[TYPE], || typing::sketch_config(dataset, ci));
+    }
+    if params.enable_sequence {
+        sketch.sequence = timed(&mut times[SEQUENCE], || {
             sequence::sketch_config(dataset, ci, &lines_by_pattern)
-        } else {
-            sequence::Sketch::default()
-        },
-        unique: if params.enable_unique {
+        });
+    }
+    if params.enable_unique {
+        sketch.unique = timed(&mut times[UNIQUE], || {
             unique::sketch_config(dataset, ci, &lines_by_pattern)
-        } else {
-            unique::Sketch::default()
-        },
-        range: if params.enable_range {
+        });
+    }
+    if params.enable_range {
+        sketch.range = timed(&mut times[RANGE], || {
             range::sketch_config(dataset, ci, &lines_by_pattern)
-        } else {
-            range::Sketch::default()
-        },
-        relational,
-        relational_truncations,
+        });
+    }
+    if params.enable_relational {
+        (sketch.relational, sketch.relational_truncations) = timed(&mut times[RELATIONAL], || {
+            let mined = relational::mine_config(dataset, ci, params);
+            (mined.to_compact(), mined.truncations)
+        });
+    }
+    (sketch, times)
+}
+
+/// Every miner's global accumulation, folded from per-config sketches in
+/// config order and then emitted as one contract set.
+///
+/// The fold itself is sequential: several accumulations (unique's score
+/// cap, relational's first-seen witness lists and their floating-point
+/// score sums) depend on config order, and folding one config at a time
+/// in that order is what makes the result independent of how the
+/// sketches were produced.
+pub struct Fold<'a> {
+    dataset: &'a Dataset,
+    params: &'a LearnParams,
+    /// Configs folded so far.
+    configs: usize,
+    /// Pattern id → number of configs containing it, read by present,
+    /// ordering and relational emission.
+    config_count: Vec<u32>,
+    present: present::Acc,
+    ordering: ordering::Acc,
+    typing: typing::Acc,
+    sequence: sequence::Acc,
+    unique: unique::Acc,
+    range: range::Acc,
+    relational: relational::PartialRun,
+    truncations: u64,
+    /// Each miner's sketch, fold and emit time so far.
+    times: MinerTimes,
+    /// The relational fold's share of `times`.
+    merge_time: Duration,
+}
+
+impl<'a> Fold<'a> {
+    /// An empty fold over `dataset`'s configs under `params`.
+    pub fn new(dataset: &'a Dataset, params: &'a LearnParams) -> Fold<'a> {
+        Fold {
+            dataset,
+            params,
+            configs: 0,
+            config_count: vec![0; dataset.table.len()],
+            present: present::Acc::default(),
+            ordering: ordering::Acc::default(),
+            typing: typing::Acc::default(),
+            sequence: sequence::Acc::default(),
+            unique: unique::Acc::default(),
+            range: range::Acc::default(),
+            relational: relational::PartialRun::new(),
+            truncations: 0,
+            times: MinerTimes::default(),
+            merge_time: Duration::ZERO,
+        }
+    }
+
+    /// Sketches the configs at `indices` on up to `parallelism` threads
+    /// and returns the sketches in the order of `indices`. Each miner's
+    /// sketch time, summed over the configs, counts toward its entry in
+    /// the [`LearnStats`] this fold finishes with.
+    pub fn sketch(&mut self, indices: &[usize], parallelism: usize) -> Vec<ConfigSketch> {
+        let (dataset, params) = (self.dataset, self.params);
+        // The times are summed under a lock rather than returned beside
+        // each sketch, so the sketches need no second, wider buffer.
+        let totals = Mutex::new(&mut self.times);
+        parallel::map(
+            indices,
+            |&ci| {
+                let (sketch, times) = sketch_timed(dataset, ci, params);
+                let mut totals = totals
+                    .lock()
+                    .expect("adding durations does not panic under the lock");
+                for (total, t) in totals.iter_mut().zip(times) {
+                    *total += t;
+                }
+                sketch
+            },
+            parallelism,
+        )
+    }
+
+    /// Folds `sketches`, the next configs in config order, miner by
+    /// miner.
+    pub fn add(&mut self, sketches: &[&ConfigSketch]) {
+        let params = self.params;
+        self.configs += sketches.len();
+        for sketch in sketches {
+            for &pattern in &sketch.patterns {
+                self.config_count[pattern.0 as usize] += 1;
+            }
+        }
+        if params.enable_present {
+            timed(&mut self.times[PRESENT], || {
+                for sketch in sketches {
+                    present::fold(&mut self.present, &sketch.present);
+                }
+            });
+        }
+        if params.enable_ordering {
+            timed(&mut self.times[ORDERING], || {
+                for sketch in sketches {
+                    ordering::fold(&mut self.ordering, &sketch.ordering);
+                }
+            });
+        }
+        if params.enable_type {
+            timed(&mut self.times[TYPE], || {
+                for sketch in sketches {
+                    typing::fold(&mut self.typing, &sketch.typing);
+                }
+            });
+        }
+        if params.enable_sequence {
+            timed(&mut self.times[SEQUENCE], || {
+                for sketch in sketches {
+                    sequence::fold(&mut self.sequence, &sketch.sequence);
+                }
+            });
+        }
+        if params.enable_unique {
+            timed(&mut self.times[UNIQUE], || {
+                for sketch in sketches {
+                    unique::fold(&mut self.unique, &sketch.unique, params);
+                }
+            });
+        }
+        if params.enable_range {
+            timed(&mut self.times[RANGE], || {
+                for sketch in sketches {
+                    range::fold(&mut self.range, &sketch.range);
+                }
+            });
+        }
+        if params.enable_relational {
+            let t = Instant::now();
+            for sketch in sketches {
+                self.truncations += sketch.relational_truncations;
+                self.relational = relational::merge_compact(
+                    std::mem::take(&mut self.relational),
+                    &sketch.relational,
+                    params.max_score_witnesses,
+                );
+            }
+            let elapsed = t.elapsed();
+            self.merge_time += elapsed;
+            self.times[RELATIONAL] += elapsed;
+        }
+    }
+
+    /// Emits the contract set. The fold must have seen every config of
+    /// the dataset exactly once, in config order.
+    ///
+    /// The contracts are sorted into a stable order (category, then
+    /// rendered text) so learning is deterministic across runs and
+    /// parallelism levels.
+    pub fn finish(self) -> (ContractSet, LearnStats) {
+        let Fold {
+            dataset,
+            params,
+            configs,
+            config_count,
+            present,
+            ordering,
+            typing,
+            sequence,
+            unique,
+            range,
+            relational,
+            truncations,
+            mut times,
+            merge_time,
+        } = self;
+        let num_configs = dataset.configs.len();
+        assert_eq!(configs, num_configs, "a fold must see every config once");
+        let mut stats = LearnStats::default();
+        let mut contracts: Vec<Contract> = Vec::new();
+        if params.enable_present {
+            contracts.extend(timed(&mut times[PRESENT], || {
+                present::emit(present, dataset, &config_count, num_configs, params)
+            }));
+        }
+        if params.enable_ordering {
+            contracts.extend(timed(&mut times[ORDERING], || {
+                ordering::emit(ordering, dataset, &config_count, params)
+            }));
+        }
+        if params.enable_type {
+            contracts.extend(timed(&mut times[TYPE], || typing::emit(typing, params)));
+        }
+        if params.enable_sequence {
+            contracts.extend(timed(&mut times[SEQUENCE], || {
+                sequence::emit(sequence, dataset, params)
+            }));
+        }
+        if params.enable_unique {
+            contracts.extend(timed(&mut times[UNIQUE], || {
+                unique::emit(unique, dataset, num_configs, params)
+            }));
+        }
+        if params.enable_range {
+            contracts.extend(timed(&mut times[RANGE], || {
+                range::emit(range, dataset, params)
+            }));
+        }
+        if params.enable_relational {
+            let mined = timed(&mut times[RELATIONAL], || {
+                relational::finalize(relational, dataset, &config_count, params)
+            });
+            stats.relational_before_minimization = mined.len();
+            let reduced = timed(&mut stats.minimize_time, || {
+                if params.minimize {
+                    minimize::minimize(mined, params.parallelism)
+                } else {
+                    mined
+                }
+            });
+            stats.relational_after_minimization = reduced.len();
+            contracts.extend(reduced.into_iter().map(Contract::Relational));
+        }
+        stats.miner_times = MINERS
+            .iter()
+            .zip(enabled(params))
+            .zip(times)
+            .filter(|&((_, on), _)| on)
+            .map(|((name, _), time)| (name.to_string(), time))
+            .collect();
+        stats.relational_time = times[RELATIONAL];
+        stats.relational_merge_time = merge_time;
+        stats.fanout_truncations = truncations;
+
+        contracts.sort_by(|a, b| (a.category(), a.describe()).cmp(&(b.category(), b.describe())));
+        contracts.dedup();
+        (
+            ContractSet {
+                contracts,
+                relational_before_minimization: stats.relational_before_minimization,
+            },
+            stats,
+        )
     }
 }
 
 /// Folds `sketches` (one per config, *in config order*) and emits the
-/// contract set — the same fold + emit code the full learner runs, so
-/// the result is byte-identical to `learn_with_stats(dataset, params)`
-/// whenever every sketch was produced by [`sketch_config`] under the
-/// same params.
+/// contract set: one [`Fold`] over all of them. The result is
+/// byte-identical to `learn_with_stats(dataset, params)` whenever every
+/// sketch was produced by [`sketch_config`] under the same params. The
+/// stats time the fold and emit only; [`Fold::sketch`] adds the time
+/// spent sketching.
 pub fn finalize_sketches(
     dataset: &Dataset,
     sketches: &[&ConfigSketch],
     params: &LearnParams,
 ) -> (ContractSet, LearnStats) {
-    let mut stats = LearnStats::default();
-    debug_assert_eq!(sketches.len(), dataset.configs.len());
-
-    let t = Instant::now();
-    let mut config_count = vec![0u32; dataset.table.len()];
-    for sketch in sketches {
-        for &pattern in &sketch.patterns {
-            config_count[pattern.0 as usize] += 1;
-        }
-    }
-    stats.view_time = t.elapsed();
-    let num_configs = dataset.configs.len();
-
-    let t_simple = Instant::now();
-    let mut contracts: Vec<Contract> = Vec::new();
-    let time_miner = |name: &str,
-                      out: &mut Vec<Contract>,
-                      mined: Vec<Contract>,
-                      t: Instant,
-                      stats: &mut LearnStats| {
-        stats.miner_times.push((name.to_string(), t.elapsed()));
-        out.extend(mined);
-    };
-    if params.enable_present {
-        let t = Instant::now();
-        let mut acc = present::Acc::default();
-        for sketch in sketches {
-            present::fold(&mut acc, &sketch.present);
-        }
-        let mined = present::emit(acc, dataset, &config_count, num_configs, params);
-        time_miner("present", &mut contracts, mined, t, &mut stats);
-    }
-    if params.enable_ordering {
-        let t = Instant::now();
-        let mut acc = ordering::Acc::default();
-        for sketch in sketches {
-            ordering::fold(&mut acc, &sketch.ordering);
-        }
-        let mined = ordering::emit(acc, dataset, &config_count, params);
-        time_miner("ordering", &mut contracts, mined, t, &mut stats);
-    }
-    if params.enable_type {
-        let t = Instant::now();
-        let mut acc = typing::Acc::default();
-        for sketch in sketches {
-            typing::fold(&mut acc, &sketch.typing);
-        }
-        let mined = typing::emit(acc, params);
-        time_miner("type", &mut contracts, mined, t, &mut stats);
-    }
-    if params.enable_sequence {
-        let t = Instant::now();
-        let mut acc = sequence::Acc::default();
-        for sketch in sketches {
-            sequence::fold(&mut acc, &sketch.sequence);
-        }
-        let mined = sequence::emit(acc, dataset, params);
-        time_miner("sequence", &mut contracts, mined, t, &mut stats);
-    }
-    if params.enable_unique {
-        let t = Instant::now();
-        let mut acc = unique::Acc::default();
-        for sketch in sketches {
-            unique::fold(&mut acc, &sketch.unique, params);
-        }
-        let mined = unique::emit(acc, dataset, num_configs, params);
-        time_miner("unique", &mut contracts, mined, t, &mut stats);
-    }
-    if params.enable_range {
-        let t = Instant::now();
-        let mut acc = range::Acc::default();
-        for sketch in sketches {
-            range::fold(&mut acc, &sketch.range);
-        }
-        let mined = range::emit(acc, dataset, params);
-        time_miner("range", &mut contracts, mined, t, &mut stats);
-    }
-    stats.simple_miners_time = t_simple.elapsed();
-    stats.miner_parallelism = 1;
-
-    let mut relational_before = 0;
-    if params.enable_relational {
-        let t = Instant::now();
-        let tm = Instant::now();
-        let mut global: relational::PartialRun = Vec::new();
-        for sketch in sketches {
-            stats.fanout_truncations += sketch.relational_truncations;
-            global =
-                relational::merge_compact(global, &sketch.relational, params.max_score_witnesses);
-        }
-        stats.relational_merge_time = tm.elapsed();
-        let mined = relational::finalize(global, dataset, &config_count, params);
-        stats.relational_time = t.elapsed();
-        stats
-            .miner_times
-            .push(("relational".to_string(), stats.relational_time));
-        relational_before = mined.len();
-        let t = Instant::now();
-        let reduced = if params.minimize {
-            minimize::minimize(mined, params.parallelism)
-        } else {
-            mined
-        };
-        stats.minimize_time = t.elapsed();
-        stats.relational_after_minimization = reduced.len();
-        contracts.extend(reduced.into_iter().map(Contract::Relational));
-    }
-    stats.relational_before_minimization = relational_before;
-
-    contracts.sort_by(|a, b| (a.category(), a.describe()).cmp(&(b.category(), b.describe())));
-    contracts.dedup();
-
-    (
-        ContractSet {
-            contracts,
-            relational_before_minimization: relational_before,
-        },
-        stats,
-    )
+    let mut fold = Fold::new(dataset, params);
+    fold.add(sketches);
+    fold.finish()
 }
 
 /// A deterministic fingerprint of every [`LearnParams`] field that can

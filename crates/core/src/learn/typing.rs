@@ -17,7 +17,6 @@ use concord_types::ValueType;
 
 use crate::contract::Contract;
 use crate::fxhash::FxHashMap;
-use crate::learn::DatasetView;
 use crate::params::LearnParams;
 
 /// Per-hole type usage: one `(type, count)` tally list per bound hole.
@@ -136,19 +135,14 @@ pub(crate) fn emit(acc: Acc, params: &LearnParams) -> Vec<Contract> {
     out
 }
 
-pub(crate) fn mine(view: &DatasetView<'_>, params: &LearnParams) -> Vec<Contract> {
-    let mut acc = Acc::default();
-    for ci in 0..view.num_configs() {
-        let sketch = sketch_config(view.dataset, ci);
-        fold(&mut acc, &sketch);
-    }
-    emit(acc, params)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ir::Dataset;
+
+    fn learn_alone(ds: &Dataset, params: &LearnParams) -> Vec<Contract> {
+        crate::learn::learn(ds, &crate::learn::only(params, |p| p.enable_type = true)).contracts
+    }
 
     fn dataset(texts: &[String]) -> Dataset {
         let configs: Vec<(String, String)> = texts
@@ -167,8 +161,7 @@ mod tests {
             .collect();
         texts.push("ip address 10.0.0.0/24\n".to_string());
         let ds = dataset(&texts);
-        let view = DatasetView::new(&ds);
-        let contracts = mine(&view, &LearnParams::default());
+        let contracts = learn_alone(&ds, &LearnParams::default());
         assert_eq!(contracts.len(), 1);
         match &contracts[0] {
             Contract::Type {
@@ -199,8 +192,7 @@ mod tests {
             })
             .collect();
         let ds = dataset(&texts);
-        let view = DatasetView::new(&ds);
-        let contracts = mine(&view, &LearnParams::default());
+        let contracts = learn_alone(&ds, &LearnParams::default());
         assert!(contracts.is_empty());
     }
 
@@ -208,8 +200,7 @@ mod tests {
     fn single_type_emits_nothing() {
         let texts: Vec<String> = (0..10).map(|i| format!("vlan {i}\n")).collect();
         let ds = dataset(&texts);
-        let view = DatasetView::new(&ds);
-        assert!(mine(&view, &LearnParams::default()).is_empty());
+        assert!(learn_alone(&ds, &LearnParams::default()).is_empty());
     }
 
     #[test]
@@ -217,7 +208,6 @@ mod tests {
         let mut texts: Vec<String> = (0..3).map(|i| format!("x 10.0.0.{i}\n")).collect();
         texts.push("x 10.0.0.0/8\n".to_string());
         let ds = dataset(&texts);
-        let view = DatasetView::new(&ds);
-        assert!(mine(&view, &LearnParams::default()).is_empty());
+        assert!(learn_alone(&ds, &LearnParams::default()).is_empty());
     }
 }

@@ -12,7 +12,6 @@ use concord_types::score::value_score;
 use crate::contract::Contract;
 use crate::fxhash::{FxHashMap, FxHashSet};
 use crate::ir::PatternId;
-use crate::learn::DatasetView;
 use crate::params::LearnParams;
 
 /// One `(pattern, param)` pair's evidence within a single config.
@@ -156,19 +155,14 @@ pub(crate) fn emit(
     out
 }
 
-pub(crate) fn mine(view: &DatasetView<'_>, params: &LearnParams) -> Vec<Contract> {
-    let mut acc = Acc::default();
-    for ci in 0..view.num_configs() {
-        let sketch = sketch_config(view.dataset, ci, &view.lines_by_pattern[ci]);
-        fold(&mut acc, &sketch, params);
-    }
-    emit(acc, view.dataset, view.num_configs(), params)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ir::Dataset;
+
+    fn learn_alone(ds: &Dataset, params: &LearnParams) -> Vec<Contract> {
+        crate::learn::learn(ds, &crate::learn::only(params, |p| p.enable_unique = true)).contracts
+    }
 
     fn dataset(texts: &[String]) -> Dataset {
         let configs: Vec<(String, String)> = texts
@@ -199,8 +193,7 @@ mod tests {
             .map(|i| format!("hostname DEV{}\n", 1000 + i))
             .collect();
         let ds = dataset(&texts);
-        let view = DatasetView::new(&ds);
-        let contracts = mine(&view, &LearnParams::default());
+        let contracts = learn_alone(&ds, &LearnParams::default());
         let u = uniques(&contracts);
         assert_eq!(u.len(), 1);
         assert_eq!(u[0], ("/hostname DEV[a:num]", 0, true));
@@ -213,8 +206,7 @@ mod tests {
             .collect();
         texts.push("hostname DEV1000\n".to_string());
         let ds = dataset(&texts);
-        let view = DatasetView::new(&ds);
-        assert!(uniques(&mine(&view, &LearnParams::default())).is_empty());
+        assert!(uniques(&learn_alone(&ds, &LearnParams::default())).is_empty());
     }
 
     #[test]
@@ -227,8 +219,7 @@ mod tests {
             })
             .collect();
         let ds = dataset(&texts);
-        let view = DatasetView::new(&ds);
-        let contracts = mine(&view, &LearnParams::default());
+        let contracts = learn_alone(&ds, &LearnParams::default());
         let u = uniques(&contracts);
         assert_eq!(u.len(), 1);
         assert!(u[0].0.ends_with("ip address [a:ip4]"));
@@ -242,12 +233,11 @@ mod tests {
         // a higher threshold to demonstrate the knob.
         let texts: Vec<String> = (0..6).map(|i| format!("unit {i}\n")).collect();
         let ds = dataset(&texts);
-        let view = DatasetView::new(&ds);
         let params = LearnParams {
             score_threshold: 2.0,
             ..LearnParams::default()
         };
-        assert!(uniques(&mine(&view, &params)).is_empty());
+        assert!(uniques(&learn_alone(&ds, &params)).is_empty());
     }
 
     #[test]
@@ -256,7 +246,6 @@ mod tests {
             .map(|i| format!("hostname DEV{}\n", 1000 + i))
             .collect();
         let ds = dataset(&texts);
-        let view = DatasetView::new(&ds);
-        assert!(uniques(&mine(&view, &LearnParams::default())).is_empty());
+        assert!(uniques(&learn_alone(&ds, &LearnParams::default())).is_empty());
     }
 }

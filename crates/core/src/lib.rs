@@ -78,7 +78,7 @@ pub use learn::indexes::{
 pub use learn::learn_reference;
 pub use learn::{
     finalize_sketches, learn, learn_with_stats, sketch_config, sketch_params_fingerprint,
-    ConfigSketch, LearnStats, SKETCH_FORMAT_VERSION,
+    ConfigSketch, Fold, LearnStats, SKETCH_FORMAT_VERSION,
 };
 #[cfg(any(test, feature = "legacy-ir"))]
 pub use legacy::{LegacyConfig, LegacyDataset, LegacyLineRecord};

@@ -103,52 +103,6 @@ where
         .collect()
 }
 
-/// Reduces `items` with the associative operator `f` up a binary tree.
-///
-/// Adjacent pairs `(0,1), (2,3), …` are combined level by level (an odd
-/// tail item passes through unchanged), so the association is always
-/// `((a·b)·(c·d))·…` regardless of worker count: for an associative `f`
-/// the result is identical to a sequential left fold, but each level's
-/// pair merges run concurrently on [`map`]'s work-stealing pool. Item
-/// *order* is never permuted, so `f` may be order-sensitive (e.g. a merge
-/// that keeps first-seen witnesses) as long as it is associative over
-/// adjacent runs.
-///
-/// Returns `None` on empty input.
-pub fn reduce<T, F>(mut items: Vec<T>, f: F, parallelism: usize) -> Option<T>
-where
-    T: Send,
-    F: Fn(T, T) -> T + Sync,
-{
-    use std::sync::Mutex;
-    // Own each pair through a Mutex<Option<..>> slot so the borrowing
-    // `map` closure can move values out.
-    type PairSlot<T> = Mutex<Option<(T, Option<T>)>>;
-    while items.len() > 1 {
-        let mut pairs: Vec<PairSlot<T>> = Vec::with_capacity(items.len() / 2 + 1);
-        let mut iter = items.into_iter();
-        while let Some(a) = iter.next() {
-            pairs.push(Mutex::new(Some((a, iter.next()))));
-        }
-        items = map(
-            &pairs,
-            |slot| {
-                let (a, b) = slot
-                    .lock()
-                    .expect("no panics hold this lock")
-                    .take()
-                    .expect("each slot claimed exactly once");
-                match b {
-                    Some(b) => f(a, b),
-                    None => a,
-                }
-            },
-            parallelism,
-        );
-    }
-    items.pop()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -212,31 +166,6 @@ mod tests {
             1,
         );
         assert_eq!(out, expected);
-    }
-
-    #[test]
-    fn reduce_matches_sequential_fold() {
-        // String concatenation is associative but NOT commutative: the
-        // tree shape must preserve item order exactly.
-        let items: Vec<String> = (0..37).map(|i| format!("{i};")).collect();
-        let expected = items.concat();
-        for parallelism in [1, 3, 8] {
-            let got = reduce(items.clone(), |a, b| a + &b, parallelism);
-            assert_eq!(got.as_deref(), Some(expected.as_str()), "p={parallelism}");
-        }
-    }
-
-    #[test]
-    fn reduce_handles_tiny_inputs() {
-        assert_eq!(reduce(Vec::<u32>::new(), |a, b| a + b, 4), None);
-        assert_eq!(reduce(vec![7u32], |a, b| a + b, 4), Some(7));
-        assert_eq!(reduce(vec![3u32, 4], |a, b| a + b, 4), Some(7));
-    }
-
-    #[test]
-    fn reduce_odd_tail_passes_through() {
-        let items: Vec<u64> = (1..=9).collect();
-        assert_eq!(reduce(items, |a, b| a * b, 4), Some(362880));
     }
 
     #[test]

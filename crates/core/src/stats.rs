@@ -3,8 +3,7 @@
 //! [`PipelineStats`] aggregates the observable cost of one pipeline run:
 //! dataset construction ([`BuildStats`] — embedding + lexing with cache
 //! hit/miss counters, then pattern interning), learning
-//! ([`LearnStats`](crate::LearnStats) — view construction, each miner,
-//! minimization), and checking ([`CheckStats`]). The CLI serializes it
+//! ([`LearnStats`](crate::LearnStats) — each miner, minimization), and checking ([`CheckStats`]). The CLI serializes it
 //! with [`PipelineStats::to_json`] under `--stats json`; the schema is
 //! documented in DESIGN.md ("Performance & instrumentation").
 
@@ -44,8 +43,12 @@ use crate::learn::LearnStats;
 /// errors that were previously swallowed — plus the live degraded
 /// flag surfaced by the serve `HEALTH` verb); v11 added
 /// `engine.memory.sketch_bytes`, the heap held by the resident learn
-/// sketches.
-pub const STATS_SCHEMA: &str = "concord-pipeline-stats/v11";
+/// sketches; v12 dropped `view_secs`, `simple_miners_secs` and
+/// `miner_parallelism` from the `learn` stage, which learns by folding
+/// per-config sketches with no occurrence view or concurrent miners,
+/// and made each `learn.miners` entry the miner's sketch time summed
+/// over the configs sketched plus its fold and emit.
+pub const STATS_SCHEMA: &str = "concord-pipeline-stats/v12";
 
 /// Statistics from one [`Dataset::build_with_stats`](crate::Dataset::build_with_stats) run.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -186,10 +189,7 @@ impl ToJson for LearnStats {
                 .collect(),
         );
         concord_json::json!({
-            "view_secs": self.view_time.as_secs_f64(),
-            "miner_parallelism": self.miner_parallelism,
             "miners": miners,
-            "simple_miners_secs": self.simple_miners_time.as_secs_f64(),
             "relational_secs": self.relational_time.as_secs_f64(),
             "relational_merge_secs": self.relational_merge_time.as_secs_f64(),
             "fanout_truncations": self.fanout_truncations,
@@ -763,19 +763,19 @@ impl PipelineStats {
             }
         }
         if let Some(l) = &self.learn {
-            out.push_str(&format!("learn: view {:.3}s", l.view_time.as_secs_f64()));
-            for (name, time) in &l.miner_times {
-                out.push_str(&format!(", {name} {:.3}s", time.as_secs_f64()));
+            out.push_str("learn:");
+            for (i, (name, time)) in l.miner_times.iter().enumerate() {
+                let sep = if i == 0 { " " } else { ", " };
+                out.push_str(&format!("{sep}{name} {:.3}s", time.as_secs_f64()));
             }
             out.push_str(&format!(
-                ", minimize {:.3}s ({} -> {} relational)\n",
+                "; minimize {:.3}s ({} -> {} relational)\n",
                 l.minimize_time.as_secs_f64(),
                 l.relational_before_minimization,
                 l.relational_after_minimization,
             ));
             out.push_str(&format!(
-                "  miner parallelism {}; relational merge {:.3}s; fan-out truncations {}\n",
-                l.miner_parallelism,
+                "  relational fold {:.3}s; fan-out truncations {}\n",
                 l.relational_merge_time.as_secs_f64(),
                 l.fanout_truncations,
             ));
@@ -971,7 +971,6 @@ mod tests {
                     ("present".to_string(), Duration::from_millis(3)),
                     ("relational".to_string(), Duration::from_millis(9)),
                 ],
-                miner_parallelism: 6,
                 relational_merge_time: Duration::from_millis(2),
                 fanout_truncations: 17,
                 relational_before_minimization: 10,
@@ -1074,7 +1073,12 @@ mod tests {
         assert_eq!(json["build"]["cache"]["hits"].as_u64(), Some(75));
         assert!((json["build"]["cache"]["hit_rate"].as_f64().unwrap() - 0.75).abs() < 1e-12);
         assert_eq!(json["learn"]["miners"][0]["name"].as_str(), Some("present"));
-        assert_eq!(json["learn"]["miner_parallelism"].as_u64(), Some(6));
+        assert_eq!(
+            json["learn"]["miners"][1]["name"].as_str(),
+            Some("relational")
+        );
+        assert!(json["learn"].get("miner_parallelism").is_none());
+        assert!(json["learn"].get("view_secs").is_none());
         assert!(json["learn"]["relational_merge_secs"].as_f64().unwrap() > 0.0);
         assert_eq!(json["learn"]["fanout_truncations"].as_u64(), Some(17));
         assert_eq!(json["check"]["violations"].as_u64(), Some(1));
@@ -1254,9 +1258,8 @@ mod tests {
     fn text_rendering_mentions_cache() {
         let text = sample().render_text();
         assert!(text.contains("lex cache: 75 hits / 25 misses"));
-        assert!(text.contains("present 0.003s"));
-        assert!(text.contains("miner parallelism 6"));
-        assert!(text.contains("relational merge 0.002s"));
+        assert!(text.contains("learn: present 0.003s, relational 0.009s; minimize"));
+        assert!(text.contains("relational fold 0.002s"));
         assert!(text.contains("fan-out truncations 17"));
         assert!(text.contains("witness indexes: 3 (450 entries)"));
         assert!(text.contains("probes: 200 (99.0% hit)"));

@@ -1,6 +1,9 @@
 //! End-to-end tests of the check engine and coverage measurement.
 
-use concord_core::{check, learn, Contract, ContractSet, Dataset, LearnParams};
+use concord_core::{
+    check, finalize_sketches, learn, sketch_config, ConfigSketch, Contract, ContractSet, Dataset,
+    LearnParams,
+};
 use concord_types::ValueType;
 
 fn dataset(texts: &[String]) -> Dataset {
@@ -374,22 +377,73 @@ fn report_summaries_group_violations() {
 
 #[test]
 fn learn_with_stats_reports_phases() {
+    // Matching `vlan`/`vni` values, plus one value shared by twelve
+    // keywords: eleven candidates per instance trip a one-witness
+    // fan-out guard (eight satisfied candidates).
     let texts: Vec<String> = (0..8)
-        .map(|i| format!("vlan {}\nvni {}\n", 100 + i, 100 + i))
+        .map(|i| {
+            let shared: String = [
+                "alpha", "bravo", "charlie", "delta", "echo", "foxtrot", "golf", "hotel", "india",
+                "juliet", "kilo", "lima",
+            ]
+            .iter()
+            .map(|k| format!("{k} {}\n", 300 + i))
+            .collect();
+            format!("vlan {}\nvni {}\n{shared}", 100 + i, 100 + i)
+        })
         .collect();
     let ds = dataset(&texts);
-    let (contracts, stats) = concord_core::learn_with_stats(&ds, &LearnParams::default());
-    assert!(!contracts.is_empty());
-    assert!(stats.relational_before_minimization >= stats.relational_after_minimization);
+    let params = LearnParams {
+        enable_type: false,
+        enable_range: true,
+        max_witnesses_per_instance: 1,
+        ..LearnParams::default()
+    };
+    let (learned, stats) = concord_core::learn_with_stats(&ds, &params);
+    let names: Vec<&str> = stats.miner_times.iter().map(|(n, _)| n.as_str()).collect();
     assert_eq!(
-        contracts.relational_before_minimization,
+        names,
+        [
+            "present",
+            "ordering",
+            "sequence",
+            "unique",
+            "range",
+            "relational"
+        ]
+    );
+
+    let relational = |set: &ContractSet| {
+        set.contracts
+            .iter()
+            .filter(|c| matches!(c, Contract::Relational(_)))
+            .count()
+    };
+    let unminimized = learn(
+        &ds,
+        &LearnParams {
+            minimize: false,
+            ..params.clone()
+        },
+    );
+    assert_eq!(
+        stats.relational_before_minimization,
+        relational(&unminimized)
+    );
+    assert_eq!(stats.relational_after_minimization, relational(&learned));
+    assert!(stats.relational_after_minimization < stats.relational_before_minimization);
+    assert_eq!(
+        learned.relational_before_minimization,
         stats.relational_before_minimization
     );
-    // Phase durations exist (may be tiny but are measured).
-    assert!(
-        stats.view_time + stats.simple_miners_time + stats.relational_time
-            >= std::time::Duration::ZERO
-    );
+
+    let sketches: Vec<ConfigSketch> = (0..ds.configs.len())
+        .map(|ci| sketch_config(&ds, ci, &params))
+        .collect();
+    let refs: Vec<&ConfigSketch> = sketches.iter().collect();
+    let (_, folded) = finalize_sketches(&ds, &refs, &params);
+    assert!(stats.fanout_truncations > 0);
+    assert_eq!(stats.fanout_truncations, folded.fanout_truncations);
 }
 
 #[test]

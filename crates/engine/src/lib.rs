@@ -44,10 +44,10 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use concord_core::{
-    finalize_sketches, learn_with_stats, parallel, sketch_config, sketch_params_fingerprint,
-    CheckProgram, CheckReport, CheckStats, ConfigOutcome, ConfigSketch, ContractSet,
-    CoverageReport, Dataset, DatasetError, EngineCheckStats, EngineStats, LearnDeltaStats,
-    LearnParams, LearnStats, MemoryStats, UniqueIndex, UniqueTable, SKETCH_FORMAT_VERSION,
+    learn_with_stats, parallel, sketch_params_fingerprint, CheckProgram, CheckReport, CheckStats,
+    ConfigOutcome, ConfigSketch, ContractSet, CoverageReport, Dataset, DatasetError,
+    EngineCheckStats, EngineStats, Fold, LearnDeltaStats, LearnParams, LearnStats, MemoryStats,
+    UniqueIndex, UniqueTable, SKETCH_FORMAT_VERSION,
 };
 use concord_json::{Json, ToJson};
 use concord_lexer::{LexCache, Lexer};
@@ -578,8 +578,9 @@ impl Engine {
         stats
     }
 
-    /// The delta-learn path: mine sketches for configurations that lack
-    /// one (in parallel), then fold every sketch in dataset order.
+    /// The delta-learn path: sketch the configurations that lack a
+    /// sketch (in parallel), then fold every sketch in dataset order.
+    /// The stats' miner times cover the configurations sketched here.
     fn relearn_delta(&mut self) -> LearnStats {
         let dirty: Vec<usize> = self
             .slots
@@ -588,26 +589,20 @@ impl Engine {
             .filter(|(_, s)| s.sketch.is_none())
             .map(|(i, _)| i)
             .collect();
-        let dataset = &self.dataset;
-        let params = &self.options.learn;
-        let mined: Vec<ConfigSketch> = parallel::map(
-            &dirty,
-            |&i| sketch_config(dataset, i, params),
-            self.options.parallelism,
-        );
+        let mut fold = Fold::new(&self.dataset, &self.options.learn);
+        let mined = fold.sketch(&dirty, self.options.parallelism);
         for (&i, sketch) in dirty.iter().zip(mined) {
             self.slots[i].sketch = Some(sketch);
         }
         self.last_learn_mined = dirty.len() as u64;
         self.last_learn_reused = (self.slots.len() - dirty.len()) as u64;
-        let (contracts, stats) = {
-            let sketches: Vec<&ConfigSketch> = self
-                .slots
-                .iter()
-                .map(|s| s.sketch.as_ref().expect("just populated"))
-                .collect();
-            finalize_sketches(&self.dataset, &sketches, &self.options.learn)
-        };
+        let sketches: Vec<&ConfigSketch> = self
+            .slots
+            .iter()
+            .map(|s| s.sketch.as_ref().expect("just populated"))
+            .collect();
+        fold.add(&sketches);
+        let (contracts, stats) = fold.finish();
         self.contracts = Some(Arc::new(contracts));
         stats
     }

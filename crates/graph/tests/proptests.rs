@@ -1,108 +1,128 @@
-//! Property-based tests for the graph algorithms.
-
-// NOTE: the hermetic build has no `proptest`; enable the `proptests`
-// feature after vendoring it to run this suite.
-#![cfg(feature = "proptests")]
+//! Property tests for the graph algorithms, on seeded inputs from
+//! `concord_rng::prop` (`CONCORD_PROP_SEED`, `CONCORD_PROP_CASES`).
 
 use concord_graph::DiGraph;
-use proptest::prelude::*;
+use concord_rng::prop;
+use concord_rng::{Rng, StdRng};
 
-/// Generates a random directed graph with up to `max_n` nodes.
-fn arb_graph(max_n: usize) -> impl Strategy<Value = DiGraph> {
-    (1..=max_n).prop_flat_map(move |n| {
-        proptest::collection::vec((0..n, 0..n), 0..(n * 3)).prop_map(move |edges| {
-            let mut g = DiGraph::new(n);
-            for (u, v) in edges {
-                g.add_edge(u, v);
-            }
-            g
-        })
-    })
+/// Cases per property when `CONCORD_PROP_CASES` is unset.
+const CASES: u64 = 256;
+
+/// A random directed graph of 1 to `max_n` nodes and fewer than three
+/// edges per node, self-loops and repeats included.
+fn any_graph(rng: &mut StdRng, max_n: usize) -> DiGraph {
+    let n = rng.gen_range(1..=max_n);
+    let mut g = DiGraph::new(n);
+    for _ in 0..rng.gen_range(0..n * 3) {
+        g.add_edge(rng.gen_range(0..n), rng.gen_range(0..n));
+    }
+    g
 }
 
-/// Generates a random DAG by orienting edges from lower to higher index.
-fn arb_dag(max_n: usize) -> impl Strategy<Value = DiGraph> {
-    (2..=max_n).prop_flat_map(move |n| {
-        proptest::collection::vec((0..n, 0..n), 0..(n * 3)).prop_map(move |edges| {
-            let mut g = DiGraph::new(n);
-            for (u, v) in edges {
-                if u < v {
-                    g.add_edge(u, v);
-                }
-            }
-            g
-        })
-    })
+/// A random DAG of 2 to `max_n` nodes: the edges of a random graph that
+/// run from a lower to a higher index.
+fn any_dag(rng: &mut StdRng, max_n: usize) -> DiGraph {
+    let n = rng.gen_range(2..=max_n);
+    let mut g = DiGraph::new(n);
+    for _ in 0..rng.gen_range(0..n * 3) {
+        let (u, v) = (rng.gen_range(0..n), rng.gen_range(0..n));
+        if u < v {
+            g.add_edge(u, v);
+        }
+    }
+    g
 }
 
-proptest! {
-    /// SCCs partition the node set.
-    #[test]
-    fn scc_is_a_partition(g in arb_graph(24)) {
-        let comps = g.scc();
+/// SCCs partition the node set.
+#[test]
+fn scc_is_a_partition() {
+    prop::check("scc_is_a_partition", CASES, |rng| {
+        let g = any_graph(rng, 24);
         let mut seen = vec![false; g.num_nodes()];
-        for comp in &comps {
+        for comp in &g.scc() {
             for &node in comp {
-                prop_assert!(!seen[node], "node {node} in two components");
+                assert!(!seen[node], "node {node} in two components");
                 seen[node] = true;
             }
         }
-        prop_assert!(seen.iter().all(|&s| s));
-    }
+        assert!(seen.iter().all(|&s| s));
+    });
+}
 
-    /// Two nodes share an SCC iff they reach each other.
-    #[test]
-    fn scc_matches_mutual_reachability(g in arb_graph(12)) {
+/// Two nodes share an SCC iff they reach each other.
+#[test]
+fn scc_matches_mutual_reachability() {
+    prop::check("scc_matches_mutual_reachability", CASES, |rng| {
+        let g = any_graph(rng, 12);
         let comps = g.scc();
-        let comp_of = |x: usize| comps.iter().position(|c| c.contains(&x)).unwrap();
+        let comp_of = |x: usize| {
+            comps
+                .iter()
+                .position(|c| c.contains(&x))
+                .expect("every node is in a component")
+        };
         for u in 0..g.num_nodes() {
             let ru = g.reachable_from(u);
             for v in 0..g.num_nodes() {
-                if u == v { continue; }
+                if u == v {
+                    continue;
+                }
                 let rv = g.reachable_from(v);
                 let mutual = ru.contains(v) && rv.contains(u);
-                prop_assert_eq!(mutual, comp_of(u) == comp_of(v));
+                assert_eq!(mutual, comp_of(u) == comp_of(v), "nodes {u} and {v}");
             }
         }
-    }
+    });
+}
 
-    /// The condensation is acyclic.
-    #[test]
-    fn condensation_is_dag(g in arb_graph(24)) {
-        let (dag, _) = g.condensation();
-        prop_assert!(dag.topological_order().is_some());
-    }
+/// The condensation is acyclic.
+#[test]
+fn condensation_is_dag() {
+    prop::check("condensation_is_dag", CASES, |rng| {
+        let (dag, _) = any_graph(rng, 24).condensation();
+        assert!(dag.topological_order().is_some());
+    });
+}
 
-    /// Transitive reduction preserves reachability exactly.
-    #[test]
-    fn reduction_preserves_reachability(g in arb_dag(16)) {
+/// Transitive reduction preserves reachability exactly.
+#[test]
+fn reduction_preserves_reachability() {
+    prop::check("reduction_preserves_reachability", CASES, |rng| {
+        let g = any_dag(rng, 16);
         let r = g.transitive_reduction();
         for u in 0..g.num_nodes() {
             let before = g.reachable_from(u);
             let after = r.reachable_from(u);
             for v in 0..g.num_nodes() {
-                prop_assert_eq!(before.contains(v), after.contains(v),
-                    "reachability {}->{} changed", u, v);
+                assert_eq!(
+                    before.contains(v),
+                    after.contains(v),
+                    "reachability {u}->{v} changed"
+                );
             }
         }
-    }
+    });
+}
 
-    /// Transitive reduction never adds edges and is idempotent.
-    #[test]
-    fn reduction_shrinks_and_is_idempotent(g in arb_dag(16)) {
+/// Transitive reduction never adds edges and is idempotent.
+#[test]
+fn reduction_shrinks_and_is_idempotent() {
+    prop::check("reduction_shrinks_and_is_idempotent", CASES, |rng| {
+        let g = any_dag(rng, 16);
         let r = g.transitive_reduction();
-        prop_assert!(r.num_edges() <= g.num_edges());
+        assert!(r.num_edges() <= g.num_edges());
         for (u, v) in r.edges() {
-            prop_assert!(g.has_edge(u, v), "reduction invented edge {}->{}", u, v);
+            assert!(g.has_edge(u, v), "reduction invented edge {u}->{v}");
         }
-        let rr = r.transitive_reduction();
-        prop_assert_eq!(rr.num_edges(), r.num_edges());
-    }
+        assert_eq!(r.transitive_reduction().num_edges(), r.num_edges());
+    });
+}
 
-    /// Every surviving edge is essential: removing it changes reachability.
-    #[test]
-    fn reduction_is_minimal(g in arb_dag(10)) {
-        let r = g.transitive_reduction();
+/// Every surviving edge is essential: removing it changes reachability.
+#[test]
+fn reduction_is_minimal() {
+    prop::check("reduction_is_minimal", CASES, |rng| {
+        let r = any_dag(rng, 10).transitive_reduction();
         for (u, v) in r.edges() {
             let mut without = DiGraph::new(r.num_nodes());
             for (a, b) in r.edges() {
@@ -110,8 +130,10 @@ proptest! {
                     without.add_edge(a, b);
                 }
             }
-            prop_assert!(!without.reachable_from(u).contains(v),
-                "edge {}->{} was redundant", u, v);
+            assert!(
+                !without.reachable_from(u).contains(v),
+                "edge {u}->{v} was redundant"
+            );
         }
-    }
+    });
 }
