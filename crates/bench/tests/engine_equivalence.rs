@@ -11,18 +11,28 @@
 //! presence/ordering), value rewrites (tripping relational witnesses),
 //! fresh configurations, and removals. Runs over both generator families
 //! (EDGE indentation and WAN flat syntax) at parallelism 1 and 8.
+//!
+//! Every few steps the contract set is swapped — a relearn, an equal
+//! copy, or a perturbed set — and checked again before the next edit, so
+//! the oracle also pins which swaps may keep the outcome cache: the
+//! batch side always checks under the set the test last installed, and
+//! the engine must hold that set at every check.
 
 use concord_bench::seed;
 use concord_core::{
-    check_parallel_with_stats, CheckReport, CheckStats, ContractSet, Dataset, LearnParams,
+    check_parallel_with_stats, CheckReport, CheckStats, Contract, ContractSet, Dataset,
+    LearnParams, RelationKind,
 };
 use concord_datagen::{generate_role, RoleSpec, Style};
-use concord_engine::{Engine, EngineOptions};
+use concord_engine::{Engine, EngineCheckReport, EngineOptions};
 use concord_rng::rngs::StdRng;
 use concord_rng::{Rng, SeedableRng};
 
 /// Random edit steps per (style, parallelism) sequence.
 const STEPS: usize = 30;
+
+/// Edit steps between contract swaps.
+const SWAP_EVERY: usize = 5;
 
 /// Renders a report to a canonical string (same convention as the
 /// check-engine oracle: violation order matters, coverage sets do not).
@@ -106,6 +116,74 @@ fn assert_counters_equal(incremental: &CheckStats, batch: &CheckStats, context: 
     );
 }
 
+/// `set` with one contract changed. With `drop` a random contract goes,
+/// which also moves the resolution fingerprint. Otherwise a field the
+/// fingerprint cannot see changes — a relation, a unique contract's
+/// once-per-config flag, a type contract's valid types — so only a
+/// cache keyed by the set itself notices the swap.
+fn perturb(set: &ContractSet, rng: &mut StdRng, drop: bool) -> ContractSet {
+    let mut out = set.clone();
+    let n = out.contracts.len();
+    let start = rng.gen_range(0..n);
+    if !drop {
+        for k in 0..n {
+            match &mut out.contracts[(start + k) % n] {
+                Contract::Relational(r) => {
+                    let all = RelationKind::all();
+                    let at = all.iter().position(|&kind| kind == r.relation);
+                    r.relation = all[(at.unwrap_or(0) + 1) % all.len()];
+                }
+                Contract::Unique {
+                    once_per_config, ..
+                } => *once_per_config = !*once_per_config,
+                Contract::Type { valid, .. } => {
+                    valid.pop();
+                }
+                _ => continue,
+            }
+            return out;
+        }
+    }
+    out.contracts.remove(start);
+    out
+}
+
+/// Runs `check_dirty`, asserting that the engine holds `expected` before
+/// and after it: neither an edit nor a check may change the contract set.
+fn check_under(engine: &mut Engine, expected: &ContractSet, context: &str) -> EngineCheckReport {
+    assert!(
+        engine.contracts() == Some(expected),
+        "contract set changed before the check at {context}"
+    );
+    let report = engine.check_dirty().expect("contracts loaded");
+    assert!(
+        engine.contracts() == Some(expected),
+        "contract set changed during the check at {context}"
+    );
+    report
+}
+
+/// Asserts `incremental` equals a from-scratch batch build of `corpus`
+/// checked under `contracts`.
+fn assert_matches_batch(
+    contracts: &ContractSet,
+    incremental: &EngineCheckReport,
+    corpus: &[(String, String)],
+    metadata: &[(String, String)],
+    parallelism: usize,
+    context: &str,
+) {
+    let batch_dataset = Dataset::from_named_texts(corpus, metadata).expect("batch dataset builds");
+    let (batch_report, batch_stats) =
+        check_parallel_with_stats(contracts, &batch_dataset, parallelism);
+    assert_eq!(
+        render(&incremental.report),
+        render(&batch_report),
+        "engine diverged from batch at {context}"
+    );
+    assert_counters_equal(&incremental.stats, &batch_stats, context);
+}
+
 fn run_sequence(style: Style, parallelism: usize, salt: u64) {
     let spec = RoleSpec {
         name: format!("EQ{salt}"),
@@ -125,15 +203,17 @@ fn run_sequence(style: Style, parallelism: usize, salt: u64) {
         ..EngineOptions::default()
     };
     let mut engine = Engine::from_corpus(&corpus, &metadata, options).expect("engine builds");
-    // One fixed contract set for the whole sequence: the oracle pins
-    // checking; learning is corpus-global and separately deterministic.
     engine.relearn();
-    let contracts: ContractSet = engine.contracts().expect("just learned").clone();
-    assert!(!contracts.is_empty(), "sequence needs contracts to check");
+    let learned = engine.contracts().expect("just learned").clone();
+    assert!(!learned.is_empty(), "sequence needs contracts to check");
+    // The set the test has installed: the batch side checks under it,
+    // and the engine must still hold it at every check.
+    let mut expected = learned.clone();
 
     let mut rng = StdRng::seed_from_u64(seed() ^ salt);
     let mut total_dirty = 0usize;
     let mut reuse_steps = 0usize;
+    let (mut kept_swaps, mut dropped_swaps) = (0usize, 0usize);
     for step in 0..STEPS {
         // A random edit against both the engine and the mirror corpus.
         match rng.gen_range(0..10u32) {
@@ -162,19 +242,16 @@ fn run_sequence(style: Style, parallelism: usize, salt: u64) {
             }
         }
 
-        let incremental = engine.check_dirty().expect("contracts loaded");
-        let batch_dataset =
-            Dataset::from_named_texts(&corpus, &metadata).expect("batch dataset builds");
-        let (batch_report, batch_stats) =
-            check_parallel_with_stats(&contracts, &batch_dataset, parallelism);
-
         let context = format!("{style:?} p={parallelism} step {step}");
-        assert_eq!(
-            render(&incremental.report),
-            render(&batch_report),
-            "engine diverged from batch at {context}"
+        let incremental = check_under(&mut engine, &expected, &context);
+        assert_matches_batch(
+            &expected,
+            &incremental,
+            &corpus,
+            &metadata,
+            parallelism,
+            &context,
         );
-        assert_counters_equal(&incremental.stats, &batch_stats, &context);
         total_dirty += incremental.engine.dirty_configs;
         if incremental.engine.reused_configs > 0 {
             reuse_steps += 1;
@@ -184,7 +261,53 @@ fn run_sequence(style: Style, parallelism: usize, salt: u64) {
             0,
             "nothing left dirty after {context}"
         );
+
+        // Swap the contract set — relearn, an equal copy, or a perturbed
+        // set — and check again with no edit between: an equal set keeps
+        // every cached outcome, a different one rechecks every config.
+        if step % SWAP_EVERY == SWAP_EVERY - 1 {
+            let swap = step / SWAP_EVERY;
+            let held = expected.clone();
+            match swap % 3 {
+                0 => {
+                    engine.relearn();
+                    expected = engine.contracts().expect("just relearned").clone();
+                }
+                1 => engine.set_contracts(held.clone()),
+                // A relearn below the support threshold learns nothing;
+                // perturb the first set then.
+                _ => {
+                    let base = if held.is_empty() { &learned } else { &held };
+                    expected = perturb(base, &mut rng, swap.is_multiple_of(2));
+                    engine.set_contracts(expected.clone());
+                }
+            }
+            let equal = expected == held;
+            let context = format!("{context}, swap {swap}");
+            let swapped = check_under(&mut engine, &expected, &context);
+            assert_matches_batch(
+                &expected,
+                &swapped,
+                &corpus,
+                &metadata,
+                parallelism,
+                &context,
+            );
+            if equal {
+                assert_eq!(swapped.engine.dirty_configs, 0, "{context}");
+                assert!(!swapped.engine.resolution_invalidated, "{context}");
+                kept_swaps += 1;
+            } else {
+                assert_eq!(swapped.engine.dirty_configs, corpus.len(), "{context}");
+                assert!(swapped.engine.resolution_invalidated, "{context}");
+                dropped_swaps += 1;
+            }
+        }
     }
+    assert!(
+        kept_swaps > 0 && dropped_swaps > 0,
+        "{style:?} p={parallelism}: {kept_swaps} swaps kept the cache, {dropped_swaps} dropped it"
+    );
     // The sequence must actually exercise the incremental path: most
     // steps touch one config, so reuse has to dominate recomputation.
     assert!(

@@ -19,7 +19,7 @@
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
-use concord_core::{CheckReport, ContractSet};
+use concord_core::{learn_reference, CheckReport, ContractSet, Dataset};
 use concord_engine::fault::{FaultKind, FaultPlan, ALL_FAULTS};
 // The storage-level (VFS) fault types share names with the plan-level
 // ones above; alias them apart.
@@ -75,18 +75,15 @@ fn oracle(me: &ResilientEngine) -> String {
     render(&oracle.check_dirty().expect("oracle checks").report)
 }
 
-/// The learn oracle: the contract set a full (non-delta) relearn of
-/// the recovered corpus produces, as its canonical JSON.
+/// The learn oracle: the contract set the sequential reference learner
+/// (`learn_reference`) derives from a fresh dataset of the recovered
+/// corpus, as its canonical JSON. It shares no sketch, fold or emit
+/// code with the engine's delta relearn.
 fn learn_oracle(me: &ResilientEngine) -> String {
     let image = me.image();
-    let options = EngineOptions {
-        delta_learn: false,
-        ..EngineOptions::default()
-    };
-    let mut oracle = Engine::from_corpus(&image.corpus(), &image.metadata, options)
-        .expect("learn oracle builds");
-    oracle.relearn();
-    oracle.contracts().expect("learned").to_json()
+    let dataset = Dataset::from_named_texts(&image.corpus(), &image.metadata)
+        .expect("learn oracle dataset builds");
+    learn_reference(&dataset, &EngineOptions::default().learn).to_json()
 }
 
 fn reboot(dir: &Path) -> ResilientEngine {
@@ -214,8 +211,8 @@ fn storage_and_panic_fault_soak() {
 
         // Sketch-replay invariant: a delta relearn on the recovered
         // engine — folding whatever sketches survived checkpointing,
-        // torn storage, and WAL replay — must byte-identically match a
-        // full relearn of the same corpus.
+        // torn storage, and WAL replay — must byte-identically match the
+        // reference learner over the same corpus.
         if step % 4 == 3 {
             me.relearn()
                 .unwrap_or_else(|e| panic!("step {step}: post-fault relearn failed: {e}"));
@@ -223,7 +220,7 @@ fn storage_and_panic_fault_soak() {
             assert_eq!(
                 got,
                 learn_oracle(&me),
-                "step {step} fault {fault:?} seed {seed}: delta relearn diverged from full relearn"
+                "step {step} fault {fault:?} seed {seed}: delta relearn diverged from the reference learner"
             );
         }
     }
@@ -239,7 +236,7 @@ fn storage_and_panic_fault_soak() {
 /// invalidate exactly their configs, and a *torn* persisted sketch
 /// bundle (bit-flipped snapshot payload) falls back to the backup
 /// rather than poisoning the learner — in every case the post-reboot
-/// delta relearn is byte-identical to a full relearn.
+/// delta relearn is byte-identical to the reference learner.
 #[test]
 fn sketch_cache_survives_kill_and_torn_persistence() {
     let seed = env_u64("CONCORD_SOAK_SEED", 0xC0C0);
@@ -282,7 +279,7 @@ fn sketch_cache_survives_kill_and_torn_persistence() {
     assert_eq!(
         got,
         learn_oracle(&back),
-        "seed {seed}: post-kill delta relearn diverged from full relearn"
+        "seed {seed}: post-kill delta relearn diverged from the reference learner"
     );
     back.checkpoint();
     drop(back);
@@ -302,7 +299,7 @@ fn sketch_cache_survives_kill_and_torn_persistence() {
     assert_eq!(
         got,
         learn_oracle(&back),
-        "seed {seed}: post-tear delta relearn diverged from full relearn"
+        "seed {seed}: post-tear delta relearn diverged from the reference learner"
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -365,7 +362,7 @@ fn kill_between_segment_writes_and_manifest_recovers_from_old_manifest() {
     assert_eq!(
         back.image().contracts.clone().expect("just learned"),
         learn_oracle(&back),
-        "seed {seed}: post-crash delta relearn diverged from full relearn"
+        "seed {seed}: post-crash delta relearn diverged from the reference learner"
     );
 
     // The reboot checkpointed (with_store folds replayed state), so the

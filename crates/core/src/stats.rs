@@ -208,8 +208,11 @@ pub struct EngineCheckStats {
     pub dirty_configs: usize,
     /// Configurations whose cached outcome was reused untouched.
     pub reused_configs: usize,
-    /// Whether a resolution change (contracts swapped, or an edit that
-    /// re-resolved a contract pattern) forced a full cache invalidation.
+    /// Whether a resolution change (a contract set different from the
+    /// one the cache was checked under, or an edit that re-resolved a
+    /// contract pattern) forced a full cache invalidation. A swap to an
+    /// equal set, such as a relearn that re-derives the held contracts,
+    /// does not.
     pub resolution_invalidated: bool,
     /// Witness indexes rebuilt while re-checking dirty configurations.
     pub witness_indexes_rebuilt: u64,

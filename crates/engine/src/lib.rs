@@ -17,10 +17,12 @@
 //!   only the changed file through a persistent [`LexCache`];
 //! * the current [`ContractSet`] (learned in-engine or loaded), with an
 //!   epoch counter bumped on every swap;
-//! * cached per-configuration check outcomes keyed by
-//!   `(contracts epoch, resolution fingerprint)`, so
+//! * cached per-configuration check outcomes keyed by the contract set
+//!   they were checked under and its resolution fingerprint, so
 //!   [`Engine::check_dirty`] re-runs checks only for configurations
 //!   edited since the last call and patches the rest in from the cache.
+//!   A swap to an equal set — the common relearn of a stable fleet —
+//!   keeps the cache; a swap to a different set drops it.
 //!
 //! The output contract is strict: `check_dirty` is **byte-identical** to
 //! compiling and running the batch checker over the current snapshot
@@ -98,10 +100,13 @@ pub struct EngineOptions {
     /// Whether [`Engine::relearn`] runs incrementally — re-sketching
     /// only configurations edited since their sketch was mined, then
     /// folding all cached sketches — instead of re-mining the full
-    /// corpus. Both paths are pinned byte-identical (the full relearn is
-    /// kept as the equivalence oracle, mirroring `naive-check` and
-    /// `reference-learn`), so this is a performance knob, not a
-    /// semantics knob.
+    /// corpus. With it unset the engine keeps no sketches and relearns
+    /// from scratch through the same sketch and fold code: the path
+    /// `learn_delta_scaling` (and perfbench) time the cache against.
+    /// The unit test `delta_relearn_is_byte_identical_to_full_relearn`
+    /// pins the two paths byte-identical, so this is a performance knob,
+    /// not a semantics knob; the randomized delta-learn oracles compare
+    /// with `learn_reference` instead.
     pub delta_learn: bool,
 }
 
@@ -129,7 +134,10 @@ pub struct EngineCounters {
     pub edits: u64,
     /// Lifetime count of relearns.
     pub relearns: u64,
-    /// Bumped whenever the contract set is swapped.
+    /// Bumped whenever the contract set is swapped, whether or not the
+    /// new set differs. The check cache is keyed by the set itself; this
+    /// counter tells a caller comparing counters (the serve layer) that
+    /// a swap may have changed what CHECK answers.
     pub contracts_epoch: u64,
     /// Corpus size (own lines) when contracts were last learned/loaded.
     pub lines_at_last_learn: usize,
@@ -252,12 +260,18 @@ pub struct Engine {
     /// Shared so [`CheckParts`] can carry the set they were checked
     /// under without deep-copying it.
     contracts: Option<Arc<ContractSet>>,
-    /// Bumped whenever the contract set object is swapped; part of the
-    /// outcome-cache key (two different sets can resolve identically).
+    /// Bumped on every swap, whether or not the new set differs. Not part
+    /// of the outcome-cache key (`cached_key` compares the sets
+    /// themselves): it is the persisted swap counter the serve layer's
+    /// `Fleet::apply` compares to tell that a swap may have changed what
+    /// CHECK answers.
     contracts_epoch: u64,
-    /// The `(epoch, resolution fingerprint)` the cached outcomes were
-    /// computed under; a mismatch in `check_dirty` invalidates them all.
-    cached_key: Option<(u64, u64)>,
+    /// The contract set and resolution fingerprint the cached outcomes
+    /// were checked under. `check_dirty` keeps them while the current
+    /// set is this one or equals it and the fingerprint holds, and
+    /// invalidates them all otherwise (two different sets can resolve
+    /// identically, so the fingerprint alone is not a key).
+    cached_key: Option<(Arc<ContractSet>, u64)>,
     /// The unique pass's state over every checked configuration, built
     /// under `cached_key`. Shared with [`CheckParts`]; updated in place
     /// through [`Arc::make_mut`] when no parts hold it.
@@ -723,14 +737,17 @@ impl Engine {
     ///
     /// The returned report is byte-identical to a from-scratch batch
     /// check ([`check_parallel_with_stats`]) of the same dataset and
-    /// contracts. A resolution change — contracts swapped, or an edit
-    /// interning a pattern that makes a contract resolve differently —
-    /// is detected via [`CheckProgram::resolution_fingerprint`] and
-    /// invalidates the whole cache (correctness first; the fingerprint
-    /// only moves when cached outcomes genuinely went stale).
+    /// contracts. The cache survives a contract swap to an equal set (a
+    /// relearn that re-derives the held contracts costs no recheck). A
+    /// resolution change — a set different from the one the cache was
+    /// checked under, or an edit interning a pattern that makes a
+    /// contract resolve differently
+    /// ([`CheckProgram::resolution_fingerprint`]) — invalidates the whole
+    /// cache (correctness first; neither moves unless cached outcomes
+    /// may have gone stale).
     pub fn check_dirty(&mut self) -> Result<EngineCheckReport, EngineError> {
         let start = Instant::now();
-        let contracts = self.contracts.as_deref().ok_or(EngineError::NoContracts)?;
+        let contracts = self.contracts.as_ref().ok_or(EngineError::NoContracts)?;
         let program = CheckProgram::compile(contracts, &self.dataset);
         let (dirty, resolution_invalidated) = refresh_outcomes(
             &mut self.slots,
@@ -738,7 +755,7 @@ impl Engine {
             &mut self.unique,
             &self.dataset,
             &program,
-            self.contracts_epoch,
+            contracts,
             self.options.parallelism,
         );
 
@@ -813,7 +830,7 @@ impl Engine {
             &mut self.unique,
             &self.dataset,
             &program,
-            self.contracts_epoch,
+            &contracts,
             self.options.parallelism,
         );
         let configs = self
@@ -911,31 +928,40 @@ impl Engine {
     }
 }
 
-/// Ensures every slot holds a current outcome under `program`'s
-/// resolution key, and `unique` every configuration's current unique
-/// table, re-running only dirty configurations (in parallel). A new key
-/// starts a new index. Returns the sorted dirty indices and whether a
-/// resolution change invalidated the cache. A free function over
-/// disjoint [`Engine`] fields because `program` immutably borrows the
-/// engine's dataset and contracts while the slots are written.
+/// Ensures every slot holds a current outcome under `contracts` and
+/// `program`'s resolution fingerprint, and `unique` every
+/// configuration's current unique table, re-running only dirty
+/// configurations (in parallel). The cache is kept when `contracts` is
+/// the set it was checked under or equals it (one O(contracts) compare
+/// on the first check after a swap) and the fingerprint holds; otherwise
+/// every outcome is dropped and a new index started. Returns the sorted
+/// dirty indices and whether a resolution change invalidated the cache.
+/// A free function over disjoint [`Engine`] fields because `program`
+/// immutably borrows the engine's dataset and contracts while the slots
+/// are written.
 fn refresh_outcomes(
     slots: &mut [Slot],
-    cached_key: &mut Option<(u64, u64)>,
+    cached_key: &mut Option<(Arc<ContractSet>, u64)>,
     unique: &mut Arc<UniqueIndex>,
     dataset: &Dataset,
     program: &CheckProgram<'_>,
-    contracts_epoch: u64,
+    contracts: &Arc<ContractSet>,
     parallelism: usize,
 ) -> (Vec<usize>, bool) {
-    let key = (contracts_epoch, program.resolution_fingerprint());
-    let resolution_invalidated = cached_key.is_some_and(|k| k != key);
-    if *cached_key != Some(key) {
+    let fingerprint = program.resolution_fingerprint();
+    let kept = cached_key.as_ref().is_some_and(|(set, cached)| {
+        *cached == fingerprint && (Arc::ptr_eq(set, contracts) || set == contracts)
+    });
+    let resolution_invalidated = cached_key.is_some() && !kept;
+    if !kept {
         for slot in slots.iter_mut() {
             slot.outcome = None;
         }
         *unique = Arc::new(program.unique_index());
-        *cached_key = Some(key);
     }
+    // Hold the current set even when an equal one was kept, so the next
+    // check takes the pointer compare and the replaced set is freed.
+    *cached_key = Some((Arc::clone(contracts), fingerprint));
 
     let dirty: Vec<usize> = slots
         .iter()
@@ -1090,6 +1116,83 @@ mod tests {
         assert_eq!(incremental.engine.dirty_configs, 1);
         let (report, _) = batch(&engine);
         assert_reports_equal(&incremental.report, &report);
+    }
+
+    /// A relearn that re-derives the held set bumps the swap counter but
+    /// keeps every cached outcome and the unique index.
+    #[test]
+    fn relearn_without_edits_keeps_the_check_cache() {
+        let mut engine = Engine::from_corpus(&corpus(), &[], EngineOptions::default()).unwrap();
+        engine.relearn();
+        engine.check_dirty().unwrap();
+        let held = engine.shared_contracts().unwrap();
+
+        engine.relearn();
+        assert_eq!(engine.counters().contracts_epoch, 2, "every swap counts");
+        let relearned = engine.shared_contracts().unwrap();
+        assert!(!Arc::ptr_eq(&held, &relearned), "a relearn swaps the set");
+        assert_eq!(held, relearned, "and re-derives the same contracts");
+        let incremental = engine.check_dirty().unwrap();
+        assert_eq!(incremental.engine.dirty_configs, 0);
+        assert_eq!(incremental.engine.reused_configs, 6);
+        assert!(!incremental.engine.resolution_invalidated);
+        let (report, stats) = batch(&engine);
+        assert_reports_equal(&incremental.report, &report);
+        assert_eq!(incremental.stats.violations, stats.violations);
+        assert_eq!(incremental.stats.witness_probes, stats.witness_probes);
+    }
+
+    #[test]
+    fn relearn_after_an_edit_rechecks_only_the_edited_config() {
+        let mut engine = Engine::from_corpus(&corpus(), &[], EngineOptions::default()).unwrap();
+        engine.relearn();
+        engine.check_dirty().unwrap();
+        let held = engine.shared_contracts().unwrap();
+
+        // Re-upserting a device's own text dirties it without changing
+        // what a relearn derives.
+        let (name, text) = &corpus()[2];
+        engine.upsert_config(name, text);
+        engine.relearn();
+        assert_eq!(engine.shared_contracts().unwrap(), held);
+        let incremental = engine.check_dirty().unwrap();
+        assert_eq!(incremental.engine.dirty_configs, 1);
+        assert_eq!(incremental.engine.reused_configs, 5);
+        assert!(!incremental.engine.resolution_invalidated);
+        let (report, _) = batch(&engine);
+        assert_reports_equal(&incremental.report, &report);
+    }
+
+    #[test]
+    fn set_contracts_with_an_equal_set_keeps_the_check_cache() {
+        let mut engine = Engine::from_corpus(&corpus(), &[], EngineOptions::default()).unwrap();
+        engine.relearn();
+        engine.check_dirty().unwrap();
+
+        engine.set_contracts(engine.contracts().unwrap().clone());
+        let incremental = engine.check_dirty().unwrap();
+        assert_eq!(incremental.engine.dirty_configs, 0);
+        assert!(!incremental.engine.resolution_invalidated);
+        let (report, _) = batch(&engine);
+        assert_reports_equal(&incremental.report, &report);
+    }
+
+    #[test]
+    fn set_contracts_with_a_different_set_rechecks_every_config() {
+        let mut engine = Engine::from_corpus(&corpus(), &[], EngineOptions::default()).unwrap();
+        engine.relearn();
+        engine.check_dirty().unwrap();
+
+        let mut fewer = engine.contracts().unwrap().clone();
+        assert!(fewer.contracts.pop().is_some());
+        engine.set_contracts(fewer);
+        let incremental = engine.check_dirty().unwrap();
+        assert_eq!(incremental.engine.dirty_configs, 6);
+        assert_eq!(incremental.engine.reused_configs, 0);
+        assert!(incremental.engine.resolution_invalidated);
+        let (report, stats) = batch(&engine);
+        assert_reports_equal(&incremental.report, &report);
+        assert_eq!(incremental.stats.contracts, stats.contracts);
     }
 
     #[test]
