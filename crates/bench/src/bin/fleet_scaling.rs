@@ -6,20 +6,15 @@
 //! over loopback TCP:
 //!
 //! * **Identity.** A scripted session (LEARN, edits, CHECK, GEN,
-//!   REMOVE, relearn) runs against every shard count — and once more
-//!   with `--replicas 1` — and its full transcript must be
-//!   byte-identical to the `--shards 1` transcript. This is asserted,
-//!   not just recorded.
+//!   REMOVE, relearn) runs against every shard count, and its full
+//!   transcript must be byte-identical to the `--shards 1` transcript.
+//!   This is asserted, not just recorded.
 //! * **Scaling.** Per shard count: rounds of "UPSERT one device, then
 //!   CHECK", timing only the CHECK round trips. Every shard count runs
 //!   the same fleet code with the same per-shard parts cache, so the
 //!   ratio over `--shards 1` measures sharding alone: a CHECK after one
 //!   edit rechecks the owning shard and merges the others from cache.
 //!   GEN round trips are timed the same way as a read-path baseline.
-//! * **Replication.** A `--shards 4 --replicas 1` cell alternates
-//!   UPSERT and GEN on one device (read-your-writes through the
-//!   replica), then reads the v8 STATS `fleet.totals` for replica
-//!   reads and the maximum observed lag.
 //!
 //! Results go to `target/experiments/fleet_scaling.json`; full runs
 //! snapshot `BENCH_fleet.json` at the repository root, where CI gates
@@ -203,22 +198,13 @@ fn write_corpus(count: usize, lines: usize) -> (std::path::PathBuf, String) {
     (dir, glob)
 }
 
-fn server_args(glob: &str, shards: usize, replicas: usize, state_dir: Option<&str>) -> Vec<String> {
-    let mut args = vec![
+fn server_args(glob: &str, shards: usize) -> Vec<String> {
+    vec![
         "--configs".to_string(),
         glob.to_string(),
         "--shards".to_string(),
         shards.to_string(),
-    ];
-    if replicas > 0 {
-        args.push("--replicas".to_string());
-        args.push(replicas.to_string());
-    }
-    if let Some(dir) = state_dir {
-        args.push("--state-dir".to_string());
-        args.push(dir.to_string());
-    }
-    args
+    ]
 }
 
 /// The identity script: every answer-bearing verb, including edits that
@@ -288,96 +274,25 @@ fn scaling_cell(addr: &str, count: usize, lines: usize) -> (f64, f64, String) {
     (checks_per_sec, gens_per_sec, last)
 }
 
-/// Replica cell: alternate UPSERT and GEN on one device so every read
-/// exercises the replica's read-your-writes poll, then report the v8
-/// STATS fleet totals.
-fn replica_cell(glob: &str) -> Json {
-    let state =
-        std::env::temp_dir().join(format!("concord-fleet-bench-state-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&state);
-    let addr = spawn_server(&server_args(glob, 4, 1, Some(&state.display().to_string())));
-    let mut client = Client::connect(&addr);
-    client.request("LEARN\n");
-    let rounds = if smoke() { 8 } else { 64 };
-    for round in 0..rounds {
-        let body = config_body(lines_per_device(), round);
-        let up = client.request(&format!("UPSERT dev0\n{body}.\n"));
-        assert!(up.starts_with("ok upsert "), "{up}");
-        let gen = client.request("GEN dev0\n");
-        assert!(
-            gen.starts_with("ok gen dev0 "),
-            "replica read failed: {gen}"
-        );
-    }
-    let stats = client.request("STATS\n");
-    client.request("QUIT\n");
-    let json_text = stats
-        .strip_prefix("ok stats ")
-        .expect("stats response")
-        .trim();
-    let stats = Json::parse(json_text).expect("stats parses");
-    let totals = &stats["fleet"]["totals"];
-    let replica_reads = totals["replica_reads"].as_u64().expect("replica_reads");
-    let max_lag = totals["max_replica_lag"].as_u64().expect("max_replica_lag");
-    assert!(
-        replica_reads >= rounds as u64,
-        "every GEN should read through a replica: {replica_reads} < {rounds}"
-    );
-    let _ = std::fs::remove_dir_all(&state);
-    println!(
-        "replica cell (4 shards x 1 replica): {replica_reads} replica reads, max lag {max_lag}"
-    );
-    json!({
-        "shards": 4,
-        "replicas": 1,
-        "write_read_rounds": rounds,
-        "replica_reads": replica_reads,
-        "max_replica_lag": max_lag,
-    })
-}
-
 fn main() {
     let count = devices();
     let lines = lines_per_device();
     let (dir, glob) = write_corpus(count, lines);
 
-    // Identity: every shard count (and a replicated variant) answers
-    // byte-identically to one shard.
-    let baseline = identity_transcript(&spawn_server(&server_args(&glob, 1, 0, None)), lines);
+    // Identity: every shard count answers byte-identically to one
+    // shard.
+    let baseline = identity_transcript(&spawn_server(&server_args(&glob, 1)), lines);
     let mut identity_cells: Vec<Json> = Vec::new();
     for &shards in shard_counts().iter().skip(1) {
-        let transcript =
-            identity_transcript(&spawn_server(&server_args(&glob, shards, 0, None)), lines);
+        let transcript = identity_transcript(&spawn_server(&server_args(&glob, shards)), lines);
         assert_eq!(
             transcript, baseline,
             "--shards {shards} diverged from --shards 1"
         );
-        identity_cells.push(json!({ "shards": shards, "replicas": 0, "identical": true }));
-    }
-    {
-        let state = std::env::temp_dir().join(format!(
-            "concord-fleet-bench-idstate-{}",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_dir_all(&state);
-        let transcript = identity_transcript(
-            &spawn_server(&server_args(
-                &glob,
-                4,
-                1,
-                Some(&state.display().to_string()),
-            )),
-            lines,
-        );
-        assert_eq!(
-            transcript, baseline,
-            "--shards 4 --replicas 1 diverged from --shards 1"
-        );
-        identity_cells.push(json!({ "shards": 4, "replicas": 1, "identical": true }));
-        let _ = std::fs::remove_dir_all(&state);
+        identity_cells.push(json!({ "shards": shards, "identical": true }));
     }
     println!(
-        "identity: {} devices x {} lines byte-identical across shard counts {:?} (+ replicas)",
+        "identity: {} devices x {} lines byte-identical across shard counts {:?}",
         count,
         lines,
         shard_counts()
@@ -390,7 +305,7 @@ fn main() {
     let mut check_speedup_at_8 = 0.0f64;
     let mut last_responses: Vec<String> = Vec::new();
     for &shards in shard_counts() {
-        let addr = spawn_server(&server_args(&glob, shards, 0, None));
+        let addr = spawn_server(&server_args(&glob, shards));
         let (checks_per_sec, gens_per_sec, last) = scaling_cell(&addr, count, lines);
         if shards == 1 {
             base_checks = checks_per_sec;
@@ -426,8 +341,6 @@ fn main() {
         );
     }
 
-    let replica = replica_cell(&glob);
-
     let result = json!({
         "schema": "concord-bench-fleet/v1",
         "smoke": smoke(),
@@ -441,7 +354,6 @@ fn main() {
             "cells": Json::Array(identity_cells),
         }),
         "scaling": Json::Array(cells),
-        "replica": replica,
         "summary": json!({
             "check_speedup_at_8": check_speedup_at_8,
         }),

@@ -19,7 +19,7 @@
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
-use concord_core::{learn_reference, CheckReport, ContractSet, Dataset};
+use concord_core::{learn_reference, CheckReport, ContractSet, Dataset, RobustnessStats};
 use concord_engine::fault::{FaultKind, FaultPlan, ALL_FAULTS};
 // The storage-level (VFS) fault types share names with the plan-level
 // ones above; alias them apart.
@@ -117,6 +117,9 @@ fn storage_and_panic_fault_soak() {
     me.relearn().expect("initial learn");
 
     let mut reboots = 0u64;
+    // Robustness counters of every engine the soak booted: a reboot
+    // starts the next engine's counters at zero.
+    let mut rob = RobustnessStats::default();
     for step in 0..iters {
         // Seeded edit traffic between faults.
         match plan.index(4) {
@@ -145,18 +148,21 @@ fn storage_and_panic_fault_soak() {
         let fault = ALL_FAULTS[step % ALL_FAULTS.len()];
         match fault {
             FaultKind::TornWal => {
+                rob.accumulate(&me.robustness());
                 drop(me);
                 let _ = plan.tear_wal(&dir).expect("tear wal");
                 me = reboot(&dir);
                 reboots += 1;
             }
             FaultKind::TruncatedSnapshot => {
+                rob.accumulate(&me.robustness());
                 drop(me);
                 let _ = plan.truncate_snapshot(&dir).expect("truncate manifest");
                 me = reboot(&dir);
                 reboots += 1;
             }
             FaultKind::TornSegment => {
+                rob.accumulate(&me.robustness());
                 drop(me);
                 let _ = plan.tear_fresh_segment(&dir).expect("tear segment");
                 me = reboot(&dir);
@@ -190,10 +196,9 @@ fn storage_and_panic_fault_soak() {
             // Request-level faults: exercised against the serve layer in
             // concord-cli's robustness tests, no engine-level analogue.
             FaultKind::MalformedRequest | FaultKind::OversizedRequest | FaultKind::Disconnect => {}
-            // Fleet faults: replication lag, shard failover, and stale
-            // replica reads live above a single engine — soaked against
-            // a real sharded server in `tests/fleet_soak.rs`.
-            FaultKind::ReplicaLag | FaultKind::ShardCrash | FaultKind::StaleReplicaRead => {}
+            // `ALL_FAULTS` holds no fleet fault: shard crashes are
+            // soaked against a real sharded server in `fleet_soak.rs`.
+            FaultKind::ShardCrash => unreachable!("fleet fault in ALL_FAULTS"),
         }
 
         // Post-fault invariant: the engine answers, and byte-for-byte
@@ -225,7 +230,7 @@ fn storage_and_panic_fault_soak() {
         }
     }
 
-    let rob = me.robustness();
+    rob.accumulate(&me.robustness());
     assert!(rob.panics_recovered >= 1, "{rob:?}");
     assert!(reboots >= 1 && rob.wal_replays >= 1, "{rob:?}");
     let _ = std::fs::remove_dir_all(&dir);

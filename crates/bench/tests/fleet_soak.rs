@@ -1,22 +1,21 @@
-//! Fleet fault soak: a sharded, replicated `concord serve` under
-//! seeded fault injection, byte-compared against a one-shard oracle.
+//! Fleet fault soak: a sharded `concord serve` under seeded shard-leader
+//! crashes, byte-compared against a one-shard oracle.
 //!
 //! Two real servers boot in-process over loopback TCP from the same
-//! seeded corpus: the subject (`--shards 3 --replicas 1` with a durable
-//! state directory and fault injection enabled) and the oracle
-//! (`--shards 1`, never faulted). Seeded edit traffic is mirrored to
-//! both, rotating through every fleet fault class
-//! ([`FLEET_FAULTS`]): suppressed replica polls (replication lag),
-//! a stale replica read, and a shard-leader crash mid-CHECK (failover
-//! to the shard's replica). The invariants, every round:
+//! seeded corpus: the subject (`--shards 3` with a durable state
+//! directory and fault injection enabled) and the oracle (`--shards 1`,
+//! never faulted). Seeded edit traffic is mirrored to both, and every
+//! round crashes one shard leader mid-CHECK ([`FLEET_FAULTS`]). The
+//! invariants, every round:
 //!
 //! * every non-CHECK response is byte-identical to the oracle's;
-//! * every CHECK's violations and coverage are byte-identical (the
-//!   `dirty=`/`reused=` counters may legitimately differ right after a
-//!   failover, while the rebuilt leader re-checks from scratch — see
-//!   DESIGN.md, "Fleet architecture");
-//! * the *second* CHECK of each round — both servers answering from
-//!   their caches — is byte-identical in full, counters included.
+//! * the faulted CHECK answers the injected fault, nothing else;
+//! * the next CHECK's violations and coverage are byte-identical to the
+//!   oracle's (the `dirty=`/`reused=` counters may differ, since the
+//!   rebuilt leader re-checks its shard from scratch — see DESIGN.md,
+//!   "Fleet architecture");
+//! * the repeat CHECK — both servers answering from their caches — is
+//!   byte-identical in full, counters included.
 //!
 //! Everything is a pure function of `CONCORD_SOAK_SEED` (default
 //! `0xC0C0`); `CONCORD_SOAK_ITERS` (default 12) scales the run.
@@ -168,8 +167,6 @@ fn sharded_serve_survives_fleet_faults_byte_identically() {
         &glob,
         "--shards",
         "3",
-        "--replicas",
-        "1",
         "--state-dir",
         &state_dir.display().to_string(),
         "--enable-fault-injection",
@@ -229,34 +226,6 @@ fn sharded_serve_survives_fleet_faults_byte_identically() {
         let fault = FLEET_FAULTS[round % FLEET_FAULTS.len()];
         let shard = plan.index(SHARDS);
         match fault {
-            FaultKind::ReplicaLag | FaultKind::StaleReplicaRead => {
-                let (verb, polls) = if fault == FaultKind::ReplicaLag {
-                    (format!("FAULT replica-lag {shard} 2\n"), 2)
-                } else {
-                    (format!("FAULT stale-read {shard}\n"), 1)
-                };
-                let armed = subject.request(&verb);
-                assert!(armed.starts_with("ok fault armed"), "{context}: {armed}");
-                // The suppressed polls serve the stale replica image —
-                // allowed to lag (even answer for a device the leader
-                // has since removed, or miss one it just created),
-                // never allowed to fail internally.
-                let device = device_on(shard);
-                for _ in 0..polls {
-                    let stale = subject.request(&format!("GEN {device}\n"));
-                    assert!(
-                        stale.starts_with("ok gen ") || stale.starts_with("err unknown-config"),
-                        "{context}: stale read failed: {stale}"
-                    );
-                }
-                // Caught up: replica reads rejoin the oracle byte-for-byte.
-                mirrored(
-                    &mut subject,
-                    &mut oracle,
-                    &format!("GEN {device}\n"),
-                    &context,
-                );
-            }
             FaultKind::ShardCrash => {
                 // Dirty the target shard so the armed panic actually
                 // fires inside its next CHECK recompute.
@@ -274,10 +243,16 @@ fn sharded_serve_survives_fleet_faults_byte_identically() {
             other => panic!("unexpected fleet fault {other:?}"),
         }
 
-        // Post-fault invariant 1: the next CHECK answers on both
-        // servers with byte-identical violations and coverage. (On a
-        // crash round the subject's answer came from the shard's
-        // replica, at the leader's acked sequence.)
+        // Post-fault invariant 1: the faulted CHECK answers the fault.
+        let faulted = subject.request("CHECK\n");
+        assert_eq!(
+            faulted, "err internal injected fault: Check\n",
+            "{context} fault {fault:?}: the faulted check must answer the fault"
+        );
+
+        // Post-fault invariant 2: the next CHECK, on the rebuilt leader,
+        // answers with violations and coverage byte-identical to the
+        // oracle's.
         let got = subject.request("CHECK\n");
         let want = oracle.request("CHECK\n");
         assert!(
@@ -290,7 +265,7 @@ fn sharded_serve_survives_fleet_faults_byte_identically() {
             "{context} fault {fault:?}: post-fault check diverged from oracle"
         );
 
-        // Post-fault invariant 2: the steady-state repeat CHECK — both
+        // Post-fault invariant 3: the steady-state repeat CHECK — both
         // sides answering from their report caches — is byte-identical
         // in full, incremental counters included.
         mirrored(&mut subject, &mut oracle, "CHECK\n", &context);

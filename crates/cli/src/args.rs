@@ -27,7 +27,7 @@ USAGE:
                 [--listen <addr>] [--once] [--workers N]
                 [--max-conns N] [--deadline-ms N] [--max-line-bytes N]
                 [--max-body-bytes N] [--state-dir <dir>]
-                [--shards N] [--replicas M]
+                [--shards N]
                 [--lex-cache-cap N] [--enable-fault-injection]
   concord help
 
@@ -37,7 +37,7 @@ Categories for --disable: present ordering type sequence unique relational
 hit/miss counts, each miner's sketch, fold and emit, minimization,
 checking); --stats json
 emits the same data as one machine-readable object (schema
-concord-pipeline-stats/v12, see DESIGN.md) instead of the human
+concord-pipeline-stats/v13, see DESIGN.md) instead of the human
 summary.
 
 serve holds a resident incremental engine and answers a request
@@ -59,10 +59,10 @@ log so a killed process resumes exactly where it stopped. --shards N
 (default 1) consistent-hashes device names onto N engine shards (with
 more than one, each keeps a state subdirectory under --state-dir) so
 an edit dirties only its shard; violations and coverage match
---shards 1, and DESIGN.md lists the counters that can differ. --replicas M
-(requires --state-dir) attaches M WAL-tailing read replicas per shard
-that serve GEN at a tracked replication lag and take over CHECK when a
-shard leader is recovering. LEARN folds cached per-config miner
+--shards 1, and DESIGN.md lists the counters that can differ. Each
+shard leader answers its own reads: a leader that panics answers that
+request with `err internal` and is rebuilt from its last-known-good
+state before the next one. LEARN folds cached per-config miner
 sketches, re-mining only edited configurations. See TUTORIAL.md for a
 walkthrough.";
 
@@ -74,7 +74,7 @@ pub enum StatsMode {
     Off,
     /// Human-readable summary appended to normal output.
     Text,
-    /// One `concord-pipeline-stats/v12` JSON object replacing the human
+    /// One `concord-pipeline-stats/v13` JSON object replacing the human
     /// summary.
     Json,
 }
@@ -149,9 +149,6 @@ pub struct ServeArgs {
     /// Number of engine shards device names are consistent-hashed onto
     /// (1 = one engine holding the whole corpus).
     pub shards: usize,
-    /// WAL-tailing read replicas attached to each shard (requires
-    /// `--state-dir`; replicas follow the shard leader's log).
-    pub replicas: usize,
     /// Lexeme cache capacity in entries (0 = unbounded).
     pub lex_cache_cap: usize,
     /// Enable the FAULT verb (deterministic panic injection for the
@@ -482,7 +479,6 @@ fn parse_serve(argv: &[String]) -> Result<Command, UsageError> {
         max_body_bytes: 1024 * 1024,
         state_dir: None,
         shards: 1,
-        replicas: 0,
         lex_cache_cap: 64 * 1024,
         enable_faults: false,
     };
@@ -530,16 +526,10 @@ fn parse_serve(argv: &[String]) -> Result<Command, UsageError> {
                     return Err(UsageError("--shards must be at least 1".to_string()));
                 }
             }
-            "--replicas" => args.replicas = flags.parse(flag)?,
             "--lex-cache-cap" => args.lex_cache_cap = flags.parse(flag)?,
             "--enable-fault-injection" => args.enable_faults = true,
             other => return Err(UsageError(format!("unknown flag {other:?}"))),
         }
-    }
-    if args.replicas > 0 && args.state_dir.is_none() {
-        return Err(UsageError(
-            "--replicas requires --state-dir (replicas tail the shard leader's log)".to_string(),
-        ));
     }
     Ok(Command::Serve(args))
 }
@@ -657,8 +647,6 @@ mod tests {
             "/tmp/concord-state",
             "--shards",
             "4",
-            "--replicas",
-            "1",
             "--lex-cache-cap",
             "1024",
             "--enable-fault-injection",
@@ -679,7 +667,6 @@ mod tests {
                 assert_eq!(a.max_body_bytes, 16384);
                 assert_eq!(a.state_dir.as_deref(), Some("/tmp/concord-state"));
                 assert_eq!(a.shards, 4);
-                assert_eq!(a.replicas, 1);
                 assert_eq!(a.lex_cache_cap, 1024);
                 assert!(a.enable_faults);
             }
@@ -694,7 +681,6 @@ mod tests {
                 assert_eq!(a.lex_cache_cap, 64 * 1024);
                 assert!(a.state_dir.is_none());
                 assert_eq!(a.shards, 1, "one shard holds the whole corpus");
-                assert_eq!(a.replicas, 0);
                 assert!(!a.enable_faults);
             }
             other => panic!("unexpected {other:?}"),
@@ -703,10 +689,6 @@ mod tests {
         assert!(parse_args(&argv(&["serve", "--workers", "0"])).is_err());
         assert!(parse_args(&argv(&["serve", "--deadline-ms", "0"])).is_err());
         assert!(parse_args(&argv(&["serve", "--shards", "0"])).is_err());
-        assert!(
-            parse_args(&argv(&["serve", "--replicas", "1"])).is_err(),
-            "replicas tail a WAL, so they require --state-dir"
-        );
     }
 
     #[test]

@@ -14,12 +14,14 @@
 //!   last CHECK is served from its cached parts without touching its
 //!   engine, and a CHECK with no write since the last one is served
 //!   from the rendered-report cache (`dirty=0 reused=<all>`).
-//! * **GEN** is answered by a read replica when the shard has one:
-//!   the replica tails the leader's crc32-framed WAL by offset
-//!   ([`Replica::poll`]) up to the last acknowledged sequence, so an
-//!   acked write is always visible. When a shard leader faults
-//!   mid-CHECK, its replica serves the parts instead (failover at a
-//!   tracked, reported lag).
+//! * **GEN** reads the owning shard leader under its shared lock, so
+//!   an acknowledged write is always visible.
+//!
+//! Every read and write goes through the shard leader. A leader that
+//! panics mid-operation answers that request with the fault and
+//! rebuilds itself from its last-known-good image, so the next request
+//! is answered as a from-scratch engine over the same state would
+//! answer it.
 //!
 //! # One shard
 //!
@@ -52,12 +54,12 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
 use concord_core::{
-    EngineCheckStats, EngineStats, FleetReplicaStats, FleetShardStats, FleetStats, LearnDeltaStats,
-    RobustnessStats, StorageStats,
+    EngineCheckStats, EngineStats, FleetShardStats, FleetStats, LearnDeltaStats, RobustnessStats,
+    StorageStats,
 };
 use concord_engine::{
-    merge_check_aggregates, CheckParts, Engine, EngineOptions, OpKind, Replica, ResilientEngine,
-    ShardCheckAggregate, ShardRouter,
+    merge_check_aggregates, Engine, EngineOptions, OpKind, ResilientEngine, ShardCheckAggregate,
+    ShardRouter,
 };
 use concord_json::ToJson;
 use concord_lexer::Lexer;
@@ -78,22 +80,13 @@ fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     }
 }
 
-/// One shard: a leader engine behind a deadline lock, its replicas, and
-/// the per-shard caches/counters.
+/// One shard: a leader engine behind a deadline lock, and the per-shard
+/// caches/counters.
 struct FleetShard {
     leader: DeadlineRwLock<ResilientEngine>,
-    /// Highest WAL sequence the leader has acknowledged, published
-    /// *after* the fsync'd append — a replica caught up to this value
-    /// has replayed every acked write, which is what makes replica GEN
-    /// reads read-your-writes consistent.
-    leader_seq: AtomicU64,
     /// Bumped whenever the leader's next CHECK may answer differently;
     /// keys the check-parts cache.
     version: AtomicU64,
-    replicas: Vec<Mutex<Replica>>,
-    /// Replica polls to skip before reading (replica-lag / stale-read
-    /// fault injection).
-    poll_suppress: AtomicU64,
     reads: AtomicU64,
     writes: AtomicU64,
     /// `(shard version, aggregate)`: the last CHECK's per-shard
@@ -154,8 +147,8 @@ enum Pre {
     Remove(Option<(u64, bool)>),
 }
 
-/// The serve backend: router, shard leaders with replicas, and the
-/// fleet-level caches.
+/// The serve backend: router, shard leaders, and the fleet-level
+/// caches.
 pub(crate) struct Fleet {
     router: ShardRouter,
     shards: Vec<FleetShard>,
@@ -175,8 +168,7 @@ pub(crate) struct Fleet {
 /// [`shard_dir`] when durable), records/validates the shard count in
 /// `<state-dir>/fleet.json` (resuming with a different `--shards` would
 /// silently re-route devices), adopts resumed contracts (or the
-/// `--contracts` file on a fresh boot) and distributes them, then
-/// attaches the read replicas.
+/// `--contracts` file on a fresh boot) and distributes them.
 pub(crate) fn build_fleet(args: &ServeArgs) -> Result<Fleet, CliError> {
     let lexer = match &args.tokens {
         Some(path) => build_lexer(path)?,
@@ -287,21 +279,7 @@ pub(crate) fn build_fleet(args: &ServeArgs) -> Result<Fleet, CliError> {
         }
     });
 
-    let mut shards = Vec::with_capacity(n);
-    for (i, leader) in leaders.into_iter().enumerate() {
-        let mut replicas = Vec::with_capacity(args.replicas);
-        // Validated in args: replicas require --state-dir.
-        if let Some(root) = root {
-            for _ in 0..args.replicas {
-                let replica =
-                    Replica::attach(&shard_dir(root, n, i), lexer.clone(), options.clone())
-                        .map_err(|e| boot_error(n, i, format!("replica: {e}")))?;
-                replicas.push(replica);
-            }
-        }
-        shards.push((leader, replicas));
-    }
-    Ok(Fleet::new(router, shards, union))
+    Ok(Fleet::new(router, leaders, union))
 }
 
 /// A boot failure, naming the shard when there is more than one.
@@ -326,8 +304,9 @@ fn shard_dir(root: &Path, shards: usize, i: usize) -> PathBuf {
 /// Records the shard count on first boot and refuses to reopen a state
 /// directory under a different one: the router would silently send
 /// devices to shards that don't hold them. Also refuses a one-shard
-/// directory that still keeps its shard under `shard-0/`, the layout of
-/// a `--shards 1 --replicas M` serve before shard 0 moved to the root.
+/// directory that still keeps its shard under `shard-0/`, the layout an
+/// earlier one-shard serve with WAL followers wrote before shard 0 moved
+/// to the root.
 fn check_manifest(dir: &Path, shards: usize) -> Result<(), CliError> {
     std::fs::create_dir_all(dir).map_err(|e| CliError::Io(dir.display().to_string(), e))?;
     let path = dir.join("fleet.json");
@@ -363,26 +342,19 @@ fn check_manifest(dir: &Path, shards: usize) -> Result<(), CliError> {
 }
 
 impl Fleet {
-    /// A one-shard fleet over `leader`, without replicas.
+    /// A one-shard fleet over `leader`.
     pub(crate) fn one(leader: ResilientEngine) -> Fleet {
-        Fleet::new(ShardRouter::new(1), vec![(leader, Vec::new())], None)
+        Fleet::new(ShardRouter::new(1), vec![leader], None)
     }
 
-    fn new(
-        router: ShardRouter,
-        shards: Vec<(ResilientEngine, Vec<Replica>)>,
-        union: Option<Union>,
-    ) -> Fleet {
+    fn new(router: ShardRouter, leaders: Vec<ResilientEngine>, union: Option<Union>) -> Fleet {
         Fleet {
             router,
-            shards: shards
+            shards: leaders
                 .into_iter()
-                .map(|(leader, replicas)| FleetShard {
-                    leader_seq: AtomicU64::new(leader.image().applied_seq),
+                .map(|leader| FleetShard {
                     leader: DeadlineRwLock::new(leader),
                     version: AtomicU64::new(0),
-                    replicas: replicas.into_iter().map(Mutex::new).collect(),
-                    poll_suppress: AtomicU64::new(0),
                     reads: AtomicU64::new(0),
                     writes: AtomicU64::new(0),
                     parts: Mutex::new(None),
@@ -406,12 +378,12 @@ impl Fleet {
         self.version.fetch_add(1, Ordering::Release);
     }
 
-    /// Runs one write op on `shard`'s locked leader, then publishes
-    /// the acked WAL sequence (for replicas) and, when the op changed
-    /// what the leader's next CHECK answers, new versions. The leader's
-    /// persisted counters move with every applied edit or contract swap
-    /// (even one whose WAL append then failed), and a panic recovery
-    /// rebuilds the engine, so its next CHECK recomputes everything.
+    /// Runs one write op on `shard`'s locked leader, then publishes new
+    /// versions when the op changed what the leader's next CHECK
+    /// answers. The leader's persisted counters move with every applied
+    /// edit or contract swap (even one whose WAL append then failed),
+    /// and a panic recovery rebuilds the engine, so its next CHECK
+    /// recomputes everything.
     fn apply<T>(
         &self,
         shard: &FleetShard,
@@ -427,9 +399,6 @@ impl Fleet {
         };
         let before = state(leader);
         let result = op(leader);
-        shard
-            .leader_seq
-            .store(leader.image().applied_seq, Ordering::Release);
         if state(leader) != before {
             self.invalidate(shard);
         }
@@ -588,26 +557,10 @@ fn fleet_remove(shared: &ServeShared, fleet: &Fleet, name: &str, pre: Pre) -> St
     }
 }
 
-/// GEN prefers a read replica when the shard has one: poll the WAL tail
-/// up to the last acked sequence (read-your-writes), then answer from
-/// the replica image without touching the leader. Suppressed polls
-/// (replica-lag / stale-read fault injection) serve the stale image —
-/// the scenario the fault soak exercises. Replication errors fall back
-/// to the leader.
+/// GEN reads the owning shard leader under its shared lock.
 fn fleet_gen(shared: &ServeShared, fleet: &Fleet, name: &str) -> String {
     let shard = fleet.shard_for(name);
     shard.reads.fetch_add(1, Ordering::Relaxed);
-    if !shard.replicas.is_empty() {
-        let skip_poll = shard
-            .poll_suppress
-            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |v| v.checked_sub(1))
-            .is_ok();
-        let leader_seq = shard.leader_seq.load(Ordering::Acquire);
-        let mut replica = lock(&shard.replicas[0]);
-        if skip_poll || replica.poll(leader_seq).is_ok() {
-            return render_gen(Ok(replica.engine_mut().config_generation(name)), name);
-        }
-    }
     match shard.leader.read(cutoff(shared)) {
         Some(guard) => render_gen(guard.config_generation(name), name),
         None => deadline(shared),
@@ -615,7 +568,7 @@ fn fleet_gen(shared: &ServeShared, fleet: &Fleet, name: &str) -> String {
 }
 
 /// LEARN at one shard: the leader holds the whole corpus, so its own
-/// delta relearn (WAL-logged, so replicas replay it) is the answer.
+/// delta relearn is the answer.
 fn learn_in_place(shared: &ServeShared, fleet: &Fleet) -> String {
     let shard = &fleet.shards[0];
     let Some(mut guard) = shard.leader.write(cutoff(shared)) else {
@@ -638,8 +591,8 @@ fn learn_in_place(shared: &ServeShared, fleet: &Fleet) -> String {
 /// shard order — the one global lock order every multi-shard path
 /// uses), mines a scratch engine over the name-sorted union corpus
 /// (the contracts one engine over it learns), distributes the set to
-/// every leader (WAL-logged, so replicas replay it), and reports one
-/// engine's mined/reused counters from the registry's clean set.
+/// every leader, and reports one engine's mined/reused counters from
+/// the registry's clean set.
 fn learn_union(shared: &ServeShared, fleet: &Fleet, union: &Union) -> String {
     let cutoff = cutoff(shared);
     let mut guards = Vec::with_capacity(fleet.shards.len());
@@ -704,9 +657,10 @@ fn learn_union(shared: &ServeShared, fleet: &Fleet, union: &Union) -> String {
 }
 
 /// CHECK: per-shard parts (cached for clean shards, recomputed under
-/// the leader's write lock for dirty ones, served by a replica when the
-/// leader faults), merged in deterministic shard order into the
-/// engine's report.
+/// the leader's write lock for dirty ones), merged in deterministic
+/// shard order into the engine's report. A leader that faults answers
+/// the CHECK with its fault; it has already rebuilt, so the next CHECK
+/// recomputes that shard from scratch.
 fn fleet_check(shared: &ServeShared, fleet: &Fleet) -> String {
     let fleet_version = fleet.version.load(Ordering::Acquire);
     if let Some((version, text)) = lock(&fleet.check_cache).as_ref() {
@@ -747,14 +701,7 @@ fn fleet_check(shared: &ServeShared, fleet: &Fleet) -> String {
         let shard_version = shard.version.load(Ordering::Acquire);
         let computed = match guard.check_parts() {
             Ok(computed) => computed,
-            Err(fault) => {
-                let contracts = guard.image().contracts.clone();
-                drop(guard); // the leader already rebuilt; free it
-                match failover_parts(shard, contracts.as_deref()) {
-                    Some(computed) => computed,
-                    None => return format!("{}\n", fault_line(&fault)),
-                }
-            }
+            Err(fault) => return format!("{}\n", fault_line(&fault)),
         };
         shard.reads.fetch_add(1, Ordering::Relaxed);
         stats.dirty_configs += computed.dirty_configs;
@@ -767,7 +714,7 @@ fn fleet_check(shared: &ServeShared, fleet: &Fleet) -> String {
         parts.push(arc);
     }
     // Every shard checked under the same set: one LEARN installed it
-    // everywhere, and a split or a stale replica never reaches here.
+    // everywhere, and a split never reaches here.
     let refs: Vec<&ShardCheckAggregate> = parts.iter().map(|p| p.as_ref()).collect();
     let report = merge_check_aggregates(&parts[0].parts.contracts, &refs);
     let mut violations = String::new();
@@ -797,44 +744,24 @@ fn fleet_check(shared: &ServeShared, fleet: &Fleet) -> String {
     first
 }
 
-/// Shard-leader CHECK failover: when the leader faulted mid-check (it
-/// has already rebuilt from its image), serve the parts from a replica
-/// caught up to the last acked write that holds the set the leader's
-/// image holds (`contracts`). Without a set there is nothing to fail
-/// over to; a replica that lacks a swap the leader could not log is
-/// passed over, since its parts would merge under the wrong set.
-fn failover_parts(shard: &FleetShard, contracts: Option<&str>) -> Option<CheckParts> {
-    let contracts = contracts?;
-    let leader_seq = shard.leader_seq.load(Ordering::Acquire);
-    for replica in &shard.replicas {
-        let mut replica = lock(replica);
-        if replica.poll(leader_seq).is_err() {
-            continue;
-        }
-        match replica.engine_mut().check_parts() {
-            Ok(parts) if parts.contracts.to_json() == contracts => {
-                shard.reads.fetch_add(1, Ordering::Relaxed);
-                return Some(parts);
-            }
-            _ => {}
-        }
-    }
-    None
-}
-
 /// STATS: per-shard engine snapshots summed in shard order (at one
 /// shard, the leader's own snapshot), plus the `fleet` object
-/// (per-shard counters, replica lag, router distribution, and one-pass
-/// totals).
+/// (per-shard counters, router distribution, and one-pass totals).
+/// Each shard's `applied_seq` is read from its leader's image under the
+/// same lock as its snapshot.
 fn fleet_stats(shared: &ServeShared, fleet: &Fleet) -> String {
     let cutoff = cutoff(shared);
     let mut shard_stats: Vec<EngineStats> = Vec::with_capacity(fleet.shards.len());
+    let mut applied_seqs: Vec<u64> = Vec::with_capacity(fleet.shards.len());
     for shard in &fleet.shards {
         let Some(mut guard) = shard.leader.write(cutoff) else {
             return deadline(shared);
         };
         match fleet.apply(shard, &mut guard, ResilientEngine::snapshot_stats) {
-            Ok(stats) => shard_stats.push(stats),
+            Ok(stats) => {
+                shard_stats.push(stats);
+                applied_seqs.push(guard.image().applied_seq);
+            }
             Err(fault) => return format!("{}\n", fault_line(&fault)),
         }
     }
@@ -867,25 +794,13 @@ fn fleet_stats(shared: &ServeShared, fleet: &Fleet) -> String {
         if let Some(st) = &s.storage {
             storage.accumulate(st);
         }
-        let leader_seq = shard.leader_seq.load(Ordering::Acquire);
-        let mut replicas = Vec::with_capacity(shard.replicas.len());
-        for replica in &shard.replicas {
-            let replica = lock(replica);
-            replicas.push(FleetReplicaStats {
-                applied_seq: replica.applied_seq(),
-                lag: replica.lag(leader_seq),
-                resyncs: replica.resyncs(),
-                reads: replica.reads(),
-            });
-        }
         fleet_shards.push(FleetShardStats {
             shard: i,
             configs: s.configs,
-            applied_seq: leader_seq,
+            applied_seq: applied_seqs[i],
             reads: shard.reads.load(Ordering::Relaxed),
             writes: shard.writes.load(Ordering::Relaxed),
             robustness: s.robustness.unwrap_or_default(),
-            replicas,
         });
     }
     // The union dataset is name-sorted; shards partition the names.
@@ -975,10 +890,8 @@ fn fleet_checkpoint(shared: &ServeShared, fleet: &Fleet) -> String {
 
 /// The FAULT verb. `FAULT <op> [shard]` arms a deterministic panic on
 /// that shard's leader (default shard 0) and invalidates the shard's
-/// caches, so the armed operation runs next instead of a cached answer;
-/// `FAULT replica-lag [shard] [n]` suppresses the next n replica polls
-/// (reads serve the stale image and report real lag); `FAULT stale-read
-/// [shard]` is one suppressed poll.
+/// caches, so the armed operation runs next instead of a cached answer.
+/// Any other kind is a bad request.
 fn fleet_fault(shared: &ServeShared, fleet: &Fleet, rest: &str) -> String {
     if !shared.faults_enabled() {
         shared.reject();
@@ -996,27 +909,6 @@ fn fleet_fault(shared: &ServeShared, fleet: &Fleet, rest: &str) -> String {
         }
     };
     match tokens.first().copied() {
-        Some("replica-lag") => match shard_at(1) {
-            Some(s) => {
-                let n = match tokens.get(2) {
-                    None => 3,
-                    Some(t) => match t.parse::<u64>() {
-                        Ok(n) => n,
-                        Err(_) => return bad(shared),
-                    },
-                };
-                fleet.shards[s].poll_suppress.fetch_add(n, Ordering::AcqRel);
-                format!("ok fault armed {rest}\n")
-            }
-            None => bad(shared),
-        },
-        Some("stale-read") => match shard_at(1) {
-            Some(s) => {
-                fleet.shards[s].poll_suppress.fetch_add(1, Ordering::AcqRel);
-                format!("ok fault armed {rest}\n")
-            }
-            None => bad(shared),
-        },
         Some(op) => match (OpKind::parse(op), shard_at(1)) {
             (Some(kind), Some(s)) => {
                 let shard = &fleet.shards[s];
@@ -1188,12 +1080,7 @@ mod tests {
         format!("{}/*.cfg", dir.display())
     }
 
-    fn serve_args(
-        glob: &str,
-        shards: usize,
-        replicas: usize,
-        state_dir: Option<&Path>,
-    ) -> ServeArgs {
+    fn serve_args(glob: &str, shards: usize, state_dir: Option<&Path>) -> ServeArgs {
         ServeArgs {
             configs: Some(glob.to_string()),
             contracts: None,
@@ -1212,7 +1099,6 @@ mod tests {
             max_body_bytes: 1024 * 1024,
             state_dir: state_dir.map(|d| d.display().to_string()),
             shards,
-            replicas,
             lex_cache_cap: 64 * 1024,
             enable_faults: true,
         }
@@ -1240,8 +1126,8 @@ mod tests {
         let script = "LEARN\nCHECK\nUPSERT dev0\nhostname DEV100\nvlan 250\n.\nCHECK\nGEN dev0\n\
                       GEN dev3\nCONTRACTS\nUPSERT dev9\nhostname DEV109\nrouter bgp 65000\n\
                       vlan 999\n.\nCHECK\nLEARN\nREMOVE dev3\nGEN nope\nCHECK\nLEARN\nQUIT\n";
-        let single = session(&fleet_shared(&serve_args(&glob, 1, 0, None)), script);
-        let fleet = session(&fleet_shared(&serve_args(&glob, 3, 0, None)), script);
+        let single = session(&fleet_shared(&serve_args(&glob, 1, None)), script);
+        let fleet = session(&fleet_shared(&serve_args(&glob, 3, None)), script);
         assert_eq!(single, fleet);
         // The script exercised real work, not just error paths.
         assert!(single.contains("ok learn"), "{single}");
@@ -1262,12 +1148,12 @@ mod tests {
                               GEN dev5\nREMOVE dev2\nCHECK\nQUIT\n";
         let batch_script = "LEARN\nBATCH 5\nUPSERT dev0\nhostname DEV100\nvlan 250\n.\nGEN dev0\n\
                             GEN dev5\nREMOVE dev2\nCHECK\nQUIT\n";
-        let args = serve_args(&glob, 3, 0, None);
+        let args = serve_args(&glob, 3, None);
         let singles = session(&fleet_shared(&args), singles_script);
         let batched = session(&fleet_shared(&args), batch_script);
         let singles_body = singles.strip_suffix("ok bye\n").expect("quit ack");
         assert_eq!(batched, format!("{singles_body}ok batch 5\nok bye\n"));
-        let oracle = session(&fleet_shared(&serve_args(&glob, 1, 0, None)), batch_script);
+        let oracle = session(&fleet_shared(&serve_args(&glob, 1, None)), batch_script);
         assert_eq!(batched, oracle);
     }
 
@@ -1278,8 +1164,8 @@ mod tests {
     fn fleet_batch_remove_then_upsert_assigns_fresh_id() {
         let glob = corpus_glob("batch-reuse");
         let script = "BATCH 2\nREMOVE dev1\nUPSERT dev1\nhostname DEV101\nvlan 251\n.\nQUIT\n";
-        let fleet = session(&fleet_shared(&serve_args(&glob, 3, 0, None)), script);
-        let single = session(&fleet_shared(&serve_args(&glob, 1, 0, None)), script);
+        let fleet = session(&fleet_shared(&serve_args(&glob, 3, None)), script);
+        let single = session(&fleet_shared(&serve_args(&glob, 1, None)), script);
         assert_eq!(fleet, single);
         assert!(fleet.contains("ok upsert dev1 id=6"), "{fleet}");
     }
@@ -1290,7 +1176,7 @@ mod tests {
     #[test]
     fn fleet_stats_reports_v8_fleet_object_with_consistent_totals() {
         let glob = corpus_glob("stats");
-        let shared = fleet_shared(&serve_args(&glob, 3, 0, None));
+        let shared = fleet_shared(&serve_args(&glob, 3, None));
         let out = session(
             &shared,
             "LEARN\nUPSERT dev0\nhostname DEV100\nvlan 250\n.\nCHECK\nGEN dev1\nSTATS\nQUIT\n",
@@ -1331,84 +1217,6 @@ mod tests {
         assert_eq!(router_total, 6);
     }
 
-    /// With `--replicas`, GEN is served by the WAL-tailing replica
-    /// (read-your-writes: an acked upsert is visible), and a shard
-    /// leader panicking mid-CHECK fails over to its replica — the
-    /// session answers, and the next CHECK is byte-identical to the
-    /// one-shard oracle's.
-    #[test]
-    fn replica_serves_gen_and_check_fails_over_on_shard_crash() {
-        let glob = corpus_glob("failover");
-        let dir = temp_dir("failover-state");
-        let args = serve_args(&glob, 2, 1, Some(&dir));
-        let shared = fleet_shared(&args);
-        // Arm the panic on the shard that owns dev0, so the dirty
-        // recheck after the upsert is what trips it.
-        let shard = concord_engine::ShardRouter::new(2).route("dev0");
-        let script = format!(
-            "LEARN\nUPSERT dev0\nhostname DEV100\nvlan 250\n.\nGEN dev0\nFAULT check {shard}\n\
-             CHECK\nCHECK\nQUIT\n"
-        );
-        let out = session(&shared, &script);
-        // Replica GEN sees the acked write.
-        assert!(out.contains("ok gen dev0 1"), "{out}");
-        assert!(out.contains("ok fault armed"), "{out}");
-        // The faulted CHECK still answered (replica parts), with the
-        // edit's violation present.
-        assert!(out.contains("missing required line"), "{out}");
-        assert!(!out.contains("err internal"), "{out}");
-        // And the steady-state CHECK matches the oracle byte for byte.
-        let oracle = session(
-            &fleet_shared(&serve_args(&glob, 1, 0, None)),
-            "LEARN\nUPSERT dev0\nhostname DEV100\nvlan 250\n.\nGEN dev0\nCHECK\nCHECK\nQUIT\n",
-        );
-        let last = |s: &str| {
-            s.lines()
-                .rfind(|l| l.starts_with("ok check"))
-                .map(str::to_string)
-                .expect("a check summary")
-        };
-        assert_eq!(last(&out), last(&oracle));
-        assert!(last(&out).contains("dirty=0 reused=6"), "{out}");
-    }
-
-    /// The fleet fault verbs: `FAULT stale-read` suppresses one replica
-    /// poll (the next GEN serves the stale image and only then catches
-    /// up), and `FAULT replica-lag` suppresses a run of them.
-    #[test]
-    fn stale_read_and_replica_lag_faults_serve_stale_then_converge() {
-        let glob = corpus_glob("stale");
-        let dir = temp_dir("stale-state");
-        let args = serve_args(&glob, 1, 1, Some(&dir));
-        let shared = fleet_shared(&args);
-        let out = session(
-            &shared,
-            "FAULT stale-read 0\nUPSERT dev0\nhostname DEV100\nvlan 250\n.\nGEN dev0\nGEN dev0\n\
-             FAULT replica-lag 0 2\nUPSERT dev0\nhostname DEV100\nvlan 251\n.\nGEN dev0\n\
-             GEN dev0\nGEN dev0\nFAULT bogus-kind\nQUIT\n",
-        );
-        let gens: Vec<&str> = out
-            .lines()
-            .filter(|l| l.starts_with("ok gen dev0 "))
-            .collect();
-        // Stale read, then caught up; two lagged reads, then caught up.
-        assert_eq!(
-            gens,
-            vec![
-                "ok gen dev0 0",
-                "ok gen dev0 1",
-                "ok gen dev0 1",
-                "ok gen dev0 1",
-                "ok gen dev0 2"
-            ],
-            "{out}"
-        );
-        assert!(
-            out.contains("err bad-request unknown fault kind \"bogus-kind\""),
-            "{out}"
-        );
-    }
-
     /// Reopening a state directory under a different `--shards` is
     /// refused: the router would re-route devices away from the shards
     /// that hold them. A one-shard directory that keeps its shard under
@@ -1417,14 +1225,13 @@ mod tests {
     fn reopening_with_a_different_shard_count_is_refused() {
         let glob = corpus_glob("manifest");
         let refusal =
-            |shards: usize, dir: &Path| match build_fleet(&serve_args(&glob, shards, 0, Some(dir)))
-            {
+            |shards: usize, dir: &Path| match build_fleet(&serve_args(&glob, shards, Some(dir))) {
                 Ok(_) => panic!("--shards {shards} on {} must refuse", dir.display()),
                 Err(e) => e.to_string(),
             };
         for (created, reopened) in [(2, 4), (1, 2)] {
             let dir = temp_dir(&format!("manifest-state-{created}"));
-            drop(fleet_shared(&serve_args(&glob, created, 0, Some(&dir))));
+            drop(fleet_shared(&serve_args(&glob, created, Some(&dir))));
             assert_eq!(dir.join("manifest.json").exists(), created == 1);
             let err = refusal(reopened, &dir);
             assert!(err.contains(&format!("--shards {created}")), "{err}");
@@ -1442,7 +1249,7 @@ mod tests {
     fn fleet_resumes_from_state_directories() {
         let glob = corpus_glob("resume");
         let dir = temp_dir("resume-state");
-        let args = serve_args(&glob, 2, 0, Some(&dir));
+        let args = serve_args(&glob, 2, Some(&dir));
         {
             let shared = fleet_shared(&args);
             let out = session(
@@ -1491,7 +1298,7 @@ mod tests {
     #[test]
     fn armed_fault_is_not_swallowed_by_a_warm_cache() {
         let glob = corpus_glob("warm-fault");
-        let shared = fleet_shared(&serve_args(&glob, 2, 0, None));
+        let shared = fleet_shared(&serve_args(&glob, 2, None));
         let out = session(&shared, "LEARN\nCHECK\nFAULT check 0\nCHECK\nCHECK\nQUIT\n");
         let lines: Vec<&str> = out.lines().collect();
         assert_eq!(lines[2], "ok fault armed check 0", "{out}");
@@ -1524,54 +1331,15 @@ mod tests {
         let edits = edits_adding_a_line();
         let script =
             format!("LEARN\n{edits}FAULT set-contracts 1\nLEARN\nCHECK\nLEARN\nCHECK\nQUIT\n");
-        let out = session(&fleet_shared(&serve_args(&glob, 2, 0, None)), &script);
+        let out = session(&fleet_shared(&serve_args(&glob, 2, None)), &script);
         let refused = "err internal injected fault: SetContracts\n\
                        err internal shards hold different contract sets";
         assert!(out.contains(refused), "{out}");
         let oracle = session(
-            &fleet_shared(&serve_args(&glob, 1, 0, None)),
+            &fleet_shared(&serve_args(&glob, 1, None)),
             &format!("LEARN\n{edits}LEARN\nCHECK\nQUIT\n"),
         );
         assert_eq!(from_last_learn(&out), from_last_learn(&oracle));
-    }
-
-    /// A leader that swapped in a new set but failed to log the swap
-    /// holds contracts its replica lacks, so a faulted CHECK must not
-    /// fail over to that replica (its parts would merge under the old
-    /// set): it answers the leader's fault instead.
-    #[test]
-    fn check_failover_skips_a_replica_without_the_leaders_contracts() {
-        use concord_engine::{FaultKind, FaultVfs};
-        let glob = corpus_glob("unlogged-swap");
-        let dir = temp_dir("unlogged-swap-state");
-        let shared = fleet_shared(&serve_args(&glob, 2, 1, Some(&dir)));
-        let fault = FaultVfs::new(0x5A1);
-        {
-            // Reopen shard 1's leader over a fault-injecting filesystem.
-            let cutoff = Instant::now() + std::time::Duration::from_secs(5);
-            let mut leader = shared.fleet.shards[1].leader.write(cutoff).expect("lock");
-            let (reopened, resumed) = ResilientEngine::with_store_vfs(
-                &[],
-                &[],
-                Lexer::standard(),
-                EngineOptions::default(),
-                &shard_dir(&dir, 2, 1),
-                Arc::new(fault.clone()),
-            )
-            .expect("reopens");
-            assert!(resumed);
-            *leader = reopened;
-        }
-        session(&shared, &format!("LEARN\n{}", edits_adding_a_line()));
-        fault.fail_all_writes(Some(FaultKind::Eio));
-        let out = session(&shared, "LEARN\n");
-        assert!(out.starts_with("err storage-degraded"), "{out}");
-        fault.fail_all_writes(None);
-        let out = session(&shared, "FAULT check 1\nCHECK\n");
-        assert!(
-            out.ends_with("\nerr internal injected fault: Check\n"),
-            "{out}"
-        );
     }
 
     /// The STATS fields one engine reports.
@@ -1596,7 +1364,7 @@ mod tests {
     fn one_shard_stats_are_the_leaders_own_before_and_after_restart() {
         let glob = corpus_glob("leader-stats");
         let dir = temp_dir("leader-stats-state");
-        let args = serve_args(&glob, 1, 0, Some(&dir));
+        let args = serve_args(&glob, 1, Some(&dir));
         let scripts = [
             "LEARN\nCHECK\nUPSERT dev0\nhostname DEV100\nvlan 250\n.\nREMOVE dev4\nCHECK\nLEARN\n\
              STATS\nQUIT\n",
@@ -1627,7 +1395,7 @@ mod tests {
         );
         let script = "LEARN\nCHECK\nUPSERT leaf2\nhostname X\n.\nCHECK\nSTATS\nQUIT\n";
         let last_checks = [1, 2, 3].map(|shards| {
-            let mut args = serve_args(&glob, shards, 0, None);
+            let mut args = serve_args(&glob, shards, None);
             args.params.support = 3;
             stats_json(&session(&fleet_shared(&args), script))["last_check"].clone()
         });
@@ -1641,7 +1409,7 @@ mod tests {
     #[test]
     fn multi_shard_memory_is_the_sum_over_shards() {
         let glob = corpus_glob("memory");
-        let shared = fleet_shared(&serve_args(&glob, 3, 0, None));
+        let shared = fleet_shared(&serve_args(&glob, 3, None));
         let stats = stats_json(&session(
             &shared,
             "LEARN\nUPSERT dev0\nhostname DEV100\nvlan 250\n.\nCHECK\nSTATS\nQUIT\n",
@@ -1708,7 +1476,7 @@ mod tests {
         ));
         assert!(!report.violations.is_empty(), "dev0 lost its bgp line");
 
-        let shared = fleet_shared(&serve_args(&glob, 1, 0, Some(&dir)));
+        let shared = fleet_shared(&serve_args(&glob, 1, Some(&dir)));
         let out = session(
             &shared,
             "GEN dev0\nGEN dev9\nCHECK\nUPSERT zz\nvlan 1\n.\nQUIT\n",
@@ -1748,7 +1516,7 @@ mod tests {
         let glob = corpus_glob("resolution");
         let script = format!("CHECK\nUPSERT dev0\n{}.\nCHECK\nQUIT\n", with_ntp[0].1);
         let run = |shards: usize| {
-            let mut args = serve_args(&glob, shards, 0, None);
+            let mut args = serve_args(&glob, shards, None);
             args.contracts = Some(contracts.display().to_string());
             session(&fleet_shared(&args), &script)
         };
@@ -1780,7 +1548,7 @@ mod tests {
         let mut answers = Vec::new();
         for shards in [1, 3] {
             let dir = temp_dir(&format!("restart-ids-state-{shards}"));
-            let args = serve_args(&glob, shards, 0, Some(&dir));
+            let args = serve_args(&glob, shards, Some(&dir));
             session(&fleet_shared(&args), first);
             let out = session(&fleet_shared(&args), second);
             answers.push(out.lines().skip(1).collect::<Vec<_>>().join("\n"));

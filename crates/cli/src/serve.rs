@@ -766,6 +766,24 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// A FAULT kind that names no engine operation is a bad request.
+    /// That includes the two WAL-follower kinds the fleet no longer has.
+    #[test]
+    fn unknown_fault_kinds_are_bad_requests() {
+        let shared = fresh_shared();
+        let out = session(
+            &shared,
+            "FAULT bogus-kind\nFAULT replica-lag 0\nFAULT stale-read 0\nQUIT\n",
+        );
+        assert_eq!(
+            out,
+            "err bad-request unknown fault kind \"bogus-kind\"\n\
+             err bad-request unknown fault kind \"replica-lag 0\"\n\
+             err bad-request unknown fault kind \"stale-read 0\"\n\
+             ok bye\n"
+        );
+    }
+
     #[test]
     fn fault_verb_is_refused_without_opt_in() {
         let engine = ResilientEngine::new(

@@ -84,7 +84,7 @@ pub use learn::{
 pub use legacy::{LegacyConfig, LegacyDataset, LegacyLineRecord};
 pub use params::LearnParams;
 pub use stats::{
-    BuildStats, CheckStats, EngineCheckStats, EngineStats, FleetReplicaStats, FleetShardStats,
-    FleetStats, FleetTotals, LearnDeltaStats, MemoryStats, PipelineStats, RobustnessStats,
-    ServeTransportStats, StorageStats, STATS_SCHEMA,
+    BuildStats, CheckStats, EngineCheckStats, EngineStats, FleetShardStats, FleetStats,
+    FleetTotals, LearnDeltaStats, MemoryStats, PipelineStats, RobustnessStats, ServeTransportStats,
+    StorageStats, STATS_SCHEMA,
 };

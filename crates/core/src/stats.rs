@@ -31,7 +31,7 @@ use crate::learn::LearnStats;
 /// batches and batched sub-requests, binary frames, and reads served
 /// under the shared lock vs exclusive engine operations); v8 added the
 /// fleet object (`engine.fleet`: per-shard counters with applied WAL
-/// sequence and robustness, replica lag entries, the router's hash
+/// sequence, robustness and WAL-follower lag, the router's hash
 /// distribution, and one-pass summed totals — `null` outside `concord
 /// serve`); v9 added the memory object
 /// (`engine.memory`: arena-interner heap accounting for the
@@ -47,8 +47,11 @@ use crate::learn::LearnStats;
 /// `miner_parallelism` from the `learn` stage, which learns by folding
 /// per-config sketches with no occurrence view or concurrent miners,
 /// and made each `learn.miners` entry the miner's sketch time summed
-/// over the configs sketched plus its fold and emit.
-pub const STATS_SCHEMA: &str = "concord-pipeline-stats/v12";
+/// over the configs sketched plus its fold and emit; v13 dropped the
+/// WAL-follower entries from each fleet shard and their read and lag
+/// sums from the fleet totals, since the shard leader answers every
+/// read.
+pub const STATS_SCHEMA: &str = "concord-pipeline-stats/v13";
 
 /// Statistics from one [`Dataset::build_with_stats`](crate::Dataset::build_with_stats) run.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -483,32 +486,6 @@ impl ToJson for ServeTransportStats {
     }
 }
 
-/// One read replica's position inside a [`FleetShardStats`] entry.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FleetReplicaStats {
-    /// Highest WAL sequence the replica has replayed.
-    pub applied_seq: u64,
-    /// Leader sequence minus replica sequence at snapshot time — 0 means
-    /// the replica has replayed every acknowledged write.
-    pub lag: u64,
-    /// Full resynchronizations (snapshot reload after a WAL rotation or
-    /// sequence gap).
-    pub resyncs: u64,
-    /// Reads this replica served (GEN answered from the replica image).
-    pub reads: u64,
-}
-
-impl ToJson for FleetReplicaStats {
-    fn to_json(&self) -> Json {
-        concord_json::json!({
-            "applied_seq": self.applied_seq,
-            "lag": self.lag,
-            "resyncs": self.resyncs,
-            "reads": self.reads,
-        })
-    }
-}
-
 /// One shard's slice of a [`FleetStats`] snapshot.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct FleetShardStats {
@@ -525,8 +502,6 @@ pub struct FleetShardStats {
     pub writes: u64,
     /// The shard leader's robustness counters.
     pub robustness: RobustnessStats,
-    /// Read replicas tailing this shard's WAL.
-    pub replicas: Vec<FleetReplicaStats>,
 }
 
 impl ToJson for FleetShardStats {
@@ -538,7 +513,6 @@ impl ToJson for FleetShardStats {
             "reads": self.reads,
             "writes": self.writes,
             "robustness": self.robustness,
-            "replicas": Json::Array(self.replicas.iter().map(ToJson::to_json).collect()),
         })
     }
 }
@@ -556,10 +530,6 @@ pub struct FleetTotals {
     pub reads: u64,
     /// Σ shard writes.
     pub writes: u64,
-    /// Σ replica reads across all shards.
-    pub replica_reads: u64,
-    /// Maximum replica lag across all shards at snapshot time.
-    pub max_replica_lag: u64,
     /// Σ shard robustness counters, field by field.
     pub robustness: RobustnessStats,
 }
@@ -570,8 +540,6 @@ impl ToJson for FleetTotals {
             "configs": self.configs,
             "reads": self.reads,
             "writes": self.writes,
-            "replica_reads": self.replica_reads,
-            "max_replica_lag": self.max_replica_lag,
             "robustness": self.robustness,
         })
     }
@@ -579,7 +547,7 @@ impl ToJson for FleetTotals {
 
 /// Fleet-level statistics of a `concord serve` process (one shard
 /// unless `--shards`): the consistent-hash router's device
-/// distribution, per-shard counters with replica lag, and one-pass
+/// distribution, per-shard counters, and one-pass
 /// summed totals. `None` in `EngineStats` outside `concord serve`.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct FleetStats {
@@ -601,10 +569,6 @@ impl FleetStats {
             totals.reads += shard.reads;
             totals.writes += shard.writes;
             totals.robustness.accumulate(&shard.robustness);
-            for replica in &shard.replicas {
-                totals.replica_reads += replica.reads;
-                totals.max_replica_lag = totals.max_replica_lag.max(replica.lag);
-            }
         }
         totals
     }
@@ -876,13 +840,11 @@ impl PipelineStats {
             }
             if let Some(f) = &e.fleet {
                 out.push_str(&format!(
-                    "  fleet: {} shards; router {:?}; {} reads / {} writes; {} replica reads (max lag {})\n",
+                    "  fleet: {} shards; router {:?}; {} reads / {} writes\n",
                     f.shards.len(),
                     f.router,
                     f.totals.reads,
                     f.totals.writes,
-                    f.totals.replica_reads,
-                    f.totals.max_replica_lag,
                 ));
             }
             if let Some(c) = &e.last_check {
@@ -923,12 +885,6 @@ mod tests {
                     checkpoints: 2,
                     ..RobustnessStats::default()
                 },
-                replicas: vec![FleetReplicaStats {
-                    applied_seq: 6,
-                    lag: 1,
-                    resyncs: 1,
-                    reads: 11,
-                }],
             },
             FleetShardStats {
                 shard: 1,
@@ -941,12 +897,6 @@ mod tests {
                     panics_recovered: 1,
                     ..RobustnessStats::default()
                 },
-                replicas: vec![FleetReplicaStats {
-                    applied_seq: 4,
-                    lag: 0,
-                    resyncs: 0,
-                    reads: 6,
-                }],
             },
         ];
         let totals = FleetStats::rollup(&shards);
@@ -1201,10 +1151,6 @@ mod tests {
             json["engine"]["fleet"]["shards"][0]["applied_seq"].as_u64(),
             Some(7)
         );
-        assert_eq!(
-            json["engine"]["fleet"]["shards"][0]["replicas"][0]["lag"].as_u64(),
-            Some(1)
-        );
         assert_eq!(json["engine"]["fleet"]["router"][0].as_u64(), Some(3));
         assert_eq!(
             json["engine"]["fleet"]["totals"]["configs"].as_u64(),
@@ -1222,24 +1168,16 @@ mod tests {
         let mut configs = 0;
         let mut reads = 0;
         let mut writes = 0;
-        let mut replica_reads = 0;
-        let mut max_lag = 0;
         let mut robustness = RobustnessStats::default();
         for shard in &fleet.shards {
             configs += shard.configs;
             reads += shard.reads;
             writes += shard.writes;
             robustness.accumulate(&shard.robustness);
-            for replica in &shard.replicas {
-                replica_reads += replica.reads;
-                max_lag = max_lag.max(replica.lag);
-            }
         }
         assert_eq!(fleet.totals.configs, configs);
         assert_eq!(fleet.totals.reads, reads);
         assert_eq!(fleet.totals.writes, writes);
-        assert_eq!(fleet.totals.replica_reads, replica_reads);
-        assert_eq!(fleet.totals.max_replica_lag, max_lag);
         assert_eq!(fleet.totals.robustness, robustness);
         assert_eq!(fleet.totals.robustness.requests_rejected, 5);
         assert_eq!(fleet.totals.robustness.deadlines_hit, 1);

@@ -48,20 +48,15 @@ pub enum FaultKind {
     /// Disconnect mid-request (e.g. between an UPSERT header and its
     /// body sentinel).
     Disconnect,
-    /// Suppress a read replica's WAL polling for a few writes, forcing
-    /// visible replication lag before the replica catches up.
-    ReplicaLag,
-    /// Crash one shard's leader (armed panic inside its next operation)
-    /// so reads fail over to the shard's replica while the leader
-    /// rebuilds.
+    /// Crash one shard's leader (armed panic inside its next CHECK):
+    /// that CHECK answers the fault, and the leader, rebuilt from its
+    /// last-known-good image, answers the next one.
     ShardCrash,
-    /// Read from a deliberately lag-suppressed replica *without* the
-    /// catch-up poll, exercising the stale-read reporting path.
-    StaleReplicaRead,
 }
 
-/// All fault kinds, in rotation order.
-pub const ALL_FAULTS: [FaultKind; 12] = [
+/// The fault kinds one engine and its serve layer are soaked against,
+/// in rotation order.
+pub const ALL_FAULTS: [FaultKind; 9] = [
     FaultKind::TornWal,
     FaultKind::TruncatedSnapshot,
     FaultKind::TornSegment,
@@ -71,18 +66,11 @@ pub const ALL_FAULTS: [FaultKind; 12] = [
     FaultKind::MalformedRequest,
     FaultKind::OversizedRequest,
     FaultKind::Disconnect,
-    FaultKind::ReplicaLag,
-    FaultKind::ShardCrash,
-    FaultKind::StaleReplicaRead,
 ];
 
 /// The fleet-only fault kinds, in rotation order — what a sharded soak
 /// adds on top of [`ALL_FAULTS`]'s single-engine classes.
-pub const FLEET_FAULTS: [FaultKind; 3] = [
-    FaultKind::ReplicaLag,
-    FaultKind::ShardCrash,
-    FaultKind::StaleReplicaRead,
-];
+pub const FLEET_FAULTS: [FaultKind; 1] = [FaultKind::ShardCrash];
 
 /// A seeded source of faults and hostile inputs.
 pub struct FaultPlan {

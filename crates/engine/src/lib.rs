@@ -57,7 +57,6 @@ use concord_lexer::{LexCache, Lexer};
 pub mod fault;
 mod fleet;
 mod image;
-mod replica;
 mod resilient;
 mod router;
 mod store;
@@ -66,12 +65,11 @@ mod wal;
 
 pub use fleet::{merge_check_aggregates, FleetCheckReport, ShardCheckAggregate};
 pub use image::{EngineImage, ImageConfig, ImageError};
-pub use replica::{Replica, ReplicaError};
 pub use resilient::{BootError, EngineFault, OpKind, ResilientEngine};
 pub use router::{ShardRouter, VNODES_PER_SHARD};
 pub use store::{LoadOutcome, StateDir, StoreError};
 pub use vfs::{FaultKind, FaultPlan, FaultVfs, RealVfs, StorageError, Vfs, VfsFile};
-pub use wal::{tail_records, TailChunk, Wal, WalOp, WalRecord};
+pub use wal::{Wal, WalOp, WalRecord};
 
 /// A stable identifier for a configuration held by an [`Engine`].
 ///

@@ -202,12 +202,24 @@ impl ResilientEngine {
         let engine =
             Engine::from_corpus_with_lexer(configs, metadata, lexer.clone(), options.clone())?;
         let image = EngineImage::from_corpus(configs, metadata);
-        Ok(ResilientEngine {
+        Ok(Self::assemble(engine, image, lexer, options, None))
+    }
+
+    /// Wraps a live `engine` built from `image`, with every counter at
+    /// zero and no fault armed.
+    fn assemble(
+        engine: Engine,
+        image: EngineImage,
+        lexer: Lexer,
+        options: EngineOptions,
+        store: Option<StateDir>,
+    ) -> ResilientEngine {
+        ResilientEngine {
             engine: Some(engine),
             image,
             lexer,
             options,
-            store: None,
+            store,
             robustness: RobustnessStats::default(),
             degraded_pending: false,
             armed: Vec::new(),
@@ -219,7 +231,7 @@ impl ResilientEngine {
             storage_retries: 0,
             degraded_transitions: 0,
             storage_recoveries: 0,
-        })
+        }
     }
 
     /// Builds a durable resilient engine backed by `dir`. A fresh
@@ -253,24 +265,7 @@ impl ResilientEngine {
         let mut me = match load.image {
             Some(image) => {
                 let engine = Engine::from_image(&image, lexer.clone(), options.clone())?;
-                ResilientEngine {
-                    engine: Some(engine),
-                    image,
-                    lexer,
-                    options,
-                    store: Some(store),
-                    robustness: RobustnessStats::default(),
-                    degraded_pending: false,
-                    armed: Vec::new(),
-                    checkpoint_every: 64,
-                    appends_since_checkpoint: 0,
-                    segments_written: 0,
-                    segments_skipped: 0,
-                    degraded: false,
-                    storage_retries: 0,
-                    degraded_transitions: 0,
-                    storage_recoveries: 0,
-                }
+                Self::assemble(engine, image, lexer, options, Some(store))
             }
             None => {
                 let mut me = Self::new(configs, metadata, lexer, options)?;
@@ -541,11 +536,8 @@ impl ResilientEngine {
     /// Rebuilds from the last-known-good image, guarding the rebuild
     /// itself (a panic there leaves the engine poisoned).
     fn rebuild_from_image(&mut self) {
-        let image = self.image.clone();
-        let lexer = self.lexer.clone();
-        let options = self.options.clone();
         let rebuilt = catch_unwind(AssertUnwindSafe(|| {
-            Engine::from_image(&image, lexer, options)
+            Engine::from_image(&self.image, self.lexer.clone(), self.options.clone())
         }));
         match rebuilt {
             Ok(Ok(engine)) => {

@@ -168,7 +168,7 @@ impl SegRef {
 
 /// Which rung of the fallback ladder produced a loaded image.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum LoadSource {
+enum LoadSource {
     Manifest,
     ManifestBak,
     LegacySnapshot,
@@ -177,7 +177,7 @@ pub(crate) enum LoadSource {
 
 /// A successfully loaded image plus where it came from.
 #[derive(Debug)]
-pub(crate) struct ImageLoad {
+struct ImageLoad {
     pub image: EngineImage,
     /// Segment refs the loaded manifest pins (empty for legacy rungs).
     pub refs: Vec<SegRef>,
@@ -413,7 +413,8 @@ impl StateDir {
         let manifest_path = self.dir.join("manifest.json");
         let bak_path = self.dir.join("manifest.json.bak");
         write_verified(vfs.as_ref(), &tmp_path, MANIFEST_MAGIC, &payload)?;
-        if vfs.exists(&manifest_path) {
+        let superseded = vfs.exists(&manifest_path);
+        if superseded {
             vfs.rename(&manifest_path, &bak_path)
                 .map_err(StorageError::from_io)?;
         }
@@ -433,21 +434,28 @@ impl StateDir {
         //    into the manifest just written; keep it one generation as
         //    `.old` so the `.bak` manifest stays recoverable. A failed
         //    removal of the doomed `.old` is counted, not fatal — the
-        //    rename below overwrites it anyway.
-        let next_seq = self.wal.next_seq();
-        let wal_path = self.dir.join("wal.log");
-        let old_path = self.dir.join("wal.log.old");
-        if vfs.exists(&old_path) {
-            if let Err(e) = vfs.remove_file(&old_path) {
-                self.note_remove_error(&old_path, &e);
+        //    rename below overwrites it anyway. When no live manifest
+        //    was superseded (open dropped it as unreadable and loaded
+        //    `.bak`), `.bak` is a checkpoint older than usual and both
+        //    logs still hold the ops since it, so neither is rotated:
+        //    rotating would drop `.old`, and a fall back to `.bak` would
+        //    then silently skip its ops.
+        if superseded || !vfs.exists(&bak_path) {
+            let next_seq = self.wal.next_seq();
+            let wal_path = self.dir.join("wal.log");
+            let old_path = self.dir.join("wal.log.old");
+            if vfs.exists(&old_path) {
+                if let Err(e) = vfs.remove_file(&old_path) {
+                    self.note_remove_error(&old_path, &e);
+                }
             }
+            if vfs.exists(&wal_path) {
+                vfs.rename(&wal_path, &old_path)
+                    .map_err(StorageError::from_io)?;
+            }
+            self.wal = Wal::open_append_vfs(vfs.as_ref(), &wal_path, next_seq)?;
+            vfs.sync_dir(&self.dir).map_err(StorageError::from_io)?;
         }
-        if vfs.exists(&wal_path) {
-            vfs.rename(&wal_path, &old_path)
-                .map_err(StorageError::from_io)?;
-        }
-        self.wal = Wal::open_append_vfs(vfs.as_ref(), &wal_path, next_seq)?;
-        vfs.sync_dir(&self.dir).map_err(StorageError::from_io)?;
 
         // 4. Garbage-collect segments referenced by neither the new
         //    manifest nor the one now at `.bak` (plus any stray tmp
@@ -478,10 +486,8 @@ impl StateDir {
 /// ladder: segmented manifest → its backup → legacy monolithic snapshot
 /// → its backup. `Ok(None)` means nothing was loadable (missing *or*
 /// corrupt at every rung — the caller decides whether that is a fresh
-/// start or a [`StoreError::Corrupt`]). `pub(crate)` so a read replica
-/// can load a leader's state without opening the directory for writing
-/// (opening would truncate the leader's WAL tail).
-pub(crate) fn load_image(vfs: &dyn Vfs, dir: &Path) -> Result<Option<ImageLoad>, StoreError> {
+/// start or a [`StoreError::Corrupt`]).
+fn load_image(vfs: &dyn Vfs, dir: &Path) -> Result<Option<ImageLoad>, StoreError> {
     if let Some((image, refs)) = read_manifest(vfs, &dir.join("manifest.json"), dir)? {
         return Ok(Some(ImageLoad {
             image,
@@ -894,6 +900,51 @@ mod tests {
         // op folded only into the (lost) newer manifest, plus the tail.
         let seqs: Vec<u64> = load.replay.iter().map(|r| r.seq).collect();
         assert_eq!(seqs, vec![s2, s3]);
+    }
+
+    /// A boot that fell back to `.bak` checkpoints with no live manifest
+    /// to supersede, so `.bak` stays a checkpoint older than usual. That
+    /// checkpoint must not rotate away the ops since `.bak`: a second
+    /// torn manifest falls back to the same `.bak` and must still replay
+    /// every acknowledged op.
+    #[test]
+    fn checkpoint_after_a_backup_load_keeps_the_ops_since_the_backup() {
+        let dir = tmp_dir("bak-twice");
+        let upsert = |name: &str| WalOp::Upsert {
+            name: name.to_string(),
+            text: "vlan 1\n".to_string(),
+        };
+        let tear = |dir: &Path| {
+            let manifest = dir.join("manifest.json");
+            let bytes = std::fs::read(&manifest).unwrap();
+            std::fs::write(&manifest, &bytes[..bytes.len() / 2]).unwrap();
+        };
+        let (mut state, _) = StateDir::open(&dir).unwrap();
+        state.checkpoint(&image_with(&[], 0)).unwrap();
+        let s1 = state.append(&upsert("a")).unwrap();
+        state
+            .checkpoint(&image_with(&[("a", "vlan 1\n")], s1))
+            .unwrap();
+        let s2 = state.append(&upsert("b")).unwrap();
+        drop(state);
+        tear(&dir);
+
+        let (mut state, load) = StateDir::open(&dir).unwrap();
+        assert!(load.used_backup);
+        let seqs: Vec<u64> = load.replay.iter().map(|r| r.seq).collect();
+        assert_eq!(seqs, vec![s1, s2]);
+        state
+            .checkpoint(&image_with(&[("a", "vlan 1\n"), ("b", "vlan 1\n")], s2))
+            .unwrap();
+        let s3 = state.append(&upsert("c")).unwrap();
+        drop(state);
+        tear(&dir);
+
+        let (_, load) = StateDir::open(&dir).unwrap();
+        assert!(load.used_backup);
+        assert_eq!(load.image.expect("backup usable").applied_seq, 0);
+        let seqs: Vec<u64> = load.replay.iter().map(|r| r.seq).collect();
+        assert_eq!(seqs, vec![s1, s2, s3]);
     }
 
     #[test]

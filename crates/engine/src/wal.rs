@@ -273,73 +273,6 @@ impl Wal {
     }
 }
 
-/// One poll of a leader's WAL by a follower: the intact records decoded
-/// at and after the follower's byte offset, plus where the next poll
-/// should resume.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TailChunk {
-    /// Intact records decoded from `offset` onward, in log order.
-    pub records: Vec<WalRecord>,
-    /// Byte offset of the first byte *after* the last intact record —
-    /// pass this to the next [`tail_records`] call. Unchanged when no
-    /// complete record was available (a torn or in-flight tail never
-    /// advances the cursor; the leader's next fsync completes it).
-    pub new_offset: u64,
-    /// The file is shorter than `offset` (or gone): the leader rotated
-    /// the WAL at a checkpoint. The follower must resynchronize from the
-    /// snapshot instead of tailing forward.
-    pub rotated: bool,
-}
-
-/// Reads intact records from the log at `path` starting at byte
-/// `offset` — the WAL-shipping primitive a read replica polls.
-///
-/// Unlike [`Wal::read_records`], a torn or partially written tail is
-/// *not* a terminal condition here: the cursor simply stops before it,
-/// and the next poll re-reads from the same offset once the leader's
-/// append completes the line. A file shorter than `offset` (including a
-/// missing file when `offset > 0`) reports `rotated` instead, because
-/// the leader truncates its WAL only when checkpointing.
-pub fn tail_records(path: &Path, offset: u64) -> io::Result<TailChunk> {
-    tail_records_vfs(&RealVfs, path, offset)
-}
-
-/// Like [`tail_records`] but through an explicit [`Vfs`].
-pub fn tail_records_vfs(vfs: &dyn Vfs, path: &Path, offset: u64) -> io::Result<TailChunk> {
-    let bytes = match vfs.read(path) {
-        Ok(bytes) => bytes,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => {
-            return Ok(TailChunk {
-                records: Vec::new(),
-                new_offset: if offset > 0 { 0 } else { offset },
-                rotated: offset > 0,
-            });
-        }
-        Err(e) => return Err(e),
-    };
-    if (bytes.len() as u64) < offset {
-        return Ok(TailChunk {
-            records: Vec::new(),
-            new_offset: 0,
-            rotated: true,
-        });
-    }
-    let mut records = Vec::new();
-    let mut pos = offset as usize;
-    while let Some(nl) = bytes[pos..].iter().position(|&b| b == b'\n') {
-        let Some(record) = decode_line(&bytes[pos..pos + nl]) else {
-            break;
-        };
-        records.push(record);
-        pos += nl + 1;
-    }
-    Ok(TailChunk {
-        records,
-        new_offset: pos as u64,
-        rotated: false,
-    })
-}
-
 /// Byte length of the longest prefix of `bytes` made of intact records
 /// — the point [`Wal::read_records`] would stop at.
 fn valid_prefix_len(bytes: &[u8]) -> u64 {
@@ -607,83 +540,5 @@ mod tests {
                 assert_eq!(records[n_records - 1].op, WalOp::Learn);
             }
         }
-    }
-
-    #[test]
-    fn tail_records_follows_appends_by_offset() {
-        let dir = tmp_dir("tail");
-        let path = dir.join("wal.log");
-        let mut wal = Wal::open_append(&path, 1).unwrap();
-        wal.append(&WalOp::Upsert {
-            name: "dev0".to_string(),
-            text: "vlan 1\n".to_string(),
-        })
-        .unwrap();
-        let chunk = tail_records(&path, 0).unwrap();
-        assert_eq!(chunk.records.len(), 1);
-        assert!(!chunk.rotated);
-        let mid = chunk.new_offset;
-        // No new data: cursor holds.
-        let chunk = tail_records(&path, mid).unwrap();
-        assert!(chunk.records.is_empty());
-        assert_eq!(chunk.new_offset, mid);
-        // Two more appends arrive; the follower picks up exactly those.
-        wal.append(&WalOp::Learn).unwrap();
-        wal.append(&WalOp::Remove {
-            name: "dev0".to_string(),
-        })
-        .unwrap();
-        let chunk = tail_records(&path, mid).unwrap();
-        assert_eq!(chunk.records.len(), 2);
-        assert_eq!(chunk.records[0].seq, 2);
-        assert_eq!(chunk.records[1].seq, 3);
-    }
-
-    #[test]
-    fn tail_records_stops_before_torn_tail_without_advancing() {
-        let dir = tmp_dir("tailtorn");
-        let path = dir.join("wal.log");
-        let mut wal = Wal::open_append(&path, 1).unwrap();
-        wal.append(&WalOp::Learn).unwrap();
-        wal.append(&WalOp::Learn).unwrap();
-        drop(wal);
-        let bytes = std::fs::read(&path).unwrap();
-        std::fs::write(&path, &bytes[..bytes.len() - 3]).unwrap();
-        let chunk = tail_records(&path, 0).unwrap();
-        assert_eq!(chunk.records.len(), 1);
-        assert!(!chunk.rotated);
-        let held = chunk.new_offset;
-        // The partial line never advances the cursor...
-        let chunk = tail_records(&path, held).unwrap();
-        assert!(chunk.records.is_empty());
-        assert_eq!(chunk.new_offset, held);
-        // ...and once the append completes (leader re-writes the line),
-        // the follower resumes from the same offset.
-        std::fs::write(&path, &bytes).unwrap();
-        let chunk = tail_records(&path, held).unwrap();
-        assert_eq!(chunk.records.len(), 1);
-        assert_eq!(chunk.records[0].seq, 2);
-    }
-
-    #[test]
-    fn tail_records_reports_rotation_when_file_shrinks_or_vanishes() {
-        let dir = tmp_dir("tailrot");
-        let path = dir.join("wal.log");
-        let mut wal = Wal::open_append(&path, 1).unwrap();
-        wal.append(&WalOp::Learn).unwrap();
-        drop(wal);
-        let end = std::fs::read(&path).unwrap().len() as u64;
-        // Checkpoint rotation: the WAL restarts empty.
-        std::fs::write(&path, b"").unwrap();
-        let chunk = tail_records(&path, end).unwrap();
-        assert!(chunk.rotated);
-        // A vanished file with a nonzero cursor is also a rotation.
-        std::fs::remove_file(&path).unwrap();
-        let chunk = tail_records(&path, end).unwrap();
-        assert!(chunk.rotated);
-        // A fresh follower on a missing file is just an empty log.
-        let chunk = tail_records(&path, 0).unwrap();
-        assert!(!chunk.rotated);
-        assert!(chunk.records.is_empty());
     }
 }

@@ -167,10 +167,19 @@ impl LexCache {
 
     /// Memoizes a freshly lexed line, evicting with the clock policy when
     /// the shard is at capacity.
+    ///
+    /// A caller that finds the key already present lost a race: another
+    /// worker missed on the same shape and inserted it first. The first
+    /// write wins, and the caller's miss is recounted as a hit, so an
+    /// unbounded cache counts exactly one miss per distinct shape
+    /// whatever the interleaving.
     pub(crate) fn insert(&self, key: String, pattern: &str, params: &[Param]) {
         let mut guard = self.shard(&key).lock().expect("lex cache shard poisoned");
-        if guard.map.contains_key(key.as_str()) {
-            return; // raced with another worker: first write wins.
+        if let Some(entry) = guard.map.get_mut(key.as_str()) {
+            entry.hot = true;
+            self.misses.fetch_sub(1, Ordering::Relaxed);
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            return;
         }
         if self.shard_cap > 0 {
             while guard.map.len() >= self.shard_cap {
@@ -241,6 +250,26 @@ mod tests {
         // line_no stays per-occurrence, outside the cache.
         assert_eq!(first.line_no, 3);
         assert_eq!(second.line_no, 9);
+        assert_eq!(
+            cache.stats(),
+            CacheStats {
+                hits: 1,
+                misses: 1,
+                evictions: 0
+            }
+        );
+        assert_eq!(cache.len(), 1);
+    }
+
+    #[test]
+    fn a_lost_insert_race_counts_as_a_hit() {
+        let cache = LexCache::new();
+        let key = LexCache::key(&[], "vlan 251");
+        // Two workers miss on the same shape before either inserts.
+        assert!(cache.lookup(&key).is_none());
+        assert!(cache.lookup(&key).is_none());
+        cache.insert(key.clone(), "vlan <num>", &[]);
+        cache.insert(key, "vlan <num>", &[]);
         assert_eq!(
             cache.stats(),
             CacheStats {

@@ -82,23 +82,13 @@ fn cached_build_is_byte_identical_to_uncached() {
             "{label}: expected hits over {} lookups",
             stats.cache_hits + stats.cache_misses
         );
-        // Every distinct line shape missed at least once. At parallelism
-        // 1 that is exact; with concurrent workers two threads can race
-        // on the same shape (both miss, both scan, one insert wins), so
-        // misses may legitimately exceed the entry count.
-        assert!(
-            stats.cache_misses as usize >= cache.len(),
-            "{label}: {} misses < {} distinct shapes",
-            stats.cache_misses,
-            cache.len()
+        // Every distinct line shape missed exactly once, at every
+        // parallelism.
+        assert_eq!(
+            stats.cache_misses as usize,
+            cache.len(),
+            "{label}: one miss per distinct line shape"
         );
-        if parallelism == 1 {
-            assert_eq!(
-                stats.cache_misses as usize,
-                cache.len(),
-                "{label}: one miss per distinct line shape"
-            );
-        }
 
         let contracts = learn(&cached, &params).to_json();
         assert_eq!(
