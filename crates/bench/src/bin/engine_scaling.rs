@@ -23,15 +23,15 @@
 //! records deterministic heap accounting (arena-interned SoA bytes vs
 //! the `legacy-ir` oracle's per-record `Arc` bytes, pattern table
 //! excluded on both sides), the process RSS high-water, and the
-//! segmented-checkpoint scorecard: a forced full checkpoint (every
-//! segment re-written — the price the monolithic snapshot paid every
-//! time) against a checkpoint after one edit (one segment plus the
-//! manifest).
+//! segmented-checkpoint scorecard: a full checkpoint (every segment
+//! written, into a fresh directory — the price a monolithic snapshot
+//! pays every time) against a checkpoint after one edit (one segment
+//! plus the manifest).
 
 use concord_bench::{fmt_secs, seed, timed, write_result};
 use concord_core::{check_parallel_with_stats, CheckReport, Dataset, LearnParams, LegacyDataset};
 use concord_datagen::{generate_role, RoleSpec, Style};
-use concord_engine::{Engine, EngineOptions, ResilientEngine};
+use concord_engine::{Engine, EngineOptions, ResilientEngine, StateDir};
 use concord_json::{json, Json};
 use concord_lexer::{LexCache, Lexer};
 use std::time::Duration;
@@ -122,16 +122,20 @@ fn resident_rung(devices: usize) -> Json {
     });
     engine.set_checkpoint_every(0); // explicit checkpoints only
 
-    // Full checkpoint: clear the segment directory so every
-    // configuration must be re-serialized and re-written — the cost the
-    // monolithic snapshot paid on *every* checkpoint.
-    let segments = dir.join("segments");
-    for entry in std::fs::read_dir(&segments).expect("segments dir exists") {
-        let entry = entry.expect("readable segments entry");
-        std::fs::remove_file(entry.path()).expect("segment file removable");
-    }
-    let (ok, full_time) = timed(|| engine.checkpoint());
-    assert!(ok, "{devices} configs: full checkpoint failed");
+    // Full checkpoint: the same image into a fresh directory, whose
+    // store has written nothing, so every configuration is serialized
+    // and written — the cost a monolithic snapshot pays on *every*
+    // checkpoint.
+    let full_dir = dir.with_extension("full");
+    let _ = std::fs::remove_dir_all(&full_dir);
+    let (mut fresh, _) = StateDir::open(&full_dir).expect("fresh state dir opens");
+    let (full, full_time) = timed(|| fresh.checkpoint(engine.image()));
+    let full = full.expect("full checkpoint succeeds");
+    assert_eq!(
+        (full.segments_written, full.segments_skipped),
+        (devices as u64, 0),
+        "{devices} configs: the full checkpoint must write every segment"
+    );
 
     // Checkpoint after one edit: exactly one segment plus the manifest.
     let (target, base) = corpus[0].clone();
@@ -150,11 +154,11 @@ fn resident_rung(devices: usize) -> Json {
 
     let memory = engine.snapshot_stats().expect("stats available").memory;
     // Pin the segmented-store invariant the timing relies on: the seed
-    // and forced-full checkpoints each wrote the whole fleet, and every
-    // edit checkpoint wrote exactly one segment and skipped the rest.
+    // checkpoint wrote the whole fleet, and every edit checkpoint wrote
+    // exactly one segment and skipped the rest.
     assert_eq!(
         memory.segments_written,
-        2 * devices as u64 + SAMPLES as u64,
+        devices as u64 + SAMPLES as u64,
         "{devices} configs: unexpected segment write count"
     );
     assert_eq!(
@@ -178,6 +182,7 @@ fn resident_rung(devices: usize) -> Json {
     );
 
     let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&full_dir);
     json!({
         "configs": devices,
         "boot_secs": boot_time.as_secs_f64(),

@@ -8,7 +8,8 @@
 //! the engine must still answer, and its CHECK report must match — byte
 //! for byte — a clean engine rebuilt from scratch out of the recovered
 //! image (the oracle the paper's incremental-equivalence argument rests
-//! on). Request-level faults (malformed / oversized / disconnect) are
+//! on). After every storage fault the recovered image must also equal
+//! the image from before the crash: no acknowledged write is lost. Request-level faults (malformed / oversized / disconnect) are
 //! protocol concerns and are soaked at the serve layer in
 //! `concord-cli`'s robustness tests.
 //!
@@ -23,7 +24,7 @@ use concord_core::{learn_reference, CheckReport, ContractSet, Dataset, Robustnes
 use concord_engine::fault::{FaultKind, FaultPlan, ALL_FAULTS};
 // The storage-level (VFS) fault types share names with the plan-level
 // ones above; alias them apart.
-use concord_engine::{Engine, EngineFault, EngineOptions, OpKind, ResilientEngine};
+use concord_engine::{Engine, EngineFault, EngineImage, EngineOptions, OpKind, ResilientEngine};
 use concord_engine::{FaultKind as StorageFault, FaultVfs};
 use concord_lexer::Lexer;
 
@@ -84,6 +85,18 @@ fn learn_oracle(me: &ResilientEngine) -> String {
     let dataset = Dataset::from_named_texts(&image.corpus(), &image.metadata)
         .expect("learn oracle dataset builds");
     learn_reference(&dataset, &EngineOptions::default().learn).to_json()
+}
+
+/// Everything a crash must preserve: the image of every acknowledged
+/// write (configs with their ids and generations, metadata, contracts,
+/// counters, `applied_seq`). Captured sketches are derived state a
+/// reboot may re-mine, so they are left out.
+fn acknowledged(me: &ResilientEngine) -> EngineImage {
+    let mut image = me.image().clone();
+    for config in &mut image.configs {
+        config.sketch = None;
+    }
+    image
 }
 
 fn reboot(dir: &Path) -> ResilientEngine {
@@ -147,26 +160,23 @@ fn storage_and_panic_fault_soak() {
         // seeded.
         let fault = ALL_FAULTS[step % ALL_FAULTS.len()];
         match fault {
-            FaultKind::TornWal => {
+            FaultKind::TornWal | FaultKind::TruncatedSnapshot | FaultKind::TornSegment => {
+                let before = acknowledged(&me);
                 rob.accumulate(&me.robustness());
                 drop(me);
-                let _ = plan.tear_wal(&dir).expect("tear wal");
+                let _ = match fault {
+                    FaultKind::TornWal => plan.tear_wal(&dir),
+                    FaultKind::TruncatedSnapshot => plan.truncate_snapshot(&dir),
+                    _ => plan.tear_fresh_segment(&dir),
+                }
+                .expect("storage fault");
                 me = reboot(&dir);
                 reboots += 1;
-            }
-            FaultKind::TruncatedSnapshot => {
-                rob.accumulate(&me.robustness());
-                drop(me);
-                let _ = plan.truncate_snapshot(&dir).expect("truncate manifest");
-                me = reboot(&dir);
-                reboots += 1;
-            }
-            FaultKind::TornSegment => {
-                rob.accumulate(&me.robustness());
-                drop(me);
-                let _ = plan.tear_fresh_segment(&dir).expect("tear segment");
-                me = reboot(&dir);
-                reboots += 1;
+                assert_eq!(
+                    acknowledged(&me),
+                    before,
+                    "step {step} fault {fault:?} seed {seed}: the reboot lost an acknowledged write"
+                );
             }
             FaultKind::PanicUpsert => {
                 me.arm_panic(OpKind::Upsert);

@@ -23,7 +23,7 @@ USAGE:
                 [--tokens <file>] [--uncovered N] [--parallelism N]
   concord serve [--configs <glob>] [--contracts <file>] [--metadata <glob>]
                 [--tokens <file>] [--support N] [--confidence F]
-                [--parallelism N] [--no-embed] [--staleness F]
+                [--parallelism N] [--no-embed]
                 [--listen <addr>] [--once] [--workers N]
                 [--max-conns N] [--deadline-ms N] [--max-line-bytes N]
                 [--max-body-bytes N] [--state-dir <dir>]
@@ -127,8 +127,6 @@ pub struct ServeArgs {
     pub embed: bool,
     /// Worker threads.
     pub parallelism: usize,
-    /// Staleness threshold for the engine's relearn-if-stale logic.
-    pub staleness: f64,
     /// TCP address to listen on (`None` serves stdin/stdout).
     pub listen: Option<String>,
     /// Exit after the first TCP connection closes (smoke tests).
@@ -469,7 +467,6 @@ fn parse_serve(argv: &[String]) -> Result<Command, UsageError> {
         params: LearnParams::default(),
         embed: true,
         parallelism: 1,
-        staleness: 0.2,
         listen: None,
         once: false,
         workers: 4,
@@ -496,12 +493,6 @@ fn parse_serve(argv: &[String]) -> Result<Command, UsageError> {
                 args.params.parallelism = args.parallelism;
             }
             "--no-embed" => args.embed = false,
-            "--staleness" => {
-                args.staleness = flags.parse(flag)?;
-                if !(0.0..=1.0).contains(&args.staleness) {
-                    return Err(UsageError("--staleness must be in [0, 1]".to_string()));
-                }
-            }
             "--listen" => args.listen = Some(flags.value(flag)?.to_string()),
             "--once" => args.once = true,
             "--workers" => {
@@ -626,8 +617,6 @@ mod tests {
             "serve",
             "--configs",
             "cfg/*.txt",
-            "--staleness",
-            "0.4",
             "--listen",
             "127.0.0.1:0",
             "--once",
@@ -655,7 +644,6 @@ mod tests {
         match cmd {
             Command::Serve(a) => {
                 assert_eq!(a.configs.as_deref(), Some("cfg/*.txt"));
-                assert!((a.staleness - 0.4).abs() < 1e-9);
                 assert_eq!(a.listen.as_deref(), Some("127.0.0.1:0"));
                 assert!(a.once);
                 assert_eq!(a.parallelism, 4);
@@ -685,7 +673,11 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
-        assert!(parse_args(&argv(&["serve", "--staleness", "3.0"])).is_err());
+        let unknown = parse_args(&argv(&["serve", "--staleness", "0.4"])).unwrap_err();
+        assert!(
+            unknown.to_string().contains("unknown flag \"--staleness\""),
+            "{unknown}"
+        );
         assert!(parse_args(&argv(&["serve", "--workers", "0"])).is_err());
         assert!(parse_args(&argv(&["serve", "--deadline-ms", "0"])).is_err());
         assert!(parse_args(&argv(&["serve", "--shards", "0"])).is_err());

@@ -36,10 +36,8 @@
 //! the name-sorted union corpus (the contracts one engine over the
 //! union learns) and distributes them to every leader, and a registry
 //! assigns device ids in arrival order over the name-sorted boot corpus
-//! and replays the one-engine sketch-cache counters. BATCH reserves ids
-//! in batch order before fanning sub-requests out to their shards
-//! concurrently, and reassembles responses by item index. Shard `i`
-//! lives under `<state-dir>/shard-<i>/`. The tests pin the counters
+//! and replays the one-engine sketch-cache counters. Shard `i` lives
+//! under `<state-dir>/shard-<i>/`. The tests pin the counters
 //! that differ from one shard: `dirty=`/`reused=` after an edit that
 //! changes how contracts resolve, and after a restart the ids of new
 //! devices and LEARN's `mined=`/`reused=`. A LEARN that fails on one
@@ -137,16 +135,6 @@ struct ReservedUpsert {
     was_clean: bool,
 }
 
-/// Registry side effects already applied by the batch walk (ids must be
-/// assigned sequentially in batch order, before sub-requests fan out to
-/// their shards concurrently). Both hold `None` at one shard.
-enum Pre {
-    /// Direct request: apply registry effects inline.
-    Direct,
-    Upsert(Option<ReservedUpsert>),
-    Remove(Option<(u64, bool)>),
-}
-
 /// The serve backend: router, shard leaders, and the fleet-level
 /// caches.
 pub(crate) struct Fleet {
@@ -164,10 +152,10 @@ pub(crate) struct Fleet {
 }
 
 /// Builds the fleet from the serve arguments: partitions the corpus by
-/// router, boots one shard leader per partition (under
-/// [`shard_dir`] when durable), records/validates the shard count in
-/// `<state-dir>/fleet.json` (resuming with a different `--shards` would
-/// silently re-route devices), adopts resumed contracts (or the
+/// router, validates the shard count against `<state-dir>/fleet.json`
+/// (resuming with a different `--shards` would silently re-route
+/// devices), boots one shard leader per partition (under [`shard_dir`]
+/// when durable), records the count, adopts resumed contracts (or the
 /// `--contracts` file on a fresh boot) and distributes them.
 pub(crate) fn build_fleet(args: &ServeArgs) -> Result<Fleet, CliError> {
     let lexer = match &args.tokens {
@@ -184,7 +172,6 @@ pub(crate) fn build_fleet(args: &ServeArgs) -> Result<Fleet, CliError> {
         embed_context: args.embed,
         parallelism: args.parallelism,
         learn: args.params.clone(),
-        staleness_threshold: args.staleness,
         lex_cache_cap: args.lex_cache_cap,
         ..EngineOptions::default()
     };
@@ -196,9 +183,10 @@ pub(crate) fn build_fleet(args: &ServeArgs) -> Result<Fleet, CliError> {
         partitions[shard].push((name, text));
     }
     let root = args.state_dir.as_deref().map(Path::new);
-    if let Some(root) = root {
-        check_manifest(root, n)?;
-    }
+    let unrecorded = match root {
+        Some(root) => check_manifest(root, n)?,
+        None => false,
+    };
 
     let mut leaders = Vec::with_capacity(n);
     let mut adopted: Option<String> = None;
@@ -226,6 +214,14 @@ pub(crate) fn build_fleet(args: &ServeArgs) -> Result<Fleet, CliError> {
             }
         }
         leaders.push(engine);
+    }
+    // Recorded only once every shard booted, so a directory a leader
+    // refuses is left as it was.
+    if let (Some(root), true) = (root, unrecorded) {
+        let path = root.join("fleet.json");
+        let manifest = concord_json::json!({ "shards": n });
+        std::fs::write(&path, manifest.render())
+            .map_err(|e| CliError::Io(path.display().to_string(), e))?;
     }
 
     // The state directory is the durable truth: a resumed fleet keeps
@@ -301,13 +297,13 @@ fn shard_dir(root: &Path, shards: usize, i: usize) -> PathBuf {
     }
 }
 
-/// Records the shard count on first boot and refuses to reopen a state
-/// directory under a different one: the router would silently send
-/// devices to shards that don't hold them. Also refuses a one-shard
-/// directory that still keeps its shard under `shard-0/`, the layout an
-/// earlier one-shard serve with WAL followers wrote before shard 0 moved
-/// to the root.
-fn check_manifest(dir: &Path, shards: usize) -> Result<(), CliError> {
+/// Refuses to reopen a state directory under a different shard count
+/// than `fleet.json` records: the router would silently send devices to
+/// shards that don't hold them. Also refuses a one-shard directory that
+/// still keeps its shard under `shard-0/`, the layout an earlier
+/// one-shard serve with WAL followers wrote before shard 0 moved to the
+/// root. Returns whether the count is still to be recorded.
+fn check_manifest(dir: &Path, shards: usize) -> Result<bool, CliError> {
     std::fs::create_dir_all(dir).map_err(|e| CliError::Io(dir.display().to_string(), e))?;
     let path = dir.join("fleet.json");
     let recorded = match std::fs::read_to_string(&path) {
@@ -333,12 +329,7 @@ fn check_manifest(dir: &Path, shards: usize) -> Result<(), CliError> {
             dir.display()
         )));
     }
-    if recorded.is_none() {
-        let manifest = concord_json::json!({ "shards": shards });
-        std::fs::write(&path, manifest.render())
-            .map_err(|e| CliError::Io(path.display().to_string(), e))?;
-    }
-    Ok(())
+    Ok(recorded.is_none())
 }
 
 impl Fleet {
@@ -469,13 +460,9 @@ impl Fleet {
 
 /// Executes one non-batch request against the fleet.
 pub(crate) fn execute(shared: &ServeShared, fleet: &Fleet, req: &Request) -> String {
-    run_one(shared, fleet, req, Pre::Direct)
-}
-
-fn run_one(shared: &ServeShared, fleet: &Fleet, req: &Request, pre: Pre) -> String {
     match req {
-        Request::Upsert { name, body } => fleet_upsert(shared, fleet, name, body, pre),
-        Request::Remove { name } => fleet_remove(shared, fleet, name, pre),
+        Request::Upsert { name, body } => fleet_upsert(shared, fleet, name, body),
+        Request::Remove { name } => fleet_remove(shared, fleet, name),
         Request::Gen { name } => fleet_gen(shared, fleet, name),
         Request::Learn => match &fleet.union {
             None => learn_in_place(shared, fleet),
@@ -502,11 +489,8 @@ fn deadline(shared: &ServeShared) -> String {
     "err deadline\n".to_string()
 }
 
-fn fleet_upsert(shared: &ServeShared, fleet: &Fleet, name: &str, body: &str, pre: Pre) -> String {
-    let reserved = match pre {
-        Pre::Upsert(reserved) => reserved,
-        _ => fleet.reserve_upsert(name),
-    };
+fn fleet_upsert(shared: &ServeShared, fleet: &Fleet, name: &str, body: &str) -> String {
+    let reserved = fleet.reserve_upsert(name);
     let shard = fleet.shard_for(name);
     let Some(mut guard) = shard.leader.write(cutoff(shared)) else {
         fleet.rollback_upsert(name, reserved.as_ref());
@@ -530,11 +514,8 @@ fn fleet_upsert(shared: &ServeShared, fleet: &Fleet, name: &str, body: &str, pre
     }
 }
 
-fn fleet_remove(shared: &ServeShared, fleet: &Fleet, name: &str, pre: Pre) -> String {
-    let removed = match pre {
-        Pre::Remove(removed) => removed,
-        _ => fleet.registry_remove(name),
-    };
+fn fleet_remove(shared: &ServeShared, fleet: &Fleet, name: &str) -> String {
+    let removed = fleet.registry_remove(name);
     let shard = fleet.shard_for(name);
     let Some(mut guard) = shard.leader.write(cutoff(shared)) else {
         fleet.registry_restore(name, removed);
@@ -931,112 +912,24 @@ fn one_line(s: &str) -> String {
     s.replace(['\n', '\r'], " ")
 }
 
-/// One queued batch sub-request: its item index (for in-order response
-/// reassembly) and the registry effects the walk already applied.
-struct Queued<'a> {
-    index: usize,
-    req: &'a Request,
-    pre: Pre,
-}
-
-/// BATCH against the fleet: sub-requests are walked in order (registry
-/// ids assigned sequentially, as one engine would), grouped into
-/// per-shard queues, and the queues executed concurrently — one thread
-/// per shard with pending work. Global verbs
-/// (LEARN/CHECK/STATS/CHECKPOINT/FAULT/CONTRACTS) are barriers: pending
-/// queues flush first, so every sub-request observes the engine states
-/// it would have in a serial run. Responses are reassembled by item
-/// index, then the `ok batch` trailer — byte-identical to the same
-/// commands sent singly.
+/// BATCH against the fleet: the items run in order, each exactly as if
+/// it had been sent singly, then the `ok batch` trailer.
 pub(crate) fn execute_batch(shared: &ServeShared, fleet: &Fleet, items: &[BatchItem]) -> String {
-    let mut slots: Vec<Option<String>> = vec![None; items.len()];
-    let mut queues: Vec<Vec<Queued>> = (0..fleet.shards.len()).map(|_| Vec::new()).collect();
-    for (index, item) in items.iter().enumerate() {
+    let mut out = String::new();
+    for item in items {
         match item {
             BatchItem::Error { line, reject } => {
                 if *reject {
                     shared.reject();
                 }
-                slots[index] = Some(format!("{line}\n"));
+                out.push_str(line);
+                out.push('\n');
             }
-            BatchItem::Run(req) => match req {
-                Request::Upsert { name, .. } => {
-                    let pre = Pre::Upsert(fleet.reserve_upsert(name));
-                    queues[fleet.router.route(name)].push(Queued { index, req, pre });
-                }
-                Request::Remove { name } => {
-                    // Applied at walk time so a later upsert of the same
-                    // name in this batch draws a fresh id, as in a
-                    // serial run.
-                    let pre = Pre::Remove(fleet.registry_remove(name));
-                    queues[fleet.router.route(name)].push(Queued { index, req, pre });
-                }
-                Request::Gen { name } => {
-                    queues[fleet.router.route(name)].push(Queued {
-                        index,
-                        req,
-                        pre: Pre::Direct,
-                    });
-                }
-                _ => {
-                    flush(shared, fleet, &mut queues, &mut slots);
-                    slots[index] = Some(run_one(shared, fleet, req, Pre::Direct));
-                }
-            },
+            BatchItem::Run(req) => out.push_str(&execute(shared, fleet, req)),
         }
-    }
-    flush(shared, fleet, &mut queues, &mut slots);
-    let mut out = String::new();
-    for slot in slots {
-        out.push_str(&slot.unwrap_or_else(|| "err internal batch worker failed\n".to_string()));
     }
     out.push_str(&format!("ok batch {}\n", items.len()));
     out
-}
-
-/// Drains the per-shard queues concurrently (scoped threads, one per
-/// shard with work; a lone queue runs inline) and writes responses into
-/// their item slots.
-fn flush(
-    shared: &ServeShared,
-    fleet: &Fleet,
-    queues: &mut [Vec<Queued>],
-    slots: &mut [Option<String>],
-) {
-    let pending = queues.iter().filter(|q| !q.is_empty()).count();
-    if pending == 0 {
-        return;
-    }
-    let drained: Vec<Vec<Queued>> = queues.iter_mut().map(std::mem::take).collect();
-    if pending == 1 {
-        for queue in drained {
-            for q in queue {
-                slots[q.index] = Some(run_one(shared, fleet, q.req, q.pre));
-            }
-        }
-        return;
-    }
-    let outputs: Vec<Vec<(usize, String)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = drained
-            .into_iter()
-            .filter(|queue| !queue.is_empty())
-            .map(|queue| {
-                scope.spawn(move || {
-                    queue
-                        .into_iter()
-                        .map(|q| (q.index, run_one(shared, fleet, q.req, q.pre)))
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|handle| handle.join().unwrap_or_default())
-            .collect()
-    });
-    for (index, text) in outputs.into_iter().flatten() {
-        slots[index] = Some(text);
-    }
 }
 
 #[cfg(test)]
@@ -1089,7 +982,6 @@ mod tests {
             params: LearnParams::default(),
             embed: true,
             parallelism: 1,
-            staleness: 0.2,
             listen: None,
             once: false,
             workers: 4,
@@ -1138,9 +1030,8 @@ mod tests {
         assert!(single.contains("mined=2 reused=5"), "{single}");
     }
 
-    /// A BATCH against the fleet (sub-requests fanned out per shard,
-    /// responses reassembled by index) equals the same commands issued
-    /// singly, and equals the one-shard batch, byte for byte.
+    /// A BATCH against a three-shard fleet equals the same commands
+    /// sent singly, and equals the one-shard batch, byte for byte.
     #[test]
     fn fleet_batch_matches_singles_and_single_engine() {
         let glob = corpus_glob("batch");
@@ -1158,8 +1049,7 @@ mod tests {
     }
 
     /// A REMOVE and an UPSERT of the same name inside one batch must
-    /// assign a fresh id (walk-order registry effects), exactly like the
-    /// one-shard batch.
+    /// assign a fresh id, exactly like the one-shard batch.
     #[test]
     fn fleet_batch_remove_then_upsert_assigns_fresh_id() {
         let glob = corpus_glob("batch-reuse");
@@ -1240,6 +1130,21 @@ mod tests {
         std::fs::create_dir_all(legacy.join("shard-0")).expect("legacy layout");
         let err = refusal(1, &legacy);
         assert!(err.contains("shard-0/"), "{err}");
+
+        // A monolithic snapshot is refused by name, and the directory is
+        // left as it was: no fleet.json, no WAL.
+        let snapshot_only = temp_dir("manifest-state-snapshot");
+        let snapshot = snapshot_only.join("snapshot.json");
+        let bytes = b"concord-engine-snapshot/v1 crc32=00000000\n{}\n";
+        std::fs::write(&snapshot, bytes).expect("legacy snapshot");
+        let err = refusal(1, &snapshot_only);
+        assert!(err.contains(&snapshot.display().to_string()), "{err}");
+        assert_eq!(std::fs::read(&snapshot).expect("still there"), bytes);
+        let names: Vec<_> = std::fs::read_dir(&snapshot_only)
+            .expect("listing")
+            .map(|e| e.expect("entry").file_name())
+            .collect();
+        assert_eq!(names, ["snapshot.json"]);
     }
 
     /// A sharded fleet resumes from its state directories: edits from a

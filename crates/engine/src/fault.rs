@@ -2,7 +2,9 @@
 //!
 //! A [`FaultPlan`] is a seeded [`concord_rng::StdRng`] plus generators
 //! for every fault class the hardening work defends against: torn WAL
-//! tails, truncated snapshots, malformed / non-UTF-8 / oversized
+//! tails (a partial record after the acknowledged ones, as a crash
+//! mid-append leaves), truncated checkpoint manifests, torn segments,
+//! malformed / non-UTF-8 / oversized
 //! requests, mid-session disconnects, and forced panics inside engine
 //! operations. Everything is a pure function of the seed — no
 //! wall-clock, no OS randomness — so a failing soak run replays
@@ -15,21 +17,22 @@
 
 use std::collections::HashMap;
 use std::fs::OpenOptions;
-use std::io;
+use std::io::{self, Write as _};
 use std::path::Path;
 
 use concord_rng::{Rng, SeedableRng, StdRng};
 
 use crate::store::SegRef;
+use crate::wal::{encode_record, Wal, WalOp};
 
 /// The fault classes a soak run rotates through.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultKind {
-    /// Truncate the live WAL mid-record (simulated crash during append).
+    /// Leave a partial record at the end of the live WAL (simulated
+    /// crash during an append that was never acknowledged).
     TornWal,
     /// Truncate the live checkpoint manifest mid-payload (simulated
-    /// crash during checkpoint, or bit rot). Falls back to truncating a
-    /// legacy `snapshot.json` when no manifest exists.
+    /// crash during checkpoint, or bit rot).
     TruncatedSnapshot,
     /// Truncate a segment file referenced only by the live manifest
     /// (bit rot inside one config's segment), forcing recovery through
@@ -146,23 +149,35 @@ impl FaultPlan {
         line
     }
 
-    /// Truncates the live WAL by a random non-zero byte count,
-    /// simulating a crash mid-append. Returns `false` when there is no
-    /// WAL (or it is empty) to tear.
+    /// Appends a random non-empty proper prefix of one well-formed
+    /// record to the live WAL, simulating a crash in the middle of an
+    /// append: the prefix holds no newline, so it stays the torn tail,
+    /// and every acknowledged record before it survives. Returns
+    /// `false` when there is no WAL.
     pub fn tear_wal(&mut self, state_dir: &Path) -> io::Result<bool> {
-        self.truncate_file(&state_dir.join("wal.log"))
+        let path = state_dir.join("wal.log");
+        if !path.exists() {
+            return Ok(false);
+        }
+        let (records, _) = Wal::read_records(&path)?;
+        let seq = records.last().map_or(1, |r| r.seq + 1);
+        let op = WalOp::Upsert {
+            name: self.device_name(10),
+            text: self.config_text(),
+        };
+        let line = encode_record(seq, &op);
+        let keep = self.rng.gen_range(1..line.len());
+        let mut file = OpenOptions::new().append(true).open(&path)?;
+        file.write_all(&line.as_bytes()[..keep])?;
+        file.sync_all()?;
+        Ok(true)
     }
 
-    /// Truncates the live checkpoint manifest (or, for a directory
-    /// that predates segmented checkpoints, the legacy monolithic
-    /// snapshot) mid-payload, simulating a crash during checkpoint.
-    /// Returns `false` when there is nothing to truncate.
+    /// Truncates the live checkpoint manifest mid-payload, simulating a
+    /// crash during checkpoint. Returns `false` when there is nothing to
+    /// truncate.
     pub fn truncate_snapshot(&mut self, state_dir: &Path) -> io::Result<bool> {
-        let manifest = state_dir.join("manifest.json");
-        if manifest.exists() {
-            return self.truncate_file(&manifest);
-        }
-        self.truncate_file(&state_dir.join("snapshot.json"))
+        self.truncate_file(&state_dir.join("manifest.json"))
     }
 
     /// Truncates the *newest* segment of a config that has more than
@@ -258,5 +273,29 @@ mod tests {
         let mut plan = FaultPlan::new(1);
         assert!(!plan.tear_wal(&dir).unwrap());
         assert!(!plan.truncate_snapshot(&dir).unwrap());
+    }
+
+    #[test]
+    fn a_torn_wal_keeps_every_acknowledged_record() {
+        let dir = std::env::temp_dir().join(format!("concord-fault-tear-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("wal.log");
+        let mut wal = Wal::open_append(&path, 1).unwrap();
+        wal.append(&WalOp::Learn).unwrap();
+        wal.append(&WalOp::Remove {
+            name: "dev0".to_string(),
+        })
+        .unwrap();
+        drop(wal);
+        let (acked, _) = Wal::read_records(&path).unwrap();
+        let mut plan = FaultPlan::new(3);
+        for _ in 0..8 {
+            assert!(plan.tear_wal(&dir).unwrap());
+            assert_eq!(Wal::read_records(&path).unwrap(), (acked.clone(), true));
+            // A boot repairs the tail before appending.
+            drop(Wal::open_append(&path, 3).unwrap());
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -14,9 +14,10 @@
 //! The engine does not retain raw configuration texts (its [`Dataset`]
 //! holds lexed lines only), so the image cannot be captured from a live
 //! engine after the fact. Instead the resilient layer builds the image
-//! from the same corpus the engine is built from and applies every
-//! mutation to both, syncing the counters from the engine after each
-//! successful operation.
+//! from the same corpus the engine is built from, and after every write
+//! the engine applies it records the text with the id and generation
+//! the engine assigned, the contract set the engine holds, and the
+//! engine's counters.
 //!
 //! [`Dataset`]: concord_core::Dataset
 
@@ -67,8 +68,6 @@ pub struct EngineImage {
 /// Why an [`EngineImage`] could not be decoded or rebuilt.
 #[derive(Debug)]
 pub enum ImageError {
-    /// The image JSON did not have the expected shape.
-    Decode(JsonError),
     /// The restored corpus failed to build a dataset.
     Dataset(concord_core::DatasetError),
     /// The stored contract JSON failed to parse.
@@ -78,7 +77,6 @@ pub enum ImageError {
 impl std::fmt::Display for ImageError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            ImageError::Decode(e) => write!(f, "bad engine image: {e}"),
             ImageError::Dataset(e) => write!(f, "rebuilding dataset from image: {e}"),
             ImageError::Contracts(e) => write!(f, "bad contracts in image: {e}"),
         }
@@ -118,36 +116,23 @@ impl EngineImage {
         }
     }
 
-    /// Inserts or replaces a configuration, mirroring
-    /// [`Engine::upsert_config`](crate::Engine::upsert_config): replace
-    /// in place keeps the id and bumps the generation; insert goes at
-    /// the name-sorted position with a fresh id from `next_id`.
-    ///
-    /// Only the structural state (texts, ids, generations) is
-    /// maintained here; the caller syncs [`EngineImage::counters`] from
-    /// the live engine afterwards.
-    pub fn upsert(&mut self, name: &str, text: &str) {
+    /// Inserts or replaces a configuration with the id and generation
+    /// the engine assigned it
+    /// ([`Engine::upsert_config`](crate::Engine::upsert_config)), at its
+    /// name-sorted position. A replaced configuration's captured sketch
+    /// is stale by generation, so it goes; the next checkpoint
+    /// re-exports it.
+    pub fn upsert(&mut self, name: &str, text: &str, id: u64, generation: u64) {
+        let config = ImageConfig {
+            name: name.to_string(),
+            text: text.to_string(),
+            id,
+            generation,
+            sketch: None,
+        };
         match self.configs.binary_search_by(|c| c.name.as_str().cmp(name)) {
-            Ok(i) => {
-                self.configs[i].text = text.to_string();
-                self.configs[i].generation += 1;
-                // The text changed, so any captured sketch is stale by
-                // generation; the next checkpoint re-exports it.
-                self.configs[i].sketch = None;
-            }
-            Err(i) => {
-                self.configs.insert(
-                    i,
-                    ImageConfig {
-                        name: name.to_string(),
-                        text: text.to_string(),
-                        id: self.counters.next_id,
-                        generation: 0,
-                        sketch: None,
-                    },
-                );
-                self.counters.next_id += 1;
-            }
+            Ok(i) => self.configs[i] = config,
+            Err(i) => self.configs.insert(i, config),
         }
     }
 
@@ -257,98 +242,6 @@ impl FromJson for EngineCounters {
     }
 }
 
-impl ToJson for EngineImage {
-    fn to_json(&self) -> Json {
-        Json::Object(vec![
-            (
-                "configs".to_string(),
-                Json::Array(self.configs.iter().map(ToJson::to_json).collect()),
-            ),
-            (
-                "metadata".to_string(),
-                Json::Array(
-                    self.metadata
-                        .iter()
-                        .map(|(n, t)| Json::Array(vec![n.to_json(), t.to_json()]))
-                        .collect(),
-                ),
-            ),
-            (
-                "contracts".to_string(),
-                match &self.contracts {
-                    Some(json) => Json::Str(json.clone()),
-                    None => Json::Null,
-                },
-            ),
-            ("counters".to_string(), self.counters.to_json()),
-            ("applied_seq".to_string(), self.applied_seq.to_json()),
-        ])
-    }
-}
-
-impl FromJson for EngineImage {
-    fn from_json(value: &Json) -> Result<Self, JsonError> {
-        let configs = value
-            .get("configs")
-            .and_then(Json::as_array)
-            .ok_or_else(|| JsonError::custom("image missing configs array"))?
-            .iter()
-            .map(ImageConfig::from_json)
-            .collect::<Result<Vec<_>, _>>()?;
-        let metadata = value
-            .get("metadata")
-            .and_then(Json::as_array)
-            .ok_or_else(|| JsonError::custom("image missing metadata array"))?
-            .iter()
-            .map(|pair| {
-                let pair = pair
-                    .as_array()
-                    .ok_or_else(|| JsonError::custom("metadata entry is not a pair"))?;
-                match pair {
-                    [n, t] => Ok((
-                        n.as_str()
-                            .ok_or_else(|| JsonError::custom("metadata name is not a string"))?
-                            .to_string(),
-                        t.as_str()
-                            .ok_or_else(|| JsonError::custom("metadata text is not a string"))?
-                            .to_string(),
-                    )),
-                    _ => Err(JsonError::custom("metadata entry is not a pair")),
-                }
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        let contracts = match value.get("contracts") {
-            None => None,
-            Some(Json::Null) => None,
-            Some(j) => Some(
-                j.as_str()
-                    .ok_or_else(|| JsonError::custom("contracts is not a string"))?
-                    .to_string(),
-            ),
-        };
-        let counters = value
-            .get("counters")
-            .map(EngineCounters::from_json)
-            .transpose()?
-            .ok_or_else(|| JsonError::custom("image missing counters"))?;
-        let applied_seq = value
-            .get("applied_seq")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| JsonError::custom("image missing applied_seq"))?;
-        // Snapshots written before sketches moved into the per-config
-        // segments also carry one top-level `sketches` bundle. It is in
-        // sketch format 1, which import rejects, so it is ignored and the
-        // next LEARN re-mines those configs.
-        Ok(EngineImage {
-            configs,
-            metadata,
-            contracts,
-            counters,
-            applied_seq,
-        })
-    }
-}
-
 fn req_str(value: &Json, key: &str) -> Result<String, JsonError> {
     value
         .get(key)
@@ -376,114 +269,15 @@ mod tests {
     }
 
     #[test]
-    fn image_round_trips_through_json() {
-        let mut image = EngineImage::from_corpus(&corpus(), &[]);
-        image.upsert("dev1", "vlan 99\n");
-        image.contracts = Some("{\"schema\": \"x\"}".to_string());
-        image.configs[0].sketch = Some("{\"version\": 1}".to_string());
-        image.counters.contracts_edits = 3;
-        image.applied_seq = 7;
-        let json = image.to_json().render();
-        let back = EngineImage::from_json(&Json::parse(&json).expect("parses")).expect("decodes");
-        assert_eq!(image, back);
-    }
-
-    #[test]
-    fn old_images_without_sketches_still_decode() {
-        // Snapshots written before the sketches field / contracts_edits
-        // counter existed must keep loading.
-        let mut image = EngineImage::from_corpus(&corpus(), &[]);
-        image.contracts = Some("{\"schema\": \"x\"}".to_string());
-        let json = image.to_json();
-        let Json::Object(pairs) = json else {
-            panic!("image serializes as an object")
-        };
-        let pruned = Json::Object(
-            pairs
-                .into_iter()
-                .map(|(k, v)| {
-                    if k == "counters" {
-                        let Json::Object(counters) = v else {
-                            panic!("counters serialize as an object")
-                        };
-                        (
-                            k,
-                            Json::Object(
-                                counters
-                                    .into_iter()
-                                    .filter(|(ck, _)| ck != "contracts_edits")
-                                    .collect(),
-                            ),
-                        )
-                    } else {
-                        (k, v)
-                    }
-                })
-                .filter(|(k, _)| k != "sketches")
-                .collect(),
-        );
-        let back = EngineImage::from_json(&pruned).expect("old shape decodes");
-        assert!(back.configs.iter().all(|c| c.sketch.is_none()));
-        assert_eq!(back.counters.contracts_edits, 0);
-        assert_eq!(back.configs, image.configs);
-    }
-
-    #[test]
-    fn legacy_monolithic_sketch_bundle_is_ignored() {
-        // A pre-segmentation snapshot carried one top-level `sketches`
-        // bundle in sketch format 1. It still decodes, without sketches.
-        let image = EngineImage::from_corpus(&corpus(), &[]);
-        let Json::Object(mut pairs) = image.to_json() else {
-            panic!("image serializes as an object")
-        };
-        let bundle = concat!(
-            "{\"version\": 1, \"params\": \"fp\", \"configs\": [",
-            "{\"name\": \"dev2\", \"generation\": 0, \"sketch\": {}}]}",
-        );
-        pairs.push(("sketches".to_string(), Json::Str(bundle.to_string())));
-        let back = EngineImage::from_json(&Json::Object(pairs)).expect("decodes");
-        assert_eq!(back, image);
-    }
-
-    #[test]
-    fn image_mirrors_engine_ids_and_generations() {
-        let mut engine =
-            Engine::from_corpus(&corpus(), &[], EngineOptions::default()).expect("corpus builds");
-        let mut image = EngineImage::from_corpus(&corpus(), &[]);
-
-        for (name, text) in [
-            ("dev1", "vlan 77\n"),
-            ("aaa", "vlan 1\n"),
-            ("dev1", "vlan 78\n"),
-        ] {
-            engine.upsert_config(name, text);
-            image.upsert(name, text);
-        }
-        engine.remove_config("dev3");
-        assert!(image.remove("dev3"));
-        assert!(!image.remove("dev3"));
-        image.counters = engine.counters();
-
-        let pairs: Vec<(String, u64)> = image
-            .configs
-            .iter()
-            .map(|c| (c.name.clone(), c.generation))
-            .collect();
-        assert_eq!(pairs, engine.generations());
-        for (i, c) in image.configs.iter().enumerate() {
-            assert_eq!(Some(crate::ConfigId(c.id)), engine.id_at(i));
-        }
-    }
-
-    #[test]
     fn rebuilt_engine_matches_original_report() {
         let mut engine =
             Engine::from_corpus(&corpus(), &[], EngineOptions::default()).expect("corpus builds");
         let mut image = EngineImage::from_corpus(&corpus(), &[]);
         engine.relearn();
         image.contracts = Some(engine.contracts().expect("just learned").to_json());
-        engine.upsert_config("dev9", "vlan 10\n");
-        image.upsert("dev9", "vlan 10\n");
+        let id = engine.upsert_config("dev9", "vlan 10\n");
+        let generation = engine.config_generation("dev9").expect("just upserted");
+        image.upsert("dev9", "vlan 10\n", id.0, generation);
         image.counters = engine.counters();
         let want = engine.check_dirty().expect("check runs").report;
 

@@ -43,7 +43,7 @@
 
 use std::fmt;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use concord_core::{
     learn_with_stats, parallel, sketch_params_fingerprint, CheckProgram, CheckReport, CheckStats,
@@ -223,6 +223,8 @@ pub struct CheckParts {
     /// The contract set these parts were checked under — the set to
     /// merge them with.
     pub contracts: Arc<ContractSet>,
+    /// Time spent compiling the contract set against the dataset.
+    pub compile_time: Duration,
 }
 
 /// One configuration's engine-side bookkeeping, parallel to
@@ -377,31 +379,15 @@ impl Engine {
         lexer: Lexer,
         options: EngineOptions,
     ) -> Result<Engine, ImageError> {
-        let configs: Vec<(String, String)> = image
-            .configs
-            .iter()
-            .map(|c| (c.name.clone(), c.text.clone()))
-            .collect();
-        let mut engine = Self::with_lexer(lexer, options);
-        let (dataset, _) = Dataset::build_with_stats(
-            &configs,
-            &image.metadata,
-            &engine.lexer,
-            engine.options.embed_context,
-            engine.options.parallelism,
-            Some(&engine.cache),
-        )
-        .map_err(ImageError::Dataset)?;
-        engine.slots = image
-            .configs
-            .iter()
-            .map(|c| Slot {
-                id: c.id,
-                generation: c.generation,
-                ..Slot::default()
-            })
-            .collect();
-        engine.dataset = dataset;
+        let mut engine =
+            Self::from_corpus_with_lexer(&image.corpus(), &image.metadata, lexer, options)
+                .map_err(ImageError::Dataset)?;
+        // The image is name-sorted like the corpus build, so slot `i` is
+        // image config `i`.
+        for (slot, config) in engine.slots.iter_mut().zip(&image.configs) {
+            slot.id = config.id;
+            slot.generation = config.generation;
+        }
         if let Some(json) = &image.contracts {
             let contracts =
                 ContractSet::from_json(json).map_err(|e| ImageError::Contracts(e.to_string()))?;
@@ -743,47 +729,31 @@ impl Engine {
     /// ([`CheckProgram::resolution_fingerprint`]) — invalidates the whole
     /// cache (correctness first; neither moves unless cached outcomes
     /// may have gone stale).
+    ///
+    /// The violations come from [`Engine::check_parts`] through
+    /// [`merge_check_aggregates`], the merge the serving fleet runs.
     pub fn check_dirty(&mut self) -> Result<EngineCheckReport, EngineError> {
         let start = Instant::now();
-        let contracts = self.contracts.as_ref().ok_or(EngineError::NoContracts)?;
-        let program = CheckProgram::compile(contracts, &self.dataset);
-        let (dirty, resolution_invalidated) = refresh_outcomes(
-            &mut self.slots,
-            &mut self.cached_key,
-            &mut self.unique,
-            &self.dataset,
-            &program,
-            contracts,
-            self.options.parallelism,
-        );
-
-        // Assemble the report in dataset order — exactly the shape the
-        // batch checker produces before its final sort.
-        let mut violations = Vec::new();
-        let mut coverages = Vec::new();
+        let parts = self.check_parts()?;
+        let contracts = Arc::clone(&parts.contracts);
+        let compile_time = parts.compile_time;
+        let engine = self.last_check.expect("check_parts records its counters");
+        // The server's merge, over one shard: the violations in the
+        // report order the batch checker sorts into.
+        let merged = merge_check_aggregates(&contracts, &[&ShardCheckAggregate::new(parts)]);
+        let mut coverages = Vec::with_capacity(self.slots.len());
         let mut counters = concord_core::CheckCounters::default();
         for slot in &self.slots {
             let outcome = slot.outcome.as_ref().expect("just populated");
-            violations.extend_from_slice(&outcome.violations);
             coverages.push(outcome.coverage.clone());
             counters.accumulate(&outcome.counters);
         }
-        violations.extend(
-            self.unique
-                .violations(contracts)
-                .into_iter()
-                .map(|row| row.violation),
-        );
-        violations.sort_by(|a, b| {
-            (&a.config, a.line_no, a.contract_index).cmp(&(&b.config, b.line_no, b.contract_index))
-        });
-
         let stats = CheckStats {
             contracts: contracts.len(),
-            violations: violations.len(),
+            violations: merged.violations.len(),
             parallelism: self.options.parallelism.max(1),
             check_time: start.elapsed(),
-            compile_time: program.compile_time,
+            compile_time,
             witness_indexes: counters.indexes_built,
             witness_entries: counters.index_entries,
             witness_probes: counters.probes,
@@ -791,11 +761,9 @@ impl Engine {
             // Per-phase times are not replayable from cached outcomes.
             category_times: Vec::new(),
         };
-        let engine = check_stats(&self.slots, &dirty, resolution_invalidated);
-        self.last_check = Some(engine);
         Ok(EngineCheckReport {
             report: CheckReport {
-                violations,
+                violations: merged.violations,
                 coverage: CoverageReport {
                     per_config: coverages,
                 },
@@ -816,9 +784,8 @@ impl Engine {
     /// for byte while each shard pays only for its own dirty
     /// configurations.
     ///
-    /// Shares the outcome cache and the `last_check` counters with
-    /// `check_dirty`: both paths refresh the same per-slot outcomes, so
-    /// interleaving them never recomputes a clean configuration.
+    /// `check_dirty` is this call plus that merge over one shard, so the
+    /// engine's own CHECK and the server's run the same code.
     pub fn check_parts(&mut self) -> Result<CheckParts, EngineError> {
         let contracts = self.contracts.clone().ok_or(EngineError::NoContracts)?;
         let program = CheckProgram::compile(&contracts, &self.dataset);
@@ -848,6 +815,8 @@ impl Engine {
             .collect();
         let engine = check_stats(&self.slots, &dirty, resolution_invalidated);
         self.last_check = Some(engine);
+        let compile_time = program.compile_time;
+        drop(program);
         Ok(CheckParts {
             configs,
             unique: Arc::clone(&self.unique),
@@ -857,6 +826,7 @@ impl Engine {
             witness_indexes_patched: engine.witness_indexes_patched,
             resolution_invalidated,
             contracts,
+            compile_time,
         })
     }
 

@@ -36,7 +36,7 @@ use concord_lexer::Lexer;
 use crate::image::{EngineImage, ImageError};
 use crate::store::{StateDir, StoreError};
 use crate::vfs::{RealVfs, Vfs};
-use crate::wal::WalOp;
+use crate::wal::{WalOp, WalRecord};
 use crate::{CheckParts, ConfigId, Engine, EngineCheckReport, EngineError, EngineOptions};
 
 /// Bounded retries before a failing append/checkpoint degrades the
@@ -277,7 +277,7 @@ impl ResilientEngine {
             me.robustness.wal_replays += 1;
             me.robustness.wal_records_replayed += load.replay.len() as u64;
             for record in &load.replay {
-                me.replay_op(&record.op, record.seq);
+                me.replay(record);
             }
         }
         // Fold the replayed (or seeded) state into a fresh checkpoint
@@ -344,56 +344,45 @@ impl ResilientEngine {
 
     /// Inserts or replaces one configuration.
     pub fn upsert(&mut self, name: &str, text: &str) -> Result<ConfigId, EngineFault> {
-        self.ensure_writable()?;
-        let id = self.guarded(OpKind::Upsert, |e| e.upsert_config(name, text))?;
-        self.image.upsert(name, text);
-        self.sync_counters();
-        self.log(WalOp::Upsert {
+        let op = WalOp::Upsert {
             name: name.to_string(),
             text: text.to_string(),
-        })?;
-        Ok(id)
+        };
+        match self.write(OpKind::Upsert, op)? {
+            Applied::Upserted(id) => Ok(id),
+            _ => unreachable!("an upsert applies as one"),
+        }
     }
 
     /// Removes one configuration; `Ok(None)` when it did not exist.
     pub fn remove(&mut self, name: &str) -> Result<Option<ConfigId>, EngineFault> {
-        self.ensure_writable()?;
-        let id = self.guarded(OpKind::Remove, |e| e.remove_config(name))?;
-        if id.is_some() {
-            self.image.remove(name);
-            self.sync_counters();
-            self.log(WalOp::Remove {
-                name: name.to_string(),
-            })?;
+        let op = WalOp::Remove {
+            name: name.to_string(),
+        };
+        match self.write(OpKind::Remove, op)? {
+            Applied::Removed(id) => Ok(id),
+            _ => unreachable!("a remove applies as one"),
         }
-        Ok(id)
     }
 
     /// Learns a fresh contract set from the current snapshot.
     pub fn relearn(&mut self) -> Result<LearnStats, EngineFault> {
-        self.ensure_writable()?;
-        let stats = self.guarded(OpKind::Learn, |e| e.relearn())?;
-        self.image.contracts = self.current_contracts_json();
-        self.sync_counters();
-        self.log(WalOp::Learn)?;
-        Ok(stats)
+        match self.write(OpKind::Learn, WalOp::Learn)? {
+            Applied::Learned(stats) => Ok(stats),
+            _ => unreachable!("a learn applies as one"),
+        }
     }
 
     /// Swaps in a contract set from its JSON serialization, returning
     /// the number of contracts loaded.
     pub fn set_contracts_json(&mut self, json: &str) -> Result<usize, EngineFault> {
-        self.ensure_writable()?;
-        let contracts =
-            ContractSet::from_json(json).map_err(|e| EngineFault::BadContracts(e.to_string()))?;
-        let len = contracts.len();
-        self.guarded(OpKind::SetContracts, move |e| e.set_contracts(contracts))?;
-        let canonical = self.current_contracts_json();
-        self.image.contracts = canonical.clone();
-        self.sync_counters();
-        self.log(WalOp::SetContracts {
-            json: canonical.unwrap_or_default(),
-        })?;
-        Ok(len)
+        let op = WalOp::SetContracts {
+            json: json.to_string(),
+        };
+        match self.write(OpKind::SetContracts, op)? {
+            Applied::ContractsSet(len) => Ok(len),
+            _ => unreachable!("a contract swap applies as one"),
+        }
     }
 
     /// Checks the current snapshot (incremental when the engine is
@@ -571,19 +560,6 @@ impl ResilientEngine {
         }
     }
 
-    fn sync_counters(&mut self) {
-        if let Some(engine) = &self.engine {
-            self.image.counters = engine.counters();
-        }
-    }
-
-    fn current_contracts_json(&self) -> Option<String> {
-        self.engine
-            .as_ref()
-            .and_then(Engine::contracts)
-            .map(ContractSet::to_json)
-    }
-
     /// Appends one op to the WAL (when a store is attached), advancing
     /// `applied_seq` and auto-checkpointing on cadence.
     ///
@@ -671,39 +647,84 @@ impl ResilientEngine {
         }
     }
 
-    /// Applies one replayed WAL op to engine + image without re-logging.
-    fn replay_op(&mut self, op: &WalOp, seq: u64) {
-        match op {
-            WalOp::Upsert { name, text } => {
-                if let Some(engine) = self.engine.as_mut() {
-                    engine.upsert_config(name, text);
-                }
-                self.image.upsert(name, text);
-            }
-            WalOp::Remove { name } => {
-                if let Some(engine) = self.engine.as_mut() {
-                    engine.remove_config(name);
-                }
-                self.image.remove(name);
-            }
-            WalOp::Learn => {
-                if let Some(engine) = self.engine.as_mut() {
-                    engine.relearn();
-                }
-                self.image.contracts = self.current_contracts_json();
-            }
-            WalOp::SetContracts { json } => {
-                if let Ok(contracts) = ContractSet::from_json(json) {
-                    if let Some(engine) = self.engine.as_mut() {
-                        engine.set_contracts(contracts);
-                    }
-                    self.image.contracts = Some(json.clone());
-                }
+    /// A live write: the engine step under the panic guard, the image
+    /// step, then the WAL append. A remove of an absent configuration
+    /// changes nothing and logs nothing; a contract swap logs the set as
+    /// the engine holds it.
+    fn write(&mut self, kind: OpKind, op: WalOp) -> Result<Applied, EngineFault> {
+        self.ensure_writable()?;
+        let applied = self.guarded(kind, |e| engine_step(e, &op))??;
+        self.mirror(&op);
+        match (op, &applied) {
+            (WalOp::Remove { .. }, Applied::Removed(None)) => {}
+            (WalOp::SetContracts { .. }, _) => self.log(WalOp::SetContracts {
+                json: self.image.contracts.clone().unwrap_or_default(),
+            })?,
+            (op, _) => self.log(op)?,
+        }
+        Ok(applied)
+    }
+
+    /// Applies one replayed WAL record: the same engine and image steps
+    /// as a live write, without the guard (a panic here fails the boot)
+    /// and without re-logging.
+    fn replay(&mut self, record: &WalRecord) {
+        if let Some(engine) = self.engine.as_mut() {
+            if engine_step(engine, &record.op).is_ok() {
+                self.mirror(&record.op);
             }
         }
-        self.sync_counters();
-        self.image.applied_seq = seq;
+        self.image.applied_seq = record.seq;
     }
+
+    /// The image step of a write the engine applied: the image records
+    /// the text with the id and generation the engine assigned, the set
+    /// the engine now holds, and the engine's counters.
+    fn mirror(&mut self, op: &WalOp) {
+        let Some(engine) = self.engine.as_ref() else {
+            return;
+        };
+        match op {
+            WalOp::Upsert { name, text } => {
+                if let (Some(id), Some(generation)) =
+                    (engine.config_id(name), engine.config_generation(name))
+                {
+                    self.image.upsert(name, text, id.0, generation);
+                }
+            }
+            WalOp::Remove { name } => {
+                self.image.remove(name);
+            }
+            WalOp::Learn | WalOp::SetContracts { .. } => {
+                self.image.contracts = engine.contracts().map(ContractSet::to_json);
+            }
+        }
+        self.image.counters = engine.counters();
+    }
+}
+
+/// What the engine step of one write returned.
+enum Applied {
+    Upserted(ConfigId),
+    Removed(Option<ConfigId>),
+    Learned(LearnStats),
+    ContractsSet(usize),
+}
+
+/// The engine step every write runs, live or replayed.
+fn engine_step(engine: &mut Engine, op: &WalOp) -> Result<Applied, EngineFault> {
+    Ok(match op {
+        WalOp::Upsert { name, text } => Applied::Upserted(engine.upsert_config(name, text)),
+        WalOp::Remove { name } => Applied::Removed(engine.remove_config(name)),
+        WalOp::Learn => Applied::Learned(engine.relearn()),
+        WalOp::SetContracts { json } => {
+            let contracts = ContractSet::from_json(json)
+                .map_err(|e| EngineFault::BadContracts(e.to_string()))?;
+            let len = contracts.len();
+            engine.set_contracts(contracts);
+            Applied::ContractsSet(len)
+        }
+    })
 }
 
 /// Extracts a printable message from a panic payload.
@@ -832,6 +853,56 @@ mod tests {
             got.coverage.per_config.len(),
             want.coverage.per_config.len()
         );
+    }
+
+    #[test]
+    fn image_records_the_ids_and_generations_the_engine_assigned() {
+        let dir = tmp_dir("ids");
+        let boot = |configs: &[(String, String)]| {
+            let (me, _) = ResilientEngine::with_store(
+                configs,
+                &[],
+                Lexer::standard(),
+                EngineOptions::default(),
+                &dir,
+            )
+            .expect("boots");
+            me
+        };
+        let mirrors = |me: &ResilientEngine| {
+            let engine = me.engine.as_ref().expect("live");
+            let image = me.image();
+            let gens: Vec<(String, u64)> = image
+                .configs
+                .iter()
+                .map(|c| (c.name.clone(), c.generation))
+                .collect();
+            assert_eq!(gens, engine.generations());
+            for (i, c) in image.configs.iter().enumerate() {
+                assert_eq!(Some(ConfigId(c.id)), engine.id_at(i));
+            }
+            assert_eq!(image.counters, engine.counters());
+        };
+        let mut me = boot(&corpus());
+        me.set_checkpoint_every(0);
+        for (name, text) in [
+            ("dev1", "vlan 77\n"),
+            ("aaa", "vlan 1\n"),
+            ("dev1", "vlan 78\n"),
+        ] {
+            me.upsert(name, text).expect("upserts");
+        }
+        me.remove("dev3").expect("removes");
+        assert_eq!(me.remove("dev3").expect("no-op"), None);
+        me.upsert("dev3", "vlan 3\n").expect("re-inserts");
+        mirrors(&me);
+        let want = me.image().clone();
+        drop(me);
+
+        // Replayed from the WAL, the same writes leave the same image.
+        let back = boot(&[]);
+        mirrors(&back);
+        assert_eq!(back.image(), &want);
     }
 
     #[test]

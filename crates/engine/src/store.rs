@@ -18,22 +18,31 @@
 //! has-sketch)`. Because a segment's content at a fixed name is
 //! immutable — an edit bumps the generation, and at a fixed generation
 //! a learn sketch is captured at most once (`None` → `Some`, never
-//! rewritten) — a segment that already exists under the right name is
-//! simply *skipped*. Checkpoint cost is O(dirtied configs), not
+//! rewritten) — a configuration whose segment this store already wrote
+//! or loaded under the right name is simply *skipped*, on the store's
+//! own record (the skip map) without a filesystem call. Garbage
+//! collection needs no directory listing either: the store remembers
+//! the refs of both manifests it keeps, and a checkpoint deletes only
+//! the segments that the `.bak` manifest it drops referenced alone.
+//! Checkpoint cost is O(dirtied configs) in filesystem calls, not
 //! O(fleet).
 //!
 //! The write order makes the whole ladder atomic: write dirty segments
 //! (tmp + fsync + rename), fsync `segments/`, write `manifest.tmp`,
 //! fsync it, rotate `manifest.json` → `.bak`, rename the tmp into
 //! place, fsync the directory, then rotate the WAL. A crash at any
-//! point leaves either the old manifest (orphan new segments are
-//! garbage-collected later) or the new one (fully referenced). Because
-//! the `.bak` manifest plus *both* WAL files cover every acknowledged
-//! op since the previous checkpoint, a torn `manifest.json` recovers:
-//! load falls back to the backup and replays the WALs, skipping
-//! records already folded into the image (`seq <= applied_seq`).
-//! Segments referenced by the `.bak` manifest are retained by the
-//! garbage collector, so the fallback always finds its files.
+//! point leaves either the old manifest (orphan new segments are swept
+//! at the next open) or the new one (fully referenced). Because the
+//! `.bak` manifest plus *both* WAL files cover every acknowledged op
+//! since the previous checkpoint, a torn `manifest.json` recovers: load
+//! falls back to the backup and replays the WALs, skipping records
+//! already folded into the image (`seq <= applied_seq`). Segments
+//! referenced by the `.bak` manifest are retained by the garbage
+//! collector, so the fallback always finds its files.
+//!
+//! Opening a directory sweeps `segments/` once: every file neither kept
+//! manifest references — orphans of a checkpoint that crashed or failed
+//! before its manifest landed, and `.tmp` files — is deleted.
 //!
 //! Manifest and segment files carry a one-line header
 //! (`concord-engine-manifest/v1 crc32=XXXXXXXX` /
@@ -41,12 +50,12 @@
 //! payload; the checksum covers the payload, so truncated or
 //! bit-flipped files are detected rather than trusted.
 //!
-//! Directories written by older builds hold a monolithic
-//! `snapshot.json` (+ `.bak`). Those still load — lowest rungs of the
-//! fallback ladder — and are deleted after the first successful
-//! segmented checkpoint.
+//! The manifest and its backup are the only loadable images. A
+//! directory holding the monolithic `snapshot.json` that builds before
+//! segmented checkpoints wrote, and no manifest, is refused with an
+//! error naming the file, and left as it is.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -56,22 +65,23 @@ use concord_json::{FromJson, Json, ToJson};
 use crate::image::{EngineImage, ImageConfig};
 use crate::vfs::{RealVfs, StorageError, Vfs};
 use crate::wal::{crc32, Wal, WalOp, WalRecord};
+use crate::EngineCounters;
 
 /// Magic header prefix of a checkpoint manifest.
 const MANIFEST_MAGIC: &str = "concord-engine-manifest/v1";
 /// Magic header prefix of a per-config segment file.
 const SEGMENT_MAGIC: &str = "concord-engine-segment/v1";
-/// Magic header prefix of a legacy monolithic snapshot (read-only).
-const SNAPSHOT_MAGIC: &str = "concord-engine-snapshot/v1";
 
 /// Why a state-directory operation failed.
 #[derive(Debug)]
 pub enum StoreError {
     /// An underlying filesystem operation failed.
     Io(io::Error),
-    /// Every snapshot rung (manifest, its backup, legacy snapshot,
-    /// legacy backup) was unreadable or corrupt.
+    /// The manifest and its backup were both unreadable or corrupt.
     Corrupt(String),
+    /// The directory holds a monolithic snapshot (the named file) and no
+    /// manifest: a layout this build does not load.
+    Legacy(PathBuf),
 }
 
 impl std::fmt::Display for StoreError {
@@ -79,6 +89,13 @@ impl std::fmt::Display for StoreError {
         match self {
             StoreError::Io(e) => write!(f, "state dir i/o: {e}"),
             StoreError::Corrupt(msg) => write!(f, "state dir corrupt: {msg}"),
+            StoreError::Legacy(path) => write!(
+                f,
+                "{}: monolithic snapshots are no longer loaded; checkpoint the directory \
+                 once with an older concord build that writes manifest.json, or move the \
+                 file away to start empty",
+                path.display()
+            ),
         }
     }
 }
@@ -166,34 +183,6 @@ impl SegRef {
     }
 }
 
-/// Which rung of the fallback ladder produced a loaded image.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum LoadSource {
-    Manifest,
-    ManifestBak,
-    LegacySnapshot,
-    LegacySnapshotBak,
-}
-
-/// A successfully loaded image plus where it came from.
-#[derive(Debug)]
-struct ImageLoad {
-    pub image: EngineImage,
-    /// Segment refs the loaded manifest pins (empty for legacy rungs).
-    pub refs: Vec<SegRef>,
-    pub source: LoadSource,
-}
-
-impl ImageLoad {
-    /// Whether the live file was unusable and a `.bak` answered.
-    pub fn used_backup(&self) -> bool {
-        matches!(
-            self.source,
-            LoadSource::ManifestBak | LoadSource::LegacySnapshotBak
-        )
-    }
-}
-
 /// What [`StateDir::open`] found on disk.
 #[derive(Debug)]
 pub struct LoadOutcome {
@@ -204,8 +193,7 @@ pub struct LoadOutcome {
     pub replay: Vec<WalRecord>,
     /// Whether a torn or corrupt WAL tail was discarded during load.
     pub wal_torn: bool,
-    /// Whether the live manifest/snapshot was unusable and a `.bak`
-    /// was used.
+    /// Whether the live manifest was unusable and its `.bak` was used.
     pub used_backup: bool,
 }
 
@@ -219,13 +207,13 @@ pub struct StateDir {
     /// config id → `(generation, has-sketch)`. The incremental skip
     /// map: a config whose identity matches is not re-serialized.
     written: HashMap<u64, (u64, bool)>,
-    /// Refs of the manifest that will survive as `.bak` after the next
-    /// checkpoint — the garbage collector must keep their files so the
-    /// backup stays loadable.
-    prev_refs: Vec<SegRef>,
-    /// Segment-GC / WAL-rotation removals that failed. Previously
-    /// dropped with `let _ =`; now counted (surfaced in the v10
-    /// `storage` stats object) and logged once.
+    /// Refs of `manifest.json` (empty while there is none).
+    live_refs: Vec<SegRef>,
+    /// Refs of `manifest.json.bak`: the garbage collector keeps their
+    /// files so the backup stays loadable.
+    bak_refs: Vec<SegRef>,
+    /// Segment-GC / WAL-rotation removals that failed. Counted (surfaced
+    /// in the v10 `storage` stats object) and logged once.
     gc_remove_errors: u64,
     gc_error_logged: bool,
 }
@@ -238,47 +226,44 @@ impl StateDir {
     }
 
     /// Opens (creating if needed) the state directory, loading whatever
-    /// snapshot + WAL state survived. The returned [`StateDir`] has the
-    /// WAL open for appending with the sequence continuing after the
-    /// highest sequence seen on disk. All I/O — now and for the life of
-    /// the store — goes through `vfs`.
+    /// snapshot + WAL state survived and sweeping unreferenced files out
+    /// of `segments/`. The returned [`StateDir`] has the WAL open for
+    /// appending with the sequence continuing after the highest sequence
+    /// seen on disk. All I/O — now and for the life of the store — goes
+    /// through `vfs`.
     pub fn open_vfs(dir: &Path, vfs: Arc<dyn Vfs>) -> Result<(StateDir, LoadOutcome), StoreError> {
         vfs.create_dir_all(dir)?;
-        let load = load_image(vfs.as_ref(), dir)?;
-        let (image, used_backup, written, prev_refs) = match load {
-            Some(load) => {
-                // Drop an unreadable live file so the next checkpoint's
+        let live_path = dir.join("manifest.json");
+        let bak_path = dir.join("manifest.json.bak");
+        let (image, used_backup, live_refs, bak_refs) =
+            if let Some((image, refs)) = read_manifest(vfs.as_ref(), &live_path, dir)? {
+                let bak_refs = read_verified(vfs.as_ref(), &bak_path, MANIFEST_MAGIC)?
+                    .and_then(|payload| decode_manifest(&payload))
+                    .map(|(_, refs)| refs)
+                    .unwrap_or_default();
+                (Some(image), false, refs, bak_refs)
+            } else if let Some((image, refs)) = read_manifest(vfs.as_ref(), &bak_path, dir)? {
+                // Drop the unreadable live file so the next checkpoint's
                 // rotation cannot clobber the good backup with garbage.
-                match load.source {
-                    LoadSource::ManifestBak => {
-                        remove_if_exists(vfs.as_ref(), &dir.join("manifest.json"))?
-                    }
-                    LoadSource::LegacySnapshotBak => {
-                        remove_if_exists(vfs.as_ref(), &dir.join("snapshot.json"))?
-                    }
-                    LoadSource::Manifest | LoadSource::LegacySnapshot => {}
+                remove_if_exists(vfs.as_ref(), &live_path)?;
+                (Some(image), true, Vec::new(), refs)
+            } else {
+                let legacy = dir.join("snapshot.json");
+                if vfs.exists(&legacy) {
+                    return Err(StoreError::Legacy(legacy));
                 }
-                let written: HashMap<u64, (u64, bool)> = load
-                    .refs
-                    .iter()
-                    .map(|r| (r.id, (r.generation, r.sketch)))
-                    .collect();
-                let used_backup = load.used_backup();
-                (Some(load.image), used_backup, written, load.refs)
-            }
-            None => {
-                let existed = ["manifest.json", "manifest.json.bak", "snapshot.json"]
-                    .iter()
-                    .any(|f| vfs.exists(&dir.join(f)))
-                    || vfs.exists(&dir.join("snapshot.json.bak"));
-                if existed {
+                if vfs.exists(&live_path) || vfs.exists(&bak_path) {
                     return Err(StoreError::Corrupt(
-                        "snapshot, manifest, and backups all unreadable".to_string(),
+                        "manifest and its backup both unreadable".to_string(),
                     ));
                 }
-                (None, false, HashMap::new(), Vec::new())
-            }
-        };
+                (None, false, Vec::new(), Vec::new())
+            };
+        let loaded = if used_backup { &bak_refs } else { &live_refs };
+        let written: HashMap<u64, (u64, bool)> = loaded
+            .iter()
+            .map(|r| (r.id, (r.generation, r.sketch)))
+            .collect();
 
         let applied_seq = image.as_ref().map(|i| i.applied_seq).unwrap_or(0);
         let (old_records, old_torn) =
@@ -294,16 +279,19 @@ impl StateDir {
 
         let max_seq = replay.last().map(|r| r.seq).unwrap_or(applied_seq);
         let wal = Wal::open_append_vfs(vfs.as_ref(), &dir.join("wal.log"), max_seq + 1)?;
+        let mut state = StateDir {
+            dir: dir.to_path_buf(),
+            vfs,
+            wal,
+            written,
+            live_refs,
+            bak_refs,
+            gc_remove_errors: 0,
+            gc_error_logged: false,
+        };
+        state.sweep_segments();
         Ok((
-            StateDir {
-                dir: dir.to_path_buf(),
-                vfs,
-                wal,
-                written,
-                prev_refs,
-                gc_remove_errors: 0,
-                gc_error_logged: false,
-            },
+            state,
             LoadOutcome {
                 image,
                 replay,
@@ -355,15 +343,37 @@ impl StateDir {
         self.gc_remove_errors
     }
 
-    /// Counts (and logs, once per store) a failed best-effort removal.
-    fn note_remove_error(&mut self, path: &Path, err: &io::Error) {
-        self.gc_remove_errors += 1;
-        if !self.gc_error_logged {
-            self.gc_error_logged = true;
-            eprintln!(
-                "concord: state-dir cleanup failed (counted, further errors suppressed): {}: {err}",
-                path.display()
-            );
+    /// Best-effort removal: a leftover file costs disk, never
+    /// correctness, so a failure is counted (and logged once per store)
+    /// rather than returned.
+    fn remove_counted(&mut self, path: &Path) {
+        if let Err(err) = self.vfs.remove_file(path) {
+            self.gc_remove_errors += 1;
+            if !self.gc_error_logged {
+                self.gc_error_logged = true;
+                eprintln!(
+                    "concord: state-dir cleanup failed (counted, further errors suppressed): {}: {err}",
+                    path.display()
+                );
+            }
+        }
+    }
+
+    /// Deletes every file in `segments/` that neither kept manifest
+    /// references. Runs once, at open.
+    fn sweep_segments(&mut self) {
+        let seg_dir = self.dir.join("segments");
+        let Ok(names) = self.vfs.read_dir(&seg_dir) else {
+            return;
+        };
+        let keep: HashSet<String> = self
+            .live_refs
+            .iter()
+            .chain(&self.bak_refs)
+            .map(SegRef::file_name)
+            .collect();
+        for name in names.iter().filter(|name| !keep.contains(*name)) {
+            self.remove_counted(&seg_dir.join(name));
         }
     }
 
@@ -382,15 +392,12 @@ impl StateDir {
         let mut refs: Vec<SegRef> = Vec::with_capacity(image.configs.len());
         for config in &image.configs {
             let sref = SegRef::of(config);
-            let seg_path = seg_dir.join(sref.file_name());
-            let clean = self.written.get(&config.id) == Some(&(sref.generation, sref.sketch))
-                && vfs.exists(&seg_path);
-            if clean {
+            if self.written.get(&config.id) == Some(&(sref.generation, sref.sketch)) {
                 stats.segments_skipped += 1;
             } else {
                 write_verified(
                     vfs.as_ref(),
-                    &seg_path,
+                    &seg_dir.join(sref.file_name()),
                     SEGMENT_MAGIC,
                     &config.to_json().render(),
                 )?;
@@ -422,14 +429,6 @@ impl StateDir {
             .map_err(StorageError::from_io)?;
         vfs.sync_dir(&self.dir).map_err(StorageError::from_io)?;
 
-        // A pre-segmentation snapshot pair is superseded the moment one
-        // segmented checkpoint lands; remove it so the fallback ladder
-        // can never resurrect the older state.
-        remove_if_exists(vfs.as_ref(), &self.dir.join("snapshot.json"))
-            .map_err(StorageError::from_io)?;
-        remove_if_exists(vfs.as_ref(), &self.dir.join("snapshot.json.bak"))
-            .map_err(StorageError::from_io)?;
-
         // 3. Rotate the WAL: everything in the current log is folded
         //    into the manifest just written; keep it one generation as
         //    `.old` so the `.bak` manifest stays recoverable. A failed
@@ -445,9 +444,7 @@ impl StateDir {
             let wal_path = self.dir.join("wal.log");
             let old_path = self.dir.join("wal.log.old");
             if vfs.exists(&old_path) {
-                if let Err(e) = vfs.remove_file(&old_path) {
-                    self.note_remove_error(&old_path, &e);
-                }
+                self.remove_counted(&old_path);
             }
             if vfs.exists(&wal_path) {
                 vfs.rename(&wal_path, &old_path)
@@ -457,66 +454,20 @@ impl StateDir {
             vfs.sync_dir(&self.dir).map_err(StorageError::from_io)?;
         }
 
-        // 4. Garbage-collect segments referenced by neither the new
-        //    manifest nor the one now at `.bak` (plus any stray tmp
-        //    files from interrupted checkpoints). Best-effort: a
-        //    leftover file costs disk, never correctness — but failures
-        //    are counted and logged once, not dropped on the floor.
-        let retain: std::collections::HashSet<String> = refs
-            .iter()
-            .chain(self.prev_refs.iter())
-            .map(SegRef::file_name)
-            .collect();
-        if let Ok(names) = vfs.read_dir(&seg_dir) {
-            for name in names {
-                if !retain.contains(&name) {
-                    let path = seg_dir.join(&name);
-                    if let Err(e) = vfs.remove_file(&path) {
-                        self.note_remove_error(&path, &e);
-                    }
-                }
+        // 4. Garbage-collect: the rotation dropped the previous `.bak`;
+        //    delete the segments it referenced that neither the new
+        //    manifest nor the new `.bak` does.
+        if superseded {
+            let dropped =
+                std::mem::replace(&mut self.bak_refs, std::mem::take(&mut self.live_refs));
+            let kept: HashSet<SegRef> = refs.iter().chain(&self.bak_refs).copied().collect();
+            for sref in dropped.iter().filter(|r| !kept.contains(r)) {
+                self.remove_counted(&seg_dir.join(sref.file_name()));
             }
         }
-        self.prev_refs = refs;
+        self.live_refs = refs;
         Ok(stats)
     }
-}
-
-/// Loads the best available image from `dir`, walking the fallback
-/// ladder: segmented manifest → its backup → legacy monolithic snapshot
-/// → its backup. `Ok(None)` means nothing was loadable (missing *or*
-/// corrupt at every rung — the caller decides whether that is a fresh
-/// start or a [`StoreError::Corrupt`]).
-fn load_image(vfs: &dyn Vfs, dir: &Path) -> Result<Option<ImageLoad>, StoreError> {
-    if let Some((image, refs)) = read_manifest(vfs, &dir.join("manifest.json"), dir)? {
-        return Ok(Some(ImageLoad {
-            image,
-            refs,
-            source: LoadSource::Manifest,
-        }));
-    }
-    if let Some((image, refs)) = read_manifest(vfs, &dir.join("manifest.json.bak"), dir)? {
-        return Ok(Some(ImageLoad {
-            image,
-            refs,
-            source: LoadSource::ManifestBak,
-        }));
-    }
-    if let Some(image) = read_snapshot(vfs, &dir.join("snapshot.json"))? {
-        return Ok(Some(ImageLoad {
-            image,
-            refs: Vec::new(),
-            source: LoadSource::LegacySnapshot,
-        }));
-    }
-    if let Some(image) = read_snapshot(vfs, &dir.join("snapshot.json.bak"))? {
-        return Ok(Some(ImageLoad {
-            image,
-            refs: Vec::new(),
-            source: LoadSource::LegacySnapshotBak,
-        }));
-    }
-    Ok(None)
 }
 
 /// Serializes the manifest payload: segment refs in config order plus
@@ -559,52 +510,58 @@ fn manifest_json(image: &EngineImage, refs: &[SegRef]) -> Json {
     ])
 }
 
+/// Decodes a manifest payload ([`manifest_json`]'s shape): the segment
+/// refs in config order, and an image holding the shared state with its
+/// configs still empty. `None` for any other shape.
+fn decode_manifest(payload: &str) -> Option<(EngineImage, Vec<SegRef>)> {
+    let json = Json::parse(payload).ok()?;
+    let refs = json
+        .get("configs")?
+        .as_array()?
+        .iter()
+        .map(|entry| {
+            Some(SegRef {
+                id: entry.get("id")?.as_u64()?,
+                generation: entry.get("generation")?.as_u64()?,
+                sketch: entry.get("sketch")?.as_bool()?,
+            })
+        })
+        .collect::<Option<Vec<_>>>()?;
+    let metadata = json
+        .get("metadata")?
+        .as_array()?
+        .iter()
+        .map(|pair| match pair.as_array()? {
+            [name, text] => Some((name.as_str()?.to_string(), text.as_str()?.to_string())),
+            _ => None,
+        })
+        .collect::<Option<Vec<_>>>()?;
+    let contracts = match json.get("contracts") {
+        None | Some(Json::Null) => None,
+        Some(set) => Some(set.as_str()?.to_string()),
+    };
+    let image = EngineImage {
+        configs: Vec::new(),
+        metadata,
+        contracts,
+        counters: EngineCounters::from_json(json.get("counters")?).ok()?,
+        applied_seq: json.get("applied_seq")?.as_u64()?,
+    };
+    Some((image, refs))
+}
+
 /// Reads and verifies a manifest plus every segment it references;
 /// `Ok(None)` when the manifest is missing, corrupt, or any referenced
-/// segment is missing/corrupt/mismatched (the caller falls down the
-/// ladder).
+/// segment is missing/corrupt/mismatched (the caller falls back to the
+/// backup).
 fn read_manifest(
     vfs: &dyn Vfs,
     path: &Path,
     dir: &Path,
 ) -> Result<Option<(EngineImage, Vec<SegRef>)>, StoreError> {
-    let Some(payload) = read_verified(vfs, path, MANIFEST_MAGIC)? else {
-        return Ok(None);
-    };
-    let Ok(json) = Json::parse(&payload) else {
-        return Ok(None);
-    };
-    let Some(entries) = json.get("configs").and_then(Json::as_array) else {
-        return Ok(None);
-    };
-    let mut refs: Vec<SegRef> = Vec::with_capacity(entries.len());
-    for entry in entries {
-        let (Some(id), Some(generation), Some(sketch)) = (
-            entry.get("id").and_then(Json::as_u64),
-            entry.get("generation").and_then(Json::as_u64),
-            entry.get("sketch").and_then(Json::as_bool),
-        ) else {
-            return Ok(None);
-        };
-        refs.push(SegRef {
-            id,
-            generation,
-            sketch,
-        });
-    }
-
-    // Decode the shared (non-per-config) state by reusing the image
-    // decoder on the manifest with an emptied configs array.
-    let Json::Object(pairs) = &json else {
-        return Ok(None);
-    };
-    let mut shared: Vec<(String, Json)> = pairs
-        .iter()
-        .filter(|(k, _)| k != "configs")
-        .cloned()
-        .collect();
-    shared.push(("configs".to_string(), Json::Array(Vec::new())));
-    let Ok(mut image) = EngineImage::from_json(&Json::Object(shared)) else {
+    let Some((mut image, refs)) =
+        read_verified(vfs, path, MANIFEST_MAGIC)?.and_then(|payload| decode_manifest(&payload))
+    else {
         return Ok(None);
     };
 
@@ -623,10 +580,7 @@ fn read_manifest(
         let Ok(config) = ImageConfig::from_json(&json) else {
             return Ok(None);
         };
-        if config.id != sref.id
-            || config.generation != sref.generation
-            || config.sketch.is_some() != sref.sketch
-        {
+        if SegRef::of(&config) != *sref {
             return Ok(None);
         }
         configs.push(config);
@@ -689,18 +643,6 @@ fn read_verified(vfs: &dyn Vfs, path: &Path, magic: &str) -> Result<Option<Strin
     Ok(Some(payload.to_string()))
 }
 
-/// Reads and verifies a legacy monolithic snapshot file; `Ok(None)`
-/// when missing *or* corrupt (the caller falls down the ladder).
-fn read_snapshot(vfs: &dyn Vfs, path: &Path) -> Result<Option<EngineImage>, StoreError> {
-    let Some(payload) = read_verified(vfs, path, SNAPSHOT_MAGIC)? else {
-        return Ok(None);
-    };
-    let Ok(json) = Json::parse(&payload) else {
-        return Ok(None);
-    };
-    Ok(EngineImage::from_json(&json).ok())
-}
-
 fn remove_if_exists(vfs: &dyn Vfs, path: &Path) -> io::Result<()> {
     match vfs.remove_file(path) {
         Ok(()) => Ok(()),
@@ -712,6 +654,8 @@ fn remove_if_exists(vfs: &dyn Vfs, path: &Path) -> io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::vfs::VfsFile;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     fn tmp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("concord-store-{tag}-{}", std::process::id()));
@@ -727,6 +671,18 @@ mod tests {
         let mut image = EngineImage::from_corpus(&corpus, &[]);
         image.applied_seq = applied_seq;
         image
+    }
+
+    /// Replaces `name`'s text the way an engine edit does: same id,
+    /// next generation.
+    fn edit(image: &mut EngineImage, name: &str, text: &str) {
+        let config = image
+            .configs
+            .iter()
+            .find(|c| c.name == name)
+            .expect("known config");
+        let (id, generation) = (config.id, config.generation + 1);
+        image.upsert(name, text, id, generation);
     }
 
     fn segment_files(dir: &Path) -> Vec<String> {
@@ -762,7 +718,13 @@ mod tests {
                 text: "vlan 1\n".to_string(),
             })
             .unwrap();
-        let image = image_with(&[("dev0", "vlan 1\n")], s1);
+        // Every field the manifest and the segment carry round-trips.
+        let mut image = image_with(&[("dev0", "vlan 1\n")], s1);
+        image.metadata = vec![("site.yaml".to_string(), "siteId: 9\n".to_string())];
+        image.contracts = Some("{\"schema\": \"x\"}".to_string());
+        image.configs[0].sketch = Some("{\"version\": 2}".to_string());
+        image.counters.edits = 3;
+        image.counters.contracts_edits = 2;
         state.checkpoint(&image).unwrap();
         let s2 = state
             .append(&WalOp::Remove {
@@ -799,7 +761,7 @@ mod tests {
         assert_eq!(idle.segments_skipped, 3);
 
         // One edit dirties exactly one segment.
-        image.upsert("b", "vlan 99\n");
+        edit(&mut image, "b", "vlan 99\n");
         image.applied_seq = 1;
         let edit = state.checkpoint(&image).unwrap();
         assert_eq!(edit.segments_written, 1);
@@ -844,12 +806,12 @@ mod tests {
         let gen0 = segment_files(&dir);
         assert_eq!(gen0.len(), 2);
 
-        image.upsert("a", "vlan 2\n");
+        edit(&mut image, "a", "vlan 2\n");
         state.checkpoint(&image).unwrap();
         // Old a-segment retained: the .bak manifest still pins it.
         assert_eq!(segment_files(&dir).len(), 3);
 
-        image.upsert("a", "vlan 3\n");
+        edit(&mut image, "a", "vlan 3\n");
         state.checkpoint(&image).unwrap();
         // Two manifests deep, generation-0 `a` is unreferenced → gone.
         let files = segment_files(&dir);
@@ -999,7 +961,7 @@ mod tests {
         let (mut state, _) = StateDir::open(&dir).unwrap();
         let mut image = image_with(&[("a", "vlan 1\n")], 0);
         state.checkpoint(&image).unwrap();
-        image.upsert("a", "vlan 2\n");
+        edit(&mut image, "a", "vlan 2\n");
         state.checkpoint(&image).unwrap();
         drop(state);
 
@@ -1031,32 +993,113 @@ mod tests {
     }
 
     #[test]
-    fn legacy_monolithic_snapshot_loads_and_is_migrated_by_checkpoint() {
+    fn a_directory_holding_only_a_monolithic_snapshot_is_refused_untouched() {
         let dir = tmp_dir("legacy");
         std::fs::create_dir_all(&dir).unwrap();
-        let image = image_with(&[("a", "vlan 1\n"), ("b", "vlan 2\n")], 0);
-        let payload = image.to_json().render();
-        std::fs::write(
-            dir.join("snapshot.json"),
-            format!(
-                "{SNAPSHOT_MAGIC} crc32={:08x}\n{payload}\n",
-                crc32(payload.as_bytes())
-            ),
-        )
-        .unwrap();
+        let snapshot = dir.join("snapshot.json");
+        let bytes = b"concord-engine-snapshot/v1 crc32=00000000\n{}\n";
+        std::fs::write(&snapshot, bytes).unwrap();
 
-        let (mut state, load) = StateDir::open(&dir).unwrap();
-        assert_eq!(load.image.expect("legacy snapshot loads"), image);
+        let err = StateDir::open(&dir).expect_err("a monolithic snapshot is not loaded");
+        assert!(
+            err.to_string().contains(&snapshot.display().to_string()),
+            "{err}"
+        );
+        assert_eq!(std::fs::read(&snapshot).unwrap(), bytes);
+        let names: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(names, ["snapshot.json"]);
+    }
 
-        let stats = state.checkpoint(&image).unwrap();
-        assert_eq!(stats.segments_written, 2, "legacy load primes no skip map");
-        assert!(!dir.join("snapshot.json").exists(), "legacy file removed");
-        assert!(dir.join("manifest.json").exists());
+    /// A passthrough [`Vfs`] counting the calls whose number could grow
+    /// with the fleet.
+    #[derive(Debug, Default)]
+    struct CountingVfs {
+        exists: AtomicU64,
+        read_dir: AtomicU64,
+        remove_file: AtomicU64,
+    }
+
+    impl CountingVfs {
+        fn take(&self) -> [u64; 3] {
+            [&self.exists, &self.read_dir, &self.remove_file].map(|n| n.swap(0, Ordering::Relaxed))
+        }
+    }
+
+    impl Vfs for CountingVfs {
+        fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
+            RealVfs.read(path)
+        }
+        fn open_write(&self, path: &Path) -> io::Result<Box<dyn VfsFile>> {
+            RealVfs.open_write(path)
+        }
+        fn create_truncate(&self, path: &Path) -> io::Result<Box<dyn VfsFile>> {
+            RealVfs.create_truncate(path)
+        }
+        fn open_append(&self, path: &Path) -> io::Result<Box<dyn VfsFile>> {
+            RealVfs.open_append(path)
+        }
+        fn create_dir_all(&self, path: &Path) -> io::Result<()> {
+            RealVfs.create_dir_all(path)
+        }
+        fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
+            RealVfs.rename(from, to)
+        }
+        fn remove_file(&self, path: &Path) -> io::Result<()> {
+            self.remove_file.fetch_add(1, Ordering::Relaxed);
+            RealVfs.remove_file(path)
+        }
+        fn read_dir(&self, path: &Path) -> io::Result<Vec<String>> {
+            self.read_dir.fetch_add(1, Ordering::Relaxed);
+            RealVfs.read_dir(path)
+        }
+        fn sync_dir(&self, path: &Path) -> io::Result<()> {
+            RealVfs.sync_dir(path)
+        }
+        fn exists(&self, path: &Path) -> bool {
+            self.exists.fetch_add(1, Ordering::Relaxed);
+            RealVfs.exists(path)
+        }
+    }
+
+    /// `[exists, read_dir, remove_file]` calls of the third checkpoint
+    /// after one-config edits over a fleet of `n`: by then both kept
+    /// manifests hold an edit, so the checkpoint drops a `.bak` whose
+    /// edited segment it must delete.
+    fn edit_checkpoint_calls(n: usize) -> [u64; 3] {
+        let dir = tmp_dir(&format!("counting-{n}"));
+        let vfs = Arc::new(CountingVfs::default());
+        let (mut state, _) = StateDir::open_vfs(&dir, vfs.clone()).unwrap();
+        let corpus: Vec<(String, String)> = (0..n)
+            .map(|i| (format!("dev{i:04}"), format!("vlan {i}\n")))
+            .collect();
+        let mut image = EngineImage::from_corpus(&corpus, &[]);
+        state.checkpoint(&image).unwrap();
+        for round in 0..3 {
+            edit(&mut image, "dev0000", &format!("vlan {}\n", n + round));
+            vfs.take();
+            state.checkpoint(&image).unwrap();
+        }
+        let calls = vfs.take();
         drop(state);
-
         let (_, load) = StateDir::open(&dir).unwrap();
-        assert_eq!(load.image.expect("segmented reload"), image);
-        assert!(!load.used_backup);
+        assert_eq!(load.image.expect("manifest loads"), image);
+        let _ = std::fs::remove_dir_all(&dir);
+        calls
+    }
+
+    #[test]
+    fn an_edit_checkpoint_makes_the_same_filesystem_calls_at_any_fleet_size() {
+        let small = edit_checkpoint_calls(10);
+        assert_eq!(small, edit_checkpoint_calls(1000));
+        let [_, read_dir, remove_file] = small;
+        assert_eq!(read_dir, 0, "no directory listing");
+        assert_eq!(
+            remove_file, 2,
+            "the rotated-out WAL and one dropped segment"
+        );
     }
 
     #[test]

@@ -216,12 +216,7 @@ impl Wal {
     /// `StateDir::recover_wal`).
     pub fn append(&mut self, op: &WalOp) -> Result<u64, StorageError> {
         let seq = self.next_seq;
-        let payload = Json::Object(vec![
-            ("seq".to_string(), seq.to_json()),
-            ("op".to_string(), op.to_json()),
-        ])
-        .render();
-        let line = format!("{:08x} {payload}\n", crc32(payload.as_bytes()));
+        let line = encode_record(seq, op);
         self.file
             .write_all(line.as_bytes())
             .map_err(StorageError::from_io)?;
@@ -271,6 +266,18 @@ impl Wal {
             }
         }
     }
+}
+
+/// One record as its WAL line, trailing newline included. The payload
+/// is rendered JSON, whose strings escape newlines, so the only newline
+/// is the last byte.
+pub(crate) fn encode_record(seq: u64, op: &WalOp) -> String {
+    let payload = Json::Object(vec![
+        ("seq".to_string(), seq.to_json()),
+        ("op".to_string(), op.to_json()),
+    ])
+    .render();
+    format!("{:08x} {payload}\n", crc32(payload.as_bytes()))
 }
 
 /// Byte length of the longest prefix of `bytes` made of intact records
