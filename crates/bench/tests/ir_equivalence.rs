@@ -157,7 +157,7 @@ fn run_sequence(style: Style, parallelism: usize, salt: u64) {
                 let text = mutate(&corpus[i].1.clone(), &mut rng);
                 let name = format!("gen-{salt}-{step}");
                 corpus.push((name.clone(), text.clone()));
-                let si = soa.upsert_config(&name, &text, &lexer, true, None);
+                let si = soa.upsert_config(&name, &text, None, &lexer, true, None);
                 let li = legacy.upsert_config(&name, &text, &lexer, true, None);
                 assert_eq!(si, li, "{context}: insert index");
             }
@@ -166,7 +166,7 @@ fn run_sequence(style: Style, parallelism: usize, salt: u64) {
                 let name = corpus[i].0.clone();
                 let text = mutate(&corpus[i].1.clone(), &mut rng);
                 corpus[i].1 = text.clone();
-                let si = soa.upsert_config(&name, &text, &lexer, true, None);
+                let si = soa.upsert_config(&name, &text, None, &lexer, true, None);
                 let li = legacy.upsert_config(&name, &text, &lexer, true, None);
                 assert_eq!(si, li, "{context}: replace index");
             }

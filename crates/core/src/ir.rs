@@ -21,19 +21,24 @@
 //!
 //! Datasets are also *mutable*: [`Dataset::upsert_config`] and
 //! [`Dataset::remove_config`] absorb single-file edits without rebuilding
-//! the corpus — only the changed file is re-embedded and re-lexed (through
-//! the shared [`LexCache`]), and all interners grow append-only so
-//! existing ids stay stable across edits. Arena entries orphaned by an
-//! edit stay interned (they are deduplicated, so repeated edit churn over
-//! similar content does not grow the arena). This is the foundation the
-//! resident `concord-engine` snapshot builds on.
+//! the corpus, and all interners grow append-only so existing ids stay
+//! stable across edits. Given the text a configuration was last built
+//! from, an upsert re-embeds and re-lexes (through the shared
+//! [`LexCache`]) only the lines the edit can change
+//! ([`concord_formats::embed_edit`]) and splices them into the columns.
+//! Arena entries orphaned by an edit stay interned (they are
+//! deduplicated, so repeated edit churn over similar content does not
+//! grow the arena). This is the foundation the resident `concord-engine`
+//! snapshot builds on.
 
 use std::collections::HashSet;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::time::Instant;
 
-use concord_formats::{embed_auto, FormatCategory};
+use concord_formats::{
+    detect_format, embed_auto, embed_edit, EditWindow, EmbeddedLine, FormatCategory,
+};
 use concord_lexer::{LexCache, LexedLine, Lexer, Param};
 
 use crate::fxhash::FxHasher;
@@ -557,11 +562,12 @@ impl ConfigIr {
     }
 }
 
-/// The shared metadata columns appended to every configuration. Only ids
-/// are copied per configuration; the underlying text/param storage lives
-/// once in the arenas.
-#[derive(Debug, Clone)]
-struct MetaCols {
+/// The four per-line id columns of a run of interned lines: a spliced
+/// window, or the shared metadata lines appended to every configuration
+/// (only ids are copied per configuration; the underlying text/param
+/// storage lives once in the arenas).
+#[derive(Debug, Clone, Default)]
+struct Columns {
     patterns: Vec<PatternId>,
     params: Vec<ParamSliceId>,
     line_nos: Vec<u32>,
@@ -583,7 +589,7 @@ pub struct Dataset {
     /// The shared metadata columns (interned lazily so id assignment
     /// matches the batch build order: first config's own lines, then
     /// metadata). `None` until the first configuration needs them.
-    meta_cols: Option<MetaCols>,
+    meta_cols: Option<Columns>,
     /// Cached total of non-metadata lines across all configurations,
     /// maintained on every edit so [`Dataset::total_lines`] is O(1).
     total_own: usize,
@@ -652,14 +658,18 @@ impl Dataset {
     /// (`None` disables caching entirely) and reporting [`BuildStats`]
     /// for the run: lexing/interning time and the cache hit/miss deltas
     /// this build contributed.
-    pub fn build_with_stats(
-        configs: &[(String, String)],
+    pub fn build_with_stats<N, T>(
+        configs: &[(N, T)],
         metadata: &[(String, String)],
         lexer: &Lexer,
         embed_context: bool,
         parallelism: usize,
         cache: Option<&LexCache>,
-    ) -> Result<(Dataset, BuildStats), DatasetError> {
+    ) -> Result<(Dataset, BuildStats), DatasetError>
+    where
+        N: AsRef<str> + Sync,
+        T: AsRef<str> + Sync,
+    {
         let cache_before = cache.map(|c| c.stats());
 
         let lex_start = Instant::now();
@@ -673,7 +683,7 @@ impl Dataset {
         // ids are deterministic regardless of thread count.
         let lexed: Vec<(FormatCategory, Vec<LexedLine>)> = parallel::map(
             configs,
-            |(_, text)| lex_text(text, lexer, embed_context, cache),
+            |(_, text)| lex_text(text.as_ref(), lexer, embed_context, cache),
             parallelism,
         );
         let lex_time = lex_start.elapsed();
@@ -688,7 +698,7 @@ impl Dataset {
             total_own: 0,
         };
         for ((name, _), (format, lines)) in configs.iter().zip(lexed) {
-            let config = dataset.make_config(name, format, &lines);
+            let config = dataset.make_config(name.as_ref(), format, &lines);
             dataset.total_own += config.own_line_count();
             dataset.configs.push(config);
         }
@@ -714,16 +724,12 @@ impl Dataset {
     /// Interns one lexed configuration into SoA columns and appends the
     /// shared metadata columns.
     fn make_config(&mut self, name: &str, format: FormatCategory, lines: &[LexedLine]) -> ConfigIr {
-        let mut patterns = Vec::with_capacity(lines.len());
-        let mut params = Vec::with_capacity(lines.len());
-        let mut line_nos = Vec::with_capacity(lines.len());
-        let mut originals = Vec::with_capacity(lines.len());
-        for l in lines {
-            patterns.push(self.table.intern(&l.pattern));
-            params.push(self.arenas.params.intern(&l.params));
-            line_nos.push(l.line_no);
-            originals.push(self.arenas.strings.intern(&l.original));
-        }
+        let Columns {
+            mut patterns,
+            mut params,
+            mut line_nos,
+            mut originals,
+        } = self.intern_lines(lines);
         let own_len = u32::try_from(patterns.len()).expect("config line count fits u32");
         let meta = self.shared_meta_cols();
         patterns.extend_from_slice(&meta.patterns);
@@ -742,17 +748,29 @@ impl Dataset {
         }
     }
 
+    /// Interns lexed lines in order into their id columns.
+    fn intern_lines(&mut self, lines: &[LexedLine]) -> Columns {
+        let mut cols = Columns {
+            patterns: Vec::with_capacity(lines.len()),
+            params: Vec::with_capacity(lines.len()),
+            line_nos: Vec::with_capacity(lines.len()),
+            originals: Vec::with_capacity(lines.len()),
+        };
+        for l in lines {
+            cols.patterns.push(self.table.intern(&l.pattern));
+            cols.params.push(self.arenas.params.intern(&l.params));
+            cols.line_nos.push(l.line_no);
+            cols.originals.push(self.arenas.strings.intern(&l.original));
+        }
+        cols
+    }
+
     /// Returns the shared metadata columns, interning their patterns on
     /// first use (after the first configuration's own lines, matching the
     /// batch interning order).
-    fn shared_meta_cols(&mut self) -> &MetaCols {
+    fn shared_meta_cols(&mut self) -> &Columns {
         if self.meta_cols.is_none() {
-            let mut cols = MetaCols {
-                patterns: Vec::new(),
-                params: Vec::new(),
-                line_nos: Vec::new(),
-                originals: Vec::new(),
-            };
+            let mut cols = Columns::default();
             // Move the lexed metadata out while interning to appease the
             // borrow checker, then put it back.
             let meta_lexed = std::mem::take(&mut self.meta_lexed);
@@ -822,8 +840,19 @@ impl Dataset {
         config.line(&self.arenas, li)
     }
 
-    /// Inserts or replaces the configuration named `name`, re-embedding
-    /// and re-lexing only `text`. Returns the configuration's index.
+    /// Inserts or replaces the configuration named `name` with `text`.
+    /// Returns the configuration's index.
+    ///
+    /// `previous` is the text the held configuration was built from, if
+    /// the caller kept it. When it was embedded in the format `text` is
+    /// detected as, only the window of lines the edit can change is
+    /// re-embedded, re-lexed and interned, in text order, and spliced
+    /// into the configuration's columns; the lines after it keep their
+    /// ids and move by the change in line count. Otherwise (no previous
+    /// text, a new configuration, JSON or YAML, or a changed format) the
+    /// window is the whole text. Both give the same columns and intern
+    /// the same new ids, because every line outside the window keeps its
+    /// embedding and was interned when the held text was built.
     ///
     /// An existing configuration is replaced in place (its position is
     /// preserved); a new one is inserted at its name-sorted position, the
@@ -836,30 +865,81 @@ impl Dataset {
         &mut self,
         name: &str,
         text: &str,
+        previous: Option<&str>,
         lexer: &Lexer,
         embed_context: bool,
         cache: Option<&LexCache>,
     ) -> usize {
-        let (format, lines) = lex_text(text, lexer, embed_context, cache);
-        let config = self.make_config(name, format, &lines);
-        let own = config.own_line_count();
-        match self.config_index(name) {
+        let format = if embed_context {
+            detect_format(text)
+        } else {
+            FormatCategory::Flat
+        };
+        let held = self.config_index(name);
+        let previous = previous.filter(|_| held.is_some_and(|i| self.configs[i].format == format));
+        let (window, embedded) = embed_edit(previous, text, format);
+        let lines = lex_embedded(&embedded, lexer, cache);
+        match held {
             Some(i) => {
-                self.total_own = self.total_own - self.configs[i].own_line_count() + own;
-                self.configs[i] = config;
+                self.splice(i, format, window, &lines);
                 i
             }
             None => {
+                let config = self.make_config(name, format, &lines);
                 let i = {
                     let strings = &self.arenas.strings;
                     self.configs
                         .partition_point(|c| strings.text(c.name) < name)
                 };
-                self.total_own += own;
+                self.total_own += config.own_line_count();
                 self.configs.insert(i, config);
                 i
             }
         }
+    }
+
+    /// Replaces the own lines of configuration `ci` that `window` covers
+    /// with `lines` (the window's lexed lines, interned here in text
+    /// order), and moves the own lines after the window by its change in
+    /// line count. Metadata lines stay as they are.
+    fn splice(
+        &mut self,
+        ci: usize,
+        format: FormatCategory,
+        window: EditWindow,
+        lines: &[LexedLine],
+    ) {
+        let cols = self.intern_lines(lines);
+        let config = &mut self.configs[ci];
+        let own = config.own_len as usize;
+        let (rows, old_end, new_end) = match window {
+            EditWindow::Whole => (0..own, 0, 0),
+            EditWindow::Lines {
+                start,
+                old_end,
+                new_end,
+            } => {
+                // Own rows are in source-line order: row `r` holds line
+                // `line_nos[r]`, 1-based.
+                let line_nos = &config.line_nos[..own];
+                let first = line_nos.partition_point(|&n| n as usize <= start);
+                let end = line_nos.partition_point(|&n| n as usize <= old_end);
+                (first..end, old_end, new_end)
+            }
+        };
+        let (removed, added) = (rows.len(), cols.patterns.len());
+        config.patterns.splice(rows.clone(), cols.patterns);
+        config.params.splice(rows.clone(), cols.params);
+        config.line_nos.splice(rows.clone(), cols.line_nos);
+        config.originals.splice(rows.clone(), cols.originals);
+        let own = own - removed + added;
+        for n in &mut config.line_nos[rows.start + added..own] {
+            // Every moved line lies past `old_end`, so this cannot wrap.
+            *n = *n - old_end as u32 + new_end as u32;
+        }
+        config.own_len = u32::try_from(own).expect("config line count fits u32");
+        config.format = format;
+        self.total_own = self.total_own - removed + added;
     }
 
     /// Removes the configuration named `name`, returning its former index
@@ -971,14 +1051,22 @@ pub(crate) fn lex_text(
             concord_formats::embed(text, FormatCategory::Flat),
         )
     };
-    let lines = embedded
+    (format, lex_embedded(&embedded, lexer, cache))
+}
+
+/// Lexes embedded lines, through `cache` when there is one.
+fn lex_embedded(
+    embedded: &[EmbeddedLine],
+    lexer: &Lexer,
+    cache: Option<&LexCache>,
+) -> Vec<LexedLine> {
+    embedded
         .iter()
         .map(|e| match cache {
             Some(cache) => lexer.lex_line_cached(cache, &e.parents, &e.original, e.line_no),
             None => lexer.lex_line(&e.parents, &e.original, e.line_no),
         })
-        .collect();
-    (format, lines)
+        .collect()
 }
 
 #[cfg(test)]
@@ -1183,13 +1271,20 @@ mod tests {
         let mut ds = Dataset::from_named_texts(&configs, &[]).unwrap();
 
         // Replace dev1 in place.
-        let i = ds.upsert_config("dev1", "interface Et1\n mtu 9000\n", &lexer, true, None);
+        let i = ds.upsert_config(
+            "dev1",
+            "interface Et1\n mtu 9000\n",
+            None,
+            &lexer,
+            true,
+            None,
+        );
         assert_eq!(i, 1);
         assert_eq!(ds.config_name(1), "dev1");
         assert_eq!(ds.configs[1].len(), 2);
 
         // Insert a new name at its sorted position.
-        let i = ds.upsert_config("dev15", "vlan 9\n", &lexer, true, None);
+        let i = ds.upsert_config("dev15", "vlan 9\n", None, &lexer, true, None);
         assert_eq!(i, 2, "dev15 sorts between dev1 and dev2");
         let names: Vec<&str> = (0..ds.configs.len()).map(|i| ds.config_name(i)).collect();
         assert_eq!(names, ["dev0", "dev1", "dev15", "dev2"]);
@@ -1207,12 +1302,12 @@ mod tests {
 
         // Edit dev0, add dev2, remove dev1.
         corpus[0].1 = "vlan 1\nvlan 7\nhostname A\n".to_string();
-        ds.upsert_config("dev0", &corpus[0].1, &lexer, true, None);
+        ds.upsert_config("dev0", &corpus[0].1, None, &lexer, true, None);
         corpus.push((
             "dev2".to_string(),
             "router bgp 65000\n vlan 3\n".to_string(),
         ));
-        ds.upsert_config("dev2", &corpus[2].1, &lexer, true, None);
+        ds.upsert_config("dev2", &corpus[2].1, None, &lexer, true, None);
         assert_eq!(ds.remove_config("dev1"), Some(1));
         assert_eq!(ds.remove_config("dev1"), None);
         corpus.remove(1);
@@ -1238,7 +1333,7 @@ mod tests {
         let metadata = vec![("meta.yaml".to_string(), "siteId: 9\n".to_string())];
         let mut ds = Dataset::from_named_texts(&[], &metadata).unwrap();
         assert!(ds.configs.is_empty());
-        ds.upsert_config("dev0", "vlan 4\n", &lexer, true, None);
+        ds.upsert_config("dev0", "vlan 4\n", None, &lexer, true, None);
         let batch = Dataset::from_named_texts(&cfgs(&["vlan 4\n"]), &metadata).unwrap();
         assert_eq!(ds.configs[0].len(), batch.configs[0].len());
         assert_eq!(ds.pattern_count(), batch.pattern_count());
@@ -1260,11 +1355,11 @@ mod tests {
         assert_eq!(ds.total_lines(), 3);
         assert_eq!(ds.total_lines(), recount(&ds));
 
-        ds.upsert_config("dev0", "vlan 1\n", &lexer, true, None);
+        ds.upsert_config("dev0", "vlan 1\n", None, &lexer, true, None);
         assert_eq!(ds.total_lines(), 2);
         assert_eq!(ds.total_lines(), recount(&ds));
 
-        ds.upsert_config("dev9", "vlan 4\nvlan 5\nvlan 6\n", &lexer, true, None);
+        ds.upsert_config("dev9", "vlan 4\nvlan 5\nvlan 6\n", None, &lexer, true, None);
         assert_eq!(ds.total_lines(), 5);
         assert_eq!(ds.total_lines(), recount(&ds));
 

@@ -607,9 +607,11 @@ pub struct EngineStats {
     /// `relearn_if_stale` signal).
     pub staleness: f64,
     /// Lex-cache hits across the engine's lifetime (lines reused from the
-    /// persistent cache instead of re-scanned).
+    /// persistent cache instead of re-scanned). Hits plus misses count
+    /// the lines lexed: an upsert lexes only its edit window, so it adds
+    /// the lines an edit can change, not every line of the upserted text.
     pub lex_cache_hits: u64,
-    /// Lex-cache misses across the engine's lifetime.
+    /// Lex-cache misses across the engine's lifetime (lines scanned).
     pub lex_cache_misses: u64,
     /// Lex-cache evictions (0 for an unbounded cache).
     pub lex_cache_evictions: u64,

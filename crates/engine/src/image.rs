@@ -11,15 +11,16 @@
 //! need: a last-known-good state that a poisoned engine can never have
 //! corrupted.
 //!
-//! The engine does not retain raw configuration texts (its [`Dataset`]
-//! holds lexed lines only), so the image cannot be captured from a live
-//! engine after the fact. Instead the resilient layer builds the image
-//! from the same corpus the engine is built from, and after every write
-//! the engine applies it records the text with the id and generation
-//! the engine assigned, the contract set the engine holds, and the
-//! engine's counters.
-//!
-//! [`Dataset`]: concord_core::Dataset
+//! The texts are shared, not copied: each configuration's text is one
+//! `Arc<str>` that the image and the engine both hold (the engine keeps
+//! it as the base its next upsert diffs against), so the corpus stays
+//! one resident copy. The resilient layer builds the image first and the
+//! engine over the image's texts, and after every write the engine
+//! applies it records the engine's text handle with the id and
+//! generation the engine assigned, the contract set the engine holds,
+//! and the engine's counters.
+
+use std::sync::Arc;
 
 use concord_json::{Error as JsonError, FromJson, Json, ToJson};
 
@@ -31,8 +32,8 @@ pub struct ImageConfig {
     /// Configuration name (unique; images keep configs name-sorted,
     /// matching engine dataset order).
     pub name: String,
-    /// Full configuration text.
-    pub text: String,
+    /// Full configuration text, shared with the engine that holds it.
+    pub text: Arc<str>,
     /// Stable id ([`ConfigId`](crate::ConfigId) payload).
     pub id: u64,
     /// Edit generation.
@@ -97,7 +98,7 @@ impl EngineImage {
             .enumerate()
             .map(|(i, (name, text))| ImageConfig {
                 name,
-                text,
+                text: text.into(),
                 id: i as u64,
                 generation: 0,
                 sketch: None,
@@ -121,11 +122,13 @@ impl EngineImage {
     /// ([`Engine::upsert_config`](crate::Engine::upsert_config)), at its
     /// name-sorted position. A replaced configuration's captured sketch
     /// is stale by generation, so it goes; the next checkpoint
-    /// re-exports it.
-    pub fn upsert(&mut self, name: &str, text: &str, id: u64, generation: u64) {
+    /// re-exports it. Pass the engine's own text handle
+    /// ([`Engine::config_text`](crate::Engine::config_text)) to keep one
+    /// copy of the text.
+    pub fn upsert(&mut self, name: &str, text: impl Into<Arc<str>>, id: u64, generation: u64) {
         let config = ImageConfig {
             name: name.to_string(),
-            text: text.to_string(),
+            text: text.into(),
             id,
             generation,
             sketch: None,
@@ -155,7 +158,7 @@ impl EngineImage {
     pub fn corpus(&self) -> Vec<(String, String)> {
         self.configs
             .iter()
-            .map(|c| (c.name.clone(), c.text.clone()))
+            .map(|c| (c.name.clone(), c.text.to_string()))
             .collect()
     }
 }
@@ -164,7 +167,7 @@ impl ToJson for ImageConfig {
     fn to_json(&self) -> Json {
         Json::Object(vec![
             ("name".to_string(), self.name.to_json()),
-            ("text".to_string(), self.text.to_json()),
+            ("text".to_string(), (*self.text).to_json()),
             ("id".to_string(), self.id.to_json()),
             ("generation".to_string(), self.generation.to_json()),
             (
@@ -182,7 +185,7 @@ impl FromJson for ImageConfig {
     fn from_json(value: &Json) -> Result<Self, JsonError> {
         Ok(ImageConfig {
             name: req_str(value, "name")?,
-            text: req_str(value, "text")?,
+            text: req_str(value, "text")?.into(),
             id: req_u64(value, "id")?,
             generation: req_u64(value, "generation")?,
             // Tolerant: sketches are derived state, so a missing field

@@ -12,9 +12,11 @@
 //! [`Engine`] owns a versioned snapshot of the whole pipeline state:
 //!
 //! * a mutable [`Dataset`] with a stable [`ConfigId`] and a generation
-//!   counter per configuration — edits go through
-//!   [`Engine::upsert_config`] / [`Engine::remove_config`], which re-lex
-//!   only the changed file through a persistent [`LexCache`];
+//!   counter per configuration, plus each configuration's current text
+//!   (shared with the [`EngineImage`], not copied) — edits go through
+//!   [`Engine::upsert_config`] / [`Engine::remove_config`]; an upsert
+//!   diffs the new text against the held one and re-lexes only the lines
+//!   the edit can change, through a persistent [`LexCache`];
 //! * the current [`ContractSet`] (learned in-engine or loaded), with an
 //!   epoch counter bumped on every swap;
 //! * cached per-configuration check outcomes keyed by the contract set
@@ -228,17 +230,33 @@ pub struct CheckParts {
 }
 
 /// One configuration's engine-side bookkeeping, parallel to
-/// `dataset.configs`: identity, edit generation, and the cached check
-/// results (cleared on edit, repopulated by [`Engine::check_dirty`]).
-#[derive(Debug, Clone, Default)]
+/// `dataset.configs`: identity, edit generation, current text, and the
+/// cached check results (cleared on edit, repopulated by
+/// [`Engine::check_dirty`]).
+#[derive(Debug, Clone)]
 struct Slot {
     id: u64,
     generation: u64,
+    /// The text the configuration's dataset lines were built from — the
+    /// base the next upsert diffs against. Shared with the image.
+    text: Arc<str>,
     /// Cached per-configuration outcome; `None` marks the slot dirty.
     outcome: Option<ConfigOutcome>,
     /// Cached learn sketch (`None` while dirty; mined lazily by the next
     /// delta relearn, or restored from a persisted snapshot).
     sketch: Option<ConfigSketch>,
+}
+
+impl Slot {
+    fn new(id: u64, text: Arc<str>) -> Slot {
+        Slot {
+            id,
+            generation: 0,
+            text,
+            outcome: None,
+            sketch: None,
+        }
+    }
 }
 
 /// A resident pipeline snapshot absorbing single-configuration edits.
@@ -343,25 +361,51 @@ impl Engine {
         lexer: Lexer,
         options: EngineOptions,
     ) -> Result<Engine, DatasetError> {
-        let mut sorted: Vec<(String, String)> = configs.to_vec();
-        sorted.sort();
+        let texts: Vec<(&str, Arc<str>)> = configs
+            .iter()
+            .map(|(name, text)| (name.as_str(), Arc::from(text.as_str())))
+            .collect();
+        Self::from_texts(texts, metadata, lexer, options)
+    }
+
+    /// A fresh engine over the image's configurations and metadata,
+    /// holding the image's texts rather than copies: ids `0..n`,
+    /// generation 0, no contracts.
+    pub(crate) fn from_image_corpus(
+        image: &EngineImage,
+        lexer: Lexer,
+        options: EngineOptions,
+    ) -> Result<Engine, DatasetError> {
+        let texts: Vec<(&str, Arc<str>)> = image
+            .configs
+            .iter()
+            .map(|c| (c.name.as_str(), Arc::clone(&c.text)))
+            .collect();
+        Self::from_texts(texts, &image.metadata, lexer, options)
+    }
+
+    /// Builds over `(name, text)` pairs, name-sorted first, keeping each
+    /// text as its configuration's held text.
+    fn from_texts(
+        mut texts: Vec<(&str, Arc<str>)>,
+        metadata: &[(String, String)],
+        lexer: Lexer,
+        options: EngineOptions,
+    ) -> Result<Engine, DatasetError> {
+        texts.sort();
         let mut engine = Self::with_lexer(lexer, options);
         let (dataset, _) = Dataset::build_with_stats(
-            &sorted,
+            &texts,
             metadata,
             &engine.lexer,
             engine.options.embed_context,
             engine.options.parallelism,
             Some(&engine.cache),
         )?;
-        engine.slots = dataset
-            .configs
-            .iter()
+        engine.slots = texts
+            .into_iter()
             .enumerate()
-            .map(|(i, _)| Slot {
-                id: i as u64,
-                ..Slot::default()
-            })
+            .map(|(i, (_, text))| Slot::new(i as u64, text))
             .collect();
         engine.next_id = dataset.configs.len() as u64;
         engine.dataset = dataset;
@@ -370,7 +414,8 @@ impl Engine {
 
     /// Rebuilds an engine from a persisted [`EngineImage`]: same
     /// configurations in the same order, same ids and generations, same
-    /// counters, same contracts. Check results are recomputed on demand
+    /// counters, same contracts, and the image's texts shared rather
+    /// than copied. Check results are recomputed on demand
     /// (they are derived state), so the first `check_dirty` after a
     /// restore is a full batch check — byte-identical by the engine's
     /// own equivalence contract.
@@ -380,8 +425,7 @@ impl Engine {
         options: EngineOptions,
     ) -> Result<Engine, ImageError> {
         let mut engine =
-            Self::from_corpus_with_lexer(&image.corpus(), &image.metadata, lexer, options)
-                .map_err(ImageError::Dataset)?;
+            Self::from_image_corpus(image, lexer, options).map_err(ImageError::Dataset)?;
         // The image is name-sorted like the corpus build, so slot `i` is
         // image config `i`.
         for (slot, config) in engine.slots.iter_mut().zip(&image.configs) {
@@ -476,37 +520,44 @@ impl Engine {
         Some(self.slots[i].generation)
     }
 
-    /// Inserts or replaces one configuration, re-lexing only `text`
-    /// (through the engine's persistent lex cache) and marking only this
-    /// configuration dirty. Returns the configuration's stable id.
+    /// The current text of the configuration named `name`, as a shared
+    /// handle (no copy).
+    pub fn config_text(&self, name: &str) -> Option<&Arc<str>> {
+        let i = self.dataset.config_index(name)?;
+        Some(&self.slots[i].text)
+    }
+
+    /// Inserts or replaces one configuration and marks only it dirty.
+    /// Returns the configuration's stable id.
+    ///
+    /// A replacement is diffed against the held text by line, and only
+    /// the lines the edit can change are re-embedded, re-lexed (through
+    /// the engine's persistent lex cache) and spliced into the dataset
+    /// ([`Dataset::upsert_config`]): the changed lines, and in an
+    /// indentation format the block lines below them. JSON, YAML, a
+    /// changed format or a new configuration re-lex the whole text. The
+    /// result is the dataset a whole-text rebuild gives, id for id.
     pub fn upsert_config(&mut self, name: &str, text: &str) -> ConfigId {
-        let old_own = self
-            .dataset
-            .config_index(name)
-            .map(|i| self.dataset.configs[i].own_line_count())
-            .unwrap_or(0);
-        let before = self.dataset.configs.len();
+        let held = self.dataset.config_index(name);
+        let old_own = held.map_or(0, |i| self.dataset.configs[i].own_line_count());
+        let text: Arc<str> = Arc::from(text);
         let i = self.dataset.upsert_config(
             name,
-            text,
+            &text,
+            held.map(|i| &*self.slots[i].text),
             &self.lexer,
             self.options.embed_context,
             Some(&self.cache),
         );
-        if self.dataset.configs.len() == before {
+        if held.is_some() {
             // Replaced in place: same identity, new generation, dirty.
             let slot = &mut self.slots[i];
             slot.generation += 1;
+            slot.text = text;
             slot.outcome = None;
             slot.sketch = None;
         } else {
-            self.slots.insert(
-                i,
-                Slot {
-                    id: self.next_id,
-                    ..Slot::default()
-                },
-            );
+            self.slots.insert(i, Slot::new(self.next_id, text));
             self.next_id += 1;
         }
         self.edits += 1;
@@ -652,9 +703,16 @@ impl Engine {
     /// segmented checkpoint path stores one bundle per config so an
     /// unedited configuration's sketch is never re-rendered.
     pub fn export_sketch_for(&self, name: &str) -> Option<Json> {
-        let i = self.dataset.config_index(name)?;
-        let slot = &self.slots[i];
+        self.export_sketch_at(self.dataset.config_index(name)?)
+    }
+
+    /// [`Engine::export_sketch_for`] of the configuration at dataset
+    /// index `i` (`None` past the end too): the checkpoint walks the
+    /// name-sorted image and the engine's configurations together.
+    pub(crate) fn export_sketch_at(&self, i: usize) -> Option<Json> {
+        let slot = self.slots.get(i)?;
         let sketch = slot.sketch.as_ref()?;
+        let name = self.dataset.config_name(i);
         Some(Json::Object(vec![
             ("version".to_string(), SKETCH_FORMAT_VERSION.to_json()),
             (

@@ -199,9 +199,8 @@ impl ResilientEngine {
         lexer: Lexer,
         options: EngineOptions,
     ) -> Result<ResilientEngine, DatasetError> {
-        let engine =
-            Engine::from_corpus_with_lexer(configs, metadata, lexer.clone(), options.clone())?;
         let image = EngineImage::from_corpus(configs, metadata);
+        let engine = Engine::from_image_corpus(&image, lexer.clone(), options.clone())?;
         Ok(Self::assemble(engine, image, lexer, options, None))
     }
 
@@ -459,11 +458,24 @@ impl ResilientEngine {
         // needs a fill when its sketch is `None` — at a fixed
         // (id, generation) a sketch is written at most once, so a
         // `Some` is already final and the segment holding it can be
-        // skipped by the store.
+        // skipped by the store. The image mirrors the engine's
+        // name-sorted configurations index for index, so the two are
+        // walked together rather than looked up by name.
         if let Some(engine) = self.engine.as_ref() {
-            for config in &mut self.image.configs {
+            let names = engine.dataset();
+            assert_eq!(
+                self.image.configs.len(),
+                names.configs.len(),
+                "the image mirrors the engine's configurations"
+            );
+            for (i, config) in self.image.configs.iter_mut().enumerate() {
+                assert_eq!(
+                    config.name,
+                    names.config_name(i),
+                    "the image mirrors the engine's configuration order"
+                );
                 if config.sketch.is_none() {
-                    config.sketch = engine.export_sketch_for(&config.name).map(|j| j.render());
+                    config.sketch = engine.export_sketch_at(i).map(|j| j.render());
                 }
             }
         }
@@ -685,11 +697,13 @@ impl ResilientEngine {
             return;
         };
         match op {
-            WalOp::Upsert { name, text } => {
-                if let (Some(id), Some(generation)) =
-                    (engine.config_id(name), engine.config_generation(name))
-                {
-                    self.image.upsert(name, text, id.0, generation);
+            WalOp::Upsert { name, .. } => {
+                if let (Some(id), Some(generation), Some(text)) = (
+                    engine.config_id(name),
+                    engine.config_generation(name),
+                    engine.config_text(name),
+                ) {
+                    self.image.upsert(name, Arc::clone(text), id.0, generation);
                 }
             }
             WalOp::Remove { name } => {

@@ -987,7 +987,7 @@ mod tests {
         let (_, load) = StateDir::open(&dir).unwrap();
         assert!(load.used_backup, "live manifest must reject the impostor");
         assert_eq!(
-            load.image.expect("backup usable").configs[0].text,
+            &*load.image.expect("backup usable").configs[0].text,
             "vlan 1\n"
         );
     }

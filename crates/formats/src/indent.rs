@@ -6,17 +6,40 @@
 //! block structure of Arista/Cisco-style CLI configurations as well as any
 //! other whitespace-nested format.
 
+use std::ops::Range;
+
 use crate::EmbeddedLine;
 
 /// Number of columns a tab advances (classic terminal default).
 const TAB_WIDTH: usize = 8;
 
+/// The stack of `(indent_width, trimmed_text)` ancestors a line is
+/// embedded under.
+type Ancestors = Vec<(usize, String)>;
+
 /// Embeds indentation-structured `text`.
 pub fn embed(text: &str) -> Vec<EmbeddedLine> {
+    embed_from(Vec::new(), text.lines().enumerate())
+}
+
+/// Embeds source lines `range` of a text split by `str::lines` exactly as
+/// [`embed`] of the whole text embeds them: the window starts from the
+/// ancestor chain read back from the lines before it.
+pub fn embed_range(lines: &[&str], range: Range<usize>) -> Vec<EmbeddedLine> {
+    let stack = ancestors(&lines[..range.start]);
+    embed_from(stack, range.clone().zip(lines[range].iter().copied()))
+}
+
+/// Embeds `(0-based line index, raw line)` pairs under the ancestor chain
+/// `stack`: a line deeper than the stack top becomes its child, and one
+/// at equal or shallower indentation pops back to its level first.
+/// Whitespace-only lines are skipped.
+fn embed_from<'a>(
+    mut stack: Ancestors,
+    lines: impl Iterator<Item = (usize, &'a str)>,
+) -> Vec<EmbeddedLine> {
     let mut out = Vec::new();
-    // Stack of (indent_width, trimmed_text) for the current ancestors.
-    let mut stack: Vec<(usize, String)> = Vec::new();
-    for (i, raw) in text.lines().enumerate() {
+    for (i, raw) in lines {
         let trimmed = raw.trim();
         if trimmed.is_empty() {
             continue;
@@ -33,6 +56,50 @@ pub fn embed(text: &str) -> Vec<EmbeddedLine> {
         stack.push((indent, trimmed.to_string()));
     }
     out
+}
+
+/// The stack [`embed_from`] holds after `prefix`: its last non-blank
+/// line, then the nearest line before that one indented less, and so on
+/// (every line in between was popped by one of them). Reads back only
+/// as far as the first unindented line.
+fn ancestors(prefix: &[&str]) -> Ancestors {
+    let mut chain = Vec::new();
+    let mut below = usize::MAX;
+    for raw in prefix.iter().rev() {
+        if below == 0 {
+            break;
+        }
+        let trimmed = raw.trim();
+        if trimmed.is_empty() {
+            continue;
+        }
+        let indent = indent_width(raw);
+        if indent < below {
+            chain.push((indent, trimmed.to_string()));
+            below = indent;
+        }
+    }
+    chain.reverse();
+    chain
+}
+
+/// How many of `lines` (the lines after an edited window) are blank or
+/// indented deeper than `depth`, up to the first that is not: the block
+/// lines whose ancestors an edit at `depth` can change.
+pub fn deeper_run(lines: &[&str], depth: usize) -> usize {
+    lines
+        .iter()
+        .take_while(|raw| raw.trim().is_empty() || indent_width(raw) > depth)
+        .count()
+}
+
+/// The shallowest indentation among the non-blank `lines`, if any.
+pub fn shallowest(lines: &[&str]) -> Option<usize> {
+    lines
+        .iter()
+        .filter(|raw| !raw.trim().is_empty())
+        .map(|raw| indent_width(raw))
+        .min()
 }
 
 fn indent_width(line: &str) -> usize {

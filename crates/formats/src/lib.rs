@@ -40,11 +40,13 @@
 //! ```
 
 mod detect;
+mod edit;
 mod indent;
 mod json;
 mod yaml;
 
 pub use detect::detect_format;
+pub use edit::{embed_edit, EditWindow};
 
 /// The inferred data-format category of a configuration file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -111,7 +113,7 @@ pub fn embed(text: &str, format: FormatCategory) -> Vec<EmbeddedLine> {
         FormatCategory::Json => json::embed(text),
         FormatCategory::Yaml => yaml::embed(text),
         FormatCategory::Indent => indent::embed(text),
-        FormatCategory::Flat => flat_embed(text),
+        FormatCategory::Flat => flat_lines(text.lines().enumerate()),
     }
 }
 
@@ -122,10 +124,11 @@ pub fn embed_auto(text: &str) -> (FormatCategory, Vec<EmbeddedLine>) {
     (format, lines)
 }
 
-/// Embeds with no hierarchy: every line gets an empty parent chain.
-fn flat_embed(text: &str) -> Vec<EmbeddedLine> {
+/// Embeds `(0-based line index, raw line)` pairs with no hierarchy:
+/// every line gets an empty parent chain.
+fn flat_lines<'a>(lines: impl Iterator<Item = (usize, &'a str)>) -> Vec<EmbeddedLine> {
     let mut out = Vec::new();
-    for (i, line) in text.lines().enumerate() {
+    for (i, line) in lines {
         let trimmed = line.trim();
         if trimmed.is_empty() {
             continue;
