@@ -9,7 +9,7 @@
 //! then with the shared lex cache — to keep the cache's speedup visible in
 //! the trajectory.
 
-use concord_bench::{fmt_secs, scale, seed, write_result};
+use concord_bench::{fmt_secs, scale, seed, workspace_root, write_result};
 use concord_core::{
     check_parallel_with_stats, learn_with_stats, Dataset, LearnParams, PipelineStats,
 };
@@ -108,7 +108,7 @@ fn main() {
 /// Appends this run to the `BENCH_pipeline.json` trajectory at the
 /// repository root (a JSON array, one entry per recorded run).
 fn write_trajectory(result: &Json) {
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_pipeline.json");
+    let path = workspace_root().join("BENCH_pipeline.json");
     let mut runs: Vec<Json> = std::fs::read_to_string(&path)
         .ok()
         .and_then(|text| Json::parse(&text).ok())

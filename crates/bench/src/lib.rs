@@ -10,7 +10,7 @@
 //! iff it keeps holding on freshly generated devices from the same role
 //! template), the deterministic 1–10 scorer standing in for the LLM, the
 //! sample-size statistics of §5.4, and machine-readable result output
-//! under `target/experiments/`.
+//! under the workspace's `target/experiments/`.
 
 pub mod microbench;
 pub mod oracle;
@@ -76,11 +76,20 @@ pub fn fmt_secs(d: Duration) -> String {
     format!("{:.1}s", d.as_secs_f64())
 }
 
-/// Writes a machine-readable experiment result under
+/// The workspace root: result files land under it whatever directory a
+/// bench binary runs from.
+pub fn workspace_root() -> &'static std::path::Path {
+    std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .ancestors()
+        .nth(2)
+        .expect("the bench crate sits at crates/bench in the workspace")
+}
+
+/// Writes a machine-readable experiment result under the workspace's
 /// `target/experiments/<name>.json`.
 pub fn write_result(name: &str, json: &concord_json::Value) {
-    let dir = std::path::Path::new("target/experiments");
-    if std::fs::create_dir_all(dir).is_ok() {
+    let dir = workspace_root().join("target/experiments");
+    if std::fs::create_dir_all(&dir).is_ok() {
         let path = dir.join(format!("{name}.json"));
         if let Ok(text) = concord_json::to_string_pretty(json) {
             let _ = std::fs::write(&path, text);

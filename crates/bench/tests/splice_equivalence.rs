@@ -310,7 +310,7 @@ fn spliced_upserts_match_whole_text_rebuilds() {
 fn lookups(engine: &mut Engine, name: &str, text: &str) -> u64 {
     let count = |e: &Engine| {
         let stats = e.snapshot_stats();
-        stats.lex_cache_hits + stats.lex_cache_misses
+        stats.lex_cache.hits + stats.lex_cache.misses
     };
     let before = count(engine);
     engine.upsert_config(name, text);

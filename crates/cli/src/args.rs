@@ -299,6 +299,32 @@ impl<'a> Flags<'a> {
     }
 }
 
+/// Parses a learn flag that `learn`, `ci` and `serve` share
+/// (`--support`, `--confidence`, `--parallelism`), refusing any other
+/// flag as unknown.
+fn learn_flag(
+    flags: &mut Flags<'_>,
+    flag: &str,
+    params: &mut LearnParams,
+    parallelism: &mut usize,
+) -> Result<(), UsageError> {
+    match flag {
+        "--support" => params.support = flags.parse(flag)?,
+        "--confidence" => {
+            params.confidence = flags.parse(flag)?;
+            if !(0.0..=1.0).contains(&params.confidence) {
+                return Err(UsageError("--confidence must be in [0, 1]".to_string()));
+            }
+        }
+        "--parallelism" => {
+            *parallelism = flags.parse(flag)?;
+            params.parallelism = *parallelism;
+        }
+        other => return Err(UsageError(format!("unknown flag {other:?}"))),
+    }
+    Ok(())
+}
+
 fn parse_learn(argv: &[String]) -> Result<Command, UsageError> {
     let mut args = LearnArgs {
         configs: String::new(),
@@ -318,18 +344,7 @@ fn parse_learn(argv: &[String]) -> Result<Command, UsageError> {
             "--tokens" => args.tokens = Some(flags.value(flag)?.to_string()),
             "--out" => args.out = flags.value(flag)?.to_string(),
             "--stats" => args.stats = StatsMode::parse(flags.value(flag)?)?,
-            "--support" => args.params.support = flags.parse(flag)?,
-            "--confidence" => {
-                args.params.confidence = flags.parse(flag)?;
-                if !(0.0..=1.0).contains(&args.params.confidence) {
-                    return Err(UsageError("--confidence must be in [0, 1]".to_string()));
-                }
-            }
             "--score-threshold" => args.params.score_threshold = flags.parse(flag)?,
-            "--parallelism" => {
-                args.parallelism = flags.parse(flag)?;
-                args.params.parallelism = args.parallelism;
-            }
             "--constants" => args.params.learn_constants = true,
             "--ranges" => args.params.enable_range = true,
             "--no-embed" => args.embed = false,
@@ -345,7 +360,7 @@ fn parse_learn(argv: &[String]) -> Result<Command, UsageError> {
                     return Err(UsageError(format!("unknown category {other:?}")));
                 }
             },
-            other => return Err(UsageError(format!("unknown flag {other:?}"))),
+            other => learn_flag(&mut flags, other, &mut args.params, &mut args.parallelism)?,
         }
     }
     if args.configs.is_empty() {
@@ -414,13 +429,7 @@ fn parse_ci(argv: &[String]) -> Result<Command, UsageError> {
             "--tokens" => args.tokens = Some(flags.value(flag)?.to_string()),
             "--suppress" => args.suppress = Some(flags.value(flag)?.to_string()),
             "--keep-ordering" => args.keep_ordering = true,
-            "--support" => args.params.support = flags.parse(flag)?,
-            "--confidence" => args.params.confidence = flags.parse(flag)?,
-            "--parallelism" => {
-                args.parallelism = flags.parse(flag)?;
-                args.params.parallelism = args.parallelism;
-            }
-            other => return Err(UsageError(format!("unknown flag {other:?}"))),
+            other => learn_flag(&mut flags, other, &mut args.params, &mut args.parallelism)?,
         }
     }
     if args.pre.is_empty() || args.post.is_empty() {
@@ -486,12 +495,6 @@ fn parse_serve(argv: &[String]) -> Result<Command, UsageError> {
             "--contracts" => args.contracts = Some(flags.value(flag)?.to_string()),
             "--metadata" => args.metadata = Some(flags.value(flag)?.to_string()),
             "--tokens" => args.tokens = Some(flags.value(flag)?.to_string()),
-            "--support" => args.params.support = flags.parse(flag)?,
-            "--confidence" => args.params.confidence = flags.parse(flag)?,
-            "--parallelism" => {
-                args.parallelism = flags.parse(flag)?;
-                args.params.parallelism = args.parallelism;
-            }
             "--no-embed" => args.embed = false,
             "--listen" => args.listen = Some(flags.value(flag)?.to_string()),
             "--once" => args.once = true,
@@ -519,7 +522,7 @@ fn parse_serve(argv: &[String]) -> Result<Command, UsageError> {
             }
             "--lex-cache-cap" => args.lex_cache_cap = flags.parse(flag)?,
             "--enable-fault-injection" => args.enable_faults = true,
-            other => return Err(UsageError(format!("unknown flag {other:?}"))),
+            other => learn_flag(&mut flags, other, &mut args.params, &mut args.parallelism)?,
         }
     }
     Ok(Command::Serve(args))
@@ -609,6 +612,52 @@ mod tests {
         assert!(parse_args(&argv(&["learn", "--configs", "x", "--confidence", "1.5"])).is_err());
         assert!(parse_args(&argv(&["learn", "--configs", "x", "--disable", "bogus"])).is_err());
         assert!(parse_args(&argv(&["learn", "--configs"])).is_err());
+    }
+
+    #[test]
+    fn ci_parses_learn_flags_and_refuses_out_of_range_confidence() {
+        let ci = |extra: &[&str]| {
+            let mut args = vec!["ci", "--pre", "a/*", "--post", "b/*"];
+            args.extend_from_slice(extra);
+            parse_args(&argv(&args))
+        };
+        match ci(&[
+            "--support",
+            "3",
+            "--confidence",
+            "0.9",
+            "--parallelism",
+            "2",
+        ])
+        .unwrap()
+        {
+            Command::Ci(a) => {
+                assert_eq!(a.params.support, 3);
+                assert!((a.params.confidence - 0.9).abs() < 1e-9);
+                assert_eq!(a.parallelism, 2);
+                assert_eq!(a.params.parallelism, 2);
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+        for bad in ["5", "-0.1", "NaN"] {
+            let err = ci(&["--confidence", bad]).unwrap_err();
+            assert!(err.0.contains("--confidence must be in [0, 1]"), "{err}");
+        }
+        assert!(ci(&["--support", "lots"]).is_err());
+        assert!(ci(&["--bogus"]).is_err());
+    }
+
+    #[test]
+    fn serve_refuses_out_of_range_confidence() {
+        match parse_args(&argv(&["serve", "--support", "3", "--confidence", "1"])).unwrap() {
+            Command::Serve(a) => {
+                assert_eq!(a.params.support, 3);
+                assert_eq!(a.params.confidence, 1.0);
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+        let err = parse_args(&argv(&["serve", "--confidence", "5"])).unwrap_err();
+        assert!(err.0.contains("--confidence must be in [0, 1]"), "{err}");
     }
 
     #[test]

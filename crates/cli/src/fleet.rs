@@ -747,6 +747,7 @@ fn fleet_stats(shared: &ServeShared, fleet: &Fleet) -> String {
         }
     }
     let mut stats = EngineStats {
+        contracts: shard_stats[0].contracts,
         last_check: shard_stats[0].last_check,
         learn_delta: shard_stats[0].learn_delta,
         ..EngineStats::default()
@@ -754,7 +755,7 @@ fn fleet_stats(shared: &ServeShared, fleet: &Fleet) -> String {
     let mut robustness = RobustnessStats::default();
     let mut storage = StorageStats::default();
     let mut fleet_shards = Vec::with_capacity(fleet.shards.len());
-    for (i, (shard, s)) in fleet.shards.iter().zip(&shard_stats).enumerate() {
+    for (i, (shard, s)) in fleet.shards.iter().zip(shard_stats).enumerate() {
         stats.configs += s.configs;
         stats.lines += s.lines;
         // Approximate: a pattern shared by configs on two shards counts
@@ -764,10 +765,9 @@ fn fleet_stats(shared: &ServeShared, fleet: &Fleet) -> String {
         stats.relearns += s.relearns;
         stats.dirty_configs += s.dirty_configs;
         stats.staleness = stats.staleness.max(s.staleness);
-        stats.lex_cache_hits += s.lex_cache_hits;
-        stats.lex_cache_misses += s.lex_cache_misses;
-        stats.lex_cache_evictions += s.lex_cache_evictions;
-        stats.generations.extend(s.generations.iter().cloned());
+        stats.lex_cache.accumulate(&s.lex_cache);
+        // Shards partition the names; the map orders the union by name.
+        stats.generations.extend(s.generations);
         stats.memory.accumulate(&s.memory);
         if let Some(r) = &s.robustness {
             robustness.accumulate(r);
@@ -784,8 +784,6 @@ fn fleet_stats(shared: &ServeShared, fleet: &Fleet) -> String {
             robustness: s.robustness.unwrap_or_default(),
         });
     }
-    // The union dataset is name-sorted; shards partition the names.
-    stats.generations.sort_by(|a, b| a.0.cmp(&b.0));
     if let Some(reg) = fleet.registry() {
         stats.relearns = reg.relearns;
         stats.last_check = reg.last_check;
@@ -803,7 +801,6 @@ fn fleet_stats(shared: &ServeShared, fleet: &Fleet) -> String {
     robustness.deadlines_hit = deadlines;
     stats.robustness = Some(robustness);
     stats.storage = Some(storage);
-    stats.contracts = shard_stats[0].contracts;
     stats.serve = Some(shared.transport_snapshot());
     let router: Vec<usize> = fleet_shards.iter().map(|s| s.configs).collect();
     let totals = FleetStats::rollup(&fleet_shards);

@@ -85,6 +85,6 @@ pub use legacy::{LegacyConfig, LegacyDataset, LegacyLineRecord};
 pub use params::LearnParams;
 pub use stats::{
     BuildStats, CheckStats, EngineCheckStats, EngineStats, FleetShardStats, FleetStats,
-    FleetTotals, LearnDeltaStats, MemoryStats, PipelineStats, RobustnessStats, ServeTransportStats,
-    StorageStats, STATS_SCHEMA,
+    FleetTotals, LearnDeltaStats, LexCacheStats, MemoryStats, PipelineStats, RobustnessStats,
+    ServeTransportStats, StorageStats, STATS_SCHEMA,
 };

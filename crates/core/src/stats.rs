@@ -7,6 +7,7 @@
 //! with [`PipelineStats::to_json`] under `--stats json`; the schema is
 //! documented in DESIGN.md ("Performance & instrumentation").
 
+use std::collections::BTreeMap;
 use std::time::Duration;
 
 use concord_json::{Json, ToJson};
@@ -203,361 +204,294 @@ impl ToJson for LearnStats {
     }
 }
 
-/// Incremental counters of one `Engine::check_dirty` call: how much of
-/// the check was patched from the cache versus recomputed.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct EngineCheckStats {
-    /// Configurations re-checked this call (dirty or invalidated).
-    pub dirty_configs: usize,
-    /// Configurations whose cached outcome was reused untouched.
-    pub reused_configs: usize,
-    /// Whether a resolution change (a contract set different from the
-    /// one the cache was checked under, or an edit that re-resolved a
-    /// contract pattern) forced a full cache invalidation. A swap to an
-    /// equal set, such as a relearn that re-derives the held contracts,
-    /// does not.
-    pub resolution_invalidated: bool,
-    /// Witness indexes rebuilt while re-checking dirty configurations.
-    pub witness_indexes_rebuilt: u64,
-    /// Witness indexes patched in place — carried over inside reused
-    /// per-configuration outcomes instead of being rebuilt.
-    pub witness_indexes_patched: u64,
+/// Field-wise sum of two counter sets: integers add, flags OR (a fleet is
+/// degraded if any shard is), and nested records sum field by field.
+trait Accumulate {
+    fn accumulate(&mut self, other: &Self);
 }
 
-impl ToJson for EngineCheckStats {
-    fn to_json(&self) -> Json {
-        concord_json::json!({
-            "dirty_configs": self.dirty_configs,
-            "reused_configs": self.reused_configs,
-            "resolution_invalidated": self.resolution_invalidated,
-            "witness_indexes_rebuilt": self.witness_indexes_rebuilt,
-            "witness_indexes_patched": self.witness_indexes_patched,
-        })
+impl Accumulate for u64 {
+    fn accumulate(&mut self, other: &u64) {
+        *self += other;
     }
 }
 
-/// Robustness counters of a fault-tolerant resident engine
-/// (`ResilientEngine` in `concord-engine` plus the `concord serve`
-/// transport layer): how often the hardening machinery actually fired.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RobustnessStats {
-    /// Requests refused before touching the engine: load shedding
-    /// (`err busy`), oversized lines/bodies, malformed or non-UTF-8
-    /// input.
-    pub requests_rejected: u64,
-    /// Requests that hit their deadline (slow reads or engine-lock
-    /// waits) and were answered with `err deadline`.
-    pub deadlines_hit: u64,
-    /// Worker panics caught, after which the engine was rebuilt from its
-    /// last-known-good image.
-    pub panics_recovered: u64,
-    /// Startup recoveries that replayed a write-ahead log.
-    pub wal_replays: u64,
-    /// Individual WAL records applied across all replays.
-    pub wal_records_replayed: u64,
-    /// Snapshot checkpoints written (atomic rename + WAL rotation).
-    pub checkpoints: u64,
-    /// Checks served from a freshly rebuilt (post-recovery) engine — a
-    /// full recompute instead of the incremental path.
-    pub degraded_checks: u64,
-    /// Persistence failures swallowed without losing in-memory state
-    /// (WAL append or checkpoint I/O errors).
-    pub persist_errors: u64,
-}
-
-impl RobustnessStats {
-    /// Adds another counter set into this one — the fleet rollup sums
-    /// every shard's robustness object in one pass with this.
-    pub fn accumulate(&mut self, other: &RobustnessStats) {
-        self.requests_rejected += other.requests_rejected;
-        self.deadlines_hit += other.deadlines_hit;
-        self.panics_recovered += other.panics_recovered;
-        self.wal_replays += other.wal_replays;
-        self.wal_records_replayed += other.wal_records_replayed;
-        self.checkpoints += other.checkpoints;
-        self.degraded_checks += other.degraded_checks;
-        self.persist_errors += other.persist_errors;
+impl Accumulate for bool {
+    fn accumulate(&mut self, other: &bool) {
+        *self |= other;
     }
 }
 
-impl ToJson for RobustnessStats {
-    fn to_json(&self) -> Json {
-        concord_json::json!({
-            "requests_rejected": self.requests_rejected,
-            "deadlines_hit": self.deadlines_hit,
-            "panics_recovered": self.panics_recovered,
-            "wal_replays": self.wal_replays,
-            "wal_records_replayed": self.wal_records_replayed,
-            "checkpoints": self.checkpoints,
-            "degraded_checks": self.degraded_checks,
-            "persist_errors": self.persist_errors,
-        })
+/// Declares a stats record whose JSON keys are its field names: the
+/// struct as written, a [`ToJson`] that puts each field under its own
+/// name in declaration order, and — for a record declared
+/// `struct Name: Accumulate` — an `accumulate` that adds another record
+/// into it field by field. A new metric is one field line.
+macro_rules! record {
+    (
+        $(#[$meta:meta])*
+        pub struct $name:ident $(: $sum:ident)? {
+            $( $(#[$field_meta:meta])* pub $field:ident: $ty:ty, )*
+        }
+    ) => {
+        $(#[$meta])*
+        pub struct $name {
+            $( $(#[$field_meta])* pub $field: $ty, )*
+        }
+
+        impl ToJson for $name {
+            fn to_json(&self) -> Json {
+                Json::Object(vec![
+                    $( (stringify!($field).to_string(), self.$field.to_json()), )*
+                ])
+            }
+        }
+
+        record!(@sum $name [$($sum)?] $($field)*);
+    };
+    (@sum $name:ident [] $($field:ident)*) => {};
+    (@sum $name:ident [Accumulate] $($field:ident)*) => {
+        impl $name {
+            /// Adds another record into this one, field by field (the
+            /// fleet rollup sums every shard's record in one pass).
+            pub fn accumulate(&mut self, other: &$name) {
+                $( Accumulate::accumulate(&mut self.$field, &other.$field); )*
+            }
+        }
+
+        impl Accumulate for $name {
+            fn accumulate(&mut self, other: &$name) {
+                $name::accumulate(self, other);
+            }
+        }
+    };
+}
+
+record! {
+    /// Incremental counters of one `Engine::check_dirty` call: how much of
+    /// the check was patched from the cache versus recomputed.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct EngineCheckStats {
+        /// Configurations re-checked this call (dirty or invalidated).
+        pub dirty_configs: usize,
+        /// Configurations whose cached outcome was reused untouched.
+        pub reused_configs: usize,
+        /// Whether a resolution change (a contract set different from the
+        /// one the cache was checked under, or an edit that re-resolved a
+        /// contract pattern) forced a full cache invalidation. A swap to an
+        /// equal set, such as a relearn that re-derives the held contracts,
+        /// does not.
+        pub resolution_invalidated: bool,
+        /// Witness indexes rebuilt while re-checking dirty configurations.
+        pub witness_indexes_rebuilt: u64,
+        /// Witness indexes patched in place — carried over inside reused
+        /// per-configuration outcomes instead of being rebuilt.
+        pub witness_indexes_patched: u64,
     }
 }
 
-/// Incremental-learning counters of a resident engine: the state of its
-/// per-configuration sketch cache and what the most recent relearn
-/// actually recomputed.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LearnDeltaStats {
-    /// Whether the engine relearns by folding cached sketches (the delta
-    /// path) or always re-mines the full corpus (the oracle path).
-    pub enabled: bool,
-    /// Configurations with a cached sketch.
-    pub sketches: usize,
-    /// Configurations whose sketch is missing (edited since it was
-    /// mined, or never mined).
-    pub dirty: usize,
-    /// Configurations re-sketched by the most recent relearn.
-    pub mined_last_learn: u64,
-    /// Configurations whose cached sketch the most recent relearn reused.
-    pub reused_last_learn: u64,
-    /// Value of the `edits` counter when the current contracts were
-    /// learned or loaded — `edits - contracts_edits` edits have happened
-    /// since, so `0` distance means the contracts describe the current
-    /// snapshot.
-    pub contracts_edits: u64,
-}
-
-impl ToJson for LearnDeltaStats {
-    fn to_json(&self) -> Json {
-        concord_json::json!({
-            "enabled": self.enabled,
-            "sketches": self.sketches,
-            "dirty": self.dirty,
-            "mined_last_learn": self.mined_last_learn,
-            "reused_last_learn": self.reused_last_learn,
-            "contracts_edits": self.contracts_edits,
-        })
+record! {
+    /// Robustness counters of a fault-tolerant resident engine
+    /// (`ResilientEngine` in `concord-engine` plus the `concord serve`
+    /// transport layer): how often the hardening machinery actually fired.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct RobustnessStats: Accumulate {
+        /// Requests refused before touching the engine: load shedding
+        /// (`err busy`), oversized lines/bodies, malformed or non-UTF-8
+        /// input.
+        pub requests_rejected: u64,
+        /// Requests that hit their deadline (slow reads or engine-lock
+        /// waits) and were answered with `err deadline`.
+        pub deadlines_hit: u64,
+        /// Worker panics caught, after which the engine was rebuilt from its
+        /// last-known-good image.
+        pub panics_recovered: u64,
+        /// Startup recoveries that replayed a write-ahead log.
+        pub wal_replays: u64,
+        /// Individual WAL records applied across all replays.
+        pub wal_records_replayed: u64,
+        /// Snapshot checkpoints written (atomic rename + WAL rotation).
+        pub checkpoints: u64,
+        /// Checks served from a freshly rebuilt (post-recovery) engine — a
+        /// full recompute instead of the incremental path.
+        pub degraded_checks: u64,
+        /// Persistence failures swallowed without losing in-memory state
+        /// (WAL append or checkpoint I/O errors).
+        pub persist_errors: u64,
     }
 }
 
-/// Memory accounting for the arena-interned structure-of-arrays
-/// dataset and the resident learn sketches, plus the
-/// segmented-checkpoint scorecard (the v9 `memory` stats object). Byte
-/// figures are exact heap-allocation sums from the structures
-/// themselves, not RSS estimates, so they are stable across allocators
-/// and platforms.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MemoryStats {
-    /// Bytes held by the interned-string arena (originals and names).
-    pub string_arena_bytes: u64,
-    /// Bytes held by the interned parameter-slice arena.
-    pub param_arena_bytes: u64,
-    /// Bytes held by the pattern table.
-    pub pattern_table_bytes: u64,
-    /// Bytes held by the per-config SoA line columns.
-    pub column_bytes: u64,
-    /// Bytes held by the resident per-config learn sketches (v11).
-    pub sketch_bytes: u64,
-    /// Distinct strings interned (deduplicated across the corpus).
-    pub interned_strings: u64,
-    /// Distinct parameter slices interned.
-    pub interned_param_slices: u64,
-    /// Segment files written across all checkpoints of this process.
-    pub segments_written: u64,
-    /// Clean segments skipped (already durable) across all checkpoints.
-    pub segments_skipped: u64,
-}
-
-impl MemoryStats {
-    /// Adds another shard's accounting into this one (the fleet rollup).
-    pub fn accumulate(&mut self, other: &MemoryStats) {
-        self.string_arena_bytes += other.string_arena_bytes;
-        self.param_arena_bytes += other.param_arena_bytes;
-        self.pattern_table_bytes += other.pattern_table_bytes;
-        self.column_bytes += other.column_bytes;
-        self.sketch_bytes += other.sketch_bytes;
-        self.interned_strings += other.interned_strings;
-        self.interned_param_slices += other.interned_param_slices;
-        self.segments_written += other.segments_written;
-        self.segments_skipped += other.segments_skipped;
+record! {
+    /// Incremental-learning counters of a resident engine: the state of its
+    /// per-configuration sketch cache and what the most recent relearn
+    /// actually recomputed.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct LearnDeltaStats {
+        /// Whether the engine relearns by folding cached sketches (the delta
+        /// path) or always re-mines the full corpus (the oracle path).
+        pub enabled: bool,
+        /// Configurations with a cached sketch.
+        pub sketches: usize,
+        /// Configurations whose sketch is missing (edited since it was
+        /// mined, or never mined).
+        pub dirty: usize,
+        /// Configurations re-sketched by the most recent relearn.
+        pub mined_last_learn: u64,
+        /// Configurations whose cached sketch the most recent relearn reused.
+        pub reused_last_learn: u64,
+        /// Value of the `edits` counter when the current contracts were
+        /// learned or loaded — `edits - contracts_edits` edits have happened
+        /// since, so `0` distance means the contracts describe the current
+        /// snapshot.
+        pub contracts_edits: u64,
     }
 }
 
-impl ToJson for MemoryStats {
-    fn to_json(&self) -> Json {
-        concord_json::json!({
-            "string_arena_bytes": self.string_arena_bytes,
-            "param_arena_bytes": self.param_arena_bytes,
-            "pattern_table_bytes": self.pattern_table_bytes,
-            "column_bytes": self.column_bytes,
-            "sketch_bytes": self.sketch_bytes,
-            "interned_strings": self.interned_strings,
-            "interned_param_slices": self.interned_param_slices,
-            "segments_written": self.segments_written,
-            "segments_skipped": self.segments_skipped,
-        })
+record! {
+    /// Memory accounting for the arena-interned structure-of-arrays
+    /// dataset and the resident learn sketches, plus the
+    /// segmented-checkpoint scorecard (the v9 `memory` stats object). Byte
+    /// figures are exact heap-allocation sums from the structures
+    /// themselves, not RSS estimates, so they are stable across allocators
+    /// and platforms.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct MemoryStats: Accumulate {
+        /// Bytes held by the interned-string arena (originals and names).
+        pub string_arena_bytes: u64,
+        /// Bytes held by the interned parameter-slice arena.
+        pub param_arena_bytes: u64,
+        /// Bytes held by the pattern table.
+        pub pattern_table_bytes: u64,
+        /// Bytes held by the per-config SoA line columns.
+        pub column_bytes: u64,
+        /// Bytes held by the resident per-config learn sketches (v11).
+        pub sketch_bytes: u64,
+        /// Distinct strings interned (deduplicated across the corpus).
+        pub interned_strings: u64,
+        /// Distinct parameter slices interned.
+        pub interned_param_slices: u64,
+        /// Segment files written across all checkpoints of this process.
+        pub segments_written: u64,
+        /// Clean segments skipped (already durable) across all checkpoints.
+        pub segments_skipped: u64,
     }
 }
 
-/// Storage-fault counters of a durable resident engine (the v10
-/// `storage` stats object): what the fault-injecting VFS actually
-/// threw at the durability layer and how the engine absorbed it —
-/// bounded retries, degraded read-only transitions, and automatic
-/// recoveries once writes succeed again. Also surfaced by the serve
-/// `HEALTH` verb.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StorageStats {
-    /// Whether the engine is currently in degraded read-only mode
-    /// (writes answer `err storage-degraded`; reads keep serving from
-    /// the resident snapshot).
-    pub degraded: bool,
-    /// Faults injected by the VFS layer (0 on a passthrough `RealVfs`).
-    pub faults_injected: u64,
-    /// WAL-append / checkpoint attempts retried after a storage error
-    /// (each backoff step counts once).
-    pub retries: u64,
-    /// Transitions into degraded read-only mode after the bounded
-    /// retry budget was exhausted.
-    pub degraded_transitions: u64,
-    /// Automatic recoveries out of degraded mode once a write probe
-    /// succeeded again.
-    pub recoveries: u64,
-    /// Segment-GC / WAL-rotation removals that failed — previously
-    /// swallowed with `let _ =`, now counted and logged once.
-    pub gc_remove_errors: u64,
-}
-
-impl StorageStats {
-    /// Adds another counter set into this one — the fleet rollup sums
-    /// every shard's storage object in one pass with this. A fleet is
-    /// degraded if any shard is.
-    pub fn accumulate(&mut self, other: &StorageStats) {
-        self.degraded |= other.degraded;
-        self.faults_injected += other.faults_injected;
-        self.retries += other.retries;
-        self.degraded_transitions += other.degraded_transitions;
-        self.recoveries += other.recoveries;
-        self.gc_remove_errors += other.gc_remove_errors;
+record! {
+    /// Storage-fault counters of a durable resident engine (the v10
+    /// `storage` stats object): what the fault-injecting VFS actually
+    /// threw at the durability layer and how the engine absorbed it —
+    /// bounded retries, degraded read-only transitions, and automatic
+    /// recoveries once writes succeed again. Also surfaced by the serve
+    /// `HEALTH` verb. Summed over shards, the fleet is degraded if any
+    /// shard is.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct StorageStats: Accumulate {
+        /// Whether the engine is currently in degraded read-only mode
+        /// (writes answer `err storage-degraded`; reads keep serving from
+        /// the resident snapshot).
+        pub degraded: bool,
+        /// Faults injected by the VFS layer (0 on a passthrough `RealVfs`).
+        pub faults_injected: u64,
+        /// WAL-append / checkpoint attempts retried after a storage error
+        /// (each backoff step counts once).
+        pub retries: u64,
+        /// Transitions into degraded read-only mode after the bounded
+        /// retry budget was exhausted.
+        pub degraded_transitions: u64,
+        /// Automatic recoveries out of degraded mode once a write probe
+        /// succeeded again.
+        pub recoveries: u64,
+        /// Segment-GC / WAL-rotation removals that failed — previously
+        /// swallowed with `let _ =`, now counted and logged once.
+        pub gc_remove_errors: u64,
     }
 }
 
-impl ToJson for StorageStats {
-    fn to_json(&self) -> Json {
-        concord_json::json!({
-            "degraded": self.degraded,
-            "faults_injected": self.faults_injected,
-            "retries": self.retries,
-            "degraded_transitions": self.degraded_transitions,
-            "recoveries": self.recoveries,
-            "gc_remove_errors": self.gc_remove_errors,
-        })
+record! {
+    /// Transport-layer counters of one `concord serve` process: how traffic
+    /// actually reached the engine (connections, pipelined requests, BATCH
+    /// amortization, binary frames) and the split between requests that
+    /// only read engine state and requests that mutate it.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct ServeTransportStats {
+        /// Connections accepted (stdin counts as one).
+        pub connections: u64,
+        /// Requests answered, across all connections and framings
+        /// (BATCH counts as one request; its sub-commands are counted in
+        /// `batched_requests`).
+        pub requests: u64,
+        /// BATCH requests executed.
+        pub batches: u64,
+        /// Sub-commands executed inside BATCH requests.
+        pub batched_requests: u64,
+        /// Requests that arrived as length-prefixed binary frames.
+        pub binary_frames: u64,
+        /// Requests (a BATCH counts once) that only read engine state:
+        /// CHECK/GEN/STATS/CONTRACTS/HEALTH.
+        pub shared_reads: u64,
+        /// Requests (a BATCH counts once) that mutate engine state:
+        /// UPSERT/REMOVE/LEARN/CHECKPOINT and fault verbs.
+        pub exclusive_ops: u64,
     }
 }
 
-/// Transport-layer counters of one `concord serve` process: how traffic
-/// actually reached the engine (connections, pipelined requests, BATCH
-/// amortization, binary frames) and the split between requests that
-/// only read engine state and requests that mutate it.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ServeTransportStats {
-    /// Connections accepted (stdin counts as one).
-    pub connections: u64,
-    /// Requests answered, across all connections and framings
-    /// (BATCH counts as one request; its sub-commands are counted in
-    /// `batched_requests`).
-    pub requests: u64,
-    /// BATCH requests executed.
-    pub batches: u64,
-    /// Sub-commands executed inside BATCH requests.
-    pub batched_requests: u64,
-    /// Requests that arrived as length-prefixed binary frames.
-    pub binary_frames: u64,
-    /// Requests (a BATCH counts once) that only read engine state:
-    /// CHECK/GEN/STATS/CONTRACTS/HEALTH.
-    pub shared_reads: u64,
-    /// Requests (a BATCH counts once) that mutate engine state:
-    /// UPSERT/REMOVE/LEARN/CHECKPOINT and fault verbs.
-    pub exclusive_ops: u64,
-}
-
-impl ToJson for ServeTransportStats {
-    fn to_json(&self) -> Json {
-        concord_json::json!({
-            "connections": self.connections,
-            "requests": self.requests,
-            "batches": self.batches,
-            "batched_requests": self.batched_requests,
-            "binary_frames": self.binary_frames,
-            "shared_reads": self.shared_reads,
-            "exclusive_ops": self.exclusive_ops,
-        })
+record! {
+    /// One shard's slice of a [`FleetStats`] snapshot.
+    #[derive(Debug, Clone, Default, PartialEq)]
+    pub struct FleetShardStats {
+        /// Shard index in router order.
+        pub shard: usize,
+        /// Configurations currently routed to this shard.
+        pub configs: usize,
+        /// Highest WAL sequence the shard leader has applied.
+        pub applied_seq: u64,
+        /// Reads counted on this shard: each GEN routed to it, and each
+        /// CHECK that recomputes its parts. CONTRACTS and a CHECK answered
+        /// from cached parts are not counted.
+        pub reads: u64,
+        /// Write verbs (UPSERT / REMOVE / contract swaps) executed on this
+        /// shard leader.
+        pub writes: u64,
+        /// The shard leader's robustness counters.
+        pub robustness: RobustnessStats,
     }
 }
 
-/// One shard's slice of a [`FleetStats`] snapshot.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct FleetShardStats {
-    /// Shard index in router order.
-    pub shard: usize,
-    /// Configurations currently routed to this shard.
-    pub configs: usize,
-    /// Highest WAL sequence the shard leader has applied.
-    pub applied_seq: u64,
-    /// Read verbs (CHECK parts / GEN / CONTRACTS) executed on this shard.
-    pub reads: u64,
-    /// Write verbs (UPSERT / REMOVE / contract swaps) executed on this
-    /// shard leader.
-    pub writes: u64,
-    /// The shard leader's robustness counters.
-    pub robustness: RobustnessStats,
-}
-
-impl ToJson for FleetShardStats {
-    fn to_json(&self) -> Json {
-        concord_json::json!({
-            "shard": self.shard,
-            "configs": self.configs,
-            "applied_seq": self.applied_seq,
-            "reads": self.reads,
-            "writes": self.writes,
-            "robustness": self.robustness,
-        })
+record! {
+    /// One-pass sums over every shard in a [`FleetStats`] snapshot. Built by
+    /// a single fold over the shard entries, so the totals and the per-shard
+    /// objects come from the same snapshot and always agree (the v7 layout
+    /// overlaid serve counters read-side, which could drift from the
+    /// engine-held copies).
+    #[derive(Debug, Clone, Default, PartialEq)]
+    pub struct FleetTotals {
+        /// Σ shard configs.
+        pub configs: usize,
+        /// Σ shard reads.
+        pub reads: u64,
+        /// Σ shard writes.
+        pub writes: u64,
+        /// Σ shard robustness counters, field by field.
+        pub robustness: RobustnessStats,
     }
 }
 
-/// One-pass sums over every shard in a [`FleetStats`] snapshot. Built by
-/// a single fold over the shard entries, so the totals and the per-shard
-/// objects come from the same snapshot and always agree (the v7 layout
-/// overlaid serve counters read-side, which could drift from the
-/// engine-held copies).
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct FleetTotals {
-    /// Σ shard configs.
-    pub configs: usize,
-    /// Σ shard reads.
-    pub reads: u64,
-    /// Σ shard writes.
-    pub writes: u64,
-    /// Σ shard robustness counters, field by field.
-    pub robustness: RobustnessStats,
-}
-
-impl ToJson for FleetTotals {
-    fn to_json(&self) -> Json {
-        concord_json::json!({
-            "configs": self.configs,
-            "reads": self.reads,
-            "writes": self.writes,
-            "robustness": self.robustness,
-        })
+record! {
+    /// Fleet-level statistics of a `concord serve` process (one shard
+    /// unless `--shards`): the consistent-hash router's device
+    /// distribution, per-shard counters, and one-pass
+    /// summed totals. `None` in `EngineStats` outside `concord serve`.
+    #[derive(Debug, Clone, Default, PartialEq)]
+    pub struct FleetStats {
+        /// Per-shard entries, in shard (router) order.
+        pub shards: Vec<FleetShardStats>,
+        /// Devices the router currently maps to each shard, in shard order —
+        /// the observed hash distribution.
+        pub router: Vec<usize>,
+        /// One-pass sums over `shards` (see [`FleetStats::rollup`]).
+        pub totals: FleetTotals,
     }
-}
-
-/// Fleet-level statistics of a `concord serve` process (one shard
-/// unless `--shards`): the consistent-hash router's device
-/// distribution, per-shard counters, and one-pass
-/// summed totals. `None` in `EngineStats` outside `concord serve`.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct FleetStats {
-    /// Per-shard entries, in shard (router) order.
-    pub shards: Vec<FleetShardStats>,
-    /// Devices the router currently maps to each shard, in shard order —
-    /// the observed hash distribution.
-    pub router: Vec<usize>,
-    /// One-pass sums over `shards` (see [`FleetStats::rollup`]).
-    pub totals: FleetTotals,
 }
 
 impl FleetStats {
@@ -574,104 +508,71 @@ impl FleetStats {
     }
 }
 
-impl ToJson for FleetStats {
-    fn to_json(&self) -> Json {
-        concord_json::json!({
-            "shards": Json::Array(self.shards.iter().map(ToJson::to_json).collect()),
-            "router": Json::Array(self.router.iter().map(|n| n.to_json()).collect()),
-            "totals": self.totals,
-        })
+record! {
+    /// Lex-cache reuse across a resident engine's lifetime (the engine's
+    /// `lex_cache` object). Hits plus misses count the lines lexed: an
+    /// upsert lexes only its edit window, so it adds the lines an edit
+    /// can change, not every line of the upserted text.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct LexCacheStats: Accumulate {
+        /// Lines reused from the persistent cache instead of re-scanned.
+        pub hits: u64,
+        /// Lines scanned.
+        pub misses: u64,
+        /// Entries evicted (0 for an unbounded cache).
+        pub evictions: u64,
     }
 }
 
-/// A snapshot of a resident incremental engine (`Engine::snapshot_stats`
-/// in `concord-engine`): the versioned dataset, the edit/relearn history,
-/// and the lex-cache reuse across all edits absorbed so far.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct EngineStats {
-    /// Configurations in the snapshot.
-    pub configs: usize,
-    /// Total line records (including appended metadata lines).
-    pub lines: usize,
-    /// Distinct interned patterns (append-only across edits).
-    pub patterns: usize,
-    /// Contracts currently loaded (`None` before the first learn/load).
-    pub contracts: Option<usize>,
-    /// Upserts + removes absorbed since the engine was built.
-    pub edits: u64,
-    /// Full relearns performed.
-    pub relearns: u64,
-    /// Configurations currently awaiting re-check.
-    pub dirty_configs: usize,
-    /// Fraction of lines changed since the last learn (the
-    /// `relearn_if_stale` signal).
-    pub staleness: f64,
-    /// Lex-cache hits across the engine's lifetime (lines reused from the
-    /// persistent cache instead of re-scanned). Hits plus misses count
-    /// the lines lexed: an upsert lexes only its edit window, so it adds
-    /// the lines an edit can change, not every line of the upserted text.
-    pub lex_cache_hits: u64,
-    /// Lex-cache misses across the engine's lifetime (lines scanned).
-    pub lex_cache_misses: u64,
-    /// Lex-cache evictions (0 for an unbounded cache).
-    pub lex_cache_evictions: u64,
-    /// Per-configuration edit generations in dataset order: `(name,
-    /// generation)`. Survives crash recovery, so a restarted engine
-    /// reports the same generations as an uninterrupted one.
-    pub generations: Vec<(String, u64)>,
-    /// Counters of the most recent `check_dirty` call.
-    pub last_check: Option<EngineCheckStats>,
-    /// Fault-tolerance counters, when the engine runs behind the
-    /// hardened serve layer (`None` for a bare `Engine`).
-    pub robustness: Option<RobustnessStats>,
-    /// Incremental-learning counters (sketch cache and last relearn).
-    pub learn_delta: LearnDeltaStats,
-    /// Arena/interner memory accounting and segmented-checkpoint
-    /// counters.
-    pub memory: MemoryStats,
-    /// Storage-fault and degraded-mode counters, when the engine runs
-    /// behind the hardened durability layer (`None` for a bare
-    /// `Engine`).
-    pub storage: Option<StorageStats>,
-    /// Serve transport counters, when the stats were produced by a
-    /// `concord serve` process (`None` for a bare engine).
-    pub serve: Option<ServeTransportStats>,
-    /// Fleet rollup, when the stats were produced by a `concord serve`
-    /// process (`None` for a bare engine).
-    pub fleet: Option<FleetStats>,
-}
-
-impl ToJson for EngineStats {
-    fn to_json(&self) -> Json {
-        let generations = Json::Object(
-            self.generations
-                .iter()
-                .map(|(name, gen)| (name.clone(), gen.to_json()))
-                .collect(),
-        );
-        concord_json::json!({
-            "configs": self.configs,
-            "lines": self.lines,
-            "patterns": self.patterns,
-            "contracts": self.contracts,
-            "edits": self.edits,
-            "relearns": self.relearns,
-            "dirty_configs": self.dirty_configs,
-            "staleness": self.staleness,
-            "lex_cache": concord_json::json!({
-                "hits": self.lex_cache_hits,
-                "misses": self.lex_cache_misses,
-                "evictions": self.lex_cache_evictions,
-            }),
-            "generations": generations,
-            "last_check": self.last_check,
-            "robustness": self.robustness,
-            "learn_delta": self.learn_delta,
-            "memory": self.memory,
-            "storage": self.storage,
-            "serve": self.serve,
-            "fleet": self.fleet,
-        })
+record! {
+    /// A snapshot of a resident incremental engine (`Engine::snapshot_stats`
+    /// in `concord-engine`): the versioned dataset, the edit/relearn history,
+    /// and the lex-cache reuse across all edits absorbed so far.
+    #[derive(Debug, Clone, Default, PartialEq)]
+    pub struct EngineStats {
+        /// Configurations in the snapshot.
+        pub configs: usize,
+        /// Total line records (including appended metadata lines).
+        pub lines: usize,
+        /// Distinct interned patterns (append-only across edits).
+        pub patterns: usize,
+        /// Contracts currently loaded (`None` before the first learn/load).
+        pub contracts: Option<usize>,
+        /// Upserts + removes absorbed since the engine was built.
+        pub edits: u64,
+        /// Full relearns performed.
+        pub relearns: u64,
+        /// Configurations currently awaiting re-check.
+        pub dirty_configs: usize,
+        /// Fraction of lines changed since the last learn (the
+        /// `relearn_if_stale` signal).
+        pub staleness: f64,
+        /// Lex-cache reuse across the engine's lifetime.
+        pub lex_cache: LexCacheStats,
+        /// Per-configuration edit generations by name. Survives crash
+        /// recovery, so a restarted engine reports the same generations as
+        /// an uninterrupted one.
+        pub generations: BTreeMap<String, u64>,
+        /// Counters of the most recent `check_dirty` call.
+        pub last_check: Option<EngineCheckStats>,
+        /// Fault-tolerance counters, when the engine runs behind the
+        /// hardened serve layer (`None` for a bare `Engine`).
+        pub robustness: Option<RobustnessStats>,
+        /// Incremental-learning counters (sketch cache and last relearn).
+        pub learn_delta: LearnDeltaStats,
+        /// Arena/interner memory accounting and segmented-checkpoint
+        /// counters.
+        pub memory: MemoryStats,
+        /// Storage-fault and degraded-mode counters, when the engine runs
+        /// behind the hardened durability layer (`None` for a bare
+        /// `Engine`).
+        pub storage: Option<StorageStats>,
+        /// Serve transport counters, when the stats were produced by a
+        /// `concord serve` process (`None` for a bare engine).
+        pub serve: Option<ServeTransportStats>,
+        /// Fleet rollup, when the stats were produced by a `concord serve`
+        /// process (`None` for a bare engine).
+        pub fleet: Option<FleetStats>,
     }
 }
 
@@ -781,7 +682,7 @@ impl PipelineStats {
             ));
             out.push_str(&format!(
                 "  staleness {:.3}; lex cache {} hits / {} misses / {} evictions\n",
-                e.staleness, e.lex_cache_hits, e.lex_cache_misses, e.lex_cache_evictions,
+                e.staleness, e.lex_cache.hits, e.lex_cache.misses, e.lex_cache.evictions,
             ));
             let d = &e.learn_delta;
             out.push_str(&format!(
@@ -873,6 +774,44 @@ impl PipelineStats {
 mod tests {
     use super::*;
 
+    const GOLDEN: &str = concat!(
+        r#"{"schema":"concord-pipeline-stats/v13","total_secs":0.08,"build":{"configs":4,"#,
+        r#""lines":100,"patterns":12,"lex_secs":0.05,"intern_secs":0.005,"#,
+        r#""cache":{"enabled":true,"hits":75,"misses":25,"hit_rate":0.75}},"#,
+        r#""learn":{"miners":[{"name":"present","secs":0.003},{"name":"relational","#,
+        r#""secs":0.009}],"relational_secs":0.009,"relational_merge_secs":0.002,"#,
+        r#""fanout_truncations":17,"minimize_secs":0.001,"relational_before_minimization":10,"#,
+        r#""relational_after_minimization":4},"check":{"contracts":20,"violations":1,"#,
+        r#""parallelism":8,"check_secs":0.007,"compile_secs":0.00012,"witness":{"indexes":3,"#,
+        r#""entries":450,"probes":200,"probe_hits":198,"hit_rate":0.99},"#,
+        r#""categories":[{"name":"present","secs":0.001},{"name":"relational","secs":0.004}]},"#,
+        r#""engine":{"configs":4,"lines":120,"patterns":12,"contracts":20,"edits":3,"#,
+        r#""relearns":1,"dirty_configs":1,"staleness":0.125,"lex_cache":{"hits":90,"misses":30,"#,
+        r#""evictions":4},"generations":{"dev0":2,"dev1":0},"last_check":{"dirty_configs":1,"#,
+        r#""reused_configs":3,"resolution_invalidated":false,"witness_indexes_rebuilt":2,"#,
+        r#""witness_indexes_patched":6},"robustness":{"requests_rejected":5,"deadlines_hit":2,"#,
+        r#""panics_recovered":1,"wal_replays":1,"wal_records_replayed":12,"checkpoints":3,"#,
+        r#""degraded_checks":1,"persist_errors":4},"learn_delta":{"enabled":true,"sketches":3,"#,
+        r#""dirty":1,"mined_last_learn":2,"reused_last_learn":2,"contracts_edits":3},"#,
+        r#""memory":{"string_arena_bytes":4096,"param_arena_bytes":1024,"#,
+        r#""pattern_table_bytes":512,"column_bytes":2048,"sketch_bytes":8192,"#,
+        r#""interned_strings":100,"interned_param_slices":40,"segments_written":7,"#,
+        r#""segments_skipped":21},"storage":{"degraded":true,"faults_injected":14,"retries":6,"#,
+        r#""degraded_transitions":2,"recoveries":1,"gc_remove_errors":3},"#,
+        r#""serve":{"connections":9,"requests":40,"batches":2,"batched_requests":16,"#,
+        r#""binary_frames":8,"shared_reads":30,"exclusive_ops":10},"#,
+        r#""fleet":{"shards":[{"shard":0,"configs":3,"applied_seq":7,"reads":20,"writes":5,"#,
+        r#""robustness":{"requests_rejected":2,"deadlines_hit":1,"panics_recovered":0,"#,
+        r#""wal_replays":0,"wal_records_replayed":0,"checkpoints":2,"degraded_checks":0,"#,
+        r#""persist_errors":0}},{"shard":1,"configs":1,"applied_seq":4,"reads":10,"writes":4,"#,
+        r#""robustness":{"requests_rejected":3,"deadlines_hit":0,"panics_recovered":1,"#,
+        r#""wal_replays":0,"wal_records_replayed":0,"checkpoints":0,"degraded_checks":0,"#,
+        r#""persist_errors":0}}],"router":[3,1],"totals":{"configs":4,"reads":30,"writes":9,"#,
+        r#""robustness":{"requests_rejected":5,"deadlines_hit":1,"panics_recovered":1,"#,
+        r#""wal_replays":0,"wal_records_replayed":0,"checkpoints":2,"degraded_checks":0,"#,
+        r#""persist_errors":0}}}}}"#,
+    );
+
     fn sample_fleet() -> FleetStats {
         let shards = vec![
             FleetShardStats {
@@ -926,11 +865,12 @@ mod tests {
                     ("present".to_string(), Duration::from_millis(3)),
                     ("relational".to_string(), Duration::from_millis(9)),
                 ],
+                relational_time: Duration::from_millis(9),
                 relational_merge_time: Duration::from_millis(2),
+                minimize_time: Duration::from_millis(1),
                 fanout_truncations: 17,
                 relational_before_minimization: 10,
                 relational_after_minimization: 4,
-                ..LearnStats::default()
             }),
             check: Some(CheckStats {
                 contracts: 20,
@@ -956,10 +896,13 @@ mod tests {
                 relearns: 1,
                 dirty_configs: 1,
                 staleness: 0.125,
-                lex_cache_hits: 90,
-                lex_cache_misses: 30,
-                lex_cache_evictions: 4,
-                generations: vec![("dev0".to_string(), 2), ("dev1".to_string(), 0)],
+                lex_cache: LexCacheStats {
+                    hits: 90,
+                    misses: 30,
+                    evictions: 4,
+                },
+                // Inserted out of name order; the map renders them by name.
+                generations: BTreeMap::from([("dev1".to_string(), 0), ("dev0".to_string(), 2)]),
                 last_check: Some(EngineCheckStats {
                     dirty_configs: 1,
                     reused_configs: 3,
@@ -975,7 +918,7 @@ mod tests {
                     wal_records_replayed: 12,
                     checkpoints: 3,
                     degraded_checks: 1,
-                    persist_errors: 0,
+                    persist_errors: 4,
                 }),
                 learn_delta: LearnDeltaStats {
                     enabled: true,
@@ -1162,6 +1105,15 @@ mod tests {
             json["engine"]["fleet"]["totals"]["robustness"]["requests_rejected"].as_u64(),
             Some(5)
         );
+    }
+
+    /// The compact render of [`sample`], byte for byte: key order, nesting
+    /// and number formatting of every record (the name-keyed fields are
+    /// checked by value in `json_shape_matches_schema`, not by order).
+    #[test]
+    fn json_render_matches_golden_bytes() {
+        let rendered = sample().to_json().render();
+        assert_eq!(rendered, GOLDEN);
     }
 
     #[test]

@@ -29,11 +29,11 @@
 //!
 //! Coverage merges as integer sums (`covered_lines` / `total_lines`
 //! per config), from which the renderer's fraction recomputes to the
-//! identical `f64`. Incremental counters (`dirty` / `reused`) sum
-//! across shards — after one edit only the owning shard reports dirty
-//! work, which is what makes fleet CHECK scale: the recheck is
-//! O(edit), and the merge is O(violations) plus a hash probe per unique
-//! value outside the largest shard.
+//! identical `f64`. The serve layer sums the incremental counters
+//! (`dirty` / `reused`) from each shard's parts — after one edit only
+//! the owning shard reports dirty work, which is what makes fleet CHECK
+//! scale: the recheck is O(edit), and the merge is O(violations) plus a
+//! hash probe per unique value outside the largest shard.
 
 use std::cmp::Ordering;
 
@@ -52,12 +52,6 @@ pub struct FleetCheckReport {
     pub covered_lines: usize,
     /// Σ total lines across every configuration.
     pub total_lines: usize,
-    /// Σ per-shard dirty (rechecked) configurations.
-    pub dirty_configs: usize,
-    /// Σ per-shard reused (cache-patched) configurations.
-    pub reused_configs: usize,
-    /// Whether any shard dropped its cache for a resolution change.
-    pub resolution_invalidated: bool,
 }
 
 impl FleetCheckReport {
@@ -173,9 +167,6 @@ pub fn merge_check_aggregates(
         violations,
         covered_lines: shards.iter().map(|s| s.covered_lines).sum(),
         total_lines: shards.iter().map(|s| s.total_lines).sum(),
-        dirty_configs: shards.iter().map(|s| s.parts.dirty_configs).sum(),
-        reused_configs: shards.iter().map(|s| s.parts.reused_configs).sum(),
-        resolution_invalidated: shards.iter().any(|s| s.parts.resolution_invalidated),
     }
 }
 
@@ -232,8 +223,20 @@ mod tests {
     }
 
     fn merged(contracts: &ContractSet, engines: &mut [Engine]) -> FleetCheckReport {
+        merged_with_counts(contracts, engines).0
+    }
+
+    /// The merged report plus the Σ dirty and Σ reused configurations
+    /// of the parts it merged.
+    fn merged_with_counts(
+        contracts: &ContractSet,
+        engines: &mut [Engine],
+    ) -> (FleetCheckReport, usize, usize) {
         let aggregates = aggregates(engines);
-        merge_check_aggregates(contracts, &aggregates.iter().collect::<Vec<_>>())
+        let report = merge_check_aggregates(contracts, &aggregates.iter().collect::<Vec<_>>());
+        let dirty = aggregates.iter().map(|a| a.parts.dirty_configs).sum();
+        let reused = aggregates.iter().map(|a| a.parts.reused_configs).sum();
+        (report, dirty, reused)
     }
 
     /// A one-contract set: unique values of `line`'s first parameter.
@@ -270,7 +273,7 @@ mod tests {
 
         for shards in [1usize, 2, 3, 5] {
             let (_, mut engines) = fleet(&configs, &contracts, shards);
-            let fleet_report = merged(&contracts, &mut engines);
+            let (fleet_report, dirty, reused) = merged_with_counts(&contracts, &mut engines);
             let oracle = single.check_dirty().expect("oracle check");
 
             assert_eq!(
@@ -281,10 +284,7 @@ mod tests {
             assert_eq!(fleet_report.total_lines, summary.total_lines);
             assert_eq!(fleet_report.covered_lines, summary.covered_lines);
             assert_eq!(fleet_report.coverage_fraction(), summary.fraction);
-            assert_eq!(
-                fleet_report.dirty_configs + fleet_report.reused_configs,
-                configs.len()
-            );
+            assert_eq!(dirty + reused, configs.len());
         }
     }
 
@@ -311,7 +311,7 @@ mod tests {
             engines[router.route(name)].upsert_config(name, text);
         }
 
-        let fleet_report = merged(&contracts, &mut engines);
+        let (fleet_report, dirty, reused) = merged_with_counts(&contracts, &mut engines);
         let oracle = single.check_dirty().expect("oracle check");
         assert_eq!(fleet_report.violations, oracle.report.violations);
         assert!(
@@ -324,8 +324,8 @@ mod tests {
 
         // Only the owning shards recheck: at most one dirty config per
         // edited shard, against the single engine's same total.
-        assert_eq!(fleet_report.dirty_configs, oracle.engine.dirty_configs);
-        assert_eq!(fleet_report.reused_configs, oracle.engine.reused_configs);
+        assert_eq!(dirty, oracle.engine.dirty_configs);
+        assert_eq!(reused, oracle.engine.reused_configs);
 
         // Removal drops dev1's values from its shard's unique index.
         single.remove_config("dev1");

@@ -50,8 +50,8 @@ use std::time::{Duration, Instant};
 use concord_core::{
     learn_with_stats, parallel, sketch_params_fingerprint, CheckProgram, CheckReport, CheckStats,
     ConfigOutcome, ConfigSketch, ContractSet, CoverageReport, Dataset, DatasetError,
-    EngineCheckStats, EngineStats, Fold, LearnDeltaStats, LearnParams, LearnStats, MemoryStats,
-    UniqueIndex, UniqueTable, SKETCH_FORMAT_VERSION,
+    EngineCheckStats, EngineStats, Fold, LearnDeltaStats, LearnParams, LearnStats, LexCacheStats,
+    MemoryStats, UniqueIndex, UniqueTable, SKETCH_FORMAT_VERSION,
 };
 use concord_json::{Json, ToJson};
 use concord_lexer::{LexCache, Lexer};
@@ -274,16 +274,9 @@ pub struct Engine {
     /// One entry per configuration, kept index-aligned with
     /// `dataset.configs` through every upsert/remove.
     slots: Vec<Slot>,
-    next_id: u64,
     /// Shared so [`CheckParts`] can carry the set they were checked
     /// under without deep-copying it.
     contracts: Option<Arc<ContractSet>>,
-    /// Bumped on every swap, whether or not the new set differs. Not part
-    /// of the outcome-cache key (`cached_key` compares the sets
-    /// themselves): it is the persisted swap counter the serve layer's
-    /// `Fleet::apply` compares to tell that a swap may have changed what
-    /// CHECK answers.
-    contracts_epoch: u64,
     /// The contract set and resolution fingerprint the cached outcomes
     /// were checked under. `check_dirty` keeps them while the current
     /// set is this one or equals it and the fingerprint holds, and
@@ -294,15 +287,8 @@ pub struct Engine {
     /// under `cached_key`. Shared with [`CheckParts`]; updated in place
     /// through [`Arc::make_mut`] when no parts hold it.
     unique: Arc<UniqueIndex>,
-    edits: u64,
-    relearns: u64,
-    /// Corpus size (own lines) when contracts were last learned/loaded.
-    lines_at_last_learn: usize,
-    /// Own lines added, removed, or replaced since then (both sides of a
-    /// replacement count — the staleness signal measures churn).
-    changed_lines_since_learn: usize,
-    /// `edits` at the moment the current contracts were learned/loaded.
-    contracts_edits: u64,
+    /// The lifetime counters, persisted in the image as they stand.
+    counters: EngineCounters,
     /// Configurations re-sketched / reused by the most recent relearn.
     last_learn_mined: u64,
     last_learn_reused: u64,
@@ -324,16 +310,10 @@ impl Engine {
             options,
             dataset: Dataset::default(),
             slots: Vec::new(),
-            next_id: 0,
             contracts: None,
-            contracts_epoch: 0,
             cached_key: None,
             unique: Arc::default(),
-            edits: 0,
-            relearns: 0,
-            lines_at_last_learn: 0,
-            changed_lines_since_learn: 0,
-            contracts_edits: 0,
+            counters: EngineCounters::default(),
             last_learn_mined: 0,
             last_learn_reused: 0,
             last_check: None,
@@ -407,7 +387,7 @@ impl Engine {
             .enumerate()
             .map(|(i, (_, text))| Slot::new(i as u64, text))
             .collect();
-        engine.next_id = dataset.configs.len() as u64;
+        engine.counters.next_id = dataset.configs.len() as u64;
         engine.dataset = dataset;
         Ok(engine)
     }
@@ -437,14 +417,7 @@ impl Engine {
                 ContractSet::from_json(json).map_err(|e| ImageError::Contracts(e.to_string()))?;
             engine.contracts = Some(Arc::new(contracts));
         }
-        let c = &image.counters;
-        engine.next_id = c.next_id;
-        engine.edits = c.edits;
-        engine.relearns = c.relearns;
-        engine.contracts_epoch = c.contracts_epoch;
-        engine.lines_at_last_learn = c.lines_at_last_learn;
-        engine.changed_lines_since_learn = c.changed_lines_since_learn;
-        engine.contracts_edits = c.contracts_edits;
+        engine.counters = image.counters;
         // Sketches are derived state: import what survives the version,
         // params, and generation guards; anything else (including a
         // corrupt per-config bundle) is silently re-mined by the next
@@ -466,15 +439,7 @@ impl Engine {
 
     /// The engine's lifetime counters (for persistence).
     pub fn counters(&self) -> EngineCounters {
-        EngineCounters {
-            next_id: self.next_id,
-            edits: self.edits,
-            relearns: self.relearns,
-            contracts_epoch: self.contracts_epoch,
-            lines_at_last_learn: self.lines_at_last_learn,
-            changed_lines_since_learn: self.changed_lines_since_learn,
-            contracts_edits: self.contracts_edits,
-        }
+        self.counters
     }
 
     /// `(name, generation)` for every configuration, in dataset order.
@@ -557,11 +522,12 @@ impl Engine {
             slot.outcome = None;
             slot.sketch = None;
         } else {
-            self.slots.insert(i, Slot::new(self.next_id, text));
-            self.next_id += 1;
+            self.slots.insert(i, Slot::new(self.counters.next_id, text));
+            self.counters.next_id += 1;
         }
-        self.edits += 1;
-        self.changed_lines_since_learn += old_own + self.dataset.configs[i].own_line_count();
+        self.counters.edits += 1;
+        self.counters.changed_lines_since_learn +=
+            old_own + self.dataset.configs[i].own_line_count();
         ConfigId(self.slots[i].id)
     }
 
@@ -578,8 +544,8 @@ impl Engine {
         if self.unique.contains(name) {
             Arc::make_mut(&mut self.unique).remove(name);
         }
-        self.edits += 1;
-        self.changed_lines_since_learn += own;
+        self.counters.edits += 1;
+        self.counters.changed_lines_since_learn += own;
         Some(ConfigId(slot.id))
     }
 
@@ -594,10 +560,17 @@ impl Engine {
     /// [`Engine::relearn_if_stale`] as usual.
     pub fn set_contracts(&mut self, contracts: ContractSet) {
         self.contracts = Some(Arc::new(contracts));
-        self.contracts_epoch += 1;
-        self.contracts_edits = self.edits;
-        self.lines_at_last_learn = self.dataset.total_lines();
-        self.changed_lines_since_learn = 0;
+        self.contracts_swapped();
+    }
+
+    /// Counts a contract swap and restarts the staleness clock at the
+    /// current snapshot.
+    fn contracts_swapped(&mut self) {
+        let c = &mut self.counters;
+        c.contracts_epoch += 1;
+        c.contracts_edits = c.edits;
+        c.lines_at_last_learn = self.dataset.total_lines();
+        c.changed_lines_since_learn = 0;
     }
 
     /// Learns a fresh contract set from the current snapshot, replacing
@@ -619,11 +592,8 @@ impl Engine {
             self.last_learn_reused = 0;
             stats
         };
-        self.contracts_epoch += 1;
-        self.relearns += 1;
-        self.contracts_edits = self.edits;
-        self.lines_at_last_learn = self.dataset.total_lines();
-        self.changed_lines_since_learn = 0;
+        self.counters.relearns += 1;
+        self.contracts_swapped();
         stats
     }
 
@@ -676,10 +646,11 @@ impl Engine {
             };
         }
         let denominator = self
+            .counters
             .lines_at_last_learn
             .max(self.dataset.total_lines())
             .max(1);
-        self.changed_lines_since_learn as f64 / denominator as f64
+        self.counters.changed_lines_since_learn as f64 / denominator as f64
     }
 
     /// Relearns when no contracts are loaded yet or when
@@ -898,7 +869,7 @@ impl Engine {
             dirty: self.slots.iter().filter(|s| s.sketch.is_none()).count(),
             mined_last_learn: self.last_learn_mined,
             reused_last_learn: self.last_learn_reused,
-            contracts_edits: self.contracts_edits,
+            contracts_edits: self.counters.contracts_edits,
         }
     }
 
@@ -910,14 +881,16 @@ impl Engine {
             lines: self.dataset.configs.iter().map(|c| c.len()).sum(),
             patterns: self.dataset.pattern_count(),
             contracts: self.contracts.as_deref().map(ContractSet::len),
-            edits: self.edits,
-            relearns: self.relearns,
+            edits: self.counters.edits,
+            relearns: self.counters.relearns,
             dirty_configs: self.slots.iter().filter(|s| s.outcome.is_none()).count(),
             staleness: self.staleness(),
-            lex_cache_hits: cache.hits,
-            lex_cache_misses: cache.misses,
-            lex_cache_evictions: cache.evictions,
-            generations: self.generations(),
+            lex_cache: LexCacheStats {
+                hits: cache.hits,
+                misses: cache.misses,
+                evictions: cache.evictions,
+            },
+            generations: self.generations().into_iter().collect(),
             robustness: None,
             last_check: self.last_check,
             learn_delta: self.learn_delta(),
@@ -1336,7 +1309,7 @@ mod tests {
         assert_eq!(stats.contracts, Some(engine.contracts().unwrap().len()));
         assert_eq!(stats.dirty_configs, 5, "nothing checked yet");
         assert!(
-            stats.lex_cache_hits > 0,
+            stats.lex_cache.hits > 0,
             "repeated line shapes must hit the persistent cache"
         );
         engine.check_dirty().unwrap();

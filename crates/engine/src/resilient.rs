@@ -29,7 +29,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use concord_core::{
-    ContractSet, DatasetError, EngineStats, LearnStats, RobustnessStats, StorageStats,
+    ContractSet, DatasetError, EngineStats, LearnStats, MemoryStats, RobustnessStats, StorageStats,
 };
 use concord_lexer::Lexer;
 
@@ -179,16 +179,15 @@ pub struct ResilientEngine {
     armed: Vec<OpKind>,
     checkpoint_every: u64,
     appends_since_checkpoint: u64,
-    /// Cumulative segmented-checkpoint counters (v9 `memory` stats).
-    segments_written: u64,
-    segments_skipped: u64,
-    /// Storage is persistently failing: writes are rejected, reads keep
-    /// serving from the resident snapshot, and every write attempt
-    /// re-probes the storage stack for recovery (v10 `storage` stats).
-    degraded: bool,
-    storage_retries: u64,
-    degraded_transitions: u64,
-    storage_recoveries: u64,
+    /// Cumulative segmented-checkpoint counters: only the `segments_*`
+    /// fields move; the engine's own accounting fills the rest.
+    checkpoint_memory: MemoryStats,
+    /// The storage-health counters the engine itself keeps (the store
+    /// counts injected faults and GC errors). While `degraded`, storage
+    /// is persistently failing: writes are rejected, reads keep serving
+    /// from the resident snapshot, and every write attempt re-probes the
+    /// storage stack for recovery.
+    storage: StorageStats,
 }
 
 impl ResilientEngine {
@@ -224,12 +223,8 @@ impl ResilientEngine {
             armed: Vec::new(),
             checkpoint_every: 64,
             appends_since_checkpoint: 0,
-            segments_written: 0,
-            segments_skipped: 0,
-            degraded: false,
-            storage_retries: 0,
-            degraded_transitions: 0,
-            storage_recoveries: 0,
+            checkpoint_memory: MemoryStats::default(),
+            storage: StorageStats::default(),
         }
     }
 
@@ -387,15 +382,7 @@ impl ResilientEngine {
     /// Checks the current snapshot (incremental when the engine is
     /// healthy, full-recompute right after a recovery — both exact).
     pub fn check(&mut self) -> Result<EngineCheckReport, EngineFault> {
-        let result = self.guarded(OpKind::Check, |e| e.check_dirty())?;
-        let report = result.map_err(|e| match e {
-            EngineError::NoContracts => EngineFault::NoContracts,
-        })?;
-        if self.degraded_pending {
-            self.robustness.degraded_checks += 1;
-            self.degraded_pending = false;
-        }
-        Ok(report)
+        self.checked(Engine::check_dirty)
     }
 
     /// Checks the current snapshot and returns the unassembled
@@ -404,15 +391,24 @@ impl ResilientEngine {
     /// [`ResilientEngine::check`]: an armed `Check` fault fires inside
     /// this path too, and a post-recovery run counts as degraded.
     pub fn check_parts(&mut self) -> Result<CheckParts, EngineFault> {
-        let result = self.guarded(OpKind::Check, |e| e.check_parts())?;
-        let parts = result.map_err(|e| match e {
+        self.checked(Engine::check_parts)
+    }
+
+    /// Runs one check under the `Check` guard, counting the first
+    /// successful check after a recovery as degraded.
+    fn checked<T>(
+        &mut self,
+        check: impl FnOnce(&mut Engine) -> Result<T, EngineError>,
+    ) -> Result<T, EngineFault> {
+        let result = self.guarded(OpKind::Check, check)?;
+        let value = result.map_err(|e| match e {
             EngineError::NoContracts => EngineFault::NoContracts,
         })?;
         if self.degraded_pending {
             self.robustness.degraded_checks += 1;
             self.degraded_pending = false;
         }
-        Ok(parts)
+        Ok(value)
     }
 
     /// Engine statistics with the robustness counters and segmented-
@@ -420,8 +416,7 @@ impl ResilientEngine {
     pub fn snapshot_stats(&mut self) -> Result<EngineStats, EngineFault> {
         let mut stats = self.guarded(OpKind::Stats, |e| e.snapshot_stats())?;
         stats.robustness = Some(self.robustness);
-        stats.memory.segments_written = self.segments_written;
-        stats.memory.segments_skipped = self.segments_skipped;
+        stats.memory.accumulate(&self.checkpoint_memory);
         stats.storage = Some(self.storage_stats());
         Ok(stats)
     }
@@ -429,19 +424,16 @@ impl ResilientEngine {
     /// Whether the engine is in degraded read-only mode (storage is
     /// persistently failing; reads still serve from the snapshot).
     pub fn degraded(&self) -> bool {
-        self.degraded
+        self.storage.degraded
     }
 
     /// The storage-health counters (v10 `storage` stats and the serve
     /// protocol's `HEALTH` verb). All zero for a memory-only engine.
     pub fn storage_stats(&self) -> StorageStats {
         StorageStats {
-            degraded: self.degraded,
             faults_injected: self.store.as_ref().map_or(0, StateDir::injected_faults),
-            retries: self.storage_retries,
-            degraded_transitions: self.degraded_transitions,
-            recoveries: self.storage_recoveries,
             gc_remove_errors: self.store.as_ref().map_or(0, StateDir::gc_remove_errors),
+            ..self.storage
         }
     }
 
@@ -488,8 +480,8 @@ impl ResilientEngine {
                 Ok(stats) => {
                     self.note_storage_ok();
                     self.robustness.checkpoints += 1;
-                    self.segments_written += stats.segments_written;
-                    self.segments_skipped += stats.segments_skipped;
+                    self.checkpoint_memory.segments_written += stats.segments_written;
+                    self.checkpoint_memory.segments_skipped += stats.segments_skipped;
                     self.appends_since_checkpoint = 0;
                     return true;
                 }
@@ -500,7 +492,7 @@ impl ResilientEngine {
                         return false;
                     }
                     attempt += 1;
-                    self.storage_retries += 1;
+                    self.storage.retries += 1;
                     std::thread::sleep(Duration::from_millis(1u64 << (attempt - 1)));
                 }
             }
@@ -607,7 +599,7 @@ impl ResilientEngine {
                         return Err(EngineFault::StorageDegraded(e.to_string()));
                     }
                     attempt += 1;
-                    self.storage_retries += 1;
+                    self.storage.retries += 1;
                     // Repair the torn tail before retrying; if the
                     // repair itself fails, the retried append surfaces
                     // the same error and the loop degrades as usual.
@@ -622,18 +614,18 @@ impl ResilientEngine {
     /// A write-path operation succeeded: leave degraded mode if we were
     /// in it.
     fn note_storage_ok(&mut self) {
-        if self.degraded {
-            self.degraded = false;
-            self.storage_recoveries += 1;
+        if self.storage.degraded {
+            self.storage.degraded = false;
+            self.storage.recoveries += 1;
         }
     }
 
     /// A write-path operation failed after retries: enter degraded
     /// read-only mode (idempotent).
     fn note_storage_degraded(&mut self) {
-        if !self.degraded {
-            self.degraded = true;
-            self.degraded_transitions += 1;
+        if !self.storage.degraded {
+            self.storage.degraded = true;
+            self.storage.degraded_transitions += 1;
         }
     }
 
@@ -643,11 +635,11 @@ impl ResilientEngine {
     /// and either recovers or rejects the write without touching the
     /// in-memory snapshot — degraded mode is genuinely read-only.
     fn ensure_writable(&mut self) -> Result<(), EngineFault> {
-        if !self.degraded {
+        if !self.storage.degraded {
             return Ok(());
         }
         let Some(store) = self.store.as_mut() else {
-            self.degraded = false;
+            self.storage.degraded = false;
             return Ok(());
         };
         match store.recover_wal().and_then(|()| store.probe()) {
