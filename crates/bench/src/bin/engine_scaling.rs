@@ -20,16 +20,15 @@
 //! A second, **resident** ladder scales the fleet dimension instead of
 //! the per-device dimension: thousands of small (~12 line)
 //! configurations held by a durable [`ResilientEngine`]. Each rung
-//! records deterministic heap accounting (arena-interned SoA bytes vs
-//! the `legacy-ir` oracle's per-record `Arc` bytes, pattern table
-//! excluded on both sides), the process RSS high-water, and the
-//! segmented-checkpoint scorecard: a full checkpoint (every segment
-//! written, into a fresh directory — the price a monolithic snapshot
-//! pays every time) against a checkpoint after one edit (one segment
-//! plus the manifest).
+//! records deterministic heap accounting (the dataset's string arena,
+//! parameter arena and id columns, pattern table excluded), the process
+//! RSS high-water, and the segmented-checkpoint scorecard: a full
+//! checkpoint (every segment written, into a fresh directory — the
+//! price a monolithic snapshot pays every time) against a checkpoint
+//! after one edit (one segment plus the manifest).
 
 use concord_bench::{fmt_secs, seed, timed, write_result};
-use concord_core::{check_parallel_with_stats, CheckReport, Dataset, LearnParams, LegacyDataset};
+use concord_core::{check_parallel_with_stats, CheckReport, Dataset, LearnParams};
 use concord_datagen::{generate_role, RoleSpec, Style};
 use concord_engine::{Engine, EngineOptions, ResilientEngine, StateDir};
 use concord_json::{json, Json};
@@ -100,12 +99,6 @@ fn resident_config(i: usize) -> (String, String) {
 fn resident_rung(devices: usize) -> Json {
     let corpus: Vec<(String, String)> = (0..devices).map(resident_config).collect();
 
-    // Deterministic heap accounting. The legacy oracle counts every
-    // distinct `Arc` payload once; the SoA side reports its arenas.
-    // Both exclude the shared pattern table, so the ratio isolates what
-    // the refactor changed: per-record ownership vs interned storage.
-    let legacy_heap_bytes = LegacyDataset::from_named_texts(&corpus, &[]).heap_bytes() as u64;
-
     let dir = std::env::temp_dir().join(format!(
         "concord-engine-resident-{}-{devices}",
         std::process::id()
@@ -167,18 +160,19 @@ fn resident_rung(devices: usize) -> Json {
         "{devices} configs: unexpected segment skip count"
     );
 
+    // Deterministic heap accounting: the interned arenas and the id
+    // columns, without the shared pattern table.
     let soa_heap_bytes = memory.string_arena_bytes + memory.param_arena_bytes + memory.column_bytes;
-    let heap_ratio = legacy_heap_bytes as f64 / (soa_heap_bytes as f64).max(1.0);
     let speedup = full_time.as_secs_f64() / edit_time.as_secs_f64().max(1e-9);
     let rss_kb = concord_bench::microbench::max_rss_kb().unwrap_or(0);
 
     println!(
-        "{devices:>7} resident configs: boot {} / full checkpoint {} / edit checkpoint {} ({speedup:.1}x); heap {:.1} MiB SoA vs {:.1} MiB legacy ({heap_ratio:.1}x); rss high-water {rss_kb} KiB",
+        "{devices:>7} resident configs: boot {} / full checkpoint {} / edit checkpoint {} ({speedup:.1}x); heap {:.1} MiB ({} B per config); rss high-water {rss_kb} KiB",
         fmt_secs(boot_time),
         fmt_secs(full_time),
         fmt_secs(edit_time),
         soa_heap_bytes as f64 / (1024.0 * 1024.0),
-        legacy_heap_bytes as f64 / (1024.0 * 1024.0),
+        soa_heap_bytes / devices as u64,
     );
 
     let _ = std::fs::remove_dir_all(&dir);
@@ -190,8 +184,6 @@ fn resident_rung(devices: usize) -> Json {
         "checkpoint_edit_secs": edit_time.as_secs_f64(),
         "checkpoint_speedup": speedup,
         "soa_heap_bytes": soa_heap_bytes,
-        "legacy_heap_bytes": legacy_heap_bytes,
-        "heap_ratio": heap_ratio,
         "segments_written": memory.segments_written,
         "segments_skipped": memory.segments_skipped,
         "max_rss_kb": rss_kb,

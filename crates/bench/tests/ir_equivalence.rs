@@ -1,20 +1,23 @@
-//! Randomized edit-sequence oracle for the arena-interned SoA dataset:
-//! the pre-refactor array-of-structs [`LegacyDataset`] (feature
-//! `legacy-ir`) is driven through the *same* seeded upsert/remove
-//! sequence as the production [`Dataset`], and after every step the two
-//! must agree line for line — pattern text, params, line numbers,
-//! originals, metadata flags — and produce byte-identical LEARN and
-//! CHECK output with identical stats counters. Runs over both generator
-//! families (EDGE indentation and WAN flat syntax) at parallelism 1
-//! and 8, mirroring `engine_equivalence`.
+//! Randomized edit-sequence oracle for the dataset's whole-text edit
+//! path: a [`Dataset`] is driven through a seeded upsert/remove sequence,
+//! and after every step it must agree with [`Dataset::build`] of the
+//! current name-sorted corpus and metadata. Names come in the same
+//! order, each upsert and remove returns the corpus position, every
+//! line matches field for field (pattern text, params, line number,
+//! original, metadata flag), `total_lines` matches, and LEARN and CHECK
+//! give byte-identical output with identical witness counters. Runs over
+//! both generator families (EDGE indentation with metadata, WAN flat
+//! syntax) at parallelism 1 and 8, mirroring `engine_equivalence`.
 //!
-//! This is the refactor's semantics pin: interning and
-//! structure-of-arrays layout are allowed to change memory, never
-//! bytes.
+//! Interner lengths are not compared: an edited dataset keeps the
+//! entries its edits orphaned, which a fresh build never interns. Ids
+//! may differ for the same reason; everything read through them may
+//! not. (`splice_equivalence` pins the edit-local window against this
+//! whole-text path, id for id.)
 
 use concord_bench::seed;
 use concord_core::{
-    check_parallel_with_stats, learn, CheckStats, ContractSet, Dataset, LearnParams, LegacyDataset,
+    check_parallel_with_stats, learn, CheckStats, ContractSet, Dataset, LearnParams,
 };
 use concord_datagen::{generate_role, RoleSpec, Style};
 use concord_lexer::Lexer;
@@ -24,54 +27,36 @@ use concord_rng::{Rng, SeedableRng};
 /// Random edit steps per (style, parallelism) sequence.
 const STEPS: usize = 25;
 
-/// Asserts the SoA dataset and the legacy oracle hold identical line
-/// records, field for field.
-fn assert_line_identical(soa: &Dataset, legacy: &LegacyDataset, context: &str) {
-    assert_eq!(
-        soa.configs.len(),
-        legacy.configs.len(),
-        "{context}: configs"
-    );
-    assert_eq!(
-        soa.pattern_count(),
-        legacy.table.len(),
-        "{context}: pattern tables"
-    );
-    let mut legacy_own_lines = 0usize;
-    for (cs, cl) in soa.configs.iter().zip(&legacy.configs) {
-        let name = soa.name_of(cs);
-        assert_eq!(name, cl.name, "{context}");
-        assert_eq!(cs.format, cl.format, "{context}: {name}");
-        assert_eq!(cs.len(), cl.lines.len(), "{context}: {name} line count");
-        for (ls, ll) in cs.lines(&soa.arenas).zip(&cl.lines) {
+/// Asserts the edited dataset and a fresh build hold the same
+/// configurations, in the same order, line for line.
+fn assert_line_identical(edited: &Dataset, built: &Dataset, context: &str) {
+    let names = |ds: &Dataset| -> Vec<String> {
+        (0..ds.configs.len())
+            .map(|i| ds.config_name(i).to_string())
+            .collect()
+    };
+    assert_eq!(names(edited), names(built), "{context}: config names");
+    for (ce, cb) in edited.configs.iter().zip(&built.configs) {
+        let name = edited.name_of(ce);
+        assert_eq!(ce.format, cb.format, "{context}: {name}");
+        assert_eq!(ce.len(), cb.len(), "{context}: {name} line count");
+        for (le, lb) in ce.lines(&edited.arenas).zip(cb.lines(&built.arenas)) {
+            let at = format!("{context}: {name}:{}", lb.line_no);
             assert_eq!(
-                soa.table.text(ls.pattern),
-                legacy.table.text(ll.pattern),
-                "{context}: {name}:{}",
-                ls.line_no
+                edited.table.text(le.pattern),
+                built.table.text(lb.pattern),
+                "{at}"
             );
-            assert_eq!(
-                ls.params,
-                &ll.params[..],
-                "{context}: {name}:{}",
-                ls.line_no
-            );
-            assert_eq!(ls.line_no, ll.line_no, "{context}: {name}");
-            assert_eq!(
-                ls.original, &*ll.original,
-                "{context}: {name}:{}",
-                ls.line_no
-            );
-            assert_eq!(ls.is_meta, ll.is_meta, "{context}: {name}:{}", ls.line_no);
+            assert_eq!(le.params, lb.params, "{at}");
+            assert_eq!(le.line_no, lb.line_no, "{at}");
+            assert_eq!(le.original, lb.original, "{at}");
+            assert_eq!(le.is_meta, lb.is_meta, "{at}");
         }
-        legacy_own_lines += cl.lines.iter().filter(|l| !l.is_meta).count();
     }
-    // Satellite pin: the SoA side's O(1) counter equals the legacy
-    // O(lines) recount after every edit.
     assert_eq!(
-        soa.total_lines(),
-        legacy_own_lines,
-        "{context}: O(1) total_lines diverged from recount"
+        edited.total_lines(),
+        built.total_lines(),
+        "{context}: total_lines"
     );
 }
 
@@ -123,20 +108,24 @@ fn run_sequence(style: Style, parallelism: usize, salt: u64) {
     let mut corpus = role.configs.clone();
     corpus.sort();
     let metadata = role.metadata.clone();
+    // Only the EDGE generator emits metadata; its sequences pin the
+    // rows every configuration gets appended.
+    assert_eq!(
+        !metadata.is_empty(),
+        matches!(style, Style::EdgeIndent),
+        "metadata rows"
+    );
 
     let lexer = Lexer::standard();
-    let mut soa = Dataset::from_named_texts(&corpus, &metadata).expect("SoA dataset builds");
-    let mut legacy = LegacyDataset::from_named_texts(&corpus, &metadata);
-    assert_line_identical(
-        &soa,
-        &legacy,
-        &format!("{style:?} p={parallelism} seed build"),
-    );
+    let build = |corpus: &[(String, String)]| {
+        Dataset::build(corpus, &metadata, &lexer, true, parallelism).expect("dataset builds")
+    };
+    let mut edited = build(&corpus);
 
     // One fixed contract set pins CHECK for the whole sequence; LEARN
     // equivalence is asserted per step on the evolving corpus.
     let params = LearnParams::default();
-    let contracts: ContractSet = learn(&soa, &params);
+    let contracts: ContractSet = learn(&edited, &params);
     assert!(!contracts.is_empty(), "sequence needs contracts to check");
 
     let mut rng = StdRng::seed_from_u64(seed() ^ salt);
@@ -145,73 +134,69 @@ fn run_sequence(style: Style, parallelism: usize, salt: u64) {
         match rng.gen_range(0..10u32) {
             0 if corpus.len() > 2 => {
                 let i = rng.gen_range(0..corpus.len());
-                let name = corpus[i].0.clone();
-                corpus.remove(i);
-                let si = soa.remove_config(&name);
-                let li = legacy.remove_config(&name);
-                assert_eq!(si, li, "{context}: remove index");
-                assert!(si.is_some(), "{context}");
+                let (name, _) = corpus.remove(i);
+                assert_eq!(edited.remove_config(&name), Some(i), "{context}: remove");
             }
             1 => {
-                let i = rng.gen_range(0..corpus.len());
-                let text = mutate(&corpus[i].1.clone(), &mut rng);
-                let name = format!("gen-{salt}-{step}");
-                corpus.push((name.clone(), text.clone()));
-                let si = soa.upsert_config(&name, &text, None, &lexer, true, None);
-                let li = legacy.upsert_config(&name, &text, &lexer, true, None);
-                assert_eq!(si, li, "{context}: insert index");
+                let source = rng.gen_range(0..corpus.len());
+                let text = mutate(&corpus[source].1, &mut rng);
+                // Named after its source, so it sorts right after it:
+                // inserts land inside the corpus, not only at its end.
+                let name = format!("{}-{step}", corpus[source].0);
+                let i = corpus.partition_point(|(n, _)| *n < name);
+                corpus.insert(i, (name.clone(), text.clone()));
+                let (at, _) = edited.upsert_config(&name, &text, None, &lexer, true, None);
+                assert_eq!(at, i, "{context}: insert");
             }
             _ => {
                 let i = rng.gen_range(0..corpus.len());
-                let name = corpus[i].0.clone();
-                let text = mutate(&corpus[i].1.clone(), &mut rng);
+                let text = mutate(&corpus[i].1, &mut rng);
                 corpus[i].1 = text.clone();
-                let si = soa.upsert_config(&name, &text, None, &lexer, true, None);
-                let li = legacy.upsert_config(&name, &text, &lexer, true, None);
-                assert_eq!(si, li, "{context}: replace index");
+                let name = &corpus[i].0;
+                let (at, _) = edited.upsert_config(name, &text, None, &lexer, true, None);
+                assert_eq!(at, i, "{context}: replace");
             }
         }
 
-        assert_line_identical(&soa, &legacy, &context);
+        let built = build(&corpus);
+        assert_line_identical(&edited, &built, &context);
 
-        // Byte-identical LEARN over both representations. The legacy
-        // side converts through `to_dataset()` (a full re-intern), so
-        // any drift in interning order or dedup shows up here.
-        let soa_learned = learn(&soa, &params).to_json();
-        let legacy_learned = learn(&legacy.to_dataset(), &params).to_json();
+        // Byte-identical LEARN: any drift in interning order or dedup
+        // the edits introduced shows up here.
         assert_eq!(
-            soa_learned, legacy_learned,
-            "{context}: LEARN diverged between representations"
+            learn(&edited, &params).to_json(),
+            learn(&built, &params).to_json(),
+            "{context}: LEARN diverged from the fresh build"
         );
 
         // Byte-identical CHECK (violations, order, coverage) plus
         // identical witness counters.
-        let (soa_report, soa_stats) = check_parallel_with_stats(&contracts, &soa, parallelism);
-        let (legacy_report, legacy_stats) =
-            check_parallel_with_stats(&contracts, &legacy.to_dataset(), parallelism);
+        let (edited_report, edited_stats) =
+            check_parallel_with_stats(&contracts, &edited, parallelism);
+        let (built_report, built_stats) =
+            check_parallel_with_stats(&contracts, &built, parallelism);
         assert_eq!(
-            format!("{:?}", soa_report.violations),
-            format!("{:?}", legacy_report.violations),
+            format!("{:?}", edited_report.violations),
+            format!("{:?}", built_report.violations),
             "{context}: CHECK violations diverged"
         );
         assert_eq!(
-            soa_report.coverage.summary().fraction,
-            legacy_report.coverage.summary().fraction,
+            edited_report.coverage.per_config, built_report.coverage.per_config,
             "{context}: coverage diverged"
         );
-        assert_counters_equal(&soa_stats, &legacy_stats, &context);
+        assert_counters_equal(&edited_stats, &built_stats, &context);
     }
 }
 
 #[test]
-fn random_edits_match_legacy_edge_indent() {
+fn random_edits_match_a_fresh_build_edge_indent() {
     for parallelism in [1, 8] {
         run_sequence(Style::EdgeIndent, parallelism, 31 + parallelism as u64);
     }
 }
 
 #[test]
-fn random_edits_match_legacy_wan_flat() {
+fn random_edits_match_a_fresh_build_wan_flat() {
     for parallelism in [1, 8] {
         run_sequence(Style::WanFlat, parallelism, 47 + parallelism as u64);
     }

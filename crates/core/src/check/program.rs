@@ -1,7 +1,7 @@
 //! The compiled check engine.
 //!
 //! [`CheckProgram::compile`] turns a `ContractSet` + `Dataset` into an
-//! executable program, once; [`CheckProgram::check_config`] then runs it
+//! executable program, once; [`CheckProgram::run_config`] then runs it
 //! against each configuration. Compilation inverts the naive
 //! contracts × lines loop:
 //!
@@ -159,8 +159,9 @@ impl ExecCounters {
 /// Execution counters of one configuration's check run, in plain
 /// cloneable form. Deterministic for a given configuration and compiled
 /// program, so the incremental engine caches them alongside violations
-/// and coverage and replays them into aggregate [`CheckStats`] without
-/// re-running the configuration.
+/// and coverage and replays them into aggregate
+/// [`CheckStats`](crate::CheckStats) without re-running the
+/// configuration.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CheckCounters {
     /// Witness indexes built for this configuration.
@@ -352,21 +353,6 @@ impl<'c> CheckProgram<'c> {
             index_specs,
             compile_time: start.elapsed(),
         }
-    }
-
-    /// Number of deduplicated witness-index specs (stats).
-    pub fn witness_specs(&self) -> usize {
-        self.index_specs.len()
-    }
-
-    /// Checks one configuration and computes its coverage against the
-    /// same per-configuration context (shared value cache and witness
-    /// indexes).
-    pub fn check_config(&self, config: &ConfigIr) -> (Vec<Violation>, ConfigCoverage) {
-        let pctx = ProgramContext::new(self, config);
-        let (violations, _) = self.run_checks(config, &pctx);
-        let coverage = coverage::config_coverage(self, config, &pctx);
-        (violations, coverage)
     }
 
     /// Full per-configuration execution returning the configuration's

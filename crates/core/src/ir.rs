@@ -1,9 +1,10 @@
 //! The intermediate representation shared by learning and checking.
 //!
 //! A [`Dataset`] holds one [`ConfigIr`] per configuration file plus the
-//! shared interning state: a [`PatternTable`] for embedded patterns, a
-//! [`StrArena`] for original line texts and configuration names, and a
-//! [`ParamArena`] deduplicating identical parameter slices. Every content
+//! shared interning state, three instances of one [`Interner`]: a
+//! [`PatternTable`] for embedded patterns, a [`StrArena`] for original
+//! line texts and configuration names, and a [`ParamArena`]
+//! deduplicating identical parameter slices. Every content
 //! line is stored structure-of-arrays — parallel `u32` columns (pattern
 //! id, param-slice id, line number, original-text id) instead of a
 //! per-line record fanning out into `Arc` allocations — and read back
@@ -34,6 +35,8 @@
 use std::collections::HashSet;
 use std::fmt;
 use std::hash::{Hash, Hasher};
+use std::marker::PhantomData;
+use std::ops::Range;
 use std::time::Instant;
 
 use concord_formats::{
@@ -58,97 +61,203 @@ pub struct StrId(pub u32);
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ParamSliceId(pub u32);
 
+/// The dense id type of one [`Interner`]: a value's index in
+/// first-interned order.
+pub trait InternId: Copy {
+    /// The id of the value at index `raw`.
+    fn from_raw(raw: u32) -> Self;
+    /// The index this id stands for.
+    fn index(self) -> usize;
+}
+
+macro_rules! intern_id {
+    ($($id:ident),*) => {$(
+        impl InternId for $id {
+            #[inline]
+            fn from_raw(raw: u32) -> Self {
+                $id(raw)
+            }
+            #[inline]
+            fn index(self) -> usize {
+                self.0 as usize
+            }
+        }
+    )*};
+}
+
+intern_id!(PatternId, StrId, ParamSliceId);
+
+/// The buffer an [`Interner`] stores its values in, end to end: a
+/// `String` for `str` values, a `Vec<Param>` for parameter slices.
+pub trait InternBuf: Default {
+    /// The interned value type.
+    type Value: ?Sized + PartialEq;
+    /// The Fx hash of `value`.
+    fn hash_value(value: &Self::Value) -> u64;
+    /// Appends `value`, returning the range it occupies.
+    fn push_value(&mut self, value: &Self::Value) -> Range<usize>;
+    /// The value stored at `range`.
+    fn value_at(&self, range: Range<usize>) -> &Self::Value;
+    /// Heap bytes held by the buffer.
+    fn heap_bytes(&self) -> usize;
+}
+
+impl InternBuf for String {
+    type Value = str;
+
+    #[inline]
+    fn hash_value(text: &str) -> u64 {
+        let mut h = FxHasher::default();
+        h.write(text.as_bytes());
+        h.finish()
+    }
+
+    fn push_value(&mut self, text: &str) -> Range<usize> {
+        let start = self.len();
+        self.push_str(text);
+        start..self.len()
+    }
+
+    #[inline]
+    fn value_at(&self, range: Range<usize>) -> &str {
+        &self[range]
+    }
+
+    fn heap_bytes(&self) -> usize {
+        self.capacity()
+    }
+}
+
+impl InternBuf for Vec<Param> {
+    type Value = [Param];
+
+    #[inline]
+    fn hash_value(params: &[Param]) -> u64 {
+        let mut h = FxHasher::default();
+        for p in params {
+            p.hash(&mut h);
+        }
+        h.finish()
+    }
+
+    fn push_value(&mut self, params: &[Param]) -> Range<usize> {
+        let start = self.len();
+        self.extend_from_slice(params);
+        start..self.len()
+    }
+
+    #[inline]
+    fn value_at(&self, range: Range<usize>) -> &[Param] {
+        &self[range]
+    }
+
+    /// Flattened parameters: the structs plus their name strings.
+    /// `Value` heap payloads are not walked.
+    fn heap_bytes(&self) -> usize {
+        self.capacity() * std::mem::size_of::<Param>()
+            + self.iter().map(|p| p.name.capacity()).sum::<usize>()
+    }
+}
+
 /// Empty bucket sentinel of the interners' probe tables.
 const EMPTY: u32 = u32::MAX;
 
-/// Fx hash of a string (the interners' single hash function).
-#[inline]
-fn hash_text(text: &str) -> u64 {
-    let mut h = FxHasher::default();
-    h.write(text.as_bytes());
-    h.finish()
-}
-
-/// Fx hash of a parameter slice.
-#[inline]
-fn hash_params(params: &[Param]) -> u64 {
-    let mut h = FxHasher::default();
-    for p in params {
-        p.hash(&mut h);
-    }
-    h.finish()
-}
-
-/// Interns strings into one contiguous byte buffer, returning dense
-/// [`StrId`]s.
+/// Interns values into one contiguous buffer `B`, returning dense ids
+/// of type `I` in first-interned order.
 ///
-/// This is the generalization of the pattern interner's single-probe
-/// open-addressing design (Fx-hashed, linear probing): one probe walk
-/// serves both hit and miss, so [`intern`] touches the table exactly once
-/// per call. Interned bytes live in a single `String` arena addressed by
-/// `(offset, len)` spans — no per-string allocation, no per-string
-/// refcount. Ids are append-only: interning never invalidates previously
-/// returned ids, which is what allows datasets to be edited in place.
+/// Fx-hashed open addressing with linear probing: one probe walk serves
+/// both hit and miss, so [`Interner::intern`] touches the table once
+/// per call. Values live end to end in one buffer addressed by
+/// `(offset, len)` spans: no per-value allocation, no per-value
+/// refcount. Ids are append-only: interning never invalidates an id
+/// already returned, which is what allows datasets to be edited in
+/// place.
 ///
-/// [`intern`]: StrArena::intern
+/// A [`Dataset`] holds three: a [`PatternTable`], a [`StrArena`] and a
+/// [`ParamArena`].
 #[derive(Debug, Clone)]
-pub struct StrArena {
-    /// All interned bytes, end to end.
-    buf: String,
-    /// `(offset, len)` of each interned string, indexed by id.
+pub struct Interner<B, I> {
+    /// All interned values, end to end.
+    buf: B,
+    /// `(offset, len)` of each interned value, indexed by id.
     spans: Vec<(u32, u32)>,
-    /// Cached hash per string (grow re-buckets without re-hashing).
+    /// Cached hash per value (growth re-buckets without re-hashing).
     hashes: Vec<u64>,
     /// Open-addressing probe table over ids; power-of-two length.
     buckets: Vec<u32>,
+    ids: PhantomData<I>,
 }
 
-impl Default for StrArena {
+/// Interns original line texts and configuration names.
+pub type StrArena = Interner<String, StrId>;
+
+/// Interns embedded pattern texts. Pattern ids and string ids are
+/// separate id spaces (a [`PatternId`] indexes this table, a [`StrId`]
+/// the dataset's text arena), so they cannot be confused at type-check
+/// time.
+pub type PatternTable = Interner<String, PatternId>;
+
+/// Interns parameter slices: two lines binding the same values anywhere
+/// in the corpus (e.g. every `vlan 10` line) share one entry. Identical
+/// slices have the same names, types and values, in order.
+pub type ParamArena = Interner<Vec<Param>, ParamSliceId>;
+
+impl<B: InternBuf, I> Default for Interner<B, I> {
     fn default() -> Self {
-        StrArena {
-            buf: String::new(),
+        Interner {
+            buf: B::default(),
             spans: Vec::new(),
             hashes: Vec::new(),
             buckets: vec![EMPTY; 16],
+            ids: PhantomData,
         }
     }
 }
 
-impl StrArena {
-    /// Creates an empty arena.
+impl<B: InternBuf, I: InternId> Interner<B, I> {
+    /// Creates an empty interner.
     pub fn new() -> Self {
         Self::default()
     }
 
     #[inline]
-    fn span_text(&self, i: usize) -> &str {
+    fn value(&self, i: usize) -> &B::Value {
         let (off, len) = self.spans[i];
-        &self.buf[off as usize..(off + len) as usize]
+        let off = off as usize;
+        self.buf.value_at(off..off + len as usize)
     }
 
-    /// Interns `text`, returning its id.
-    ///
-    /// One probe walk: an existing entry returns its id from the same
-    /// walk that would otherwise find the insertion slot.
-    pub fn intern(&mut self, text: &str) -> StrId {
-        let hash = hash_text(text);
+    /// The probe walk: the id of `value` if it is interned, else the
+    /// empty slot its insert takes.
+    #[inline]
+    fn probe(&self, value: &B::Value, hash: u64) -> Result<u32, usize> {
         let mask = self.buckets.len() - 1;
         let mut slot = (hash as usize) & mask;
         loop {
             let entry = self.buckets[slot];
             if entry == EMPTY {
-                break;
+                return Err(slot);
             }
             let i = entry as usize;
-            if self.hashes[i] == hash && self.span_text(i) == text {
-                return StrId(entry);
+            if self.hashes[i] == hash && self.value(i) == value {
+                return Ok(entry);
             }
             slot = (slot + 1) & mask;
         }
-        let id = u32::try_from(self.spans.len()).expect("string arena fits u32 ids");
-        let off = u32::try_from(self.buf.len()).expect("string arena fits u32 offsets");
-        let len = u32::try_from(text.len()).expect("interned string fits u32 length");
-        self.buf.push_str(text);
+    }
+
+    /// Interns `value`, returning its id: an existing entry's id from
+    /// the same probe walk that would otherwise find the insertion slot.
+    pub fn intern(&mut self, value: &B::Value) -> I {
+        let hash = B::hash_value(value);
+        let slot = match self.probe(value, hash) {
+            Ok(id) => return I::from_raw(id),
+            Err(slot) => slot,
+        };
+        let id = u32::try_from(self.spans.len()).expect("interner fits u32 ids");
+        let range = self.buf.push_value(value);
+        let off = u32::try_from(range.start).expect("interner fits u32 offsets");
+        let len = u32::try_from(range.len()).expect("interned value fits u32 length");
         self.spans.push((off, len));
         self.hashes.push(hash);
         self.buckets[slot] = id;
@@ -156,11 +265,11 @@ impl StrArena {
         if (self.spans.len() + 1) * 8 > self.buckets.len() * 7 {
             self.grow();
         }
-        StrId(id)
+        I::from_raw(id)
     }
 
     /// Doubles the probe table and re-buckets every id from its cached
-    /// hash (strings are never re-hashed).
+    /// hash (values are never re-hashed).
     fn grow(&mut self) {
         let new_len = self.buckets.len() * 2;
         let mask = new_len - 1;
@@ -175,35 +284,14 @@ impl StrArena {
         self.buckets = buckets;
     }
 
-    /// Looks up an already-interned string.
-    pub fn get(&self, text: &str) -> Option<StrId> {
-        let hash = hash_text(text);
-        let mask = self.buckets.len() - 1;
-        let mut slot = (hash as usize) & mask;
-        loop {
-            let entry = self.buckets[slot];
-            if entry == EMPTY {
-                return None;
-            }
-            let i = entry as usize;
-            if self.hashes[i] == hash && self.span_text(i) == text {
-                return Some(StrId(entry));
-            }
-            slot = (slot + 1) & mask;
-        }
+    /// Looks up an already-interned value.
+    pub fn get(&self, value: &B::Value) -> Option<I> {
+        self.probe(value, B::hash_value(value))
+            .ok()
+            .map(I::from_raw)
     }
 
-    /// Returns the text of `id`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` was not produced by this arena.
-    #[inline]
-    pub fn text(&self, id: StrId) -> &str {
-        self.span_text(id.0 as usize)
-    }
-
-    /// Returns the number of interned strings.
+    /// Returns the number of interned (distinct) values.
     pub fn len(&self) -> usize {
         self.spans.len()
     }
@@ -213,165 +301,33 @@ impl StrArena {
         self.spans.is_empty()
     }
 
-    /// Iterates over all `(id, text)` pairs.
-    pub fn iter(&self) -> impl Iterator<Item = (StrId, &str)> {
-        (0..self.spans.len()).map(|i| (StrId(i as u32), self.span_text(i)))
+    /// Iterates over all `(id, value)` pairs, in id order.
+    pub fn iter(&self) -> impl Iterator<Item = (I, &B::Value)> {
+        (0..self.spans.len()).map(|i| (I::from_raw(i as u32), self.value(i)))
     }
 
-    /// Heap bytes held by the arena: interned bytes plus index overhead.
+    /// Heap bytes held by the interner: the buffer plus index overhead.
     pub fn heap_bytes(&self) -> usize {
-        self.buf.capacity()
+        self.buf.heap_bytes()
             + self.spans.capacity() * std::mem::size_of::<(u32, u32)>()
             + self.hashes.capacity() * std::mem::size_of::<u64>()
             + self.buckets.capacity() * std::mem::size_of::<u32>()
     }
 }
 
-/// Interns pattern strings to dense ids.
-///
-/// A thin wrapper over [`StrArena`] preserving the historical pattern-id
-/// type: pattern ids and string ids are separate id spaces (a
-/// [`PatternId`] indexes this table, a [`StrId`] indexes the dataset's
-/// text arena), so they cannot be confused at type-check time.
-#[derive(Debug, Clone, Default)]
-pub struct PatternTable {
-    arena: StrArena,
-}
-
-impl PatternTable {
-    /// Creates an empty table.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Interns `text`, returning its id.
-    pub fn intern(&mut self, text: &str) -> PatternId {
-        PatternId(self.arena.intern(text).0)
-    }
-
-    /// Looks up an already-interned pattern.
-    pub fn get(&self, text: &str) -> Option<PatternId> {
-        self.arena.get(text).map(|id| PatternId(id.0))
-    }
-
+impl<I: InternId> Interner<String, I> {
     /// Returns the text of `id`.
     ///
     /// # Panics
     ///
-    /// Panics if `id` was not produced by this table.
+    /// Panics if `id` was not produced by this interner.
     #[inline]
-    pub fn text(&self, id: PatternId) -> &str {
-        self.arena.text(StrId(id.0))
-    }
-
-    /// Returns the number of interned patterns.
-    pub fn len(&self) -> usize {
-        self.arena.len()
-    }
-
-    /// Returns `true` if no patterns are interned.
-    pub fn is_empty(&self) -> bool {
-        self.arena.is_empty()
-    }
-
-    /// Iterates over all `(id, text)` pairs.
-    pub fn iter(&self) -> impl Iterator<Item = (PatternId, &str)> {
-        self.arena.iter().map(|(id, t)| (PatternId(id.0), t))
-    }
-
-    /// Heap bytes held by the table.
-    pub fn heap_bytes(&self) -> usize {
-        self.arena.heap_bytes()
-    }
-}
-
-/// Interns parameter slices to dense ids, deduplicating identical slices.
-///
-/// Parameters are stored flattened in one `Vec<Param>` addressed by
-/// `(offset, len)` spans; two lines binding the same values anywhere in
-/// the corpus (e.g. every `vlan 10` line) share one entry. Same
-/// single-probe open-addressing design as [`StrArena`].
-#[derive(Debug, Clone)]
-pub struct ParamArena {
-    /// All interned parameters, slice after slice.
-    flat: Vec<Param>,
-    /// `(offset, len)` of each interned slice, indexed by id.
-    spans: Vec<(u32, u32)>,
-    /// Cached hash per slice.
-    hashes: Vec<u64>,
-    /// Open-addressing probe table over ids; power-of-two length.
-    buckets: Vec<u32>,
-}
-
-impl Default for ParamArena {
-    fn default() -> Self {
-        ParamArena {
-            flat: Vec::new(),
-            spans: Vec::new(),
-            hashes: Vec::new(),
-            buckets: vec![EMPTY; 16],
-        }
+    pub fn text(&self, id: I) -> &str {
+        self.value(id.index())
     }
 }
 
 impl ParamArena {
-    /// Creates an empty arena.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    #[inline]
-    fn span_slice(&self, i: usize) -> &[Param] {
-        let (off, len) = self.spans[i];
-        &self.flat[off as usize..(off + len) as usize]
-    }
-
-    /// Interns `params`, returning its id. Identical slices (same names,
-    /// types, and values, in order) share one id.
-    pub fn intern(&mut self, params: &[Param]) -> ParamSliceId {
-        let hash = hash_params(params);
-        let mask = self.buckets.len() - 1;
-        let mut slot = (hash as usize) & mask;
-        loop {
-            let entry = self.buckets[slot];
-            if entry == EMPTY {
-                break;
-            }
-            let i = entry as usize;
-            if self.hashes[i] == hash && self.span_slice(i) == params {
-                return ParamSliceId(entry);
-            }
-            slot = (slot + 1) & mask;
-        }
-        let id = u32::try_from(self.spans.len()).expect("param arena fits u32 ids");
-        let off = u32::try_from(self.flat.len()).expect("param arena fits u32 offsets");
-        let len = u32::try_from(params.len()).expect("param slice fits u32 length");
-        self.flat.extend_from_slice(params);
-        self.spans.push((off, len));
-        self.hashes.push(hash);
-        self.buckets[slot] = id;
-        if (self.spans.len() + 1) * 8 > self.buckets.len() * 7 {
-            self.grow();
-        }
-        ParamSliceId(id)
-    }
-
-    /// Doubles the probe table and re-buckets every id from its cached
-    /// hash.
-    fn grow(&mut self) {
-        let new_len = self.buckets.len() * 2;
-        let mask = new_len - 1;
-        let mut buckets = vec![EMPTY; new_len];
-        for (i, &hash) in self.hashes.iter().enumerate() {
-            let mut slot = (hash as usize) & mask;
-            while buckets[slot] != EMPTY {
-                slot = (slot + 1) & mask;
-            }
-            buckets[slot] = i as u32;
-        }
-        self.buckets = buckets;
-    }
-
     /// Returns the slice of `id`.
     ///
     /// # Panics
@@ -379,33 +335,12 @@ impl ParamArena {
     /// Panics if `id` was not produced by this arena.
     #[inline]
     pub fn slice(&self, id: ParamSliceId) -> &[Param] {
-        self.span_slice(id.0 as usize)
-    }
-
-    /// Returns the number of interned (distinct) slices.
-    pub fn len(&self) -> usize {
-        self.spans.len()
-    }
-
-    /// Returns `true` if nothing is interned.
-    pub fn is_empty(&self) -> bool {
-        self.spans.is_empty()
+        self.value(id.index())
     }
 
     /// Total parameters stored across all distinct slices.
     pub fn total_params(&self) -> usize {
-        self.flat.len()
-    }
-
-    /// Approximate heap bytes held by the arena: flattened parameters
-    /// (struct plus name-string heap) and index overhead. `Value` heap
-    /// payloads are not walked.
-    pub fn heap_bytes(&self) -> usize {
-        self.flat.capacity() * std::mem::size_of::<Param>()
-            + self.flat.iter().map(|p| p.name.capacity()).sum::<usize>()
-            + self.spans.capacity() * std::mem::size_of::<(u32, u32)>()
-            + self.hashes.capacity() * std::mem::size_of::<u64>()
-            + self.buckets.capacity() * std::mem::size_of::<u32>()
+        self.buf.len()
     }
 }
 
@@ -787,40 +722,6 @@ impl Dataset {
         self.meta_cols.as_ref().expect("just populated")
     }
 
-    /// Appends one already-lexed configuration whose first `own_len`
-    /// lines are its own and whose remainder are (already-prefixed)
-    /// metadata lines. Conversion support for the `legacy-ir` oracle.
-    #[cfg(any(test, feature = "legacy-ir"))]
-    pub(crate) fn push_converted(
-        &mut self,
-        name: &str,
-        format: FormatCategory,
-        lines: &[LexedLine],
-        own_len: usize,
-    ) {
-        let mut patterns = Vec::with_capacity(lines.len());
-        let mut params = Vec::with_capacity(lines.len());
-        let mut line_nos = Vec::with_capacity(lines.len());
-        let mut originals = Vec::with_capacity(lines.len());
-        for l in lines {
-            patterns.push(self.table.intern(&l.pattern));
-            params.push(self.arenas.params.intern(&l.params));
-            line_nos.push(l.line_no);
-            originals.push(self.arenas.strings.intern(&l.original));
-        }
-        let name = self.arenas.strings.intern(name);
-        self.total_own += own_len;
-        self.configs.push(ConfigIr {
-            name,
-            format,
-            patterns,
-            params,
-            line_nos,
-            originals,
-            own_len: u32::try_from(own_len).expect("config line count fits u32"),
-        });
-    }
-
     /// The name of configuration `config`, resolved against the string
     /// arena.
     #[inline]
@@ -841,7 +742,10 @@ impl Dataset {
     }
 
     /// Inserts or replaces the configuration named `name` with `text`.
-    /// Returns the configuration's index.
+    /// Returns the configuration's index and the edit's churn: the own
+    /// lines it removed plus the own lines it inserted (a new
+    /// configuration removes none; a whole-text window removes them
+    /// all).
     ///
     /// `previous` is the text the held configuration was built from, if
     /// the caller kept it. When it was embedded in the format `text` is
@@ -869,7 +773,7 @@ impl Dataset {
         lexer: &Lexer,
         embed_context: bool,
         cache: Option<&LexCache>,
-    ) -> usize {
+    ) -> (usize, usize) {
         let format = if embed_context {
             detect_format(text)
         } else {
@@ -880,10 +784,7 @@ impl Dataset {
         let (window, embedded) = embed_edit(previous, text, format);
         let lines = lex_embedded(&embedded, lexer, cache);
         match held {
-            Some(i) => {
-                self.splice(i, format, window, &lines);
-                i
-            }
+            Some(i) => (i, self.splice(i, format, window, &lines)),
             None => {
                 let config = self.make_config(name, format, &lines);
                 let i = {
@@ -891,9 +792,10 @@ impl Dataset {
                     self.configs
                         .partition_point(|c| strings.text(c.name) < name)
                 };
-                self.total_own += config.own_line_count();
+                let added = config.own_line_count();
+                self.total_own += added;
                 self.configs.insert(i, config);
-                i
+                (i, added)
             }
         }
     }
@@ -901,14 +803,15 @@ impl Dataset {
     /// Replaces the own lines of configuration `ci` that `window` covers
     /// with `lines` (the window's lexed lines, interned here in text
     /// order), and moves the own lines after the window by its change in
-    /// line count. Metadata lines stay as they are.
+    /// line count. Metadata lines stay as they are. Returns the number of
+    /// rows removed plus the number inserted.
     fn splice(
         &mut self,
         ci: usize,
         format: FormatCategory,
         window: EditWindow,
         lines: &[LexedLine],
-    ) {
+    ) -> usize {
         let cols = self.intern_lines(lines);
         let config = &mut self.configs[ci];
         let own = config.own_len as usize;
@@ -940,6 +843,7 @@ impl Dataset {
         config.own_len = u32::try_from(own).expect("config line count fits u32");
         config.format = format;
         self.total_own = self.total_own - removed + added;
+        removed + added
     }
 
     /// Removes the configuration named `name`, returning its former index
@@ -965,9 +869,9 @@ impl Dataset {
     /// built from name-sorted corpora (the CLI always sorts, and upsert
     /// preserves the order) resolve in O(log n); a dataset holding an
     /// unsorted input order falls back to the linear scan, so the
-    /// answer is the same either way. This is on the checkpoint hot
-    /// path — the resident engine looks up every config per
-    /// checkpoint, which must not be quadratic at fleet scale.
+    /// answer is the same either way. The engine resolves every edit,
+    /// read by name and sketch import here; its checkpoint does not,
+    /// because it walks the image and the dataset index-aligned.
     pub fn config_index(&self, name: &str) -> Option<usize> {
         let strings = &self.arenas.strings;
         let i = self
@@ -1072,6 +976,10 @@ fn lex_embedded(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use concord_rng::{prop, Rng, StdRng};
+    use concord_types::{BigNum, Value, ValueType};
+    use std::borrow::Borrow;
+    use std::collections::HashMap;
 
     fn cfgs(texts: &[&str]) -> Vec<(String, String)> {
         texts
@@ -1112,6 +1020,81 @@ mod tests {
             table.iter().map(|(id, t)| (id, t.to_string())).collect();
         assert_eq!(collected.len(), 1000);
         assert_eq!(collected[7], (PatternId(7), "p7".to_string()));
+    }
+
+    /// Interns `values` in order into a fresh `Interner<B, I>`, checking
+    /// it against a `HashMap` model after every call.
+    fn check_against_model<B, I, V>(values: &[V])
+    where
+        B: InternBuf,
+        B::Value: fmt::Debug,
+        I: InternId,
+        V: Borrow<B::Value> + Clone + Eq + Hash,
+    {
+        let mut interner = Interner::<B, I>::new();
+        let mut model: HashMap<V, usize> = HashMap::new();
+        let mut first_seen: Vec<&V> = Vec::new();
+        for v in values {
+            let value: &B::Value = v.borrow();
+            let known = model.get::<V>(v).copied();
+            assert_eq!(interner.get(value).map(I::index), known);
+            let want = known.unwrap_or_else(|| {
+                first_seen.push(v);
+                model.insert(v.clone(), model.len());
+                model.len() - 1
+            });
+            assert_eq!(interner.intern(value).index(), want, "first-seen ids");
+            assert_eq!(interner.len(), model.len());
+        }
+        assert_eq!(interner.iter().count(), first_seen.len());
+        for ((id, stored), v) in interner.iter().zip(&first_seen) {
+            let value: &B::Value = (*v).borrow();
+            assert_eq!(stored, value, "the stored value round-trips");
+            assert_eq!(interner.get(value).map(I::index), Some(id.index()));
+        }
+        for (i, v) in first_seen.iter().enumerate() {
+            let value: &B::Value = (*v).borrow();
+            assert_eq!(interner.intern(value).index(), i, "re-intern hit");
+        }
+        assert_eq!(interner.len(), model.len(), "re-interning adds nothing");
+    }
+
+    /// A sequence of up to 600 values, about three in ten of them
+    /// repeats of earlier ones; `fresh` draws a new (possibly empty)
+    /// value. Several hundred distinct values grow the 16-bucket table
+    /// about five times.
+    fn sequence<V: Clone>(rng: &mut StdRng, fresh: impl Fn(&mut StdRng) -> V) -> Vec<V> {
+        let n = rng.gen_range(0..=600usize);
+        let mut out: Vec<V> = Vec::with_capacity(n);
+        for _ in 0..n {
+            let value = if !out.is_empty() && rng.gen_bool(0.3) {
+                prop::pick(rng, &out).clone()
+            } else {
+                fresh(rng)
+            };
+            out.push(value);
+        }
+        out
+    }
+
+    #[test]
+    fn interners_match_a_hashmap_model() {
+        prop::check("interners_match_a_hashmap_model", 64, |rng| {
+            let text = |rng: &mut StdRng| prop::string_of(rng, "ab1 :", 0..=5);
+            let texts = sequence(rng, text);
+            check_against_model::<String, StrId, String>(&texts);
+            check_against_model::<String, PatternId, String>(&texts);
+            let param = |rng: &mut StdRng| Param {
+                name: prop::pick(rng, &["a", "b", "c"]).to_string(),
+                ty: ValueType::Num,
+                value: Value::Num(BigNum::from(rng.gen_range(0..4u64))),
+            };
+            let slices = sequence(rng, |rng| {
+                let len = rng.gen_range(0..=3usize);
+                (0..len).map(|_| param(rng)).collect::<Vec<Param>>()
+            });
+            check_against_model::<Vec<Param>, ParamSliceId, Vec<Param>>(&slices);
+        });
     }
 
     #[test]
@@ -1271,7 +1254,7 @@ mod tests {
         let mut ds = Dataset::from_named_texts(&configs, &[]).unwrap();
 
         // Replace dev1 in place.
-        let i = ds.upsert_config(
+        let (i, churn) = ds.upsert_config(
             "dev1",
             "interface Et1\n mtu 9000\n",
             None,
@@ -1279,13 +1262,13 @@ mod tests {
             true,
             None,
         );
-        assert_eq!(i, 1);
+        assert_eq!((i, churn), (1, 3), "one line out, two in");
         assert_eq!(ds.config_name(1), "dev1");
         assert_eq!(ds.configs[1].len(), 2);
 
         // Insert a new name at its sorted position.
-        let i = ds.upsert_config("dev15", "vlan 9\n", None, &lexer, true, None);
-        assert_eq!(i, 2, "dev15 sorts between dev1 and dev2");
+        let (i, churn) = ds.upsert_config("dev15", "vlan 9\n", None, &lexer, true, None);
+        assert_eq!((i, churn), (2, 1), "dev15 sorts between dev1 and dev2");
         let names: Vec<&str> = (0..ds.configs.len()).map(|i| ds.config_name(i)).collect();
         assert_eq!(names, ["dev0", "dev1", "dev15", "dev2"]);
     }

@@ -96,12 +96,12 @@ pub fn learn_with_stats(dataset: &Dataset, params: &LearnParams) -> (ContractSet
 }
 
 /// The pre-parallelization, pre-hashing-rework reference learner: the
-/// learn engine exactly as it stood before this optimization pass
-/// ([`reference`] holds the verbatim pre-optimization implementation).
-/// Every parallel path in [`learn`] is pinned byte-identical to this
-/// oracle by the equivalence suite; it is compiled only for tests and
-/// the `reference-learn` feature (the `learn_scaling` benchmark's
-/// baseline).
+/// learn engine exactly as it stood before this optimization pass (the
+/// private `reference` module holds the verbatim pre-optimization
+/// implementation). Every parallel path in [`learn`] is pinned
+/// byte-identical to this oracle by the equivalence suite; it is
+/// compiled only for tests and the `reference-learn` feature (the
+/// `learn_scaling` benchmark's baseline).
 #[cfg(any(test, feature = "reference-learn"))]
 pub fn learn_reference(dataset: &Dataset, params: &LearnParams) -> ContractSet {
     reference::learn(dataset, params)

@@ -52,8 +52,6 @@ mod contract;
 mod fxhash;
 mod ir;
 mod learn;
-#[cfg(any(test, feature = "legacy-ir"))]
-mod legacy;
 pub mod parallel;
 mod params;
 mod stats;
@@ -67,8 +65,8 @@ pub use check::{
 pub use check::{check_naive, check_naive_parallel};
 pub use contract::{Contract, ContractSet, PatternRef, RelationKind, RelationalContract};
 pub use ir::{
-    Arenas, ConfigIr, Dataset, DatasetError, LineRef, ParamArena, ParamSliceId, PatternId,
-    PatternTable, StrArena, StrId,
+    Arenas, ConfigIr, Dataset, DatasetError, InternBuf, InternId, Interner, LineRef, ParamArena,
+    ParamSliceId, PatternId, PatternTable, StrArena, StrId,
 };
 pub use learn::indexes::{
     AffixStructure, ContainsStructure, Entry, EqualityStructure, NodeKey, PrefixTrie,
@@ -80,8 +78,6 @@ pub use learn::{
     finalize_sketches, learn, learn_with_stats, sketch_config, sketch_params_fingerprint,
     ConfigSketch, Fold, LearnStats, SKETCH_FORMAT_VERSION,
 };
-#[cfg(any(test, feature = "legacy-ir"))]
-pub use legacy::{LegacyConfig, LegacyDataset, LegacyLineRecord};
 pub use params::LearnParams;
 pub use stats::{
     BuildStats, CheckStats, EngineCheckStats, EngineStats, FleetShardStats, FleetStats,

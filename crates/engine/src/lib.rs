@@ -38,10 +38,13 @@
 //! values, and the index lists the pass's violations in time
 //! proportional to them.
 //!
-//! Learning stays corpus-global, so the engine does not patch contracts
-//! incrementally; instead it tracks *staleness* — the fraction of lines
-//! changed since the last learn — and [`Engine::relearn_if_stale`] runs a
-//! full relearn once the drift crosses a threshold.
+//! Learning is incremental too: [`Engine::relearn`] re-sketches only
+//! the configurations edited since their sketch was mined and folds
+//! every cached per-configuration sketch into the contract set, the
+//! same fold a batch learn runs, so the result is byte-identical to a
+//! full learn. The engine also tracks *staleness* — the fraction of
+//! lines churned since the last learn — and [`Engine::relearn_if_stale`]
+//! runs that delta relearn once the drift crosses a threshold.
 
 use std::fmt;
 use std::sync::Arc;
@@ -504,9 +507,8 @@ impl Engine {
     /// result is the dataset a whole-text rebuild gives, id for id.
     pub fn upsert_config(&mut self, name: &str, text: &str) -> ConfigId {
         let held = self.dataset.config_index(name);
-        let old_own = held.map_or(0, |i| self.dataset.configs[i].own_line_count());
         let text: Arc<str> = Arc::from(text);
-        let i = self.dataset.upsert_config(
+        let (i, churn) = self.dataset.upsert_config(
             name,
             &text,
             held.map(|i| &*self.slots[i].text),
@@ -526,8 +528,7 @@ impl Engine {
             self.counters.next_id += 1;
         }
         self.counters.edits += 1;
-        self.counters.changed_lines_since_learn +=
-            old_own + self.dataset.configs[i].own_line_count();
+        self.counters.changed_lines_since_learn += churn;
         ConfigId(self.slots[i].id)
     }
 
@@ -627,9 +628,12 @@ impl Engine {
     }
 
     /// Fraction of the corpus changed since the last learn: `lines
-    /// touched by edits / corpus size` (counting both the removed and
-    /// the inserted side of a replacement). `1.0` when no learn has
-    /// happened over a non-empty corpus.
+    /// churned by edits / corpus size`. An upsert counts the own lines
+    /// its splice removed plus those it inserted: the changed lines, and
+    /// in an indentation format the block lines below them, so one
+    /// changed leaf line counts 2 and a whole-text re-lex every old and
+    /// every new line. A remove counts the removed configuration's own
+    /// lines. `1.0` when no learn has happened over a non-empty corpus.
     ///
     /// The denominator is `max(own lines at last learn, own lines now)`:
     /// a corpus that *grew* since the learn would otherwise overshoot
@@ -749,12 +753,12 @@ impl Engine {
     /// configurations and patching everything else in from the cache.
     ///
     /// The returned report is byte-identical to a from-scratch batch
-    /// check ([`check_parallel_with_stats`]) of the same dataset and
-    /// contracts. The cache survives a contract swap to an equal set (a
-    /// relearn that re-derives the held contracts costs no recheck). A
-    /// resolution change — a set different from the one the cache was
-    /// checked under, or an edit interning a pattern that makes a
-    /// contract resolve differently
+    /// check ([`concord_core::check_parallel_with_stats`]) of the same
+    /// dataset and contracts. The cache survives a contract swap to an
+    /// equal set (a relearn that re-derives the held contracts costs no
+    /// recheck). A resolution change — a set different from the one the
+    /// cache was checked under, or an edit interning a pattern that makes
+    /// a contract resolve differently
     /// ([`CheckProgram::resolution_fingerprint`]) — invalidates the whole
     /// cache (correctness first; neither moves unless cached outcomes
     /// may have gone stale).
@@ -1295,6 +1299,19 @@ mod tests {
         assert!(engine.staleness() >= 0.5);
         assert!(engine.relearn_if_stale().is_some());
         assert_eq!(engine.snapshot_stats().relearns, 2);
+    }
+
+    #[test]
+    fn staleness_counts_the_lines_an_upsert_splices() {
+        let mut engine = Engine::from_corpus(&corpus(), &[], EngineOptions::default()).unwrap();
+        engine.relearn();
+        // One changed line inside dev2's five: one row out, one row in.
+        engine.upsert_config(
+            "dev2",
+            "hostname DEV102\nrouter bgp 65001\ninterface Loopback0\n ip address 10.0.0.3\nvlan 252\n",
+        );
+        assert_eq!(engine.counters().changed_lines_since_learn, 2);
+        assert!((engine.staleness() - 2.0 / 30.0).abs() < 1e-9);
     }
 
     #[test]

@@ -10,14 +10,14 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 fail=0
-# crates/core/src/ir.rs and legacy.rs carry the arena-interned dataset
+# crates/core/src/ir.rs carries the arena-interned dataset
 # the resident engine holds in memory, check/unique.rs its resident
 # unique index, and learn/sketch.rs decodes the persisted learn sketches
 # a restarted server loads — same blast radius, same gate.
 for f in crates/engine/src/*.rs crates/cli/src/serve.rs \
          crates/cli/src/protocol.rs crates/cli/src/eventloop.rs \
          crates/cli/src/sync.rs crates/cli/src/fleet.rs \
-         crates/core/src/ir.rs crates/core/src/legacy.rs \
+         crates/core/src/ir.rs \
          crates/core/src/check/unique.rs crates/core/src/learn/sketch.rs; do
   hits=$(awk '/#\[cfg\(test\)\]/{exit} /\.unwrap\(\)/{print FILENAME ":" FNR ": " $0}' "$f")
   if [ -n "$hits" ]; then
