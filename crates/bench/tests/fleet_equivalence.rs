@@ -204,7 +204,8 @@ fn run_sequence(style: Style, with_metadata: bool, rng: &mut StdRng) -> usize {
 fn run_style(name: &str, style: Style) {
     let (mut sequences, mut unique_steps) = (0, 0);
     prop::check(name, CASES, |rng| {
-        for with_metadata in [false, true] {
+        // Only edge roles carry metadata; a WAN style runs twice bare.
+        for with_metadata in [false, style == Style::EdgeIndent] {
             unique_steps += run_sequence(style, with_metadata, rng);
             sequences += 1;
         }

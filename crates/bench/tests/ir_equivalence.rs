@@ -102,7 +102,7 @@ fn run_sequence(style: Style, parallelism: usize, salt: u64) {
         devices: 6,
         style,
         blocks: 4,
-        with_metadata: true,
+        with_metadata: style == Style::EdgeIndent,
     };
     let role = generate_role(&spec, seed());
     let mut corpus = role.configs.clone();

@@ -17,7 +17,7 @@ fn learn_style(style: Style, name: &str) {
         devices: 8,
         style,
         blocks: 6,
-        with_metadata: true,
+        with_metadata: style == Style::EdgeIndent,
     };
     let role = generate_role(&spec, seed());
     let dataset = Dataset::from_named_texts(&role.configs, &role.metadata).expect("dataset builds");

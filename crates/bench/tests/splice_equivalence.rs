@@ -237,22 +237,20 @@ fn assert_datasets_equal(spliced: &Dataset, whole: &Dataset, context: &str) {
     );
 }
 
-/// A report as text: violations in order, coverage sets sorted.
+/// A report as text: violations in order, then every covered line.
 fn render(report: &CheckReport) -> String {
     let mut out = String::new();
     for v in &report.violations {
         out.push_str(&format!("{v:?}\n"));
     }
     for c in &report.coverage.per_config {
-        let mut covered: Vec<usize> = c.covered.iter().copied().collect();
-        covered.sort_unstable();
+        let covered: Vec<usize> = c.covered().iter().collect();
         out.push_str(&format!(
             "coverage {} total={} covered={covered:?}\n",
             c.name, c.total_lines
         ));
-        for (cat, lines) in &c.by_category {
-            let mut lines: Vec<usize> = lines.iter().copied().collect();
-            lines.sort_unstable();
+        for (cat, lines) in c.by_category() {
+            let lines: Vec<usize> = lines.iter().collect();
             out.push_str(&format!("  {cat}: {lines:?}\n"));
         }
     }

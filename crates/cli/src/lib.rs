@@ -238,7 +238,7 @@ fn run_coverage(args: &CoverageArgs, out: &mut dyn std::io::Write) -> Result<i32
         let mut shown = 0usize;
         'outer: for (config, cov) in dataset.configs.iter().zip(&report.coverage.per_config) {
             for (i, line) in config.lines(&dataset.arenas).enumerate() {
-                if line.is_meta || cov.covered.contains(&i) {
+                if line.is_meta || cov.covered().contains(i) {
                     continue;
                 }
                 let _ = writeln!(

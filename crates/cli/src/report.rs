@@ -43,13 +43,13 @@ pub fn html_report(contracts: &ContractSet, report: &CheckReport) -> String {
         let fraction = if config.total_lines == 0 {
             0.0
         } else {
-            config.covered.len() as f64 / config.total_lines as f64
+            config.covered().len() as f64 / config.total_lines as f64
         };
         coverage_rows.push_str(&format!(
             "<tr><td>{}</td><td>{}</td><td>{}</td><td>{:.1}%</td></tr>\n",
             escape(&config.name),
             config.total_lines,
-            config.covered.len(),
+            config.covered().len(),
             fraction * 100.0,
         ));
     }

@@ -22,7 +22,6 @@
 //!   leaves the configuration without its mandatory single instance;
 //! - **relational**: a consequent line is covered when it is the *sole
 //!   witness* of some antecedent instance (other than itself).
-
 //!
 //! Coverage executes against the compiled [`CheckProgram`]: it reuses the
 //! per-configuration [`ProgramContext`] that checking built, so the
@@ -31,9 +30,16 @@
 //! every sole-witness line. The naive variant
 //! ([`config_coverage_naive`]) is retained behind the `naive-check`
 //! feature as the equivalence oracle.
+//!
+//! A configuration's coverage ([`ConfigCoverage`]) is one bit per line,
+//! plus one such bit set per category that covers a line. Both variants
+//! set bits through one setter, which skips metadata rows, and readers
+//! take the bits as they stand: a count, a membership test, or the
+//! covered indices in line order.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 
+use concord_graph::BitSet;
 use concord_types::Transform;
 
 use crate::check::program::{CheckProgram, ProgramContext};
@@ -47,17 +53,69 @@ use crate::ir::ConfigIr;
 use crate::ir::Dataset;
 use crate::learn::sequence_is_sequential;
 
-/// Coverage of one configuration.
+/// Coverage of one configuration: one bit per line, overall and per
+/// contract category. Both rule implementations build it through one
+/// setter, so compiled and naive coverage compare equal exactly when they
+/// cover the same lines in the same categories.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ConfigCoverage {
     /// The configuration name.
     pub name: String,
     /// Number of (non-metadata) lines.
     pub total_lines: usize,
-    /// Covered line indices (into the configuration's line list).
-    pub covered: HashSet<usize>,
-    /// Covered line indices per contract category.
-    pub by_category: BTreeMap<String, HashSet<usize>>,
+    covered: BitSet,
+    by_category: Vec<(&'static str, BitSet)>,
+}
+
+impl ConfigCoverage {
+    /// The covered lines, as indices into the configuration's line list
+    /// (a metadata row is never covered): their count, membership, and
+    /// the indices in line order.
+    pub fn covered(&self) -> &BitSet {
+        &self.covered
+    }
+
+    /// The covered lines per contract category, in category-name order.
+    /// Only categories covering at least one line appear.
+    pub fn by_category(&self) -> impl Iterator<Item = (&'static str, &BitSet)> {
+        self.by_category
+            .iter()
+            .map(|(category, lines)| (*category, lines))
+    }
+
+    /// No covered lines yet, sized to `config`'s lines.
+    fn new(name: &str, config: &ConfigIr) -> Self {
+        ConfigCoverage {
+            name: name.to_string(),
+            total_lines: config.own_line_count(),
+            covered: BitSet::new(config.len()),
+            by_category: Vec::new(),
+        }
+    }
+
+    /// Marks line `li` covered by a contract of `category`, unless it is a
+    /// metadata row. A line is usually reported many times (every
+    /// relational sole witness, every contract sharing it); a bit set
+    /// absorbs the repeats, and the category list stays tiny (one entry
+    /// per contract category, at most seven), so a search beats hashing.
+    fn cover(&mut self, config: &ConfigIr, category: &'static str, li: usize) {
+        if config.is_meta(li) {
+            return;
+        }
+        self.covered.insert(li);
+        let at = match self
+            .by_category
+            .binary_search_by(|(c, _)| (*c).cmp(category))
+        {
+            Ok(at) => at,
+            Err(at) => {
+                self.by_category
+                    .insert(at, (category, BitSet::new(config.len())));
+                at
+            }
+        };
+        self.by_category[at].1.insert(li);
+    }
 }
 
 /// Coverage of a whole dataset.
@@ -87,8 +145,8 @@ impl CoverageReport {
         let covered: usize = self.per_config.iter().map(|c| c.covered.len()).sum();
         let mut by_category: BTreeMap<String, usize> = BTreeMap::new();
         for config in &self.per_config {
-            for (cat, lines) in &config.by_category {
-                *by_category.entry(cat.clone()).or_insert(0) += lines.len();
+            for (cat, lines) in config.by_category() {
+                *by_category.entry(cat.to_string()).or_insert(0) += lines.len();
             }
         }
         let frac = |n: usize| {
@@ -117,18 +175,7 @@ pub(crate) fn config_coverage(
 ) -> ConfigCoverage {
     let contracts = &program.contracts.contracts;
     let ctx = &pctx.ctx;
-    // Accumulate in bitsets: a covered line is reported many times (every
-    // relational sole witness, every contract sharing it), and hashing
-    // each duplicate dwarfs the probes themselves. The public
-    // `HashSet`/`BTreeMap` shape is materialized once at the end, paying
-    // one insert per *unique* covered line instead of one per report.
-    let mut bits = CoverBits::new(config.len());
-    let cover = |cat: &'static str, li: usize, config: &ConfigIr, bits: &mut CoverBits| {
-        if config.is_meta(li) {
-            return;
-        }
-        bits.set(cat, li);
-    };
+    let mut cov = ConfigCoverage::new(program.dataset.name_of(config), config);
 
     // Exact-line groups are only needed for PresentExact contracts.
     let filled_groups: HashMap<&str, Vec<usize>> = if program.resolved.need_filled_lines {
@@ -146,7 +193,7 @@ pub(crate) fn config_coverage(
         let Some(id) = id else { continue };
         if let Some(idxs) = ctx.lines_by_pattern.get(&id) {
             if idxs.len() == 1 {
-                cover(contracts[idx].category(), idxs[0], config, &mut bits);
+                cov.cover(config, contracts[idx].category(), idxs[0]);
             }
         }
     }
@@ -156,7 +203,7 @@ pub(crate) fn config_coverage(
         };
         if let Some(idxs) = filled_groups.get(line.as_str()) {
             if idxs.len() == 1 {
-                cover(contracts[idx].category(), idxs[0], config, &mut bits);
+                cov.cover(config, contracts[idx].category(), idxs[0]);
             }
         }
     }
@@ -180,7 +227,7 @@ pub(crate) fn config_coverage(
                 && config.pattern(li + 1) == s
                 && config.is_meta(li + 1) == config.is_meta(li);
             if !next_also_matches {
-                cover(contracts[idx].category(), li, config, &mut bits);
+                cov.cover(config, contracts[idx].category(), li);
             }
         }
     }
@@ -198,7 +245,7 @@ pub(crate) fn config_coverage(
             values.iter().filter_map(|(v, _)| v.as_num()).collect();
         if nums.len() >= 4 && sequence_is_sequential(&nums) {
             for (_, li) in &values[1..values.len() - 1] {
-                cover(contracts[idx].category(), *li, config, &mut bits);
+                cov.cover(config, contracts[idx].category(), *li);
             }
         }
     }
@@ -216,7 +263,7 @@ pub(crate) fn config_coverage(
         }
         if let Some(idxs) = ctx.lines_by_pattern.get(&id) {
             if idxs.len() == 1 {
-                cover(contracts[idx].category(), idxs[0], config, &mut bits);
+                cov.cover(config, contracts[idx].category(), idxs[0]);
             }
         }
     }
@@ -226,69 +273,10 @@ pub(crate) fn config_coverage(
     // pass's fused probes already identified these lines — consume the
     // stash instead of re-probing every antecedent.
     for (idx, w) in pctx.take_relational_cover() {
-        cover(contracts[idx].category(), w as usize, config, &mut bits);
+        cov.cover(config, contracts[idx].category(), w as usize);
     }
 
-    let (covered, by_category) = bits.materialize();
-    ConfigCoverage {
-        name: program.dataset.name_of(config).to_string(),
-        total_lines: config.own_line_count(),
-        covered,
-        by_category,
-    }
-}
-
-/// Per-line coverage bitsets: one overall, one per category seen. The
-/// category list stays tiny (one entry per contract category, ≤ 7), so a
-/// linear scan on an interned `&'static str` beats hashing.
-struct CoverBits {
-    lines: usize,
-    all: Vec<bool>,
-    per_category: Vec<(&'static str, Vec<bool>)>,
-}
-
-impl CoverBits {
-    fn new(lines: usize) -> Self {
-        CoverBits {
-            lines,
-            all: vec![false; lines],
-            per_category: Vec::new(),
-        }
-    }
-
-    fn set(&mut self, cat: &'static str, li: usize) {
-        self.all[li] = true;
-        match self.per_category.iter_mut().find(|(c, _)| *c == cat) {
-            Some((_, bits)) => bits[li] = true,
-            None => {
-                let mut bits = vec![false; self.lines];
-                bits[li] = true;
-                self.per_category.push((cat, bits));
-            }
-        }
-    }
-
-    fn materialize(self) -> (HashSet<usize>, BTreeMap<String, HashSet<usize>>) {
-        let covered = self
-            .all
-            .iter()
-            .enumerate()
-            .filter_map(|(li, &c)| c.then_some(li))
-            .collect();
-        let by_category = self
-            .per_category
-            .into_iter()
-            .map(|(cat, bits)| {
-                let lines = bits
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(li, &c)| c.then_some(li))
-                    .collect();
-                (cat.to_string(), lines)
-            })
-            .collect();
-        (covered, by_category)
-    }
+    cov
 }
 
 /// Computes coverage of one configuration under `contracts` with the
@@ -302,24 +290,7 @@ pub(crate) fn config_coverage_naive(
     resolved: &Resolved,
     ctx: &ConfigContext<'_>,
 ) -> ConfigCoverage {
-    let mut covered: HashSet<usize> = HashSet::new();
-    let mut by_category: BTreeMap<String, HashSet<usize>> = BTreeMap::new();
-    let mut cover = |cat: &str, li: usize, config: &ConfigIr, covered: &mut HashSet<usize>| {
-        if config.is_meta(li) {
-            return;
-        }
-        covered.insert(li);
-        // Hot path: look up by `&str` first so the per-line call does not
-        // allocate a key (categories repeat across thousands of lines).
-        match by_category.get_mut(cat) {
-            Some(lines) => {
-                lines.insert(li);
-            }
-            None => {
-                by_category.entry(cat.to_string()).or_default().insert(li);
-            }
-        }
-    };
+    let mut cov = ConfigCoverage::new(dataset.name_of(config), config);
 
     // Exact-line groups are only needed for PresentExact contracts.
     let filled_groups: HashMap<&str, Vec<usize>> = if resolved.need_filled_lines {
@@ -339,14 +310,14 @@ pub(crate) fn config_coverage_naive(
                 let Some(id) = id else { continue };
                 if let Some(idxs) = ctx.lines_by_pattern.get(id) {
                     if idxs.len() == 1 {
-                        cover(category, idxs[0], config, &mut covered);
+                        cov.cover(config, category, idxs[0]);
                     }
                 }
             }
             (Contract::PresentExact { line }, ResolvedContract::PresentExact) => {
                 if let Some(idxs) = filled_groups.get(line.as_str()) {
                     if idxs.len() == 1 {
-                        cover(category, idxs[0], config, &mut covered);
+                        cov.cover(config, category, idxs[0]);
                     }
                 }
             }
@@ -366,7 +337,7 @@ pub(crate) fn config_coverage_naive(
                         && config.pattern(li + 1) == *s
                         && config.is_meta(li + 1) == config.is_meta(li);
                     if !next_also_matches {
-                        cover(category, li, config, &mut covered);
+                        cov.cover(config, category, li);
                     }
                 }
             }
@@ -382,7 +353,7 @@ pub(crate) fn config_coverage_naive(
                 if nums.len() >= 4 && sequence_is_sequential(&nums) {
                     for (v, li) in &values[1..values.len() - 1] {
                         let _ = v;
-                        cover(category, *li, config, &mut covered);
+                        cov.cover(config, category, *li);
                     }
                 }
             }
@@ -398,7 +369,7 @@ pub(crate) fn config_coverage_naive(
                 let Some(id) = id else { continue };
                 if let Some(idxs) = ctx.lines_by_pattern.get(id) {
                     if idxs.len() == 1 {
-                        cover(category, idxs[0], config, &mut covered);
+                        cov.cover(config, category, idxs[0]);
                     }
                 }
             }
@@ -413,7 +384,7 @@ pub(crate) fn config_coverage_naive(
                 for (v1, li) in antecedents.iter() {
                     let wits = find_witnesses(r.relation, v1, &consequents);
                     if wits.len() == 1 && wits[0] != *li {
-                        cover(category, wits[0], config, &mut covered);
+                        cov.cover(config, category, wits[0]);
                     }
                 }
             }
@@ -421,10 +392,5 @@ pub(crate) fn config_coverage_naive(
         }
     }
 
-    ConfigCoverage {
-        name: dataset.name_of(config).to_string(),
-        total_lines: config.own_line_count(),
-        covered,
-        by_category,
-    }
+    cov
 }

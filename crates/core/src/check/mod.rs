@@ -191,6 +191,9 @@ pub fn check_parallel_with_stats(
     violations.extend(program.check_unique(dataset));
     let unique_time = unique_start.elapsed();
 
+    // Each configuration's list is in report order already, but a batch
+    // dataset may list configurations out of name order or hold two with
+    // one name, and the unique rows interleave: sort the whole list.
     violations.sort_by(|a, b| {
         (&a.config, a.line_no, a.contract_index).cmp(&(&b.config, b.line_no, b.contract_index))
     });

@@ -191,7 +191,9 @@ impl CheckCounters {
 /// configurations.
 #[derive(Debug, Clone)]
 pub struct ConfigOutcome {
-    /// Violations found in this configuration, in emission order.
+    /// Violations found in this configuration, in report order: by line
+    /// number (a missing line first), then contract index. Ties keep
+    /// emission order.
     pub violations: Vec<Violation>,
     /// The configuration's coverage.
     pub coverage: ConfigCoverage,
@@ -367,7 +369,8 @@ impl<'c> CheckProgram<'c> {
     /// sound.
     pub fn run_config(&self, config: &ConfigIr) -> ConfigOutcome {
         let pctx = ProgramContext::new(self, config);
-        let (violations, mut phases) = self.run_checks(config, &pctx);
+        let (mut violations, mut phases) = self.run_checks(config, &pctx);
+        violations.sort_by_key(|v| (v.line_no, v.contract_index));
         let t = Instant::now();
         let coverage = coverage::config_coverage(self, config, &pctx);
         phases.coverage = t.elapsed();

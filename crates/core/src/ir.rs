@@ -337,11 +337,6 @@ impl ParamArena {
     pub fn slice(&self, id: ParamSliceId) -> &[Param] {
         self.value(id.index())
     }
-
-    /// Total parameters stored across all distinct slices.
-    pub fn total_params(&self) -> usize {
-        self.buf.len()
-    }
 }
 
 /// The shared interning arenas of a [`Dataset`]: line/name texts and

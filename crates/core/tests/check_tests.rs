@@ -246,7 +246,7 @@ fn coverage_ordering_covers_followers() {
     let summary = report.coverage.summary();
     assert_eq!(summary.covered_lines, 1);
     // The covered line is the route-target (index 1).
-    assert!(report.coverage.per_config[0].covered.contains(&1));
+    assert!(report.coverage.per_config[0].covered().contains(1));
 }
 
 #[test]
@@ -272,8 +272,7 @@ fn coverage_sequence_covers_interior() {
         &single("seq 10 permit 10.0.0.0/8\nseq 20 permit 10.1.0.0/16\nseq 30 permit 10.2.0.0/16\nseq 40 permit 10.3.0.0/16\n"),
     );
     let cov = &report.coverage.per_config[0];
-    assert_eq!(cov.covered.len(), 2);
-    assert!(cov.covered.contains(&1) && cov.covered.contains(&2));
+    assert_eq!(cov.covered().iter().collect::<Vec<_>>(), [1, 2]);
 
     // Length 3: removing the middle leaves a valid 2-progression, so
     // nothing is covered.
@@ -281,7 +280,7 @@ fn coverage_sequence_covers_interior() {
         &set,
         &single("seq 10 permit 10.0.0.0/8\nseq 20 permit 10.1.0.0/16\nseq 30 permit 10.2.0.0/16\n"),
     );
-    assert!(report.coverage.per_config[0].covered.is_empty());
+    assert!(report.coverage.per_config[0].covered().is_empty());
 }
 
 #[test]

@@ -104,13 +104,13 @@ fn coverage_agrees_with_removal_simulation() {
                 let violates = !removed_report.violations.is_empty();
                 let line = ds.line(config, li);
                 assert_eq!(
-                    cov.covered.contains(&li),
+                    cov.covered().contains(li),
                     violates,
                     "config {} line {} ({}): covered={} but removal violations={:#?}",
                     ds.name_of(config),
                     line.line_no,
                     line.original,
-                    cov.covered.contains(&li),
+                    cov.covered().contains(li),
                     &removed_report.violations[..removed_report.violations.len().min(3)]
                 );
             }
@@ -143,10 +143,10 @@ fn coverage_accounting_consistent() {
         let contracts = learn(&ds, &LearnParams::default());
         let report = check(&contracts, &ds);
         for cov in &report.coverage.per_config {
-            assert!(cov.covered.len() <= cov.total_lines);
-            for lines in cov.by_category.values() {
-                for li in lines {
-                    assert!(cov.covered.contains(li));
+            assert!(cov.covered().len() <= cov.total_lines);
+            for (_, lines) in cov.by_category() {
+                for li in lines.iter() {
+                    assert!(cov.covered().contains(li));
                 }
             }
         }

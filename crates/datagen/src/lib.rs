@@ -56,7 +56,8 @@ pub struct RoleSpec {
     pub style: Style,
     /// Relative per-device size knob (number of repeated blocks).
     pub blocks: usize,
-    /// Whether to also emit a metadata file for the role (§3.7).
+    /// Whether to also emit a metadata file for the role (§3.7). Only
+    /// edge roles carry metadata; a WAN spec that asks for it is refused.
     pub with_metadata: bool,
 }
 
@@ -169,7 +170,18 @@ pub fn generate_role(spec: &RoleSpec, seed: u64) -> GeneratedRole {
 /// Generates one role, controlling whether anomaly drift (mistyped
 /// lines) is planted. Clean datasets (`drift = false`) serve as the
 /// ground-truth oracle for precision experiments.
+///
+/// # Panics
+///
+/// Panics on a WAN spec with `with_metadata` set: the WAN generators emit
+/// no metadata, and a suite asking for it would silently test none.
 pub fn generate_role_with(spec: &RoleSpec, seed: u64, drift: bool) -> GeneratedRole {
+    assert!(
+        !spec.with_metadata || spec.style == Style::EdgeIndent,
+        "role {}: {:?} roles emit no metadata; set with_metadata: false",
+        spec.name,
+        spec.style
+    );
     let mut rng = StdRng::seed_from_u64(seed ^ hash_name(&spec.name));
     match spec.style {
         Style::EdgeIndent => edge::generate(spec, &mut rng, drift),
@@ -240,6 +252,26 @@ mod tests {
             if spec.with_metadata {
                 assert!(!role.metadata.is_empty(), "{}", spec.name);
             }
+        }
+    }
+
+    #[test]
+    fn wan_roles_refuse_metadata() {
+        for style in [Style::WanIndent, Style::WanFlat] {
+            let spec = RoleSpec {
+                name: "W-META".into(),
+                devices: 2,
+                style,
+                blocks: 2,
+                with_metadata: true,
+            };
+            let refusal = std::panic::catch_unwind(|| generate_role(&spec, 1))
+                .expect_err("a WAN role carries no metadata");
+            let message = refusal.downcast_ref::<String>().expect("formatted message");
+            assert!(
+                message.contains("role W-META") && message.contains(&format!("{style:?}")),
+                "{message}"
+            );
         }
     }
 

@@ -7,10 +7,12 @@
 //!
 //! 1. **Global name order.** Every shard's parts arrive name-sorted
 //!    (dataset order); names are disjoint across shards, so the shards'
-//!    sorted violation lists merge K-way into the order an unsharded
-//!    engine over the union corpus would sort them into.
+//!    violation lists merge K-way into the order an unsharded engine
+//!    over the union corpus would sort them into.
 //! 2. **Per-config violations** come from each shard's cached outcomes,
-//!    pre-sorted once per shard recheck ([`ShardCheckAggregate`]).
+//!    shared rather than copied. The checker leaves each configuration's
+//!    violations in report order, so a shard's configurations, walked in
+//!    name order, list the shard's violations sorted.
 //! 3. **The unique pass joins the shards' indexes.** Each shard's
 //!    resident [`UniqueIndex`](concord_core::UniqueIndex) already lists
 //!    the violations its own configurations show. Per-shard programs
@@ -69,43 +71,39 @@ impl FleetCheckReport {
 }
 
 /// A shard's [`CheckParts`] plus the merge-ready facts a serve layer
-/// caches per shard version: the shard's per-config violations
-/// flattened and pre-sorted by the engine's final `(config, line_no,
-/// contract_index)` key, the unique violations its own index shows, and
-/// its integer coverage sums.
+/// caches per shard version: the unique violations the shard's own index
+/// shows, and its integer coverage sums.
 ///
 /// All are stable for as long as the shard itself is unchanged, so a
 /// fleet CHECK after one edit re-aggregates only the owning shard and
-/// merges the rest from cache — O(shard + total violations) instead of
-/// re-walking and re-sorting every configuration in the fleet.
+/// merges the rest from cache.
 #[derive(Debug, Clone)]
 pub struct ShardCheckAggregate {
-    /// The raw per-config parts and the shard's unique index.
+    /// The shard's per-config outcomes and unique index.
     pub parts: CheckParts,
-    sorted_violations: Vec<Violation>,
     unique_violations: Vec<UniqueViolation>,
     covered_lines: usize,
     total_lines: usize,
 }
 
 impl ShardCheckAggregate {
-    /// Flattens and pre-sorts `parts` once, at shard-recheck time.
+    /// Lists the shard's unique violations and sums its coverage, once,
+    /// at shard-recheck time.
     pub fn new(parts: CheckParts) -> ShardCheckAggregate {
-        let mut sorted_violations: Vec<Violation> = parts
-            .configs
-            .iter()
-            .flat_map(|c| c.violations.iter().cloned())
-            .collect();
-        // Stable, like the engine's final sort: within a config (the
-        // only place keys can tie) the pre-sort order survives.
-        sorted_violations.sort_by(report_order);
+        let coverage = || parts.configs.iter().map(|c| &c.coverage);
         ShardCheckAggregate {
-            sorted_violations,
             unique_violations: parts.unique.violations(&parts.contracts),
-            covered_lines: parts.configs.iter().map(|c| c.covered_lines).sum(),
-            total_lines: parts.configs.iter().map(|c| c.total_lines).sum(),
+            covered_lines: coverage().map(|c| c.covered().len()).sum(),
+            total_lines: coverage().map(|c| c.total_lines).sum(),
             parts,
         }
+    }
+
+    /// The shard's per-config violations in report order: its
+    /// configurations in name order, each one's list as the checker
+    /// ordered it.
+    fn violations(&self) -> impl Iterator<Item = &Violation> {
+        self.parts.configs.iter().flat_map(|c| &c.violations)
     }
 }
 
@@ -119,11 +117,12 @@ fn report_order(a: &Violation, b: &Violation) -> Ordering {
 /// over the union of the shards' configurations. `contracts` must be the
 /// set every shard checked under.
 ///
-/// The per-config violations are a K-way merge of the cached per-shard
-/// sorted lists: config names are disjoint across shards, so equal sort
-/// keys never cross shards. The unique violations are every shard's own
-/// plus the [`join_unique_indexes`] rows, sorted; they merge in last, so
-/// a per-config violation wins a tie, as in the engine's stable sort.
+/// The per-config violations are a K-way merge of the shards' cached
+/// per-config lists: config names are disjoint across shards, so equal
+/// sort keys never cross shards. The unique violations are every shard's
+/// own plus the [`join_unique_indexes`] rows, sorted; they merge in last,
+/// so a per-config violation wins a tie, as in the batch checker's stable
+/// sort.
 pub fn merge_check_aggregates(
     contracts: &ContractSet,
     shards: &[&ShardCheckAggregate],
@@ -138,30 +137,30 @@ pub fn merge_check_aggregates(
     unique.sort_by(|a, b| UniqueViolation::order(a, b));
 
     // K + 1 sorted lists, the unique rows last so they lose every tie.
-    let at = |list: usize, head: usize| match shards.get(list) {
-        Some(shard) => shard.sorted_violations.get(head),
-        None => unique.get(head).map(|row| &row.violation),
-    };
-    let mut heads = vec![0usize; shards.len() + 1];
-    let total = shards
+    let unique_list: Box<dyn Iterator<Item = &Violation>> =
+        Box::new(unique.iter().map(|row| &row.violation));
+    let mut lists: Vec<_> = shards
         .iter()
-        .map(|s| s.sorted_violations.len())
-        .sum::<usize>()
-        + unique.len();
-    let mut violations: Vec<Violation> = Vec::with_capacity(total);
-    while violations.len() < total {
+        .map(|s| Box::new(s.violations()) as Box<dyn Iterator<Item = &Violation>>)
+        .chain([unique_list])
+        .map(Iterator::peekable)
+        .collect();
+    let mut violations: Vec<Violation> = Vec::new();
+    loop {
         let mut best: Option<(usize, &Violation)> = None;
-        for (list, &head) in heads.iter().enumerate() {
-            let Some(v) = at(list, head) else {
+        for (list, head) in lists.iter_mut().enumerate() {
+            let Some(&v) = head.peek() else {
                 continue;
             };
             if best.is_none_or(|(_, b)| report_order(v, b) == Ordering::Less) {
                 best = Some((list, v));
             }
         }
-        let (list, v) = best.expect("an unexhausted list remains");
+        let Some((list, v)) = best else {
+            break;
+        };
         violations.push(v.clone());
-        heads[list] += 1;
+        lists[list].next();
     }
     FleetCheckReport {
         violations,

@@ -188,29 +188,14 @@ pub struct EngineCheckReport {
     pub engine: EngineCheckStats,
 }
 
-/// One configuration's contribution to a sharded check, as produced by
-/// [`Engine::check_parts`]: everything a fleet needs to reassemble the
-/// unsharded engine's report without re-running any per-configuration
-/// work.
-#[derive(Debug, Clone)]
-pub struct CheckPartConfig {
-    /// Configuration name (the global merge key — the unsharded dataset
-    /// is name-sorted, so merging shards by name recovers its order).
-    pub name: String,
-    /// This configuration's violations, in the engine's pre-sort order
-    /// (excludes the cross-configuration unique pass).
-    pub violations: Vec<concord_core::Violation>,
-    /// Lines covered by at least one contract.
-    pub covered_lines: usize,
-    /// Total lines (the coverage denominator contribution).
-    pub total_lines: usize,
-}
-
 /// The unassembled result of one [`Engine::check_parts`] call.
 #[derive(Debug, Clone)]
 pub struct CheckParts {
-    /// Per-configuration parts, in this engine's dataset (name) order.
-    pub configs: Vec<CheckPartConfig>,
+    /// Every configuration's cached check outcome, in this engine's
+    /// dataset (name) order, shared rather than copied. A recheck swaps a
+    /// new outcome into the engine, so these never change under a later
+    /// edit.
+    pub configs: Vec<Arc<ConfigOutcome>>,
     /// The engine's unique index, shared rather than copied. The engine
     /// updates its own through [`Arc::make_mut`], so these parts never
     /// change under a later edit.
@@ -243,8 +228,9 @@ struct Slot {
     /// The text the configuration's dataset lines were built from — the
     /// base the next upsert diffs against. Shared with the image.
     text: Arc<str>,
-    /// Cached per-configuration outcome; `None` marks the slot dirty.
-    outcome: Option<ConfigOutcome>,
+    /// Cached per-configuration outcome, shared with the [`CheckParts`]
+    /// that carry it; `None` marks the slot dirty.
+    outcome: Option<Arc<ConfigOutcome>>,
     /// Cached learn sketch (`None` while dirty; mined lazily by the next
     /// delta relearn, or restored from a persisted snapshot).
     sketch: Option<ConfigSketch>,
@@ -453,11 +439,6 @@ impl Engine {
             .zip(&self.slots)
             .map(|(c, s)| (self.dataset.name_of(c).to_string(), s.generation))
             .collect()
-    }
-
-    /// The stable id of the configuration at dataset index `i`.
-    pub fn id_at(&self, i: usize) -> Option<ConfigId> {
-        self.slots.get(i).map(|s| ConfigId(s.id))
     }
 
     /// The current contract set, if any.
@@ -767,26 +748,27 @@ impl Engine {
     /// [`merge_check_aggregates`], the merge the serving fleet runs.
     pub fn check_dirty(&mut self) -> Result<EngineCheckReport, EngineError> {
         let start = Instant::now();
-        let parts = self.check_parts()?;
-        let contracts = Arc::clone(&parts.contracts);
-        let compile_time = parts.compile_time;
+        let shard = ShardCheckAggregate::new(self.check_parts()?);
+        let parts = &shard.parts;
         let engine = self.last_check.expect("check_parts records its counters");
         // The server's merge, over one shard: the violations in the
         // report order the batch checker sorts into.
-        let merged = merge_check_aggregates(&contracts, &[&ShardCheckAggregate::new(parts)]);
-        let mut coverages = Vec::with_capacity(self.slots.len());
+        let merged = merge_check_aggregates(&parts.contracts, &[&shard]);
         let mut counters = concord_core::CheckCounters::default();
-        for slot in &self.slots {
-            let outcome = slot.outcome.as_ref().expect("just populated");
-            coverages.push(outcome.coverage.clone());
-            counters.accumulate(&outcome.counters);
-        }
+        let coverages = parts
+            .configs
+            .iter()
+            .map(|outcome| {
+                counters.accumulate(&outcome.counters);
+                outcome.coverage.clone()
+            })
+            .collect();
         let stats = CheckStats {
-            contracts: contracts.len(),
+            contracts: parts.contracts.len(),
             violations: merged.violations.len(),
             parallelism: self.options.parallelism.max(1),
             check_time: start.elapsed(),
-            compile_time,
+            compile_time: parts.compile_time,
             witness_indexes: counters.indexes_built,
             witness_entries: counters.index_entries,
             witness_probes: counters.probes,
@@ -807,14 +789,14 @@ impl Engine {
     }
 
     /// Checks the current snapshot like [`Engine::check_dirty`], but
-    /// returns the *unassembled* per-configuration parts instead of the
-    /// merged report: each configuration's violations and covered/total
-    /// line counts, plus the engine's unique index. A serving fleet
-    /// collects every shard's parts, merges the configurations in global
-    /// name order (the dataset order an unsharded engine would hold),
-    /// joins the shards' unique indexes, and applies the engine's final
-    /// stable sort — reproducing [`Engine::check_dirty`]'s report byte
-    /// for byte while each shard pays only for its own dirty
+    /// returns the *unassembled* parts instead of the merged report:
+    /// every configuration's cached outcome (its violations in report
+    /// order, its coverage and counters), shared rather than copied, plus
+    /// the engine's unique index. A serving fleet collects every shard's
+    /// parts, merges the configurations' violations in global name order
+    /// (the dataset order an unsharded engine would hold) and joins the
+    /// shards' unique indexes, reproducing [`Engine::check_dirty`]'s
+    /// report byte for byte while each shard pays only for its own dirty
     /// configurations.
     ///
     /// `check_dirty` is this call plus that merge over one shard, so the
@@ -832,19 +814,9 @@ impl Engine {
             self.options.parallelism,
         );
         let configs = self
-            .dataset
-            .configs
+            .slots
             .iter()
-            .zip(&self.slots)
-            .map(|(c, s)| {
-                let outcome = s.outcome.as_ref().expect("just populated");
-                CheckPartConfig {
-                    name: self.dataset.name_of(c).to_string(),
-                    violations: outcome.violations.clone(),
-                    covered_lines: outcome.coverage.covered.len(),
-                    total_lines: outcome.coverage.total_lines,
-                }
-            })
+            .map(|s| Arc::clone(s.outcome.as_ref().expect("just populated")))
             .collect();
         let engine = check_stats(&self.slots, &dirty, resolution_invalidated);
         self.last_check = Some(engine);
@@ -987,7 +959,7 @@ fn refresh_outcomes(
     if !dirty.is_empty() {
         let index = Arc::make_mut(unique);
         for (&i, (outcome, table)) in dirty.iter().zip(recomputed) {
-            slots[i].outcome = Some(outcome);
+            slots[i].outcome = Some(Arc::new(outcome));
             index.insert(dataset.config_name(i), table);
         }
     }
@@ -1216,6 +1188,33 @@ mod tests {
             assert_eq!(parts.snapshot_stats().last_check, Some(report.engine));
             assert_eq!(computed.dirty_configs, report.engine.dirty_configs);
             assert_eq!(computed.reused_configs, report.engine.reused_configs);
+        }
+    }
+
+    /// CHECK shares cached outcomes instead of copying them: after one
+    /// upsert only the edited configuration's outcome is new, and after a
+    /// remove every survivor keeps its outcome.
+    #[test]
+    fn check_parts_share_cached_outcomes() {
+        let mut engine = Engine::from_corpus(&corpus(), &[], EngineOptions::default()).unwrap();
+        engine.relearn();
+        let before = engine.check_parts().unwrap();
+        engine.upsert_config("dev2", "hostname DEV102\nvlan 252\n");
+        let after = engine.check_parts().unwrap();
+        assert_eq!(after.dirty_configs, 1);
+        assert_eq!(before.configs.len(), after.configs.len());
+        for (i, (was, now)) in before.configs.iter().zip(&after.configs).enumerate() {
+            assert_eq!(Arc::ptr_eq(was, now), i != 2, "dev{i}");
+        }
+
+        engine.remove_config("dev4");
+        let removed = engine.check_parts().unwrap();
+        assert_eq!(removed.dirty_configs, 0);
+        let mut survivors = after.configs.clone();
+        survivors.remove(4);
+        assert_eq!(survivors.len(), removed.configs.len());
+        for (was, now) in survivors.iter().zip(&removed.configs) {
+            assert!(Arc::ptr_eq(was, now));
         }
     }
 

@@ -884,8 +884,8 @@ mod tests {
                 .map(|c| (c.name.clone(), c.generation))
                 .collect();
             assert_eq!(gens, engine.generations());
-            for (i, c) in image.configs.iter().enumerate() {
-                assert_eq!(Some(ConfigId(c.id)), engine.id_at(i));
+            for c in &image.configs {
+                assert_eq!(Some(ConfigId(c.id)), engine.config_id(&c.name));
             }
             assert_eq!(image.counters, engine.counters());
         };

@@ -50,7 +50,7 @@ fn main() {
     let mut shown = 0;
     'outer: for (config, cov) in dataset.configs.iter().zip(&report.coverage.per_config) {
         for (i, line) in config.lines(&dataset.arenas).enumerate() {
-            if line.is_meta || cov.covered.contains(&i) {
+            if line.is_meta || cov.covered().contains(i) {
                 continue;
             }
             println!(
