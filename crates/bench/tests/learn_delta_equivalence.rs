@@ -178,7 +178,7 @@ fn persisted_sketches_round_trip_and_stay_compact() {
     let mut sketch_bytes = 0;
     for ci in 0..ds.configs.len() {
         let name = ds.config_name(ci);
-        let rendered = engine.export_sketch_for(name).expect("sketched").render();
+        let rendered = engine.export_sketch_for(name).expect("sketched");
         sketch_bytes += rendered.len();
         let bundle = Json::parse(&rendered).expect("bundle parses");
         let entry = &bundle["configs"][0];

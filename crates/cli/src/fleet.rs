@@ -938,11 +938,29 @@ mod tests {
     use std::io::Cursor;
     use std::path::PathBuf;
 
-    fn temp_dir(tag: &str) -> PathBuf {
+    /// `concord-fleet-<tag>-<pid>` under the system temp dir, created
+    /// empty and removed on drop, so a failing test cleans up too.
+    struct TempDir(PathBuf);
+
+    impl std::ops::Deref for TempDir {
+        type Target = Path;
+
+        fn deref(&self) -> &Path {
+            &self.0
+        }
+    }
+
+    impl Drop for TempDir {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+
+    fn temp_dir(tag: &str) -> TempDir {
         let dir = std::env::temp_dir().join(format!("concord-fleet-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).expect("create temp dir");
-        dir
+        TempDir(dir)
     }
 
     /// The serve tests' six-config corpus.
@@ -961,13 +979,15 @@ mod tests {
             .collect()
     }
 
-    /// Writes [`corpus`] as files and returns the glob that selects them.
-    fn corpus_glob(tag: &str) -> String {
+    /// Writes [`corpus`] as files and returns their directory with the
+    /// glob that selects them.
+    fn corpus_glob(tag: &str) -> (TempDir, String) {
         let dir = temp_dir(&format!("corpus-{tag}"));
         for (name, text) in corpus() {
             std::fs::write(dir.join(format!("{name}.cfg")), text).expect("write config");
         }
-        format!("{}/*.cfg", dir.display())
+        let glob = format!("{}/*.cfg", dir.display());
+        (dir, glob)
     }
 
     fn serve_args(glob: &str, shards: usize, state_dir: Option<&Path>) -> ServeArgs {
@@ -1011,7 +1031,7 @@ mod tests {
     /// resolution change (the one documented counter divergence).
     #[test]
     fn fleet_session_is_byte_identical_to_single_engine() {
-        let glob = corpus_glob("identity");
+        let (_corpus, glob) = corpus_glob("identity");
         let script = "LEARN\nCHECK\nUPSERT dev0\nhostname DEV100\nvlan 250\n.\nCHECK\nGEN dev0\n\
                       GEN dev3\nCONTRACTS\nUPSERT dev9\nhostname DEV109\nrouter bgp 65000\n\
                       vlan 999\n.\nCHECK\nLEARN\nREMOVE dev3\nGEN nope\nCHECK\nLEARN\nQUIT\n";
@@ -1031,7 +1051,7 @@ mod tests {
     /// sent singly, and equals the one-shard batch, byte for byte.
     #[test]
     fn fleet_batch_matches_singles_and_single_engine() {
-        let glob = corpus_glob("batch");
+        let (_corpus, glob) = corpus_glob("batch");
         let singles_script = "LEARN\nUPSERT dev0\nhostname DEV100\nvlan 250\n.\nGEN dev0\n\
                               GEN dev5\nREMOVE dev2\nCHECK\nQUIT\n";
         let batch_script = "LEARN\nBATCH 5\nUPSERT dev0\nhostname DEV100\nvlan 250\n.\nGEN dev0\n\
@@ -1049,7 +1069,7 @@ mod tests {
     /// assign a fresh id, exactly like the one-shard batch.
     #[test]
     fn fleet_batch_remove_then_upsert_assigns_fresh_id() {
-        let glob = corpus_glob("batch-reuse");
+        let (_corpus, glob) = corpus_glob("batch-reuse");
         let script = "BATCH 2\nREMOVE dev1\nUPSERT dev1\nhostname DEV101\nvlan 251\n.\nQUIT\n";
         let fleet = session(&fleet_shared(&serve_args(&glob, 3, None)), script);
         let single = session(&fleet_shared(&serve_args(&glob, 1, None)), script);
@@ -1062,7 +1082,7 @@ mod tests {
     /// the whole corpus.
     #[test]
     fn fleet_stats_reports_v8_fleet_object_with_consistent_totals() {
-        let glob = corpus_glob("stats");
+        let (_corpus, glob) = corpus_glob("stats");
         let shared = fleet_shared(&serve_args(&glob, 3, None));
         let out = session(
             &shared,
@@ -1110,7 +1130,7 @@ mod tests {
     /// `shard-0/` is refused too, rather than silently re-seeded.
     #[test]
     fn reopening_with_a_different_shard_count_is_refused() {
-        let glob = corpus_glob("manifest");
+        let (_corpus, glob) = corpus_glob("manifest");
         let refusal =
             |shards: usize, dir: &Path| match build_fleet(&serve_args(&glob, shards, Some(dir))) {
                 Ok(_) => panic!("--shards {shards} on {} must refuse", dir.display()),
@@ -1137,7 +1157,7 @@ mod tests {
         let err = refusal(1, &snapshot_only);
         assert!(err.contains(&snapshot.display().to_string()), "{err}");
         assert_eq!(std::fs::read(&snapshot).expect("still there"), bytes);
-        let names: Vec<_> = std::fs::read_dir(&snapshot_only)
+        let names: Vec<_> = std::fs::read_dir(&*snapshot_only)
             .expect("listing")
             .map(|e| e.expect("entry").file_name())
             .collect();
@@ -1149,7 +1169,7 @@ mod tests {
     /// over the surviving corpus.
     #[test]
     fn fleet_resumes_from_state_directories() {
-        let glob = corpus_glob("resume");
+        let (_corpus, glob) = corpus_glob("resume");
         let dir = temp_dir("resume-state");
         let args = serve_args(&glob, 2, Some(&dir));
         {
@@ -1199,7 +1219,7 @@ mod tests {
     /// rebuilt leader then answers as before.
     #[test]
     fn armed_fault_is_not_swallowed_by_a_warm_cache() {
-        let glob = corpus_glob("warm-fault");
+        let (_corpus, glob) = corpus_glob("warm-fault");
         let shared = fleet_shared(&serve_args(&glob, 2, None));
         let out = session(&shared, "LEARN\nCHECK\nFAULT check 0\nCHECK\nCHECK\nQUIT\n");
         let lines: Vec<&str> = out.lines().collect();
@@ -1229,7 +1249,7 @@ mod tests {
     /// as one shard does.
     #[test]
     fn check_refuses_shards_split_by_a_failed_learn_until_relearned() {
-        let glob = corpus_glob("split");
+        let (_corpus, glob) = corpus_glob("split");
         let edits = edits_adding_a_line();
         let script =
             format!("LEARN\n{edits}FAULT set-contracts 1\nLEARN\nCHECK\nLEARN\nCHECK\nQUIT\n");
@@ -1264,7 +1284,7 @@ mod tests {
     /// same state directory.
     #[test]
     fn one_shard_stats_are_the_leaders_own_before_and_after_restart() {
-        let glob = corpus_glob("leader-stats");
+        let (_corpus, glob) = corpus_glob("leader-stats");
         let dir = temp_dir("leader-stats-state");
         let args = serve_args(&glob, 1, Some(&dir));
         let scripts = [
@@ -1310,7 +1330,7 @@ mod tests {
     /// At more than one shard, STATS `memory` is the sum of the shards'.
     #[test]
     fn multi_shard_memory_is_the_sum_over_shards() {
-        let glob = corpus_glob("memory");
+        let (_corpus, glob) = corpus_glob("memory");
         let shared = fleet_shared(&serve_args(&glob, 3, None));
         let stats = stats_json(&session(
             &shared,
@@ -1343,7 +1363,7 @@ mod tests {
     /// device draws the engine's next id, never a removed device's.
     #[test]
     fn engine_written_root_layout_reopens_with_identical_answers() {
-        let glob = corpus_glob("root-layout");
+        let (_corpus, glob) = corpus_glob("root-layout");
         let dir = temp_dir("root-layout-state");
         let (mut engine, resumed) = ResilientEngine::with_store(
             &corpus(),
@@ -1411,11 +1431,12 @@ mod tests {
         let mut learner =
             Engine::from_corpus(&with_ntp, &[], EngineOptions::default()).expect("learner");
         learner.relearn();
-        let contracts = temp_dir("resolution-contracts").join("contracts.json");
+        let contracts_dir = temp_dir("resolution-contracts");
+        let contracts = contracts_dir.join("contracts.json");
         std::fs::write(&contracts, learner.contracts().expect("learned").to_json())
             .expect("write contracts");
 
-        let glob = corpus_glob("resolution");
+        let (_corpus, glob) = corpus_glob("resolution");
         let script = format!("CHECK\nUPSERT dev0\n{}.\nCHECK\nQUIT\n", with_ntp[0].1);
         let run = |shards: usize| {
             let mut args = serve_args(&glob, shards, None);
@@ -1444,7 +1465,7 @@ mod tests {
     /// counter and sketches.
     #[test]
     fn multi_shard_restart_rederives_ids_and_learn_counters() {
-        let glob = corpus_glob("restart-ids");
+        let (_corpus, glob) = corpus_glob("restart-ids");
         let first = "LEARN\nUPSERT dev9\nvlan 9\n.\nREMOVE dev9\nQUIT\n";
         let second = "LEARN\nUPSERT zz\nvlan 1\n.\nQUIT\n";
         let mut answers = Vec::new();

@@ -38,11 +38,10 @@
 //!   re-encodes the nodes under the current table and re-sorts nodes and
 //!   candidates, since reassigned ids can reorder them.
 
-use std::fmt::Write as _;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use concord_json::{FromJson, Json, ToJson};
+use concord_json::{push_array, push_number, push_string, FromJson, Json, ToJson};
 use concord_types::{BigNum, Transform, ValueType};
 
 use crate::contract::{Contract, ContractSet, RelationKind};
@@ -459,12 +458,29 @@ pub fn sketch_params_fingerprint(params: &LearnParams) -> String {
     )
 }
 
-fn hex64(v: u64) -> Json {
-    Json::Str(format!("{v:016x}"))
+const HEX: &[u8; 16] = b"0123456789abcdef";
+
+/// Appends `v` as a JSON string of 16 lowercase hex digits: the
+/// fixed-width bit pattern a witness hash or diversity score is stored
+/// as.
+fn push_hex64(out: &mut String, v: u64) {
+    out.push('"');
+    for shift in (0..16).rev() {
+        out.push(char::from(HEX[((v >> (4 * shift)) & 0xf) as usize]));
+    }
+    out.push('"');
 }
 
-fn hex_f64(v: f64) -> Json {
-    hex64(v.to_bits())
+/// Appends `v` in lowercase hex without leading zeros.
+fn push_hex(out: &mut String, v: u32) {
+    let digits = (u32::BITS - (v | 1).leading_zeros()).div_ceil(4);
+    for shift in (0..digits).rev() {
+        out.push(char::from(HEX[((v >> (4 * shift)) & 0xf) as usize]));
+    }
+}
+
+fn push_bool(out: &mut String, b: bool) {
+    out.push_str(if b { "true" } else { "false" });
 }
 
 fn parse_hex64(json: &Json) -> Option<u64> {
@@ -475,18 +491,15 @@ fn parse_hex_f64(json: &Json) -> Option<f64> {
     Some(f64::from_bits(parse_hex64(json)?))
 }
 
-fn node_to_json(node: NodeKey, table: &PatternTable) -> Json {
-    Json::Object(vec![
-        (
-            "pattern".to_string(),
-            Json::Str(table.text(node.pattern).to_string()),
-        ),
-        ("param".to_string(), u64::from(node.param).to_json()),
-        (
-            "transform".to_string(),
-            node.transform_tag.to_transform().to_json(),
-        ),
-    ])
+/// Appends a relational node as `{"pattern":…,"param":…,"transform":…}`.
+fn write_node(node: NodeKey, table: &PatternTable, out: &mut String) {
+    out.push_str("{\"pattern\":");
+    push_string(out, table.text(node.pattern));
+    out.push_str(",\"param\":");
+    push_number(out, f64::from(node.param));
+    out.push_str(",\"transform\":");
+    node.transform_tag.to_transform().to_json().render_into(out);
+    out.push('}');
 }
 
 fn node_from_json(json: &Json, table: &PatternTable) -> Option<NodeKey> {
@@ -500,58 +513,68 @@ fn node_from_json(json: &Json, table: &PatternTable) -> Option<NodeKey> {
     })
 }
 
-/// Writes a relational run as a table of its distinct nodes, a table of
-/// its distinct `(hash, score)` witnesses, and one
+/// Appends a relational run as a table of its distinct nodes, a table
+/// of its distinct `(hash, score)` witnesses, and one
 /// `[antecedent, relation, consequent, valid, witnesses]` entry per
 /// candidate, where the nodes are indices into the node table and
 /// `witnesses` is one string of space-separated hex indices into the
 /// witness table, in list order. Both tables are in first-use order:
 /// the witness table and references are written as the run stores them,
 /// and its code-sorted node table is renumbered in first-use order.
-fn relational_to_json(run: &relational::CompactRun, table: &PatternTable) -> Json {
-    let mut renumbered = vec![usize::MAX; run.nodes.len()];
-    let mut nodes = Vec::new();
-    let mut node = |index: u32| {
-        let slot = &mut renumbered[index as usize];
-        if *slot == usize::MAX {
-            *slot = nodes.len();
-            let key = relational::decode_node(run.nodes[index as usize]);
-            nodes.push(node_to_json(key, table));
-        }
-        *slot
-    };
-    let mut candidates = Vec::with_capacity(run.len());
+fn write_relational(run: &relational::CompactRun, table: &PatternTable, out: &mut String) {
+    let mut renumbered = vec![u32::MAX; run.nodes.len()];
+    let mut first_use = Vec::new();
     for i in 0..run.len() {
-        let antecedent = node(run.antecedents[i]);
-        let consequent = node(run.consequents[i] >> 2);
-        let mut refs = String::with_capacity(4 * run.refs(i).len());
-        for r in run.refs(i) {
-            if !refs.is_empty() {
-                refs.push(' ');
+        for index in [run.antecedents[i], run.consequents[i] >> 2] {
+            let slot = &mut renumbered[index as usize];
+            if *slot == u32::MAX {
+                *slot = first_use.len() as u32;
+                first_use.push(index);
             }
-            let _ = write!(refs, "{r:x}");
         }
-        candidates.push(Json::Array(vec![
-            antecedent.to_json(),
-            run.relation(i).to_json(),
-            consequent.to_json(),
-            run.valid[i].to_json(),
-            Json::Str(refs),
-        ]));
     }
-    let witnesses = run
-        .witnesses
-        .iter()
-        .map(|&(hash, score)| Json::Array(vec![hex64(hash), hex_f64(score)]))
-        .collect();
-    Json::Object(vec![
-        ("nodes".to_string(), Json::Array(nodes)),
-        ("witnesses".to_string(), Json::Array(witnesses)),
-        ("candidates".to_string(), Json::Array(candidates)),
-    ])
+    out.push_str("{\"nodes\":");
+    push_array(out, first_use, |out, index| {
+        write_node(
+            relational::decode_node(run.nodes[index as usize]),
+            table,
+            out,
+        );
+    });
+    out.push_str(",\"witnesses\":");
+    push_array(out, &run.witnesses, |out, &(hash, score)| {
+        out.push('[');
+        push_hex64(out, hash);
+        out.push(',');
+        push_hex64(out, score.to_bits());
+        out.push(']');
+    });
+    out.push_str(",\"candidates\":");
+    push_array(out, 0..run.len(), |out, i| {
+        out.push('[');
+        push_number(out, f64::from(renumbered[run.antecedents[i] as usize]));
+        out.push(',');
+        run.relation(i).to_json().render_into(out);
+        out.push(',');
+        push_number(
+            out,
+            f64::from(renumbered[(run.consequents[i] >> 2) as usize]),
+        );
+        out.push(',');
+        push_number(out, f64::from(run.valid[i]));
+        out.push_str(",\"");
+        for (k, &r) in run.refs(i).iter().enumerate() {
+            if k > 0 {
+                out.push(' ');
+            }
+            push_hex(out, r);
+        }
+        out.push_str("\"]");
+    });
+    out.push('}');
 }
 
-/// Inverts [`relational_to_json`], re-encoding nodes under `table`'s
+/// Inverts [`write_relational`], re-encoding nodes under `table`'s
 /// current ids. Ids may have been reassigned since the sketch was
 /// written, so the nodes and candidates are re-sorted and the witness
 /// table renumbered in first-use order under the current encoding.
@@ -666,143 +689,101 @@ impl ConfigSketch {
             + self.relational.heap_bytes()
     }
 
-    /// Serializes against `table` (the table the sketch's pattern ids
-    /// refer to). Patterns are stored as text so the sketch survives
-    /// table rebuilds that reassign ids.
-    pub fn to_json(&self, table: &PatternTable) -> Json {
-        let patterns = Json::Array(
-            self.patterns
-                .iter()
-                .map(|&p| Json::Str(table.text(p).to_string()))
-                .collect(),
+    /// Appends the sketch's JSON to `out`, written against `table` (the
+    /// table the sketch's pattern ids refer to). Patterns are stored as
+    /// text so the sketch survives table rebuilds that reassign ids;
+    /// [`ConfigSketch::from_json`] reads it back.
+    pub fn write_json(&self, table: &PatternTable, out: &mut String) {
+        let pattern = |out: &mut String, p: PatternId| push_string(out, table.text(p));
+        out.push_str("{\"patterns\":");
+        push_array(out, &self.patterns, |out, &p| pattern(out, p));
+        out.push_str(",\"constants\":");
+        push_array(out, &self.present.constants, |out, line| {
+            push_string(out, line);
+        });
+        out.push_str(",\"ordering\":");
+        push_array(out, &self.ordering.pairs, |out, &(p1, p2)| {
+            out.push('[');
+            pattern(out, p1);
+            out.push(',');
+            pattern(out, p2);
+            out.push(']');
+        });
+        out.push_str(",\"typing\":");
+        push_array(out, &self.typing.groups, |out, (agnostic, holes)| {
+            out.push('[');
+            push_string(out, agnostic);
+            out.push(',');
+            push_array(out, holes, |out, counts| {
+                push_array(out, counts, |out, (ty, count)| {
+                    out.push('[');
+                    ty.to_json().render_into(out);
+                    out.push(',');
+                    push_number(out, *count as f64);
+                    out.push(']');
+                });
+            });
+            out.push(']');
+        });
+        out.push_str(",\"sequence\":");
+        push_array(
+            out,
+            &self.sequence.entries,
+            |out, &(p, param, sequential)| {
+                out.push('[');
+                pattern(out, p);
+                out.push(',');
+                push_number(out, f64::from(param));
+                out.push(',');
+                push_bool(out, sequential);
+                out.push(']');
+            },
         );
-        let constants = Json::Array(
-            self.present
-                .constants
-                .iter()
-                .map(|line| Json::Str(line.clone()))
-                .collect(),
-        );
-        let ordering = Json::Array(
-            self.ordering
-                .pairs
-                .iter()
-                .map(|&(p1, p2)| {
-                    Json::Array(vec![
-                        Json::Str(table.text(p1).to_string()),
-                        Json::Str(table.text(p2).to_string()),
-                    ])
-                })
-                .collect(),
-        );
-        let typing = Json::Array(
-            self.typing
-                .groups
-                .iter()
-                .map(|(agnostic, holes)| {
-                    Json::Array(vec![
-                        Json::Str(agnostic.clone()),
-                        Json::Array(
-                            holes
-                                .iter()
-                                .map(|counts| {
-                                    Json::Array(
-                                        counts
-                                            .iter()
-                                            .map(|(ty, count)| {
-                                                Json::Array(vec![ty.to_json(), count.to_json()])
-                                            })
-                                            .collect(),
-                                    )
-                                })
-                                .collect(),
-                        ),
-                    ])
-                })
-                .collect(),
-        );
-        let sequence = Json::Array(
-            self.sequence
-                .entries
-                .iter()
-                .map(|&(pattern, param, sequential)| {
-                    Json::Array(vec![
-                        Json::Str(table.text(pattern).to_string()),
-                        u64::from(param).to_json(),
-                        Json::Bool(sequential),
-                    ])
-                })
-                .collect(),
-        );
-        let unique = Json::Array(
-            self.unique
-                .entries
-                .iter()
-                .map(|((pattern, param), ps)| {
-                    Json::Array(vec![
-                        Json::Str(table.text(*pattern).to_string()),
-                        u64::from(*param).to_json(),
-                        Json::Object(vec![
-                            (
-                                "distinct".to_string(),
-                                Json::Array(
-                                    ps.distinct
-                                        .iter()
-                                        .map(|(rendered, score)| {
-                                            Json::Array(vec![
-                                                Json::Str(rendered.clone()),
-                                                hex_f64(*score),
-                                            ])
-                                        })
-                                        .collect(),
-                                ),
-                            ),
-                            ("instances".to_string(), ps.instances.to_json()),
-                            ("intra_dup".to_string(), Json::Bool(ps.intra_dup)),
-                            ("multi".to_string(), Json::Bool(ps.multi)),
-                        ]),
-                    ])
-                })
-                .collect(),
-        );
-        let range = Json::Array(
-            self.range
-                .entries
-                .iter()
-                .map(|((pattern, param), ps)| {
-                    Json::Array(vec![
-                        Json::Str(table.text(*pattern).to_string()),
-                        u64::from(*param).to_json(),
-                        Json::Object(vec![
-                            ("min".to_string(), ps.min.to_json()),
-                            ("max".to_string(), ps.max.to_json()),
-                            ("instances".to_string(), ps.instances.to_json()),
-                            (
-                                "distinct".to_string(),
-                                Json::Array(ps.distinct.iter().map(ToJson::to_json).collect()),
-                            ),
-                        ]),
-                    ])
-                })
-                .collect(),
-        );
-        Json::Object(vec![
-            ("patterns".to_string(), patterns),
-            ("constants".to_string(), constants),
-            ("ordering".to_string(), ordering),
-            ("typing".to_string(), typing),
-            ("sequence".to_string(), sequence),
-            ("unique".to_string(), unique),
-            ("range".to_string(), range),
-            (
-                "relational".to_string(),
-                relational_to_json(&self.relational, table),
-            ),
-            (
-                "truncations".to_string(),
-                self.relational_truncations.to_json(),
-            ),
-        ])
+        out.push_str(",\"unique\":");
+        push_array(out, &self.unique.entries, |out, &((p, param), ref ps)| {
+            out.push('[');
+            pattern(out, p);
+            out.push(',');
+            push_number(out, f64::from(param));
+            out.push_str(",{\"distinct\":");
+            push_array(out, &ps.distinct, |out, (rendered, score)| {
+                out.push('[');
+                push_string(out, rendered);
+                out.push(',');
+                push_hex64(out, score.to_bits());
+                out.push(']');
+            });
+            out.push_str(",\"instances\":");
+            push_number(out, ps.instances as f64);
+            out.push_str(",\"intra_dup\":");
+            push_bool(out, ps.intra_dup);
+            out.push_str(",\"multi\":");
+            push_bool(out, ps.multi);
+            out.push_str("}]");
+        });
+        out.push_str(",\"range\":");
+        push_array(out, &self.range.entries, |out, &((p, param), ref ps)| {
+            out.push('[');
+            pattern(out, p);
+            out.push(',');
+            push_number(out, f64::from(param));
+            out.push_str(",{\"min\":");
+            ps.min.to_json().render_into(out);
+            out.push_str(",\"max\":");
+            ps.max.to_json().render_into(out);
+            out.push_str(",\"instances\":");
+            push_number(out, ps.instances as f64);
+            out.push_str(",\"distinct\":");
+            push_array(out, &ps.distinct, |out, value| {
+                value.to_json().render_into(out);
+            });
+            out.push_str("}]");
+        });
+        out.push_str(",\"relational\":");
+        write_relational(&self.relational, table, out);
+        out.push_str(",\"truncations\":");
+        push_number(out, self.relational_truncations as f64);
+        out.push('}');
     }
 
     /// Decodes a sketch against `table`, re-encoding pattern texts into
@@ -986,11 +967,19 @@ mod tests {
         };
         for ci in 0..ds.configs.len() {
             let sketch = sketch_config(&ds, ci, &params);
-            let json = sketch.to_json(&ds.table);
-            let reparsed = Json::parse(&json.render()).unwrap();
+            let mut rendered = String::new();
+            sketch.write_json(&ds.table, &mut rendered);
+            let reparsed = Json::parse(&rendered).unwrap();
             let decoded = ConfigSketch::from_json(&reparsed, &ds.table).unwrap();
             assert_eq!(sketch, decoded, "sketch {ci} did not round-trip");
         }
+    }
+
+    /// The sketch's JSON, parsed back into a value to edit.
+    fn sketch_json(sketch: &ConfigSketch, table: &PatternTable) -> Json {
+        let mut rendered = String::new();
+        sketch.write_json(table, &mut rendered);
+        Json::parse(&rendered).expect("sketch JSON parses")
     }
 
     #[test]
@@ -998,7 +987,7 @@ mod tests {
         let ds = dataset(&rich_texts());
         let params = LearnParams::default();
         let sketch = sketch_config(&ds, 0, &params);
-        let json = sketch.to_json(&ds.table);
+        let json = sketch_json(&sketch, &ds.table);
         // Decode against a table that lacks the patterns.
         let other = dataset(&["completely different\n".to_string()]);
         assert!(ConfigSketch::from_json(&json, &other.table).is_none());
@@ -1037,7 +1026,7 @@ mod tests {
         assert!(!sketch.unique.entries.is_empty());
         assert!(!sketch.range.entries.is_empty());
         assert!((0..sketch.relational.len()).any(|i| !sketch.relational.refs(i).is_empty()));
-        let json = sketch.to_json(&ds.table);
+        let json = sketch_json(&sketch, &ds.table);
         (ds, sketch, json)
     }
 

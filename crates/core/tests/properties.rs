@@ -216,7 +216,8 @@ fn sketches_round_trip_through_json() {
         let ds = dataset(fleet(rng));
         for ci in 0..ds.configs.len() {
             let sketch = sketch_config(&ds, ci, &all_miners());
-            let rendered = sketch.to_json(&ds.table).render();
+            let mut rendered = String::new();
+            sketch.write_json(&ds.table, &mut rendered);
             let decoded = ConfigSketch::from_json(&Json::parse(&rendered).unwrap(), &ds.table);
             assert_eq!(decoded.as_ref(), Some(&sketch), "config {ci}");
         }
@@ -231,8 +232,9 @@ fn decoded_sketches_fold_like_a_full_learn() {
         let params = all_miners();
         let decoded: Vec<ConfigSketch> = (0..ds.configs.len())
             .map(|ci| {
-                let json = sketch_config(&ds, ci, &params).to_json(&ds.table);
-                ConfigSketch::from_json(&Json::parse(&json.render()).unwrap(), &ds.table).unwrap()
+                let mut json = String::new();
+                sketch_config(&ds, ci, &params).write_json(&ds.table, &mut json);
+                ConfigSketch::from_json(&Json::parse(&json).unwrap(), &ds.table).unwrap()
             })
             .collect();
         let refs: Vec<&ConfigSketch> = decoded.iter().collect();
@@ -282,7 +284,11 @@ fn sketches_decode_under_reassigned_pattern_ids() {
             let params = all_miners();
             let ds = dataset(texts.clone());
             let rendered: Vec<String> = (0..ds.configs.len())
-                .map(|ci| sketch_config(&ds, ci, &params).to_json(&ds.table).render())
+                .map(|ci| {
+                    let mut rendered = String::new();
+                    sketch_config(&ds, ci, &params).write_json(&ds.table, &mut rendered);
+                    rendered
+                })
                 .collect();
 
             let lead = reordering_lead(rng, &texts[0]);

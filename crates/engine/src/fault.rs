@@ -235,6 +235,7 @@ impl FaultPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tempdir::TempDir;
 
     #[test]
     fn same_seed_same_fault_sequence() {
@@ -267,8 +268,7 @@ mod tests {
 
     #[test]
     fn tearing_a_missing_wal_is_a_no_op() {
-        let dir = std::env::temp_dir().join(format!("concord-fault-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = TempDir::new("fault");
         std::fs::create_dir_all(&dir).unwrap();
         let mut plan = FaultPlan::new(1);
         assert!(!plan.tear_wal(&dir).unwrap());
@@ -277,8 +277,7 @@ mod tests {
 
     #[test]
     fn a_torn_wal_keeps_every_acknowledged_record() {
-        let dir = std::env::temp_dir().join(format!("concord-fault-tear-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = TempDir::new("fault-tear");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("wal.log");
         let mut wal = Wal::open_append(&path, 1).unwrap();
@@ -296,6 +295,5 @@ mod tests {
             // A boot repairs the tail before appending.
             drop(Wal::open_append(&path, 3).unwrap());
         }
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -22,7 +22,7 @@
 
 use std::sync::Arc;
 
-use concord_json::{Error as JsonError, FromJson, Json, ToJson};
+use concord_json::{push_number, push_string, Error as JsonError, FromJson, Json};
 
 use crate::EngineCounters;
 
@@ -38,9 +38,10 @@ pub struct ImageConfig {
     pub id: u64,
     /// Edit generation.
     pub generation: u64,
-    /// This configuration's learn sketch as rendered by
-    /// [`Engine::export_sketch_for`](crate::Engine::export_sketch_for),
-    /// captured at checkpoint time. Purely derived state: `None` (or a
+    /// This configuration's learn sketch bundle, the JSON text
+    /// [`Engine::export_sketch_for`](crate::Engine::export_sketch_for)
+    /// writes, captured at checkpoint time and embedded in the segment
+    /// as one escaped string. Purely derived state: `None` (or a
     /// stale/undecodable bundle) is simply re-mined by the next delta
     /// relearn. Keeping the sketch *per config* is what makes segmented
     /// checkpoints O(dirty): an unedited config's segment — text and
@@ -163,21 +164,26 @@ impl EngineImage {
     }
 }
 
-impl ToJson for ImageConfig {
-    fn to_json(&self) -> Json {
-        Json::Object(vec![
-            ("name".to_string(), self.name.to_json()),
-            ("text".to_string(), (*self.text).to_json()),
-            ("id".to_string(), self.id.to_json()),
-            ("generation".to_string(), self.generation.to_json()),
-            (
-                "sketch".to_string(),
-                match &self.sketch {
-                    Some(json) => Json::Str(json.clone()),
-                    None => Json::Null,
-                },
-            ),
-        ])
+impl ImageConfig {
+    /// Appends this configuration's segment payload,
+    /// `{"name":…,"text":…,"id":…,"generation":…,"sketch":…}`, with the
+    /// sketch bundle embedded as one JSON string (or `null`). Its
+    /// [`FromJson`] reads the payload back.
+    pub(crate) fn write_json(&self, out: &mut String) {
+        out.push_str("{\"name\":");
+        push_string(out, &self.name);
+        out.push_str(",\"text\":");
+        push_string(out, &self.text);
+        out.push_str(",\"id\":");
+        push_number(out, self.id as f64);
+        out.push_str(",\"generation\":");
+        push_number(out, self.generation as f64);
+        out.push_str(",\"sketch\":");
+        match &self.sketch {
+            Some(bundle) => push_string(out, bundle),
+            None => out.push_str("null"),
+        }
+        out.push('}');
     }
 }
 
@@ -199,29 +205,29 @@ impl FromJson for ImageConfig {
     }
 }
 
-impl ToJson for EngineCounters {
-    fn to_json(&self) -> Json {
-        Json::Object(vec![
-            ("next_id".to_string(), self.next_id.to_json()),
-            ("edits".to_string(), self.edits.to_json()),
-            ("relearns".to_string(), self.relearns.to_json()),
+impl EngineCounters {
+    /// Appends the counters as the manifest's `counters` object; its
+    /// [`FromJson`] reads them back.
+    pub(crate) fn write_json(&self, out: &mut String) {
+        let fields = [
+            ("next_id", self.next_id),
+            ("edits", self.edits),
+            ("relearns", self.relearns),
+            ("contracts_epoch", self.contracts_epoch),
+            ("lines_at_last_learn", self.lines_at_last_learn as u64),
             (
-                "contracts_epoch".to_string(),
-                self.contracts_epoch.to_json(),
+                "changed_lines_since_learn",
+                self.changed_lines_since_learn as u64,
             ),
-            (
-                "lines_at_last_learn".to_string(),
-                self.lines_at_last_learn.to_json(),
-            ),
-            (
-                "changed_lines_since_learn".to_string(),
-                self.changed_lines_since_learn.to_json(),
-            ),
-            (
-                "contracts_edits".to_string(),
-                self.contracts_edits.to_json(),
-            ),
-        ])
+            ("contracts_edits", self.contracts_edits),
+        ];
+        for (i, (key, value)) in fields.into_iter().enumerate() {
+            out.push(if i == 0 { '{' } else { ',' });
+            push_string(out, key);
+            out.push(':');
+            push_number(out, value as f64);
+        }
+        out.push('}');
     }
 }
 

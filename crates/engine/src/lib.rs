@@ -56,7 +56,7 @@ use concord_core::{
     EngineCheckStats, EngineStats, Fold, LearnDeltaStats, LearnParams, LearnStats, LexCacheStats,
     MemoryStats, UniqueIndex, UniqueTable, SKETCH_FORMAT_VERSION,
 };
-use concord_json::{Json, ToJson};
+use concord_json::{push_number, push_string, Json};
 use concord_lexer::{LexCache, Lexer};
 
 pub mod fault;
@@ -649,41 +649,49 @@ impl Engine {
         }
     }
 
-    /// Serializes one configuration's cached learn sketch for
-    /// persistence, or `None` when the config is unknown or its sketch
-    /// has not been mined yet. The bundle records the sketch format
-    /// version, a fingerprint of the learn parameters the sketch was
-    /// mined under, and a one-entry `configs` list holding the
+    /// Renders one configuration's cached learn sketch as a JSON bundle
+    /// for persistence, or `None` when the config is unknown or its
+    /// sketch has not been mined yet. The bundle records the sketch
+    /// format version, a fingerprint of the learn parameters the sketch
+    /// was mined under, and a one-entry `configs` list holding the
     /// configuration's name, edit generation and sketch, so
-    /// [`Engine::import_sketches`] can reject anything stale. The
-    /// segmented checkpoint path stores one bundle per config so an
-    /// unedited configuration's sketch is never re-rendered.
-    pub fn export_sketch_for(&self, name: &str) -> Option<Json> {
-        self.export_sketch_at(self.dataset.config_index(name)?)
+    /// [`Engine::import_sketches`] (which takes the parsed bundle) can
+    /// reject anything stale. The text is written straight from the
+    /// resident sketch, with no intermediate value tree. The segmented
+    /// checkpoint path stores one bundle per config so an unedited
+    /// configuration's sketch is never re-rendered.
+    pub fn export_sketch_for(&self, name: &str) -> Option<String> {
+        let mut out = String::new();
+        self.write_sketch_at(self.dataset.config_index(name)?, &mut out)
+            .then_some(out)
     }
 
-    /// [`Engine::export_sketch_for`] of the configuration at dataset
-    /// index `i` (`None` past the end too): the checkpoint walks the
-    /// name-sorted image and the engine's configurations together.
-    pub(crate) fn export_sketch_at(&self, i: usize) -> Option<Json> {
-        let slot = self.slots.get(i)?;
-        let sketch = slot.sketch.as_ref()?;
-        let name = self.dataset.config_name(i);
-        Some(Json::Object(vec![
-            ("version".to_string(), SKETCH_FORMAT_VERSION.to_json()),
-            (
-                "params".to_string(),
-                Json::Str(sketch_params_fingerprint(&self.options.learn)),
-            ),
-            (
-                "configs".to_string(),
-                Json::Array(vec![Json::Object(vec![
-                    ("name".to_string(), Json::Str(name.to_string())),
-                    ("generation".to_string(), slot.generation.to_json()),
-                    ("sketch".to_string(), sketch.to_json(&self.dataset.table)),
-                ])]),
-            ),
-        ]))
+    /// Appends the [`Engine::export_sketch_for`] bundle of the
+    /// configuration at dataset index `i` to `out`; `false`, with `out`
+    /// untouched, when it has no sketch or `i` is past the end. The
+    /// checkpoint walks the name-sorted image and the engine's
+    /// configurations together and writes every bundle through one
+    /// buffer, so each bundle the image keeps is an exact-size copy: a
+    /// string grown by doubling carries slack that stays resident.
+    pub(crate) fn write_sketch_at(&self, i: usize, out: &mut String) -> bool {
+        let Some(slot) = self.slots.get(i) else {
+            return false;
+        };
+        let Some(sketch) = &slot.sketch else {
+            return false;
+        };
+        out.push_str("{\"version\":");
+        push_number(out, SKETCH_FORMAT_VERSION as f64);
+        out.push_str(",\"params\":");
+        push_string(out, &sketch_params_fingerprint(&self.options.learn));
+        out.push_str(",\"configs\":[{\"name\":");
+        push_string(out, self.dataset.config_name(i));
+        out.push_str(",\"generation\":");
+        push_number(out, slot.generation as f64);
+        out.push_str(",\"sketch\":");
+        sketch.write_json(&self.dataset.table, out);
+        out.push_str("}]}");
+        true
     }
 
     /// Restores cached sketches from a bundle written by
@@ -994,9 +1002,13 @@ fn check_stats(slots: &[Slot], dirty: &[usize], resolution_invalidated: bool) ->
 }
 
 #[cfg(test)]
+mod tempdir;
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use concord_core::check_parallel_with_stats;
+    use concord_json::ToJson;
 
     fn corpus() -> Vec<(String, String)> {
         (0..6)
@@ -1508,7 +1520,10 @@ mod tests {
         engine
             .generations()
             .iter()
-            .map(|(name, _)| engine.export_sketch_for(name).expect("sketched"))
+            .map(|(name, _)| {
+                Json::parse(&engine.export_sketch_for(name).expect("sketched"))
+                    .expect("bundle parses")
+            })
             .collect()
     }
 

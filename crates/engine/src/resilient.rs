@@ -455,6 +455,7 @@ impl ResilientEngine {
         // walked together rather than looked up by name.
         if let Some(engine) = self.engine.as_ref() {
             let names = engine.dataset();
+            let mut bundle = String::new();
             assert_eq!(
                 self.image.configs.len(),
                 names.configs.len(),
@@ -467,7 +468,10 @@ impl ResilientEngine {
                     "the image mirrors the engine's configuration order"
                 );
                 if config.sketch.is_none() {
-                    config.sketch = engine.export_sketch_at(i).map(|j| j.render());
+                    bundle.clear();
+                    if engine.write_sketch_at(i, &mut bundle) {
+                        config.sketch = Some(bundle.clone());
+                    }
                 }
             }
         }
@@ -747,7 +751,7 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::path::PathBuf;
+    use crate::tempdir::TempDir;
 
     fn corpus() -> Vec<(String, String)> {
         (0..6)
@@ -760,11 +764,8 @@ mod tests {
             .collect()
     }
 
-    fn tmp_dir(tag: &str) -> PathBuf {
-        let dir =
-            std::env::temp_dir().join(format!("concord-resilient-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
+    fn tmp_dir(tag: &str) -> TempDir {
+        TempDir::new(&format!("resilient-{tag}"))
     }
 
     fn oracle_report(me: &ResilientEngine) -> crate::EngineCheckReport {
@@ -1151,5 +1152,97 @@ mod tests {
         let stats = me.snapshot_stats().expect("stats");
         let rob = stats.robustness.expect("attached");
         assert_eq!(rob.panics_recovered, 1);
+    }
+
+    /// Every file a durable session leaves in its state directory, as
+    /// `path length fnv1a-64` lines sorted by path. The session runs
+    /// LEARN, UPSERT, CHECKPOINT and UPSERT over a corpus whose texts and
+    /// metadata carry a `"`, a `\`, a tab and a non-ASCII character, so
+    /// the manifest and its backup, segments with and without sketches,
+    /// and both WAL files hold every escape the writers make.
+    ///
+    /// These lines pin the on-disk format: a change to how the manifest,
+    /// the segments, the sketches or the WAL records are written must
+    /// leave them as they are. A learn change that alters the sketches
+    /// or the contracts updates them on purpose, in the same change.
+    #[test]
+    fn state_dir_bytes_match_golden() {
+        let dir = tmp_dir("golden");
+        let text = |i: usize, site: &str| {
+            format!(
+                "hostname DEV{i}\ndescription \"uplink\\core-{i}\"\n\tmtu 9214\n\
+                 location {site}\nvlan {}\n",
+                250 + i
+            )
+        };
+        let configs: Vec<(String, String)> = (0..6)
+            .map(|i| (format!("dev{i}"), text(i, "Zürich")))
+            .collect();
+        let metadata = vec![(
+            "site.json".to_string(),
+            "{\"site\": \"Zürich\\\\dc\\t1\", \"vlans\": [250, 251, 252, 253, 254, 255]}\n"
+                .to_string(),
+        )];
+        let (mut me, resumed) = ResilientEngine::with_store(
+            &configs,
+            &metadata,
+            Lexer::standard(),
+            EngineOptions::default(),
+            &dir,
+        )
+        .expect("boots");
+        assert!(!resumed);
+        me.set_checkpoint_every(0);
+        me.relearn().expect("learns");
+        me.upsert("dev1", &text(1, "Genève")).expect("upserts");
+        assert!(me.checkpoint());
+        me.upsert("dev3", &text(7, "Zürich")).expect("upserts");
+        drop(me);
+
+        let mut files: Vec<String> = Vec::new();
+        for sub in ["", "segments"] {
+            for entry in std::fs::read_dir(dir.join(sub)).expect("lists") {
+                let entry = entry.expect("entry");
+                if entry.file_type().expect("type").is_file() {
+                    let name = entry.file_name().to_string_lossy().into_owned();
+                    files.push(if sub.is_empty() {
+                        name
+                    } else {
+                        format!("{sub}/{name}")
+                    });
+                }
+            }
+        }
+        files.sort();
+        let got: Vec<String> = files
+            .iter()
+            .map(|name| {
+                let bytes = std::fs::read(dir.join(name)).expect("reads");
+                format!(
+                    "{name} {} {:016x}",
+                    bytes.len(),
+                    crate::router::fnv1a(&bytes)
+                )
+            })
+            .collect();
+        let want = [
+            "manifest.json 2783 d416168c65e8ee68",
+            "manifest.json.bak 573 84596bbb23468c64",
+            "segments/cfg-0000000000000000-0000000000000000-0.seg 190 0b358fd532c0c1db",
+            "segments/cfg-0000000000000000-0000000000000000-1.seg 4741 fc20e98d3636913d",
+            "segments/cfg-0000000000000001-0000000000000000-0.seg 190 26ab54bd85cfe36b",
+            "segments/cfg-0000000000000001-0000000000000001-0.seg 190 809bc673dfde2e31",
+            "segments/cfg-0000000000000002-0000000000000000-0.seg 190 be46931abe316aed",
+            "segments/cfg-0000000000000002-0000000000000000-1.seg 4741 d8004140e76ccb37",
+            "segments/cfg-0000000000000003-0000000000000000-0.seg 190 b6f713a32ff9792c",
+            "segments/cfg-0000000000000003-0000000000000000-1.seg 4741 3fd864a5da373f89",
+            "segments/cfg-0000000000000004-0000000000000000-0.seg 190 01b86fd997c5a60f",
+            "segments/cfg-0000000000000004-0000000000000000-1.seg 4726 c95a967e5afc1df5",
+            "segments/cfg-0000000000000005-0000000000000000-0.seg 190 e84080524fe13ee6",
+            "segments/cfg-0000000000000005-0000000000000000-1.seg 4741 cda1caf522ca980b",
+            "wal.log 148 8ed576c367559fe4",
+            "wal.log.old 180 aad3e45b831bb632",
+        ];
+        assert_eq!(got, want, "\n{}\n", got.join("\n"));
     }
 }

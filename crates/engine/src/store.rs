@@ -60,7 +60,7 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use concord_json::{FromJson, Json, ToJson};
+use concord_json::{push_array, push_number, push_string, FromJson, Json};
 
 use crate::image::{EngineImage, ImageConfig};
 use crate::vfs::{RealVfs, StorageError, Vfs};
@@ -388,18 +388,23 @@ impl StateDir {
 
         // 1. Segments: write every config whose (id, generation,
         //    sketch) identity is not already durable, skip the rest.
+        //    Every payload of the checkpoint, the manifest's included,
+        //    is written into the one `payload` buffer.
         let mut stats = CheckpointStats::default();
         let mut refs: Vec<SegRef> = Vec::with_capacity(image.configs.len());
+        let mut payload = String::new();
         for config in &image.configs {
             let sref = SegRef::of(config);
             if self.written.get(&config.id) == Some(&(sref.generation, sref.sketch)) {
                 stats.segments_skipped += 1;
             } else {
+                payload.clear();
+                config.write_json(&mut payload);
                 write_verified(
                     vfs.as_ref(),
                     &seg_dir.join(sref.file_name()),
                     SEGMENT_MAGIC,
-                    &config.to_json().render(),
+                    &payload,
                 )?;
                 self.written
                     .insert(config.id, (sref.generation, sref.sketch));
@@ -415,7 +420,8 @@ impl StateDir {
         //    rename ladder is what makes the checkpoint atomic — until
         //    the new manifest lands, the old one still pins the old
         //    (immutable, still-present) segments.
-        let payload = manifest_json(image, &refs).render();
+        payload.clear();
+        write_manifest(image, &refs, &mut payload);
         let tmp_path = self.dir.join("manifest.tmp");
         let manifest_path = self.dir.join("manifest.json");
         let bak_path = self.dir.join("manifest.json.bak");
@@ -470,47 +476,42 @@ impl StateDir {
     }
 }
 
-/// Serializes the manifest payload: segment refs in config order plus
+/// Appends the manifest payload: segment refs in config order plus
 /// everything in the image that is not per-config.
-fn manifest_json(image: &EngineImage, refs: &[SegRef]) -> Json {
-    Json::Object(vec![
-        (
-            "configs".to_string(),
-            Json::Array(
-                refs.iter()
-                    .map(|r| {
-                        Json::Object(vec![
-                            ("id".to_string(), r.id.to_json()),
-                            ("generation".to_string(), r.generation.to_json()),
-                            ("sketch".to_string(), Json::Bool(r.sketch)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "metadata".to_string(),
-            Json::Array(
-                image
-                    .metadata
-                    .iter()
-                    .map(|(n, t)| Json::Array(vec![n.to_json(), t.to_json()]))
-                    .collect(),
-            ),
-        ),
-        (
-            "contracts".to_string(),
-            match &image.contracts {
-                Some(json) => Json::Str(json.clone()),
-                None => Json::Null,
-            },
-        ),
-        ("counters".to_string(), image.counters.to_json()),
-        ("applied_seq".to_string(), image.applied_seq.to_json()),
-    ])
+fn write_manifest(image: &EngineImage, refs: &[SegRef], out: &mut String) {
+    out.push_str("{\"configs\":");
+    push_array(out, refs, |out, r| {
+        out.push_str("{\"id\":");
+        push_number(out, r.id as f64);
+        out.push_str(",\"generation\":");
+        push_number(out, r.generation as f64);
+        out.push_str(if r.sketch {
+            ",\"sketch\":true}"
+        } else {
+            ",\"sketch\":false}"
+        });
+    });
+    out.push_str(",\"metadata\":");
+    push_array(out, &image.metadata, |out, (name, text)| {
+        out.push('[');
+        push_string(out, name);
+        out.push(',');
+        push_string(out, text);
+        out.push(']');
+    });
+    out.push_str(",\"contracts\":");
+    match &image.contracts {
+        Some(json) => push_string(out, json),
+        None => out.push_str("null"),
+    }
+    out.push_str(",\"counters\":");
+    image.counters.write_json(out);
+    out.push_str(",\"applied_seq\":");
+    push_number(out, image.applied_seq as f64);
+    out.push('}');
 }
 
-/// Decodes a manifest payload ([`manifest_json`]'s shape): the segment
+/// Decodes a manifest payload ([`write_manifest`]'s shape): the segment
 /// refs in config order, and an image holding the shared state with its
 /// configs still empty. `None` for any other shape.
 fn decode_manifest(payload: &str) -> Option<(EngineImage, Vec<SegRef>)> {
@@ -654,13 +655,12 @@ fn remove_if_exists(vfs: &dyn Vfs, path: &Path) -> io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tempdir::TempDir;
     use crate::vfs::VfsFile;
     use std::sync::atomic::{AtomicU64, Ordering};
 
-    fn tmp_dir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("concord-store-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
+    fn tmp_dir(tag: &str) -> TempDir {
+        TempDir::new(&format!("store-{tag}"))
     }
 
     fn image_with(configs: &[(&str, &str)], applied_seq: u64) -> EngineImage {
@@ -1086,7 +1086,6 @@ mod tests {
         drop(state);
         let (_, load) = StateDir::open(&dir).unwrap();
         assert_eq!(load.image.expect("manifest loads"), image);
-        let _ = std::fs::remove_dir_all(&dir);
         calls
     }
 

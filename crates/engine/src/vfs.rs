@@ -599,10 +599,10 @@ impl VfsFile for FaultHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tempdir::TempDir;
 
-    fn tmp_dir(tag: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(format!("concord-vfs-{tag}-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
+    fn tmp_dir(tag: &str) -> TempDir {
+        let dir = TempDir::new(&format!("vfs-{tag}"));
         fs::create_dir_all(&dir).expect("create tmp dir");
         dir
     }
@@ -624,7 +624,6 @@ mod tests {
         assert!(!vfs.exists(&path));
         vfs.sync_dir(&dir).expect("sync_dir");
         vfs.remove_file(&dir.join("b.txt")).expect("remove");
-        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -647,7 +646,6 @@ mod tests {
         assert!(fault.rename(&path, &dir.join("x")).is_err());
         // Friendly crash model: pre-crash writes are visible on reboot.
         assert_eq!(RealVfs.read(&path).expect("read back"), b"one\ntwo\n");
-        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -666,7 +664,6 @@ mod tests {
         // Queue drained: next write succeeds.
         f.write_all(b"ok").expect("write after queue drained");
         assert_eq!(fault.faults(), 1);
-        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -679,7 +676,6 @@ mod tests {
         assert!(f.write_all(b"abcdefgh").is_err());
         drop(f);
         assert_eq!(RealVfs.read(&path).expect("read"), b"abcd");
-        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -695,7 +691,6 @@ mod tests {
         assert!(fault.rename(&src, &dst).is_err());
         assert!(!fault.exists(&src), "torn rename removes the source");
         assert!(!fault.exists(&dst), "torn rename never creates the target");
-        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -708,7 +703,6 @@ mod tests {
         fault.fail_all_writes(None);
         let mut f = fault.create_truncate(&path).expect("healthy again");
         f.write_all(b"x").expect("write");
-        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -721,7 +715,6 @@ mod tests {
         f.sync_all().expect("a lie looks like success");
         assert_eq!(fault.fsync_lies(), 1);
         assert_eq!(fault.faults(), 1);
-        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

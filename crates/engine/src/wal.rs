@@ -5,7 +5,7 @@
 //! monotonically increasing sequence number and the operation:
 //!
 //! ```text
-//! 9a7f0c12 {"seq": 42, "op": {"Upsert": {"name": "dev0", "text": "vlan 1\n"}}}
+//! 9a7f0c12 {"seq":42,"op":{"Upsert":{"name":"dev0","text":"vlan 1\n"}}}
 //! ```
 //!
 //! Appends are `fsync`'d before the server acknowledges the operation,
@@ -20,7 +20,7 @@ use std::fmt;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use concord_json::{Error as JsonError, FromJson, Json, ToJson};
+use concord_json::{push_number, push_string, Error as JsonError, FromJson, Json};
 
 use crate::vfs::{RealVfs, StorageError, Vfs, VfsFile};
 
@@ -58,29 +58,6 @@ pub struct WalRecord {
     pub op: WalOp,
 }
 
-impl ToJson for WalOp {
-    fn to_json(&self) -> Json {
-        match self {
-            WalOp::Upsert { name, text } => Json::tagged(
-                "Upsert",
-                Json::Object(vec![
-                    ("name".to_string(), name.to_json()),
-                    ("text".to_string(), text.to_json()),
-                ]),
-            ),
-            WalOp::Remove { name } => Json::tagged(
-                "Remove",
-                Json::Object(vec![("name".to_string(), name.to_json())]),
-            ),
-            WalOp::Learn => Json::Str("Learn".to_string()),
-            WalOp::SetContracts { json } => Json::tagged(
-                "SetContracts",
-                Json::Object(vec![("json".to_string(), json.to_json())]),
-            ),
-        }
-    }
-}
-
 impl FromJson for WalOp {
     fn from_json(value: &Json) -> Result<Self, JsonError> {
         if let Some("Learn") = value.as_str() {
@@ -113,30 +90,60 @@ fn req_str(value: &Json, key: &str) -> Result<String, JsonError> {
         .ok_or_else(|| JsonError::custom(format!("wal op missing string field {key:?}")))
 }
 
-/// CRC-32 (IEEE 802.3, the zlib polynomial), table-driven.
-pub(crate) fn crc32(bytes: &[u8]) -> u32 {
-    const TABLE: [u32; 256] = {
-        let mut table = [0u32; 256];
+/// Slicing-by-8 tables for [`crc32`]: `CRC_TABLES[0]` is the bytewise
+/// table of the reflected IEEE polynomial, and `CRC_TABLES[k]` advances
+/// a byte's contribution through `k` more zero bytes.
+const CRC_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
+        let mut crc = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = if crc & 1 != 0 {
+                (crc >> 1) ^ 0xEDB8_8320
+            } else {
+                crc >> 1
+            };
+            bit += 1;
+        }
+        tables[0][i] = crc;
+        i += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
         let mut i = 0;
         while i < 256 {
-            let mut crc = i as u32;
-            let mut bit = 0;
-            while bit < 8 {
-                crc = if crc & 1 != 0 {
-                    (crc >> 1) ^ 0xEDB8_8320
-                } else {
-                    crc >> 1
-                };
-                bit += 1;
-            }
-            table[i] = crc;
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
             i += 1;
         }
-        table
-    };
+        k += 1;
+    }
+    tables
+};
+
+/// CRC-32 (IEEE 802.3, the zlib polynomial), slicing by 8: eight table
+/// lookups fold eight input bytes at a time, and the bytewise table
+/// takes the tail. It checksums WAL records, segments and manifests.
+pub(crate) fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut crc = !0u32;
-    for &b in bytes {
-        crc = (crc >> 8) ^ TABLE[((crc ^ b as u32) & 0xFF) as usize];
+    let mut chunks = bytes.chunks_exact(8);
+    for chunk in &mut chunks {
+        let lo = u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]) ^ crc;
+        let hi = u32::from_le_bytes([chunk[4], chunk[5], chunk[6], chunk[7]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in chunks.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ u32::from(b)) & 0xFF) as usize];
     }
     !crc
 }
@@ -268,16 +275,40 @@ impl Wal {
     }
 }
 
-/// One record as its WAL line, trailing newline included. The payload
-/// is rendered JSON, whose strings escape newlines, so the only newline
-/// is the last byte.
+/// One record as its WAL line, trailing newline included: the payload
+/// `{"seq":…,"op":…}` is written in place after room for its checksum,
+/// which is filled in last. The payload's strings escape newlines, so
+/// the only newline is the last byte. [`decode_line`] reads it back.
 pub(crate) fn encode_record(seq: u64, op: &WalOp) -> String {
-    let payload = Json::Object(vec![
-        ("seq".to_string(), seq.to_json()),
-        ("op".to_string(), op.to_json()),
-    ])
-    .render();
-    format!("{:08x} {payload}\n", crc32(payload.as_bytes()))
+    const CRC_FIELD: usize = "00000000 ".len();
+    let mut line = String::from("00000000 {\"seq\":");
+    push_number(&mut line, seq as f64);
+    line.push_str(",\"op\":");
+    match op {
+        WalOp::Upsert { name, text } => {
+            line.push_str("{\"Upsert\":{\"name\":");
+            push_string(&mut line, name);
+            line.push_str(",\"text\":");
+            push_string(&mut line, text);
+            line.push_str("}}");
+        }
+        WalOp::Remove { name } => {
+            line.push_str("{\"Remove\":{\"name\":");
+            push_string(&mut line, name);
+            line.push_str("}}");
+        }
+        WalOp::Learn => line.push_str("\"Learn\""),
+        WalOp::SetContracts { json } => {
+            line.push_str("{\"SetContracts\":{\"json\":");
+            push_string(&mut line, json);
+            line.push_str("}}");
+        }
+    }
+    line.push('}');
+    let crc = crc32(&line.as_bytes()[CRC_FIELD..]);
+    line.replace_range(..CRC_FIELD - 1, &format!("{crc:08x}"));
+    line.push('\n');
+    line
 }
 
 /// Byte length of the longest prefix of `bytes` made of intact records
@@ -314,10 +345,10 @@ fn decode_line(line: &[u8]) -> Option<WalRecord> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tempdir::TempDir;
 
-    fn tmp_dir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("concord-wal-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+    fn tmp_dir(tag: &str) -> TempDir {
+        let dir = TempDir::new(&format!("wal-{tag}"));
         std::fs::create_dir_all(&dir).unwrap();
         dir
     }
@@ -326,6 +357,73 @@ mod tests {
     fn crc32_matches_known_vectors() {
         assert_eq!(crc32(b""), 0);
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+    }
+
+    /// Every op kind encodes to the exact line the value-tree encoder
+    /// wrote (recorded from it), escapes and checksum included.
+    #[test]
+    fn records_encode_to_their_known_lines() {
+        let cases = [
+            (
+                WalOp::Upsert {
+                    name: "dév\t\"0\"".to_string(),
+                    text: "vlan 1\n\tdescription \"a\\b\" é\u{1}\n".to_string(),
+                },
+                r#"ba65ff20 {"seq":41,"op":{"Upsert":{"name":"dév\t\"0\"","text":"vlan 1\n\tdescription \"a\\b\" é\u0001\n"}}}"#,
+            ),
+            (
+                WalOp::Remove {
+                    name: "dév\\1".to_string(),
+                },
+                r#"2cc53ff9 {"seq":42,"op":{"Remove":{"name":"dév\\1"}}}"#,
+            ),
+            (WalOp::Learn, r#"59aa5add {"seq":43,"op":"Learn"}"#),
+            (
+                WalOp::SetContracts {
+                    json: "{\n  \"contracts\": [\"x\\ty\"]\n}".to_string(),
+                },
+                r#"c2f0bd12 {"seq":44,"op":{"SetContracts":{"json":"{\n  \"contracts\": [\"x\\ty\"]\n}"}}}"#,
+            ),
+        ];
+        for (seq, (op, line)) in (41..).zip(cases) {
+            assert_eq!(encode_record(seq, &op), format!("{line}\n"));
+            let record = decode_line(line.as_bytes()).expect("decodes");
+            assert_eq!((record.seq, record.op), (seq, op));
+        }
+    }
+
+    /// CRC-32 one bit at a time, straight from the reflected polynomial.
+    fn bitwise_crc32(bytes: &[u8]) -> u32 {
+        let mut crc = !0u32;
+        for &b in bytes {
+            crc ^= u32::from(b);
+            for _ in 0..8 {
+                crc = if crc & 1 != 0 {
+                    (crc >> 1) ^ 0xEDB8_8320
+                } else {
+                    crc >> 1
+                };
+            }
+        }
+        !crc
+    }
+
+    /// Every length and alignment: the eight-byte body, the bytewise
+    /// tail, and the hand-over between them.
+    #[test]
+    fn sliced_crc32_matches_the_bitwise_reference() {
+        let mut rng = Lcg(0x0c2c_3200);
+        let buffer: Vec<u8> = (0..308).map(|_| rng.next() as u8).collect();
+        for start in 0..8 {
+            for len in 0..=300 {
+                let bytes = &buffer[start..start + len];
+                assert_eq!(
+                    crc32(bytes),
+                    bitwise_crc32(bytes),
+                    "start {start} len {len}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -8,6 +8,14 @@
 //! [`ToJson`]/[`FromJson`] conversion traits, and a [`json!`] macro for
 //! building values inline.
 //!
+//! Large documents that are written often (the engine's checkpoint
+//! segments, manifest, learn sketches and WAL records) skip the value
+//! tree: their writers append straight to one `String` through
+//! [`push_string`], [`push_number`] and [`push_array`], and render small
+//! leaf values with [`Json::render_into`]. The tree renderer escapes strings and formats
+//! numbers through the same two functions, so a streamed document and
+//! the rendered tree of the same value are the same bytes.
+//!
 //! Conventions mirror serde's externally-tagged encoding so contract
 //! files keep the obvious shape:
 //!
@@ -20,7 +28,7 @@
 //! writer deterministic.
 
 use std::collections::BTreeMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// Alias matching the `serde_json::Value` spelling used around the
 /// workspace.
@@ -156,8 +164,14 @@ impl Json {
     /// Renders the document compactly.
     pub fn render(&self) -> String {
         let mut out = String::new();
-        write_value(self, None, 0, &mut out);
+        self.render_into(&mut out);
         out
+    }
+
+    /// Appends the compact rendering of the document to `out`: what
+    /// [`Json::render`] returns, without a buffer of its own.
+    pub fn render_into(&self, out: &mut String) {
+        write_value(self, None, 0, out);
     }
 
     /// Renders the document with two-space indentation.
@@ -223,8 +237,8 @@ fn write_value(value: &Json, indent: Option<usize>, depth: usize, out: &mut Stri
         Json::Null => out.push_str("null"),
         Json::Bool(true) => out.push_str("true"),
         Json::Bool(false) => out.push_str("false"),
-        Json::Num(n) => write_number(*n, out),
-        Json::Str(s) => write_string(s, out),
+        Json::Num(n) => push_number(out, *n),
+        Json::Str(s) => push_string(out, s),
         Json::Array(items) => {
             write_seq(items.iter(), indent, depth, out, '[', ']', |item, d, o| {
                 write_value(item, indent, d, o)
@@ -238,7 +252,7 @@ fn write_value(value: &Json, indent: Option<usize>, depth: usize, out: &mut Stri
             '{',
             '}',
             |(k, v), d, o| {
-                write_string(k, o);
+                push_string(o, k);
                 o.push(':');
                 if indent.is_some() {
                     o.push(' ');
@@ -280,32 +294,82 @@ fn write_seq<I: ExactSizeIterator>(
     out.push(close);
 }
 
-fn write_number(n: f64, out: &mut String) {
+/// Appends `n` as a JSON number: integers below 2^53 in magnitude
+/// without a fraction, other finite values in Rust's shortest
+/// round-trip form, and non-finite values as `null` (JSON has no NaN or
+/// infinity). Integer types reach here as `f64`, as [`ToJson`] converts
+/// them, so a streamed integer renders exactly as its value tree does.
+pub fn push_number(out: &mut String, n: f64) {
     if !n.is_finite() {
-        // JSON has no NaN/Infinity; mirror the lossy-but-valid choice of
-        // emitting null.
         out.push_str("null");
     } else if n.fract() == 0.0 && n.abs() < 9.007199254740992e15 {
-        out.push_str(&format!("{}", n as i64));
+        let _ = write!(out, "{}", n as i64);
     } else {
-        out.push_str(&format!("{n}"));
+        let _ = write!(out, "{n}");
     }
 }
 
-fn write_string(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
+/// What follows the backslash when a byte is escaped, or 0 when it is
+/// copied as is. Every escaped byte is ASCII, so a multi-byte character
+/// is never split.
+const ESCAPES: [u8; 256] = {
+    let mut table = [0u8; 256];
+    let mut b = 0;
+    while b < 0x20 {
+        table[b] = b'u';
+        b += 1;
     }
+    table[b'\n' as usize] = b'n';
+    table[b'\r' as usize] = b'r';
+    table[b'\t' as usize] = b't';
+    table[b'"' as usize] = b'"';
+    table[b'\\' as usize] = b'\\';
+    table
+};
+
+/// Appends `s` as a quoted JSON string. `"` and `\` are backslash
+/// escaped, `\n`, `\r` and `\t` take their short forms, other control
+/// bytes below 0x20 become `\u00xx`, and everything else (DEL and
+/// non-ASCII included) is copied, each run between escapes with one
+/// `push_str`.
+pub fn push_string(out: &mut String, s: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
     out.push('"');
+    let mut start = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        let escape = ESCAPES[b as usize];
+        if escape == 0 {
+            continue;
+        }
+        out.push_str(&s[start..i]);
+        out.push('\\');
+        out.push(char::from(escape));
+        if escape == b'u' {
+            out.push_str("00");
+            out.push(char::from(HEX[usize::from(b >> 4)]));
+            out.push(char::from(HEX[usize::from(b & 0xf)]));
+        }
+        start = i + 1;
+    }
+    out.push_str(&s[start..]);
+    out.push('"');
+}
+
+/// Appends `[item,item,…]`, each item written by `write`: the array
+/// form of the streamed writers.
+pub fn push_array<T>(
+    out: &mut String,
+    items: impl IntoIterator<Item = T>,
+    mut write: impl FnMut(&mut String, T),
+) {
+    out.push('[');
+    for (i, item) in items.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        write(out, item);
+    }
+    out.push(']');
 }
 
 // ---------------------------------------------------------------------------
@@ -723,6 +787,7 @@ macro_rules! json {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use concord_rng::{prop, Rng};
 
     #[test]
     fn roundtrip_scalars() {
@@ -793,6 +858,118 @@ mod tests {
         let opt: Option<String> = from_str("null").unwrap();
         assert_eq!(opt, None);
         assert!(from_str::<u8>("300").is_err());
+    }
+
+    /// The escaper as the tree renderer wrote it before [`push_string`]:
+    /// one `char` at a time, one `format!` per control character.
+    fn reference_string(s: &str) -> String {
+        let mut out = String::from('"');
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+        out
+    }
+
+    /// The number format as the tree renderer wrote it before
+    /// [`push_number`]: one `format!` per number.
+    fn reference_number(n: f64) -> String {
+        if !n.is_finite() {
+            "null".to_string()
+        } else if n.fract() == 0.0 && n.abs() < 9.007199254740992e15 {
+            format!("{}", n as i64)
+        } else {
+            format!("{n}")
+        }
+    }
+
+    fn pushed_string(s: &str) -> String {
+        let mut out = String::new();
+        push_string(&mut out, s);
+        out
+    }
+
+    fn pushed_number(n: f64) -> String {
+        let mut out = String::new();
+        push_number(&mut out, n);
+        out
+    }
+
+    #[test]
+    fn escapes_have_their_known_forms() {
+        assert_eq!(pushed_string("\u{0}"), r#""\u0000""#);
+        assert_eq!(pushed_string("\u{1f}"), r#""\u001f""#);
+        assert_eq!(pushed_string("\u{8}\u{c}"), r#""\u0008\u000c""#);
+        assert_eq!(pushed_string("a\nb"), r#""a\nb""#);
+        assert_eq!(pushed_string("\r\t"), r#""\r\t""#);
+        assert_eq!(pushed_string("say \"hi\\\""), r#""say \"hi\\\"""#);
+        assert_eq!(pushed_string("\u{7f}é😀"), "\"\u{7f}é😀\"");
+        assert_eq!(pushed_string(""), r#""""#);
+    }
+
+    #[test]
+    fn pushed_strings_parse_back_and_match_the_reference_escaper() {
+        let mut alphabet: String = (0u8..0x20).map(char::from).collect();
+        alphabet.push_str("\"\\\u{7f}azAZ09 /:-é€😀");
+        prop::check("pushed_strings_parse_back", 2000, |rng| {
+            let s = prop::string_of(rng, &alphabet, 0..=40);
+            let rendered = pushed_string(&s);
+            assert_eq!(rendered, reference_string(&s), "{s:?}");
+            assert_eq!(Json::parse(&rendered), Ok(Json::Str(s.clone())), "{s:?}");
+            assert_eq!(Json::Str(s).render(), rendered);
+        });
+    }
+
+    #[test]
+    fn pushed_numbers_match_the_reference_format() {
+        const LIMIT: i64 = 1 << 53;
+        for n in [
+            0.0,
+            -0.0,
+            1.0,
+            -1.0,
+            0.25,
+            -0.5,
+            1e-7,
+            1.5e300,
+            (LIMIT - 1) as f64,
+            -(LIMIT - 1) as f64,
+            LIMIT as f64,
+            -LIMIT as f64,
+            u64::MAX as f64,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ] {
+            assert_eq!(pushed_number(n), reference_number(n), "{n:?}");
+            assert_eq!(Json::Num(n).render(), reference_number(n), "{n:?}");
+        }
+        assert_eq!(pushed_number(f64::NAN), "null");
+        assert_eq!(pushed_number(-0.0), "0");
+        prop::check("pushed_numbers_match", 2000, |rng| {
+            let int = rng.gen_range(-LIMIT..=LIMIT) as f64;
+            let fraction = int / f64::from(rng.gen_range(1..1000u32));
+            let bits = f64::from_bits(rng.next_u64());
+            for n in [int, fraction, bits] {
+                assert_eq!(pushed_number(n), reference_number(n), "{n:?}");
+            }
+        });
+    }
+
+    #[test]
+    fn render_into_appends_the_rendering() {
+        let v = json!({ "a": json!([1, 2]), "b": "x\ty", "c": json!(null) });
+        let mut out = String::from("prefix ");
+        v.render_into(&mut out);
+        assert_eq!(out, format!("prefix {}", v.render()));
     }
 
     #[test]
