@@ -20,9 +20,12 @@
 //! A second, **resident** ladder scales the fleet dimension instead of
 //! the per-device dimension: thousands of small (~12 line)
 //! configurations held by a durable [`ResilientEngine`]. Each rung
+//! runs in a fresh child process (the binary re-executed with
+//! `--resident-rung <configs>`, printing the rung's JSON), so its RSS
+//! high-water is its own and not the largest rung run so far. Each rung
 //! records deterministic heap accounting (the dataset's string arena,
-//! parameter arena and id columns, pattern table excluded), the process
-//! RSS high-water, and the segmented-checkpoint scorecard: a full
+//! parameter arena and id columns, pattern table excluded), that RSS
+//! high-water, and the segmented-checkpoint scorecard: a full
 //! checkpoint (every segment written, into a fresh directory — the
 //! price a monolithic snapshot pays every time) against a checkpoint
 //! after one edit (one segment plus the manifest).
@@ -190,7 +193,48 @@ fn resident_rung(devices: usize) -> Json {
     })
 }
 
+/// The resident rung this process runs alone, when re-executed for one
+/// (`--resident-rung <configs>`).
+fn resident_rung_arg() -> Option<usize> {
+    let args: Vec<String> = std::env::args().collect();
+    let at = args.iter().position(|a| a == "--resident-rung")?;
+    let configs = args.get(at + 1).and_then(|n| n.parse().ok());
+    Some(configs.expect("--resident-rung takes a config count"))
+}
+
+/// Runs resident rung `devices` in a fresh child process — this binary
+/// re-executed for that rung alone — and returns the JSON it prints last.
+fn resident_rung_in_child(devices: usize) -> Json {
+    let exe = std::env::current_exe().expect("own executable path");
+    let output = std::process::Command::new(exe)
+        .args(["--resident-rung", &devices.to_string()])
+        .stderr(std::process::Stdio::inherit())
+        .output()
+        .expect("resident rung process runs");
+    assert!(
+        output.status.success(),
+        "{devices}-config resident rung failed: {}",
+        output.status
+    );
+    let stdout = String::from_utf8(output.stdout).expect("rung output is UTF-8");
+    // The rung's summary line, then its JSON.
+    let (summary, rung) = stdout
+        .trim_end()
+        .rsplit_once('\n')
+        .expect("rung prints a summary and its JSON");
+    println!("{summary}");
+    Json::parse(rung).expect("rung JSON parses")
+}
+
 fn main() {
+    if let Some(devices) = resident_rung_arg() {
+        let rung = resident_rung(devices);
+        println!(
+            "{}",
+            concord_json::to_string(&rung).expect("rung serializes")
+        );
+        return;
+    }
     let sizes: &[usize] = if smoke() {
         &[4, 8, 16]
     } else {
@@ -309,12 +353,11 @@ fn main() {
         }));
     }
 
-    // The resident ladder runs in ascending order after the edit-loop
-    // ladder, so each rung's RSS high-water reflects the largest fleet
-    // held so far.
+    // Each resident rung runs in its own process, so its RSS high-water
+    // is the rung's alone.
     let resident: Vec<Json> = resident_sizes
         .iter()
-        .map(|&devices| resident_rung(devices))
+        .map(|&devices| resident_rung_in_child(devices))
         .collect();
 
     let result = json!({

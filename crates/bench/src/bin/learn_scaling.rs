@@ -8,11 +8,15 @@
 //! at parallelism 1 (isolating the algorithmic wins — per-config
 //! sketches, Fx hashing, allocation discipline), and the optimized
 //! engine at parallelism 8 (adding parallel sketching of each chunk of
-//! configs and parallel minimization; the fold stays sequential). Contract sets are asserted identical before the
-//! timings are compared, then the curve is recorded into
-//! `BENCH_learn.json` at the repository root (and
-//! `target/experiments/learn_scaling.json`). Pass `--smoke` (or set
-//! `CONCORD_LEARN_SMOKE=1`) for the small CI sizes.
+//! configs and parallel minimization; the fold stays sequential).
+//! Contract sets are asserted identical before the timings are compared,
+//! then the curve is recorded into `BENCH_learn.json` at the repository
+//! root (and `target/experiments/learn_scaling.json`). Each rung's
+//! per-miner rows (`miners`, `relational_merge_secs`, `minimize_secs`)
+//! come from the parallelism-1 run: a miner's row sums the wall-clock
+//! time of every config it sketched, which at parallelism 8 on fewer
+//! cores counts the time a worker sat descheduled. Pass `--smoke` (or
+//! set `CONCORD_LEARN_SMOKE=1`) for the small CI sizes.
 //!
 //! The workload is the EdgeIndent generator with many repeated blocks
 //! per device: relational candidate mining and witness accumulation
@@ -103,7 +107,7 @@ fn main() {
         let (optimized_p1, p1_time) = p1_best.expect("SAMPLES > 0");
         let (optimized_p8, p8_time) = p8_best.expect("SAMPLES > 0");
         if std::env::var_os("CONCORD_LEARN_DEBUG_STATS").is_some() {
-            eprintln!("p1 stats: {:?}", optimized_p1.1);
+            eprintln!("p8 stats: {:?}", optimized_p8.1);
         }
         assert_eq!(
             reference.contracts, optimized_p1.0.contracts,
@@ -113,7 +117,9 @@ fn main() {
             reference.contracts, optimized_p8.0.contracts,
             "optimized learner (p=8) must match the reference before timings are comparable"
         );
-        let stats = optimized_p8.1;
+        // Single-thread rows: summed per-config sketch times are CPU
+        // time only while workers do not outnumber cores.
+        let stats = optimized_p1.1;
 
         let speedup_p1 = reference_time.as_secs_f64() / p1_time.as_secs_f64().max(1e-9);
         let speedup_p8 = reference_time.as_secs_f64() / p8_time.as_secs_f64().max(1e-9);

@@ -145,7 +145,9 @@ fn run_sequence(style: Style, parallelism: usize, salt: u64) {
                 let name = format!("{}-{step}", corpus[source].0);
                 let i = corpus.partition_point(|(n, _)| *n < name);
                 corpus.insert(i, (name.clone(), text.clone()));
-                let (at, _) = edited.upsert_config(&name, &text, None, &lexer, true, None);
+                let at = edited
+                    .upsert_config(&name, &text, None, &lexer, true, None)
+                    .index;
                 assert_eq!(at, i, "{context}: insert");
             }
             _ => {
@@ -153,7 +155,9 @@ fn run_sequence(style: Style, parallelism: usize, salt: u64) {
                 let text = mutate(&corpus[i].1, &mut rng);
                 corpus[i].1 = text.clone();
                 let name = &corpus[i].0;
-                let (at, _) = edited.upsert_config(name, &text, None, &lexer, true, None);
+                let at = edited
+                    .upsert_config(name, &text, None, &lexer, true, None)
+                    .index;
                 assert_eq!(at, i, "{context}: replace");
             }
         }

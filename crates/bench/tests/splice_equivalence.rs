@@ -1,16 +1,24 @@
-//! Edit-local UPSERT oracle: `Engine::upsert_config` diffs the new text
-//! against the held one and re-lexes only the window an edit can change.
-//! After every random edit the engine's dataset must equal, id for id, a
-//! twin `Dataset` that took the same edits with no previous text (the
-//! whole-text window), and its CHECK must equal a fresh engine's and
-//! `check_naive`'s over the same corpus. Seeded by `concord_rng::prop`
-//! (`CONCORD_PROP_SEED`, `CONCORD_PROP_CASES`).
+//! Edit-local UPSERT and CHECK oracle: `Engine::upsert_config` diffs the
+//! new text against the held one and re-lexes only the window an edit can
+//! change, and the CHECK after it re-runs only the relational and
+//! sequence contracts reading the patterns of the rows the edit changed.
+//! After every round of random edits the engine's dataset must equal, id
+//! for id, a twin `Dataset` that took the same edits with no previous
+//! text (the whole-text window), and its CHECK, witness counters
+//! included, must equal a fresh engine's and `check_naive`'s over the
+//! same corpus. Seeded by `concord_rng::prop` (`CONCORD_PROP_SEED`,
+//! `CONCORD_PROP_CASES`).
 //!
 //! The splice guard pins how many lines an edit re-lexes, counted as lex
-//! cache lookups (hits plus misses), so a regression to whole-device
-//! re-lexing fails it.
+//! cache lookups (hits plus misses), and the recheck guard how many
+//! contracts the CHECK after an edit re-runs, so a regression to
+//! whole-device re-lexing or rechecking fails them.
 
-use concord_core::{check_naive, CheckReport, ConfigIr, ContractSet, Dataset};
+use std::collections::HashMap;
+
+use concord_core::{
+    check_naive, CheckReport, CheckStats, ConfigIr, Contract, ContractSet, Dataset, PatternId,
+};
 use concord_datagen::faults::{incidents, inject};
 use concord_datagen::{generate_role_with, RoleSpec, Style};
 use concord_engine::{Engine, EngineOptions};
@@ -41,23 +49,32 @@ bgp:
 
 const JSON: &str = "{\n  \"hostname\": \"leaf1\",\n  \"mtu\": 9214,\n  \"vlans\": [\n    10,\n    20\n  ],\n  \"bgp\": {\n    \"asn\": 65001\n  }\n}\n";
 
+/// Named texts: configurations or metadata files.
+type Texts = Vec<(String, String)>;
+
 /// The corpus a case edits: `PEERS` EdgeIndent and `PEERS` WanFlat
-/// devices, a YAML text and a JSON text, name-sorted. Returns it with
-/// the four edited names. Blank lines sit below some of the edited
-/// EdgeIndent device's block headers, so a header edit's window has to
-/// run past them.
-fn corpus(rng: &mut StdRng) -> (Vec<(String, String)>, [String; 4]) {
+/// devices, a YAML text and a JSON text, name-sorted, plus the
+/// EdgeIndent role's metadata, which every configuration carries after
+/// its own lines. Returns them with the four edited names. Blank lines
+/// sit below some of the edited EdgeIndent device's block headers, so a
+/// header edit's window has to run past them. Metadata rows keep their
+/// file's line numbers, which own rows share, and move in row index on
+/// every edit that changes the own line count.
+fn corpus(rng: &mut StdRng) -> (Texts, Texts, [String; 4]) {
     let seed = rng.gen_range(0..1_000_000u64);
     let mut configs = Vec::new();
+    let mut metadata = Vec::new();
     for (name, style, blocks) in [("E1", Style::EdgeIndent, 3), ("W6", Style::WanFlat, 2)] {
         let spec = RoleSpec {
             name: name.to_string(),
             devices: PEERS,
             style,
             blocks,
-            with_metadata: false,
+            with_metadata: style == Style::EdgeIndent,
         };
-        configs.extend(generate_role_with(&spec, seed, false).configs);
+        let role = generate_role_with(&spec, seed, false);
+        configs.extend(role.configs);
+        metadata.extend(role.metadata);
     }
     let lines: Vec<String> = configs[0].1.lines().map(str::to_string).collect();
     let mut spaced = String::new();
@@ -80,7 +97,7 @@ fn corpus(rng: &mut StdRng) -> (Vec<(String, String)>, [String; 4]) {
         "doc-yaml".to_string(),
         "doc-json".to_string(),
     ];
-    (configs, edited)
+    (configs, metadata, edited)
 }
 
 /// A line's leading whitespace and the rest.
@@ -257,44 +274,65 @@ fn render(report: &CheckReport) -> String {
     out
 }
 
-fn fresh_check(corpus: &[(String, String)], contracts: &ContractSet) -> CheckReport {
-    let mut fresh =
-        Engine::from_corpus(corpus, &[], EngineOptions::default()).expect("corpus builds");
-    fresh.set_contracts(contracts.clone());
-    fresh.check_dirty().expect("contracts loaded").report
+/// The four witness counters of a CHECK.
+fn witness_counters(stats: &CheckStats) -> [u64; 4] {
+    [
+        stats.witness_indexes,
+        stats.witness_entries,
+        stats.witness_probes,
+        stats.witness_probe_hits,
+    ]
 }
 
-/// After every edit, the spliced dataset equals the whole-text twin and
-/// the engine's CHECK equals a fresh engine's and `check_naive`'s.
+/// A fresh engine's CHECK of `corpus`: the rendered report and the
+/// witness counters.
+fn fresh_check(corpus: &Texts, metadata: &Texts, contracts: &ContractSet) -> (String, [u64; 4]) {
+    let mut fresh =
+        Engine::from_corpus(corpus, metadata, EngineOptions::default()).expect("corpus builds");
+    fresh.set_contracts(contracts.clone());
+    let checked = fresh.check_dirty().expect("contracts loaded");
+    (render(&checked.report), witness_counters(&checked.stats))
+}
+
+/// After every round of one to three edits (sometimes two to one
+/// device, which leaves nothing to carry), the spliced dataset equals
+/// the whole-text twin and the engine's CHECK equals a fresh engine's,
+/// witness counters included, and `check_naive`'s.
 #[test]
 fn spliced_upserts_match_whole_text_rebuilds() {
     prop::check("spliced_upserts_match_whole_text_rebuilds", CASES, |rng| {
-        let (mut corpus, edited) = corpus(rng);
+        let (mut corpus, metadata, edited) = corpus(rng);
         let lexer = Lexer::standard();
-        let mut engine =
-            Engine::from_corpus(&corpus, &[], EngineOptions::default()).expect("corpus builds");
-        let mut twin = Dataset::build(&corpus, &[], &lexer, true, 1).expect("corpus builds");
+        let mut engine = Engine::from_corpus(&corpus, &metadata, EngineOptions::default())
+            .expect("corpus builds");
+        let mut twin = Dataset::build(&corpus, &metadata, &lexer, true, 1).expect("corpus builds");
         engine.relearn();
         let contracts = engine.contracts().expect("just learned").clone();
         assert_datasets_equal(engine.dataset(), &twin, "boot");
+        engine.check_dirty().expect("contracts loaded");
 
         for step in 0..rng.gen_range(1..=8usize) {
-            let name = prop::pick(rng, &edited).clone();
-            let old = &corpus.iter().find(|(n, _)| *n == name).expect("held").1;
-            let text = edit(old, rng);
-            let context = format!("step {step}: {name} <- {text:?}");
-            engine.upsert_config(&name, &text);
-            twin.upsert_config(&name, &text, None, &lexer, true, None);
-            set_text(&mut corpus, &name, &text);
-            assert_datasets_equal(engine.dataset(), &twin, &context);
+            let mut context = format!("step {step}:");
+            let mut name = prop::pick(rng, &edited).clone();
+            for _ in 0..rng.gen_range(1..=3usize) {
+                if rng.gen_bool(0.5) {
+                    name = prop::pick(rng, &edited).clone();
+                }
+                let old = &corpus.iter().find(|(n, _)| *n == name).expect("held").1;
+                let text = edit(old, rng);
+                context.push_str(&format!(" {name} <- {text:?};"));
+                engine.upsert_config(&name, &text);
+                twin.upsert_config(&name, &text, None, &lexer, true, None);
+                set_text(&mut corpus, &name, &text);
+                assert_datasets_equal(engine.dataset(), &twin, &context);
+            }
 
-            let spliced = render(&engine.check_dirty().expect("contracts loaded").report);
-            assert_eq!(
-                spliced,
-                render(&fresh_check(&corpus, &contracts)),
-                "{context}"
-            );
-            let naive = Dataset::build(&corpus, &[], &lexer, true, 1).expect("corpus builds");
+            let checked = engine.check_dirty().expect("contracts loaded");
+            let spliced = render(&checked.report);
+            let (fresh, counters) = fresh_check(&corpus, &metadata, &contracts);
+            assert_eq!(spliced, fresh, "{context}");
+            assert_eq!(witness_counters(&checked.stats), counters, "{context}");
+            let naive = Dataset::build(&corpus, &metadata, &lexer, true, 1).expect("corpus builds");
             assert_eq!(
                 spliced,
                 render(&check_naive(&contracts, &naive)),
@@ -378,5 +416,154 @@ fn an_upsert_relexes_only_the_lines_an_edit_can_change() {
     assert_eq!(
         lookups(&mut engine, "doc-yaml", &yaml),
         embed(&yaml, FormatCategory::Yaml).len() as u64
+    );
+}
+
+/// Pattern ids whose own-row count differs between two versions of one
+/// configuration: for an edit that inserts or deletes one line, the
+/// pattern of that line.
+fn patterns_changed(before: &ConfigIr, after: &ConfigIr) -> Vec<PatternId> {
+    let mut counts: HashMap<PatternId, i64> = HashMap::new();
+    for li in 0..before.own_line_count() {
+        *counts.entry(before.pattern(li)).or_default() -= 1;
+    }
+    for li in 0..after.own_line_count() {
+        *counts.entry(after.pattern(li)).or_default() += 1;
+    }
+    let mut changed: Vec<PatternId> = counts
+        .into_iter()
+        .filter(|&(_, n)| n != 0)
+        .map(|(id, _)| id)
+        .collect();
+    changed.sort();
+    changed
+}
+
+/// For a relational (kind 0) or sequence (kind 1) contract, its kind and
+/// whether it names one of `patterns` (resolved against `dataset`).
+fn kind_and_reads(
+    contract: &Contract,
+    dataset: &Dataset,
+    patterns: &[PatternId],
+) -> Option<(usize, bool)> {
+    let reads = |text: &str| {
+        dataset
+            .table
+            .get(text)
+            .is_some_and(|id| patterns.contains(&id))
+    };
+    match contract {
+        Contract::Relational(r) => Some((
+            0,
+            reads(&r.antecedent.pattern) || reads(&r.consequent.pattern),
+        )),
+        Contract::Sequence { pattern, .. } => Some((1, reads(pattern))),
+        _ => None,
+    }
+}
+
+/// The relational and sequence contracts of `contracts` naming one of
+/// `patterns`, and all of them.
+fn contracts_reading(
+    contracts: &ContractSet,
+    dataset: &Dataset,
+    patterns: &[PatternId],
+) -> ([usize; 2], [usize; 2]) {
+    let (mut reading, mut all) = ([0, 0], [0, 0]);
+    for contract in &contracts.contracts {
+        if let Some((kind, reads)) = kind_and_reads(contract, dataset, patterns) {
+            all[kind] += 1;
+            reading[kind] += usize::from(reads);
+        }
+    }
+    (reading, all)
+}
+
+/// The recheck guard, on the `serve_edit` shape: a 256-block EdgeIndent
+/// device with metadata among peers. The §5.5 incidents are planted one
+/// on top of the other, then restored in reverse order, so violations
+/// of earlier incidents are carried, and moved, across later edits.
+/// Each edit changes the rows of one pattern, and the CHECK after it
+/// re-runs exactly the relational and sequence contracts that read that
+/// pattern, while answering what a fresh engine answers.
+#[test]
+fn a_check_after_an_edit_reruns_only_the_contracts_reading_it() {
+    let spec = RoleSpec {
+        name: "E1".to_string(),
+        devices: 8,
+        style: Style::EdgeIndent,
+        blocks: 256,
+        with_metadata: true,
+    };
+    let role = generate_role_with(&spec, 59, false);
+    let mut corpus = role.configs.clone();
+    let mut engine =
+        Engine::from_corpus(&corpus, &role.metadata, EngineOptions::default()).expect("builds");
+    engine.relearn();
+    let contracts = engine.contracts().expect("just learned").clone();
+    engine.check_dirty().expect("contracts loaded");
+    let (name, clean) = role.configs[1].clone();
+    let ci = engine.dataset().config_index(&name).expect("held");
+    assert!(clean.lines().count() > 4000, "a large device");
+
+    // Clean, then one more incident planted per step.
+    let mut texts = vec![clean];
+    for fault in [
+        incidents::MISSING_AGGREGATE,
+        incidents::ROGUE_VLAN_BLOCK,
+        incidents::VRF_INSERTION,
+    ] {
+        let last = texts.last().expect("starts clean");
+        let planted = inject(last, fault).expect("edge configs carry every marker");
+        texts.push(planted.text);
+    }
+    let steps = [1, 2, 3, 2, 1, 0];
+
+    let (mut rerun, mut skipped) = ([0, 0], [0, 0]);
+    let mut carried_violations = 0;
+    for (step, &at) in steps.iter().enumerate() {
+        let context = format!("step {step}: {at} incidents planted");
+        let text = &texts[at];
+        let before = engine.dataset().configs[ci].clone();
+        engine.upsert_config(&name, text);
+        set_text(&mut corpus, &name, text);
+        let touched = patterns_changed(&before, &engine.dataset().configs[ci]);
+        assert_eq!(touched.len(), 1, "{context}: one pattern's rows change");
+        let (reading, all) = contracts_reading(&contracts, engine.dataset(), &touched);
+
+        let parts = engine.check_parts().expect("contracts loaded");
+        assert_eq!(parts.dirty_configs, 1, "{context}");
+        let outcome = &parts.configs[ci];
+        assert_eq!(
+            [outcome.rerun.relational, outcome.rerun.sequence],
+            reading,
+            "{context}: contracts re-run"
+        );
+        for kind in 0..2 {
+            rerun[kind] += reading[kind];
+            skipped[kind] += all[kind] - reading[kind];
+        }
+        carried_violations += outcome
+            .violations
+            .iter()
+            .filter(|v| {
+                let contract = &contracts.contracts[v.contract_index];
+                kind_and_reads(contract, engine.dataset(), &touched) == Some((0, false))
+            })
+            .count();
+
+        let checked = engine.check_dirty().expect("contracts loaded");
+        let (fresh, counters) = fresh_check(&corpus, &role.metadata, &contracts);
+        assert_eq!(render(&checked.report), fresh, "{context}");
+        assert_eq!(witness_counters(&checked.stats), counters, "{context}");
+    }
+    assert!(rerun[0] > 0, "some incident touches a relational contract");
+    assert!(
+        skipped[0] > rerun[0] && skipped[1] > 0,
+        "most contracts are carried: re-run {rerun:?}, carried {skipped:?}"
+    );
+    assert!(
+        carried_violations > 0,
+        "violations are carried across edits"
     );
 }

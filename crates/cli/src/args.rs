@@ -37,7 +37,7 @@ Categories for --disable: present ordering type sequence unique relational
 hit/miss counts, each miner's sketch, fold and emit, minimization,
 checking); --stats json
 emits the same data as one machine-readable object (schema
-concord-pipeline-stats/v13, see DESIGN.md) instead of the human
+concord-pipeline-stats/v14, see DESIGN.md) instead of the human
 summary.
 
 serve holds a resident incremental engine and answers a request
@@ -74,7 +74,7 @@ pub enum StatsMode {
     Off,
     /// Human-readable summary appended to normal output.
     Text,
-    /// One `concord-pipeline-stats/v13` JSON object replacing the human
+    /// One `concord-pipeline-stats/v14` JSON object replacing the human
     /// summary.
     Json,
 }

@@ -1343,6 +1343,7 @@ mod tests {
             "pattern_table_bytes",
             "column_bytes",
             "sketch_bytes",
+            "outcome_bytes",
             "interned_strings",
             "interned_param_slices",
             "segments_written",

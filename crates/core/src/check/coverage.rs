@@ -24,10 +24,14 @@
 //!   witness* of some antecedent instance (other than itself).
 //!
 //! Coverage executes against the compiled [`CheckProgram`]: it reuses the
-//! per-configuration [`ProgramContext`] that checking built, so the
-//! transformed-value cache is shared and the relational rule costs no
-//! extra probes — the check pass's fused witness queries already stashed
-//! every sole-witness line. The naive variant
+//! per-configuration [`ConfigContext`] that checking built, and the
+//! relational and sequence rules cost nothing here — the check pass
+//! records the rows they cover as it runs those contracts (the fused
+//! witness queries find every sole witness, the sequence check every
+//! interior row). So an edit-local recheck
+//! ([`CheckProgram::recheck_config`]) carries a skipped contract's
+//! covered rows like its violations, while the present, ordering and
+//! unique rules are re-assembled over every line. The naive variant
 //! ([`config_coverage_naive`]) is retained behind the `naive-check`
 //! feature as the equivalence oracle.
 //!
@@ -40,17 +44,20 @@
 use std::collections::{BTreeMap, HashMap};
 
 use concord_graph::BitSet;
+#[cfg(any(test, feature = "naive-check"))]
 use concord_types::Transform;
 
-use crate::check::program::{CheckProgram, ProgramContext};
+use crate::check::program::CheckProgram;
+use crate::check::ConfigContext;
 #[cfg(any(test, feature = "naive-check"))]
-use crate::check::{find_witnesses, ConfigContext, Resolved, ResolvedContract};
+use crate::check::{find_witnesses, Resolved, ResolvedContract};
 use crate::contract::Contract;
 #[cfg(any(test, feature = "naive-check"))]
 use crate::contract::ContractSet;
 use crate::ir::ConfigIr;
 #[cfg(any(test, feature = "naive-check"))]
 use crate::ir::Dataset;
+#[cfg(any(test, feature = "naive-check"))]
 use crate::learn::sequence_is_sequential;
 
 /// Coverage of one configuration: one bit per line, overall and per
@@ -81,6 +88,19 @@ impl ConfigCoverage {
         self.by_category
             .iter()
             .map(|(category, lines)| (*category, lines))
+    }
+
+    /// Heap bytes held: the name, and every bit set with the category
+    /// list.
+    pub fn heap_bytes(&self) -> usize {
+        self.name.capacity()
+            + self.covered.heap_bytes()
+            + self.by_category.capacity() * std::mem::size_of::<(&'static str, BitSet)>()
+            + self
+                .by_category
+                .iter()
+                .map(|(_, lines)| lines.heap_bytes())
+                .sum::<usize>()
     }
 
     /// No covered lines yet, sized to `config`'s lines.
@@ -166,15 +186,16 @@ impl CoverageReport {
 }
 
 /// Computes coverage of one configuration against the compiled program,
-/// reusing the per-configuration context (value cache + witness indexes)
-/// the check pass built.
+/// reusing the per-configuration context the check pass built. `covers`
+/// holds the `(contract index, row)` pairs the relational and sequence
+/// contracts cover, as the check pass found or carried them.
 pub(crate) fn config_coverage(
     program: &CheckProgram<'_>,
     config: &ConfigIr,
-    pctx: &ProgramContext<'_>,
+    ctx: &ConfigContext<'_>,
+    covers: &[(u32, u32)],
 ) -> ConfigCoverage {
     let contracts = &program.contracts.contracts;
-    let ctx = &pctx.ctx;
     let mut cov = ConfigCoverage::new(program.dataset.name_of(config), config);
 
     // Exact-line groups are only needed for PresentExact contracts.
@@ -235,21 +256,6 @@ pub(crate) fn config_coverage(
     // Type and range contracts flag existing lines; removal cannot
     // violate them, so they cover nothing (§3.9).
 
-    // Sequence: interior elements of a valid progression of length ≥ 4.
-    for &(idx, id) in &program.sequence {
-        let Contract::Sequence { param, .. } = &contracts[idx] else {
-            unreachable!("sequence op on non-sequence contract")
-        };
-        let values = ctx.values_of(config, id, *param, &Transform::Id);
-        let nums: Vec<&concord_types::BigNum> =
-            values.iter().filter_map(|(v, _)| v.as_num()).collect();
-        if nums.len() >= 4 && sequence_is_sequential(&nums) {
-            for (_, li) in &values[1..values.len() - 1] {
-                cov.cover(config, contracts[idx].category(), *li);
-            }
-        }
-    }
-
     // Unique: only `once_per_config` uniques cover their single instance.
     for &(idx, id) in &program.unique {
         let Contract::Unique {
@@ -269,11 +275,11 @@ pub(crate) fn config_coverage(
     }
 
     // Relational: a consequent line that is the sole witness of some
-    // antecedent instance (other than itself) is covered. The check
-    // pass's fused probes already identified these lines — consume the
-    // stash instead of re-probing every antecedent.
-    for (idx, w) in pctx.take_relational_cover() {
-        cov.cover(config, contracts[idx].category(), w as usize);
+    // antecedent instance (other than itself) is covered. Sequence: the
+    // interior elements of a valid progression of length ≥ 4. The check
+    // pass found these rows.
+    for &(idx, row) in covers {
+        cov.cover(config, contracts[idx as usize].category(), row as usize);
     }
 
     cov

@@ -18,7 +18,7 @@ pub mod program;
 mod unique;
 mod witness;
 
-pub use program::{CheckCounters, CheckProgram, ConfigOutcome};
+pub use program::{CheckCounters, CheckProgram, ConfigOutcome, Rerun};
 pub use unique::{join_unique_indexes, UniqueIndex, UniqueTable, UniqueViolation};
 
 use std::collections::{HashMap, HashSet};

@@ -22,10 +22,24 @@
 //!   in a [`UniqueIndex`] ([`CheckProgram::check_unique`]).
 //!
 //! Coverage ([`coverage::config_coverage`]) executes against the same
-//! program and per-configuration context, so checking and coverage share
-//! the transformed-value cache and the witness indexes.
+//! program and per-configuration context, and takes the rows the check
+//! pass recorded for the relational and sequence rules, so it re-probes
+//! nothing.
+//!
+//! **Edit-local recheck.** Relational and sequence contracts are
+//! line-local: a contract's violations, covered rows and witness tallies
+//! in a configuration depend only on the rows of the patterns it names.
+//! [`CheckProgram::recheck_config`] takes a configuration's outcome from
+//! before an edit and the rows the edit changed ([`RowEdit`]), re-runs
+//! only the relational and sequence contracts naming a pattern of those
+//! rows, and carries every other one's violation rows, covered rows and
+//! tally across, moved by the row shift. The passes over every line
+//! (presence, the type/range/ordering line ops, coverage assembly, and
+//! the unique table the engine extracts beside the outcome) run in full
+//! either way. A full run ([`CheckProgram::run_config`]) is the same
+//! code with every pattern touched.
 
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::rc::Rc;
@@ -34,7 +48,7 @@ use std::time::{Duration, Instant};
 use concord_types::Transform;
 
 use crate::contract::{Contract, ContractSet, RelationKind};
-use crate::ir::{ConfigIr, Dataset, PatternId};
+use crate::ir::{ConfigIr, Dataset, PatternId, RowEdit};
 use crate::learn::indexes::TransformTag;
 use crate::learn::sequence_is_sequential;
 
@@ -115,45 +129,13 @@ pub struct CheckProgram<'c> {
 
 /// Per-configuration execution state: the shared [`ConfigContext`]
 /// (occurrence maps + transformed-value cache) plus lazily built witness
-/// indexes and probe counters. Checking builds it; coverage reuses it.
-pub(crate) struct ProgramContext<'a> {
+/// indexes. Checking builds it; coverage reuses its context.
+struct ProgramContext<'a> {
     /// Occurrence maps and the transformed-value cache.
-    pub ctx: ConfigContext<'a>,
+    ctx: ConfigContext<'a>,
     config: &'a ConfigIr,
     /// Lazily built witness indexes, one slot per [`IndexSpec`].
     witness: RefCell<Vec<Option<Rc<WitnessIndex>>>>,
-    /// Sole-witness lines recorded by the check pass's fused probes:
-    /// `(contract index, consequent line index)`. Coverage consumes this
-    /// instead of re-probing every antecedent.
-    relational_cover: RefCell<Vec<(usize, u32)>>,
-    /// Stats counters (witness probes and index sizes).
-    pub counters: ExecCounters,
-}
-
-/// Per-configuration execution counters, aggregated into
-/// [`CheckStats`](crate::CheckStats).
-#[derive(Debug, Default)]
-pub(crate) struct ExecCounters {
-    /// Witness indexes actually built (lazy: unprobed specs cost nothing).
-    pub indexes_built: Cell<u64>,
-    /// Total consequent occurrences indexed.
-    pub index_entries: Cell<u64>,
-    /// Antecedent probes issued.
-    pub probes: Cell<u64>,
-    /// Probes that found a witness (non-violations).
-    pub probe_hits: Cell<u64>,
-}
-
-impl ExecCounters {
-    /// The plain (cacheable) snapshot of these counters.
-    fn snapshot(&self) -> CheckCounters {
-        CheckCounters {
-            indexes_built: self.indexes_built.get(),
-            index_entries: self.index_entries.get(),
-            probes: self.probes.get(),
-            probe_hits: self.probe_hits.get(),
-        }
-    }
 }
 
 /// Execution counters of one configuration's check run, in plain
@@ -184,23 +166,83 @@ impl CheckCounters {
     }
 }
 
+/// What one relational contract's probes found in a configuration.
+#[derive(Debug, Clone, Copy, Default)]
+struct RelationalTally {
+    /// Antecedent occurrences probed.
+    probes: u32,
+    /// Probes that found a witness.
+    hits: u32,
+    /// Occurrences in the witness index probed (0 when none was).
+    entries: u32,
+}
+
+/// The relational and sequence contracts the run behind a
+/// [`ConfigOutcome`] re-ran: every one in a full run, only those naming
+/// a pattern the edit touched in an edit-local recheck.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Rerun {
+    /// Relational contracts re-run.
+    pub relational: usize,
+    /// Sequence contracts re-run.
+    pub sequence: usize,
+    /// Antecedent occurrences the re-run relational contracts probed.
+    pub probes: u64,
+}
+
 /// Everything one configuration contributes to a check run, minus the
 /// unique pass (see [`CheckProgram::unique_table`]): the unit of
 /// work `check_parallel` fans out — and the unit of caching for the
 /// incremental engine, which recomputes outcomes only for edited
-/// configurations.
+/// configurations, and there only the contracts an edit touched.
 #[derive(Debug, Clone)]
 pub struct ConfigOutcome {
     /// Violations found in this configuration, in report order: by line
-    /// number (a missing line first), then contract index. Ties keep
-    /// emission order.
+    /// number (a missing line first), contract index, then row.
     pub violations: Vec<Violation>,
     /// The configuration's coverage.
     pub coverage: ConfigCoverage,
     /// Execution counters (witness indexes / probes).
     pub counters: CheckCounters,
+    /// What the run that produced this outcome re-ran.
+    pub rerun: Rerun,
+    /// The row each violation points at, index-aligned with
+    /// `violations` (`u32::MAX` for a missing line).
+    rows: Vec<u32>,
+    /// The rows relational and sequence contracts cover, as `(contract
+    /// index, row)`: relational sole witnesses and the interior rows of
+    /// a sequence.
+    covers: Vec<(u32, u32)>,
+    /// One tally per relational contract, in program order.
+    relational: Vec<RelationalTally>,
     /// Per-phase wall-clock times (not cacheable — timing only).
     pub(crate) phases: PhaseTimes,
+}
+
+impl ConfigOutcome {
+    /// Heap bytes this outcome holds: its violations with their strings,
+    /// the coverage bits and names, and the per-contract rows and
+    /// tallies an edit-local recheck carries. Excludes the outcome
+    /// value itself.
+    pub fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        let strings: usize = self
+            .violations
+            .iter()
+            .map(|v| {
+                v.category.capacity()
+                    + v.config.capacity()
+                    + v.line.capacity()
+                    + v.message.capacity()
+            })
+            .sum();
+        self.violations.capacity() * size_of::<Violation>()
+            + strings
+            + self.coverage.heap_bytes()
+            + self.rows.capacity() * size_of::<u32>()
+            + self.covers.capacity() * size_of::<(u32, u32)>()
+            + self.relational.capacity() * size_of::<RelationalTally>()
+    }
 }
 
 /// Wall-clock time per check phase for one configuration.
@@ -214,25 +256,17 @@ pub(crate) struct PhaseTimes {
 }
 
 impl<'a> ProgramContext<'a> {
-    pub(crate) fn new(program: &CheckProgram<'a>, config: &'a ConfigIr) -> Self {
+    fn new(program: &CheckProgram<'a>, config: &'a ConfigIr) -> Self {
         ProgramContext {
             ctx: ConfigContext::new(config, program.dataset, &program.resolved),
             config,
             witness: RefCell::new(vec![None; program.index_specs.len()]),
-            relational_cover: RefCell::new(Vec::new()),
-            counters: ExecCounters::default(),
         }
-    }
-
-    /// The `(contract index, consequent line)` pairs where the check
-    /// pass found exactly one witness covering a distinct line.
-    pub(crate) fn take_relational_cover(&self) -> Vec<(usize, u32)> {
-        std::mem::take(&mut self.relational_cover.borrow_mut())
     }
 
     /// Returns the witness index for spec `id`, building it on first use
     /// from the context's (memoized) transformed-value collection.
-    pub(crate) fn witness_index(&self, program: &CheckProgram<'_>, id: usize) -> Rc<WitnessIndex> {
+    fn witness_index(&self, program: &CheckProgram<'_>, id: usize) -> Rc<WitnessIndex> {
         if let Some(built) = &self.witness.borrow()[id] {
             return built.clone();
         }
@@ -241,15 +275,22 @@ impl<'a> ProgramContext<'a> {
             .ctx
             .values_of(self.config, spec.pattern, spec.param, &spec.transform);
         let index = Rc::new(WitnessIndex::build(spec.relation, &values));
-        self.counters
-            .indexes_built
-            .set(self.counters.indexes_built.get() + 1);
-        self.counters
-            .index_entries
-            .set(self.counters.index_entries.get() + index.len() as u64);
         self.witness.borrow_mut()[id] = Some(index.clone());
         index
     }
+}
+
+/// What a run found, before it is sorted into a [`ConfigOutcome`]:
+/// violations with the row each points at, the rows relational and
+/// sequence contracts cover, the relational tallies, and which contracts
+/// an edit-local recheck skipped.
+struct Found {
+    violations: Vec<(u32, Violation)>,
+    covers: Vec<(u32, u32)>,
+    relational: Vec<RelationalTally>,
+    rerun: Rerun,
+    /// Per contract index: skipped, its findings to be carried.
+    skipped: Vec<bool>,
 }
 
 impl<'c> CheckProgram<'c> {
@@ -360,7 +401,8 @@ impl<'c> CheckProgram<'c> {
     /// Full per-configuration execution returning the configuration's
     /// [`ConfigOutcome`]: violations, coverage, and counters (the
     /// `check_parallel` work item, and the incremental engine's cached
-    /// unit).
+    /// unit). The same code as [`CheckProgram::recheck_config`] with
+    /// every pattern touched.
     ///
     /// The outcome depends only on the configuration's lines and this
     /// program's contract resolution
@@ -368,18 +410,100 @@ impl<'c> CheckProgram<'c> {
     /// configuration — which is what makes per-configuration caching
     /// sound.
     pub fn run_config(&self, config: &ConfigIr) -> ConfigOutcome {
+        self.recheck_config(config, None)
+    }
+
+    /// Runs `config`, given its outcome under this program from before
+    /// an edit and the rows that edit changed (`None` runs it in full).
+    ///
+    /// Only the relational and sequence contracts naming a pattern the
+    /// edit touched are re-run. Every other one reads only rows outside
+    /// the changed ones, which kept their pattern, parameters and text,
+    /// so its violations, covered rows and tally are the previous ones
+    /// moved by the row shift; each carried violation re-reads its line
+    /// number from its moved row (metadata rows keep their file's
+    /// numbers). Presence, the line ops and coverage assembly run in
+    /// full. The outcome equals [`CheckProgram::run_config`]'s.
+    ///
+    /// `previous` must come from a program of the same contract set and
+    /// resolution, over the configuration as it was before the edit.
+    pub fn recheck_config(
+        &self,
+        config: &ConfigIr,
+        previous: Option<(&ConfigOutcome, &RowEdit)>,
+    ) -> ConfigOutcome {
         let pctx = ProgramContext::new(self, config);
-        let (mut violations, mut phases) = self.run_checks(config, &pctx);
-        violations.sort_by_key(|v| (v.line_no, v.contract_index));
+        let (mut found, mut phases) = self.run_checks(config, &pctx, previous);
+        if let Some((outcome, edit)) = previous {
+            self.carry(config, outcome, edit, &mut found);
+        }
+        let Found {
+            mut violations,
+            mut covers,
+            relational,
+            rerun,
+            ..
+        } = found;
+        // The outcome keeps the covered rows for the next recheck to
+        // carry: drop the growth slack.
+        covers.shrink_to_fit();
+        violations.sort_unstable_by_key(|(row, v)| (v.line_no, v.contract_index, *row));
+        let (rows, violations) = violations.into_iter().unzip();
         let t = Instant::now();
-        let coverage = coverage::config_coverage(self, config, &pctx);
+        let coverage = coverage::config_coverage(self, config, &pctx.ctx, &covers);
         phases.coverage = t.elapsed();
         ConfigOutcome {
             violations,
             coverage,
-            counters: pctx.counters.snapshot(),
+            counters: self.counters(&relational),
+            rerun,
+            rows,
+            covers,
+            relational,
             phases,
         }
+    }
+
+    /// Moves into `found` what `previous` holds for the relational and
+    /// sequence contracts `found` skipped: their violations, with line
+    /// numbers re-read from the moved rows, and their covered rows. Their
+    /// tallies were carried as the contracts were skipped.
+    fn carry(
+        &self,
+        config: &ConfigIr,
+        previous: &ConfigOutcome,
+        edit: &RowEdit,
+        found: &mut Found,
+    ) {
+        for (v, &row) in previous.violations.iter().zip(&previous.rows) {
+            if found.skipped[v.contract_index] {
+                let row = edit.moved(row);
+                let mut v = v.clone();
+                v.line_no = Some(config.line_no(row as usize));
+                found.violations.push((row, v));
+            }
+        }
+        for &(idx, row) in &previous.covers {
+            if found.skipped[idx as usize] {
+                found.covers.push((idx, edit.moved(row)));
+            }
+        }
+    }
+
+    /// The configuration's witness counters from its relational tallies:
+    /// an index counts once, when some contract probed it.
+    fn counters(&self, tallies: &[RelationalTally]) -> CheckCounters {
+        let mut built = vec![false; self.index_specs.len()];
+        let mut counters = CheckCounters::default();
+        for (compiled, tally) in self.relational.iter().zip(tallies) {
+            counters.probes += u64::from(tally.probes);
+            counters.probe_hits += u64::from(tally.hits);
+            if tally.probes > 0 && !std::mem::replace(&mut built[compiled.index_id], true) {
+                counters.indexes_built += 1;
+                counters.index_entries += u64::from(tally.entries);
+            }
+        }
+        counters
     }
 
     /// A stable fingerprint of this program's contract resolution: how
@@ -436,14 +560,22 @@ impl<'c> CheckProgram<'c> {
         h.finish()
     }
 
-    /// Runs all per-configuration checks (everything except the global
-    /// unique pass and coverage).
+    /// Runs the per-configuration checks (everything except the global
+    /// unique pass and coverage assembly): every presence check and line
+    /// op, and the relational and sequence contracts an edit touched (all
+    /// of them without `previous`). A skipped relational contract keeps
+    /// its previous tally.
     fn run_checks(
         &self,
         config: &ConfigIr,
         pctx: &ProgramContext<'_>,
-    ) -> (Vec<Violation>, PhaseTimes) {
+        previous: Option<(&ConfigOutcome, &RowEdit)>,
+    ) -> (Found, PhaseTimes) {
+        let edit = previous.map(|(_, edit)| edit);
         let mut out = Vec::new();
+        let mut covers = Vec::new();
+        let mut rerun = Rerun::default();
+        let mut skipped = vec![false; self.contracts.contracts.len()];
         let mut phases = PhaseTimes::default();
         let ctx = &pctx.ctx;
         let arenas = &self.dataset.arenas;
@@ -459,14 +591,17 @@ impl<'c> CheckProgram<'c> {
                 let Contract::Present { pattern } = &self.contracts.contracts[idx] else {
                     unreachable!("present op on non-present contract")
                 };
-                out.push(Violation {
-                    contract_index: idx,
-                    category: self.contracts.contracts[idx].category().to_string(),
-                    config: config_name.to_string(),
-                    line_no: None,
-                    line: pattern.clone(),
-                    message: format!("missing required line matching {pattern}"),
-                });
+                out.push((
+                    u32::MAX,
+                    Violation {
+                        contract_index: idx,
+                        category: self.contracts.contracts[idx].category().to_string(),
+                        config: config_name.to_string(),
+                        line_no: None,
+                        line: pattern.clone(),
+                        message: format!("missing required line matching {pattern}"),
+                    },
+                ));
             }
         }
         for &idx in &self.present_exact {
@@ -474,14 +609,17 @@ impl<'c> CheckProgram<'c> {
                 unreachable!("present-exact op on non-exact contract")
             };
             if !ctx.filled_lines.contains(line) {
-                out.push(Violation {
-                    contract_index: idx,
-                    category: self.contracts.contracts[idx].category().to_string(),
-                    config: config_name.to_string(),
-                    line_no: None,
-                    line: line.clone(),
-                    message: format!("missing required exact line {line:?}"),
-                });
+                out.push((
+                    u32::MAX,
+                    Violation {
+                        contract_index: idx,
+                        category: self.contracts.contracts[idx].category().to_string(),
+                        config: config_name.to_string(),
+                        line_no: None,
+                        line: line.clone(),
+                        message: format!("missing required exact line {line:?}"),
+                    },
+                ));
             }
         }
         phases.present = t.elapsed();
@@ -510,17 +648,22 @@ impl<'c> CheckProgram<'c> {
                                 continue;
                             };
                             if !valid.contains(&param.ty) {
-                                out.push(Violation {
-                                    contract_index: idx,
-                                    category: self.contracts.contracts[idx].category().to_string(),
-                                    config: config_name.to_string(),
-                                    line_no: Some(line.line_no),
-                                    line: line.original.to_string(),
-                                    message: format!(
-                                        "type [{}] is not allowed at hole {hole} of {pattern}",
-                                        param.ty.name()
-                                    ),
-                                });
+                                out.push((
+                                    li as u32,
+                                    Violation {
+                                        contract_index: idx,
+                                        category: self.contracts.contracts[idx]
+                                            .category()
+                                            .to_string(),
+                                        config: config_name.to_string(),
+                                        line_no: Some(line.line_no),
+                                        line: line.original.to_string(),
+                                        message: format!(
+                                            "type [{}] is not allowed at hole {hole} of {pattern}",
+                                            param.ty.name()
+                                        ),
+                                    },
+                                ));
                             }
                         }
                         LineOp::Range { idx } => {
@@ -538,7 +681,7 @@ impl<'c> CheckProgram<'c> {
                             };
                             let Some(n) = p.value.as_num() else { continue };
                             if n < min || n > max {
-                                out.push(Violation {
+                                out.push((li as u32, Violation {
                                     contract_index: idx,
                                     category: self.contracts.contracts[idx].category().to_string(),
                                     config: config_name.to_string(),
@@ -547,7 +690,7 @@ impl<'c> CheckProgram<'c> {
                                     message: format!(
                                         "value {n} of param {param} of {pattern} is outside [{min}, {max}]"
                                     ),
-                                });
+                                }));
                             }
                         }
                         LineOp::Ordering { idx, second } => {
@@ -566,7 +709,7 @@ impl<'c> CheckProgram<'c> {
                                 _ => false,
                             };
                             if !ok {
-                                out.push(Violation {
+                                out.push((li as u32, Violation {
                                     contract_index: idx,
                                     category: self.contracts.contracts[idx].category().to_string(),
                                     config: config_name.to_string(),
@@ -575,7 +718,7 @@ impl<'c> CheckProgram<'c> {
                                     message: format!(
                                         "line matching {first} must be immediately followed by a line matching {second_text}"
                                     ),
-                                });
+                                }));
                             }
                         }
                     }
@@ -584,16 +727,29 @@ impl<'c> CheckProgram<'c> {
         }
         phases.pattern = t.elapsed();
 
-        // Sequences: per contract, over the node's memoized values.
+        // Sequences: per contract, over the node's memoized values. The
+        // coverage rule rides along: the interior rows of a valid
+        // progression of length >= 4 are covered.
         let t = Instant::now();
         for &(idx, id) in &self.sequence {
+            if !touches(edit, id) {
+                skipped[idx] = true;
+                continue;
+            }
+            rerun.sequence += 1;
             let Contract::Sequence { pattern, param } = &self.contracts.contracts[idx] else {
                 unreachable!("sequence op on non-sequence contract")
             };
             let values = ctx.values_of(config, id, *param, &Transform::Id);
             let nums: Vec<&concord_types::BigNum> =
                 values.iter().filter_map(|(v, _)| v.as_num()).collect();
-            if nums.len() >= 2 && !sequence_is_sequential(&nums) {
+            let sequential = sequence_is_sequential(&nums);
+            if nums.len() >= 4 && sequential {
+                for (_, li) in &values[1..values.len() - 1] {
+                    covers.push((idx as u32, *li as u32));
+                }
+            }
+            if nums.len() >= 2 && !sequential {
                 let step = nums[1].abs_diff(nums[0]);
                 let break_at = nums
                     .windows(2)
@@ -602,23 +758,38 @@ impl<'c> CheckProgram<'c> {
                     .unwrap_or(1);
                 let li = values[break_at].1;
                 let line = config.line(arenas, li);
-                out.push(Violation {
-                    contract_index: idx,
-                    category: self.contracts.contracts[idx].category().to_string(),
-                    config: config_name.to_string(),
-                    line_no: Some(line.line_no),
-                    line: line.original.to_string(),
-                    message: format!("values of param {param} of {pattern} are not equidistant"),
-                });
+                out.push((
+                    li as u32,
+                    Violation {
+                        contract_index: idx,
+                        category: self.contracts.contracts[idx].category().to_string(),
+                        config: config_name.to_string(),
+                        line_no: Some(line.line_no),
+                        line: line.original.to_string(),
+                        message: format!(
+                            "values of param {param} of {pattern} are not equidistant"
+                        ),
+                    },
+                ));
             }
         }
         phases.sequence = t.elapsed();
 
         // Relational: indexed antecedent probes. Each fused probe also
         // resolves the coverage rule (a sole witness on a distinct line
-        // covers that line), stashed for `config_coverage` to consume.
+        // covers that line).
         let t = Instant::now();
-        for compiled in &self.relational {
+        let mut relational = Vec::with_capacity(self.relational.len());
+        for (k, compiled) in self.relational.iter().enumerate() {
+            let consequent = self.index_specs[compiled.index_id].pattern;
+            if !touches(edit, compiled.antecedent) && !touches(edit, consequent) {
+                let (previous, _) = previous.expect("a full run touches every pattern");
+                skipped[compiled.idx] = true;
+                relational.push(previous.relational[k]);
+                continue;
+            }
+            rerun.relational += 1;
+            let mut tally = RelationalTally::default();
             let Contract::Relational(r) = &self.contracts.contracts[compiled.idx] else {
                 unreachable!("relational op on non-relational contract")
             };
@@ -628,53 +799,56 @@ impl<'c> CheckProgram<'c> {
                 r.antecedent.param,
                 &r.antecedent.transform,
             );
-            if antecedents.is_empty() {
-                continue;
-            }
-            let index = pctx.witness_index(self, compiled.index_id);
-            let mut cover = pctx.relational_cover.borrow_mut();
-            let mut probes = 0u64;
-            let mut hits = 0u64;
-            for (v1, li) in antecedents.iter() {
-                probes += 1;
-                match index.probe(v1) {
-                    WitnessProbe::Zero => {
-                        let line = config.line(arenas, *li);
-                        out.push(Violation {
-                            contract_index: compiled.idx,
-                            category: self.contracts.contracts[compiled.idx]
-                                .category()
-                                .to_string(),
-                            config: config_name.to_string(),
-                            line_no: Some(line.line_no),
-                            line: line.original.to_string(),
-                            message: format!(
-                                "no line matching {} satisfies {} for value {}",
-                                r.consequent.pattern,
-                                r.relation.name(),
-                                v1.render(),
-                            ),
-                        });
-                    }
-                    WitnessProbe::One(w) => {
-                        hits += 1;
-                        if w as usize != *li {
-                            cover.push((compiled.idx, w));
+            if !antecedents.is_empty() {
+                let index = pctx.witness_index(self, compiled.index_id);
+                tally.entries = index.len() as u32;
+                for (v1, li) in antecedents.iter() {
+                    tally.probes += 1;
+                    match index.probe(v1) {
+                        WitnessProbe::Zero => {
+                            let line = config.line(arenas, *li);
+                            out.push((
+                                *li as u32,
+                                Violation {
+                                    contract_index: compiled.idx,
+                                    category: self.contracts.contracts[compiled.idx]
+                                        .category()
+                                        .to_string(),
+                                    config: config_name.to_string(),
+                                    line_no: Some(line.line_no),
+                                    line: line.original.to_string(),
+                                    message: format!(
+                                        "no line matching {} satisfies {} for value {}",
+                                        r.consequent.pattern,
+                                        r.relation.name(),
+                                        v1.render(),
+                                    ),
+                                },
+                            ));
                         }
+                        WitnessProbe::One(w) => {
+                            tally.hits += 1;
+                            if w as usize != *li {
+                                covers.push((compiled.idx as u32, w));
+                            }
+                        }
+                        WitnessProbe::Many => tally.hits += 1,
                     }
-                    WitnessProbe::Many => hits += 1,
                 }
             }
-            pctx.counters
-                .probes
-                .set(pctx.counters.probes.get() + probes);
-            pctx.counters
-                .probe_hits
-                .set(pctx.counters.probe_hits.get() + hits);
+            rerun.probes += u64::from(tally.probes);
+            relational.push(tally);
         }
         phases.relational = t.elapsed();
 
-        (out, phases)
+        let found = Found {
+            violations: out,
+            covers,
+            relational,
+            rerun,
+            skipped,
+        };
+        (found, phases)
     }
 
     /// Extracts one configuration's [`UniqueTable`]: every event the
@@ -728,5 +902,15 @@ impl<'c> CheckProgram<'c> {
             .into_iter()
             .map(|row| row.violation)
             .collect()
+    }
+}
+
+/// Whether a contract reading pattern `id` re-runs after `edit`: always
+/// in a full run (no edit), otherwise when a changed row carries `id`. An
+/// unresolved pattern reads no rows.
+fn touches(edit: Option<&RowEdit>, id: Option<PatternId>) -> bool {
+    match edit {
+        None => true,
+        Some(edit) => id.is_some_and(|id| edit.touches(id)),
     }
 }

@@ -26,7 +26,9 @@
 //! stable across edits. Given the text a configuration was last built
 //! from, an upsert re-embeds and re-lexes (through the shared
 //! [`LexCache`]) only the lines the edit can change
-//! ([`concord_formats::embed_edit`]) and splices them into the columns.
+//! ([`concord_formats::embed_edit`]) and splices them into the columns,
+//! reporting the rows it actually changed as a [`RowEdit`] so a checker
+//! can re-run only what reads them.
 //! Arena entries orphaned by an edit stay interned (they are
 //! deduplicated, so repeated edit churn over similar content does not
 //! grow the arena). This is the foundation the resident `concord-engine`
@@ -483,6 +485,39 @@ impl ConfigIr {
         }
     }
 
+    /// The rows of a splice replacing `rows` with `cols` that change:
+    /// `rows` trimmed at both ends of rows equal to their counterpart in
+    /// `cols` in pattern, parameters and original text (interned ids, so
+    /// equal ids are equal contents).
+    fn changed_rows(&self, rows: Range<usize>, cols: &Columns) -> RowEdit {
+        let same = |old: usize, new: usize| {
+            self.patterns[old] == cols.patterns[new]
+                && self.params[old] == cols.params[new]
+                && self.originals[old] == cols.originals[new]
+        };
+        let (old, new) = (rows.len(), cols.patterns.len());
+        let prefix = (0..old.min(new))
+            .take_while(|&k| same(rows.start + k, k))
+            .count();
+        let suffix = (0..old.min(new) - prefix)
+            .take_while(|&k| same(rows.end - 1 - k, new - 1 - k))
+            .count();
+        let mut patterns: Vec<PatternId> = self.patterns[rows.start + prefix..rows.end - suffix]
+            .iter()
+            .chain(&cols.patterns[prefix..new - suffix])
+            .copied()
+            .collect();
+        patterns.sort_unstable();
+        patterns.dedup();
+        let row = |r: usize| u32::try_from(r).expect("config line count fits u32");
+        RowEdit {
+            start: row(rows.start + prefix),
+            old_end: row(rows.end - suffix),
+            new_end: row(rows.start + new - suffix),
+            patterns,
+        }
+    }
+
     /// Heap bytes held by the SoA columns.
     pub fn heap_bytes(&self) -> usize {
         self.patterns.capacity() * std::mem::size_of::<PatternId>()
@@ -502,6 +537,67 @@ struct Columns {
     params: Vec<ParamSliceId>,
     line_nos: Vec<u32>,
     originals: Vec<StrId>,
+}
+
+/// The rows one [`Dataset::upsert_config`] splice changed, as row
+/// indices of the configuration's columns: rows `start..old_end` before
+/// the edit are rows `start..new_end` after it. Every other row kept its
+/// pattern, parameters and original text. A row before `start` keeps its
+/// index; a row from `old_end` on (a later own line or a metadata row)
+/// moves by `new_end - old_end`.
+///
+/// The changed rows are the splice's window trimmed at both ends of rows
+/// equal in pattern, parameters and original text, so an identical
+/// re-upsert changes none.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RowEdit {
+    /// First changed row, on both sides.
+    pub start: u32,
+    /// End of the changed rows before the edit.
+    pub old_end: u32,
+    /// End of the changed rows after the edit.
+    pub new_end: u32,
+    /// The patterns of the changed rows, before and after the edit,
+    /// sorted and deduplicated.
+    patterns: Vec<PatternId>,
+}
+
+impl RowEdit {
+    /// Whether a changed row carries pattern `id`, before or after the
+    /// edit.
+    pub fn touches(&self, id: PatternId) -> bool {
+        self.patterns.binary_search(&id).is_ok()
+    }
+
+    /// Where row `row` of the configuration before the edit sits after
+    /// it. `row` must lie outside the changed rows.
+    pub fn moved(&self, row: u32) -> u32 {
+        debug_assert!(row < self.start || row >= self.old_end, "row {row} changed");
+        if row < self.start {
+            row
+        } else {
+            row - self.old_end + self.new_end
+        }
+    }
+
+    /// Heap bytes held by the pattern list.
+    pub fn heap_bytes(&self) -> usize {
+        self.patterns.capacity() * std::mem::size_of::<PatternId>()
+    }
+}
+
+/// What one [`Dataset::upsert_config`] did.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Upserted {
+    /// The configuration's index.
+    pub index: usize,
+    /// The own lines the edit removed plus the own lines it inserted (a
+    /// new configuration removes none; a whole-text window removes them
+    /// all).
+    pub churn: usize,
+    /// The rows a splice of a held configuration's window changed;
+    /// `None` for a new configuration and a whole-text window.
+    pub edit: Option<RowEdit>,
 }
 
 /// A set of configurations sharing one pattern table and one arena set.
@@ -737,10 +833,8 @@ impl Dataset {
     }
 
     /// Inserts or replaces the configuration named `name` with `text`.
-    /// Returns the configuration's index and the edit's churn: the own
-    /// lines it removed plus the own lines it inserted (a new
-    /// configuration removes none; a whole-text window removes them
-    /// all).
+    /// Returns the configuration's index, the edit's churn and, for a
+    /// spliced window, the rows it changed ([`Upserted`]).
     ///
     /// `previous` is the text the held configuration was built from, if
     /// the caller kept it. When it was embedded in the format `text` is
@@ -768,7 +862,7 @@ impl Dataset {
         lexer: &Lexer,
         embed_context: bool,
         cache: Option<&LexCache>,
-    ) -> (usize, usize) {
+    ) -> Upserted {
         let format = if embed_context {
             detect_format(text)
         } else {
@@ -779,7 +873,10 @@ impl Dataset {
         let (window, embedded) = embed_edit(previous, text, format);
         let lines = lex_embedded(&embedded, lexer, cache);
         match held {
-            Some(i) => (i, self.splice(i, format, window, &lines)),
+            Some(index) => {
+                let (churn, edit) = self.splice(index, format, window, &lines);
+                Upserted { index, churn, edit }
+            }
             None => {
                 let config = self.make_config(name, format, &lines);
                 let i = {
@@ -787,10 +884,14 @@ impl Dataset {
                     self.configs
                         .partition_point(|c| strings.text(c.name) < name)
                 };
-                let added = config.own_line_count();
-                self.total_own += added;
+                let churn = config.own_line_count();
+                self.total_own += churn;
                 self.configs.insert(i, config);
-                (i, added)
+                Upserted {
+                    index: i,
+                    churn,
+                    edit: None,
+                }
             }
         }
     }
@@ -799,14 +900,15 @@ impl Dataset {
     /// with `lines` (the window's lexed lines, interned here in text
     /// order), and moves the own lines after the window by its change in
     /// line count. Metadata lines stay as they are. Returns the number of
-    /// rows removed plus the number inserted.
+    /// rows removed plus the number inserted, and for a window of lines
+    /// the rows that changed.
     fn splice(
         &mut self,
         ci: usize,
         format: FormatCategory,
         window: EditWindow,
         lines: &[LexedLine],
-    ) -> usize {
+    ) -> (usize, Option<RowEdit>) {
         let cols = self.intern_lines(lines);
         let config = &mut self.configs[ci];
         let own = config.own_len as usize;
@@ -825,6 +927,8 @@ impl Dataset {
                 (first..end, old_end, new_end)
             }
         };
+        let edit = matches!(window, EditWindow::Lines { .. })
+            .then(|| config.changed_rows(rows.clone(), &cols));
         let (removed, added) = (rows.len(), cols.patterns.len());
         config.patterns.splice(rows.clone(), cols.patterns);
         config.params.splice(rows.clone(), cols.params);
@@ -838,7 +942,7 @@ impl Dataset {
         config.own_len = u32::try_from(own).expect("config line count fits u32");
         config.format = format;
         self.total_own = self.total_own - removed + added;
-        removed + added
+        (removed + added, edit)
     }
 
     /// Removes the configuration named `name`, returning its former index
@@ -1249,7 +1353,7 @@ mod tests {
         let mut ds = Dataset::from_named_texts(&configs, &[]).unwrap();
 
         // Replace dev1 in place.
-        let (i, churn) = ds.upsert_config(
+        let up = ds.upsert_config(
             "dev1",
             "interface Et1\n mtu 9000\n",
             None,
@@ -1257,13 +1361,18 @@ mod tests {
             true,
             None,
         );
-        assert_eq!((i, churn), (1, 3), "one line out, two in");
+        assert_eq!((up.index, up.churn), (1, 3), "one line out, two in");
+        assert_eq!(up.edit, None, "no previous text: a whole-text window");
         assert_eq!(ds.config_name(1), "dev1");
         assert_eq!(ds.configs[1].len(), 2);
 
         // Insert a new name at its sorted position.
-        let (i, churn) = ds.upsert_config("dev15", "vlan 9\n", None, &lexer, true, None);
-        assert_eq!((i, churn), (2, 1), "dev15 sorts between dev1 and dev2");
+        let up = ds.upsert_config("dev15", "vlan 9\n", None, &lexer, true, None);
+        assert_eq!(
+            (up.index, up.churn),
+            (2, 1),
+            "dev15 sorts between dev1 and dev2"
+        );
         let names: Vec<&str> = (0..ds.configs.len()).map(|i| ds.config_name(i)).collect();
         assert_eq!(names, ["dev0", "dev1", "dev15", "dev2"]);
     }

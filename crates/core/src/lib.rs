@@ -59,14 +59,15 @@ mod stats;
 pub use check::coverage::{ConfigCoverage, CoverageReport, CoverageSummary};
 pub use check::{
     check, check_parallel, check_parallel_with_stats, join_unique_indexes, CheckCounters,
-    CheckProgram, CheckReport, ConfigOutcome, UniqueIndex, UniqueTable, UniqueViolation, Violation,
+    CheckProgram, CheckReport, ConfigOutcome, Rerun, UniqueIndex, UniqueTable, UniqueViolation,
+    Violation,
 };
 #[cfg(any(test, feature = "naive-check"))]
 pub use check::{check_naive, check_naive_parallel};
 pub use contract::{Contract, ContractSet, PatternRef, RelationKind, RelationalContract};
 pub use ir::{
     Arenas, ConfigIr, Dataset, DatasetError, InternBuf, InternId, Interner, LineRef, ParamArena,
-    ParamSliceId, PatternId, PatternTable, StrArena, StrId,
+    ParamSliceId, PatternId, PatternTable, RowEdit, StrArena, StrId, Upserted,
 };
 pub use learn::indexes::{
     AffixStructure, ContainsStructure, EqualityStructure, NodeKey, PrefixTrie, RelationStructure,

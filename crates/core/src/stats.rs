@@ -51,8 +51,9 @@ use crate::learn::LearnStats;
 /// over the configs sketched plus its fold and emit; v13 dropped the
 /// WAL-follower entries from each fleet shard and their read and lag
 /// sums from the fleet totals, since the shard leader answers every
-/// read.
-pub const STATS_SCHEMA: &str = "concord-pipeline-stats/v13";
+/// read; v14 added `engine.memory.outcome_bytes`, the heap held by the
+/// cached per-configuration check outcomes.
+pub const STATS_SCHEMA: &str = "concord-pipeline-stats/v14";
 
 /// Statistics from one [`Dataset::build_with_stats`](crate::Dataset::build_with_stats) run.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -366,6 +367,10 @@ record! {
         pub column_bytes: u64,
         /// Bytes held by the resident per-config learn sketches (v11).
         pub sketch_bytes: u64,
+        /// Bytes held by the cached per-config check outcomes: their
+        /// violations with the strings, coverage bits and names, and the
+        /// per-contract rows an edit-local recheck carries (v14).
+        pub outcome_bytes: u64,
         /// Distinct strings interned (deduplicated across the corpus).
         pub interned_strings: u64,
         /// Distinct parameter slices interned.
@@ -775,7 +780,7 @@ mod tests {
     use super::*;
 
     const GOLDEN: &str = concat!(
-        r#"{"schema":"concord-pipeline-stats/v13","total_secs":0.08,"build":{"configs":4,"#,
+        r#"{"schema":"concord-pipeline-stats/v14","total_secs":0.08,"build":{"configs":4,"#,
         r#""lines":100,"patterns":12,"lex_secs":0.05,"intern_secs":0.005,"#,
         r#""cache":{"enabled":true,"hits":75,"misses":25,"hit_rate":0.75}},"#,
         r#""learn":{"miners":[{"name":"present","secs":0.003},{"name":"relational","#,
@@ -795,7 +800,8 @@ mod tests {
         r#""dirty":1,"mined_last_learn":2,"reused_last_learn":2,"contracts_edits":3},"#,
         r#""memory":{"string_arena_bytes":4096,"param_arena_bytes":1024,"#,
         r#""pattern_table_bytes":512,"column_bytes":2048,"sketch_bytes":8192,"#,
-        r#""interned_strings":100,"interned_param_slices":40,"segments_written":7,"#,
+        r#""outcome_bytes":3072,"interned_strings":100,"interned_param_slices":40,"#,
+        r#""segments_written":7,"#,
         r#""segments_skipped":21},"storage":{"degraded":true,"faults_injected":14,"retries":6,"#,
         r#""degraded_transitions":2,"recoveries":1,"gc_remove_errors":3},"#,
         r#""serve":{"connections":9,"requests":40,"batches":2,"batched_requests":16,"#,
@@ -934,6 +940,7 @@ mod tests {
                     pattern_table_bytes: 512,
                     column_bytes: 2048,
                     sketch_bytes: 8192,
+                    outcome_bytes: 3072,
                     interned_strings: 100,
                     interned_param_slices: 40,
                     segments_written: 7,
@@ -1051,6 +1058,10 @@ mod tests {
         assert_eq!(
             json["engine"]["memory"]["sketch_bytes"].as_u64(),
             Some(8192)
+        );
+        assert_eq!(
+            json["engine"]["memory"]["outcome_bytes"].as_u64(),
+            Some(3072)
         );
         assert_eq!(
             json["engine"]["memory"]["interned_strings"].as_u64(),

@@ -23,8 +23,12 @@
 //!   they were checked under and its resolution fingerprint, so
 //!   [`Engine::check_dirty`] re-runs checks only for configurations
 //!   edited since the last call and patches the rest in from the cache.
-//!   A swap to an equal set — the common relearn of a stable fleet —
-//!   keeps the cache; a swap to a different set drops it.
+//!   An edited configuration keeps its previous outcome with the rows
+//!   the splice changed, and its recheck re-runs only the relational and
+//!   sequence contracts reading those rows' patterns
+//!   ([`CheckProgram::recheck_config`]). A swap to an equal set — the
+//!   common relearn of a stable fleet — keeps the cache; a swap to a
+//!   different set drops it.
 //!
 //! The output contract is strict: `check_dirty` is **byte-identical** to
 //! compiling and running the batch checker over the current snapshot
@@ -54,7 +58,7 @@ use concord_core::{
     learn_with_stats, parallel, sketch_params_fingerprint, CheckProgram, CheckReport, CheckStats,
     ConfigOutcome, ConfigSketch, ContractSet, CoverageReport, Dataset, DatasetError,
     EngineCheckStats, EngineStats, Fold, LearnDeltaStats, LearnParams, LearnStats, LexCacheStats,
-    MemoryStats, UniqueIndex, UniqueTable, SKETCH_FORMAT_VERSION,
+    MemoryStats, RowEdit, UniqueIndex, UniqueTable, Upserted, SKETCH_FORMAT_VERSION,
 };
 use concord_json::{push_number, push_string, Json};
 use concord_lexer::{LexCache, Lexer};
@@ -219,7 +223,7 @@ pub struct CheckParts {
 
 /// One configuration's engine-side bookkeeping, parallel to
 /// `dataset.configs`: identity, edit generation, current text, and the
-/// cached check results (cleared on edit, repopulated by
+/// cached check results (marked stale on edit, brought current by
 /// [`Engine::check_dirty`]).
 #[derive(Debug, Clone)]
 struct Slot {
@@ -229,8 +233,8 @@ struct Slot {
     /// base the next upsert diffs against. Shared with the image.
     text: Arc<str>,
     /// Cached per-configuration outcome, shared with the [`CheckParts`]
-    /// that carry it; `None` marks the slot dirty.
-    outcome: Option<Arc<ConfigOutcome>>,
+    /// that carry it.
+    checked: Checked,
     /// Cached learn sketch (`None` while dirty; mined lazily by the next
     /// delta relearn, or restored from a persisted snapshot).
     sketch: Option<ConfigSketch>,
@@ -242,10 +246,47 @@ impl Slot {
             id,
             generation: 0,
             text,
-            outcome: None,
+            checked: Checked::Dirty,
             sketch: None,
         }
     }
+
+    /// The cached outcome, when it is current.
+    fn current(&self) -> Option<&Arc<ConfigOutcome>> {
+        match &self.checked {
+            Checked::Current(outcome) => Some(outcome),
+            _ => None,
+        }
+    }
+
+    /// Heap bytes the slot's cached outcome holds: the `Arc` allocation
+    /// (its two counts and the outcome) and the outcome's heap, plus an
+    /// edit's pattern list.
+    fn outcome_bytes(&self) -> usize {
+        let held = |outcome: &ConfigOutcome| {
+            2 * std::mem::size_of::<usize>()
+                + std::mem::size_of::<ConfigOutcome>()
+                + outcome.heap_bytes()
+        };
+        match &self.checked {
+            Checked::Dirty => 0,
+            Checked::Edited(outcome, edit) => held(outcome) + edit.heap_bytes(),
+            Checked::Current(outcome) => held(outcome),
+        }
+    }
+}
+
+/// A slot's check state under the cached key.
+#[derive(Debug, Clone)]
+enum Checked {
+    /// No usable outcome: the next check runs the configuration in full.
+    Dirty,
+    /// The outcome from before one spliced edit, and the rows it
+    /// changed: the next check re-runs only the contracts the edit
+    /// touched.
+    Edited(Arc<ConfigOutcome>, RowEdit),
+    /// The outcome of the configuration as it stands.
+    Current(Arc<ConfigOutcome>),
 }
 
 /// A resident pipeline snapshot absorbing single-configuration edits.
@@ -486,10 +527,20 @@ impl Engine {
     /// indentation format the block lines below them. JSON, YAML, a
     /// changed format or a new configuration re-lex the whole text. The
     /// result is the dataset a whole-text rebuild gives, id for id.
+    ///
+    /// A spliced edit of a configuration whose outcome is current keeps
+    /// that outcome with the rows the splice changed, so the next check
+    /// re-runs only what reads them. A second edit before that check, a
+    /// whole-text window or a new configuration leaves nothing to carry:
+    /// the next check runs the configuration in full.
     pub fn upsert_config(&mut self, name: &str, text: &str) -> ConfigId {
         let held = self.dataset.config_index(name);
         let text: Arc<str> = Arc::from(text);
-        let (i, churn) = self.dataset.upsert_config(
+        let Upserted {
+            index: i,
+            churn,
+            edit,
+        } = self.dataset.upsert_config(
             name,
             &text,
             held.map(|i| &*self.slots[i].text),
@@ -502,7 +553,10 @@ impl Engine {
             let slot = &mut self.slots[i];
             slot.generation += 1;
             slot.text = text;
-            slot.outcome = None;
+            slot.checked = match (std::mem::replace(&mut slot.checked, Checked::Dirty), edit) {
+                (Checked::Current(outcome), Some(edit)) => Checked::Edited(outcome, edit),
+                _ => Checked::Dirty,
+            };
             slot.sketch = None;
         } else {
             self.slots.insert(i, Slot::new(self.counters.next_id, text));
@@ -824,7 +878,7 @@ impl Engine {
         let configs = self
             .slots
             .iter()
-            .map(|s| Arc::clone(s.outcome.as_ref().expect("just populated")))
+            .map(|s| Arc::clone(s.current().expect("just checked")))
             .collect();
         let engine = check_stats(&self.slots, &dirty, resolution_invalidated);
         self.last_check = Some(engine);
@@ -867,7 +921,7 @@ impl Engine {
             contracts: self.contracts.as_deref().map(ContractSet::len),
             edits: self.counters.edits,
             relearns: self.counters.relearns,
-            dirty_configs: self.slots.iter().filter(|s| s.outcome.is_none()).count(),
+            dirty_configs: self.slots.iter().filter(|s| s.current().is_none()).count(),
             staleness: self.staleness(),
             lex_cache: LexCacheStats {
                 hits: cache.hits,
@@ -886,7 +940,8 @@ impl Engine {
     }
 
     /// Arena/interner heap accounting for the SoA dataset, plus the
-    /// heap held by the cached learn sketches. The segmented-checkpoint
+    /// heap held by the cached learn sketches and check outcomes. The
+    /// segmented-checkpoint
     /// counters stay zero here: a bare engine has no store; the
     /// resilient layer fills them in.
     fn memory_stats(&self) -> MemoryStats {
@@ -903,6 +958,7 @@ impl Engine {
             pattern_table_bytes: table as u64,
             column_bytes: columns as u64,
             sketch_bytes: sketches as u64,
+            outcome_bytes: self.slots.iter().map(Slot::outcome_bytes).sum::<usize>() as u64,
             interned_strings: self.dataset.interned_strings() as u64,
             interned_param_slices: self.dataset.interned_param_slices() as u64,
             segments_written: 0,
@@ -914,10 +970,12 @@ impl Engine {
 /// Ensures every slot holds a current outcome under `contracts` and
 /// `program`'s resolution fingerprint, and `unique` every
 /// configuration's current unique table, re-running only dirty
-/// configurations (in parallel). The cache is kept when `contracts` is
-/// the set it was checked under or equals it (one O(contracts) compare
-/// on the first check after a swap) and the fingerprint holds; otherwise
-/// every outcome is dropped and a new index started. Returns the sorted
+/// configurations (in parallel): an edited one from its previous outcome
+/// and the rows its edit changed, any other in full. The cache is kept
+/// when `contracts` is the set it was checked under or equals it (one
+/// O(contracts) compare on the first check after a swap) and the
+/// fingerprint holds; otherwise every outcome is dropped and a new index
+/// started. Returns the sorted
 /// dirty indices and whether a resolution change invalidated the cache.
 /// A free function over disjoint [`Engine`] fields because `program`
 /// immutably borrows the engine's dataset and contracts while the slots
@@ -938,7 +996,7 @@ fn refresh_outcomes(
     let resolution_invalidated = cached_key.is_some() && !kept;
     if !kept {
         for slot in slots.iter_mut() {
-            slot.outcome = None;
+            slot.checked = Checked::Dirty;
         }
         *unique = Arc::new(program.unique_index());
     }
@@ -949,7 +1007,7 @@ fn refresh_outcomes(
     let dirty: Vec<usize> = slots
         .iter()
         .enumerate()
-        .filter(|(_, s)| s.outcome.is_none())
+        .filter(|(_, s)| s.current().is_none())
         .map(|(i, _)| i)
         .collect();
 
@@ -960,14 +1018,21 @@ fn refresh_outcomes(
         &dirty,
         |&i| {
             let config = &dataset.configs[i];
-            (program.run_config(config), program.unique_table(config))
+            let previous = match &slots[i].checked {
+                Checked::Edited(outcome, edit) => Some((&**outcome, edit)),
+                _ => None,
+            };
+            (
+                program.recheck_config(config, previous),
+                program.unique_table(config),
+            )
         },
         parallelism,
     );
     if !dirty.is_empty() {
         let index = Arc::make_mut(unique);
         for (&i, (outcome, table)) in dirty.iter().zip(recomputed) {
-            slots[i].outcome = Some(Arc::new(outcome));
+            slots[i].checked = Checked::Current(Arc::new(outcome));
             index.insert(dataset.config_name(i), table);
         }
     }
@@ -980,12 +1045,7 @@ fn check_stats(slots: &[Slot], dirty: &[usize], resolution_invalidated: bool) ->
     let mut rebuilt = 0u64;
     let mut patched = 0u64;
     for (i, slot) in slots.iter().enumerate() {
-        let built = slot
-            .outcome
-            .as_ref()
-            .expect("just populated")
-            .counters
-            .indexes_built;
+        let built = slot.current().expect("just checked").counters.indexes_built;
         if dirty.binary_search(&i).is_ok() {
             rebuilt += built;
         } else {
@@ -1076,6 +1136,37 @@ mod tests {
 
         let (report, _) = batch(&engine);
         assert_reports_equal(&incremental.report, &report);
+    }
+
+    /// The CHECK after one spliced edit re-runs only the contracts that
+    /// read the rows it changed (an identical re-upsert changes none);
+    /// after two edits of one configuration it runs that configuration
+    /// in full. Both answer what the batch checker answers.
+    #[test]
+    fn one_edit_rechecks_edit_locally_and_two_in_full() {
+        let corpus: Vec<(String, String)> = (0..6)
+            .map(|i| {
+                let text = format!(
+                    "hostname DEV{i}\nvlan 10\nvlan 20\nvlan 30\ninterface Ethernet1\n switchport access vlan 20\n"
+                );
+                (format!("dev{i}"), text)
+            })
+            .collect();
+        let mut engine = Engine::from_corpus(&corpus, &[], EngineOptions::default()).unwrap();
+        engine.relearn();
+        let full = engine.check_parts().unwrap().configs[2].rerun;
+        assert!(full.relational + full.sequence > 0, "{full:?}");
+
+        engine.upsert_config("dev2", &corpus[2].1);
+        let parts = engine.check_parts().unwrap();
+        assert_eq!(parts.dirty_configs, 1);
+        assert_eq!(parts.configs[2].rerun, concord_core::Rerun::default());
+        assert_reports_equal(&engine.check_dirty().unwrap().report, &batch(&engine).0);
+
+        engine.upsert_config("dev2", &corpus[2].1);
+        engine.upsert_config("dev2", &corpus[2].1);
+        assert_eq!(engine.check_parts().unwrap().configs[2].rerun, full);
+        assert_reports_equal(&engine.check_dirty().unwrap().report, &batch(&engine).0);
     }
 
     #[test]

@@ -21,6 +21,11 @@ impl BitSet {
         self.capacity
     }
 
+    /// Heap bytes held by the packed words.
+    pub fn heap_bytes(&self) -> usize {
+        self.words.capacity() * std::mem::size_of::<u64>()
+    }
+
     /// Inserts `value`; returns `true` if it was newly inserted.
     ///
     /// # Panics
