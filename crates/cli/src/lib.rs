@@ -43,7 +43,7 @@ use std::time::Instant;
 
 use concord_core::{
     check_parallel, check_parallel_with_stats, learn_with_stats, BuildStats, ContractSet, Dataset,
-    PipelineStats,
+    PipelineStats, Violation,
 };
 use concord_lexer::Lexer;
 
@@ -199,9 +199,7 @@ fn run_check(args: &CheckArgs, out: &mut dyn std::io::Write) -> Result<i32, CliE
     }
 
     if let Some(path) = &args.out {
-        let json =
-            concord_json::to_string_pretty(&report.violations).expect("violations serialize");
-        write_file(path, &json)?;
+        write_file(path, &Violation::render_pretty_array(&report.violations))?;
     }
     if let Some(path) = &args.html {
         write_file(path, &report::html_report(&contracts, &report))?;

@@ -227,3 +227,57 @@ fn custom_tokens_change_learned_patterns() {
     assert!(with_text.contains("[a:iface]"), "{with_text}");
     assert!(!without_text.contains("[a:iface]"));
 }
+
+/// The binary's stdout bytes and exit code for `argv`.
+fn spawn(argv: &[String]) -> (i32, Vec<u8>) {
+    let output = std::process::Command::new(env!("CARGO_BIN_EXE_concord"))
+        .args(argv)
+        .stdin(std::process::Stdio::null())
+        .stderr(std::process::Stdio::null())
+        .output()
+        .expect("the concord binary runs");
+    (output.status.code().expect("exited"), output.stdout)
+}
+
+#[test]
+fn binary_stdout_equals_the_library_run() {
+    let tree = TempTree::new("stdout");
+    let role = write_role(&tree, "train");
+    let contracts = tree.path("contracts.json");
+    let learn = args(&[
+        "learn",
+        "--configs",
+        &tree.path("train/*.cfg"),
+        "--metadata",
+        &tree.path("train/*.yaml"),
+        "--out",
+        &contracts,
+    ]);
+    let (code, out) = run(&learn);
+    assert_eq!(code, 0, "{out}");
+    assert_eq!(spawn(&learn), (code, out.into_bytes()), "learn");
+
+    // A faulted corpus, so `check` prints violation lines and exits 1.
+    std::fs::create_dir_all(tree.0.join("test")).unwrap();
+    for (name, text) in &role.configs {
+        let text = faults::inject(text, faults::incidents::MISSING_AGGREGATE)
+            .map_or(text.clone(), |injected| injected.text);
+        std::fs::write(tree.0.join(format!("test/{name}.cfg")), text).unwrap();
+    }
+    let check = args(&[
+        "check",
+        "--configs",
+        &tree.path("test/*.cfg"),
+        "--contracts",
+        &contracts,
+    ]);
+    let (code, out) = run(&check);
+    assert_eq!(code, 1, "{out}");
+    assert!(out.lines().count() > 2, "{out}");
+    assert_eq!(spawn(&check), (code, out.into_bytes()), "check");
+
+    let usage = args(&["check", "--no-such-flag"]);
+    let (code, out) = run(&usage);
+    assert_eq!(code, 2, "{out}");
+    assert_eq!(spawn(&usage), (code, out.into_bytes()), "usage error");
+}

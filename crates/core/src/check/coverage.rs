@@ -47,7 +47,7 @@ use concord_graph::BitSet;
 #[cfg(any(test, feature = "naive-check"))]
 use concord_types::Transform;
 
-use crate::check::program::CheckProgram;
+use crate::check::program::{CheckProgram, CoverRows};
 use crate::check::ConfigContext;
 #[cfg(any(test, feature = "naive-check"))]
 use crate::check::{find_witnesses, Resolved, ResolvedContract};
@@ -187,13 +187,13 @@ impl CoverageReport {
 
 /// Computes coverage of one configuration against the compiled program,
 /// reusing the per-configuration context the check pass built. `covers`
-/// holds the `(contract index, row)` pairs the relational and sequence
-/// contracts cover, as the check pass found or carried them.
+/// holds the rows the relational and sequence contracts cover, as the
+/// check pass found or carried them.
 pub(crate) fn config_coverage(
     program: &CheckProgram<'_>,
     config: &ConfigIr,
     ctx: &ConfigContext<'_>,
-    covers: &[(u32, u32)],
+    covers: &CoverRows,
 ) -> ConfigCoverage {
     let contracts = &program.contracts.contracts;
     let mut cov = ConfigCoverage::new(program.dataset.name_of(config), config);
@@ -278,8 +278,11 @@ pub(crate) fn config_coverage(
     // antecedent instance (other than itself) is covered. Sequence: the
     // interior elements of a valid progression of length ≥ 4. The check
     // pass found these rows.
-    for &(idx, row) in covers {
-        cov.cover(config, contracts[idx as usize].category(), row as usize);
+    for (k, rows) in covers.by_contract() {
+        let category = contracts[program.covering_contract(k)].category();
+        for &row in rows {
+            cov.cover(config, category, row as usize);
+        }
     }
 
     cov

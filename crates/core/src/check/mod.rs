@@ -87,6 +87,43 @@ impl concord_json::FromJson for Violation {
     }
 }
 
+impl Violation {
+    /// Renders `violations` as the pretty JSON array
+    /// `concord_json::to_string_pretty` makes of them, byte for byte,
+    /// written straight out with no JSON tree: the `check --out` file.
+    pub fn render_pretty_array(violations: &[Violation]) -> String {
+        use concord_json::{push_number, push_string};
+        if violations.is_empty() {
+            return "[]".to_string();
+        }
+        let mut out = String::with_capacity(violations.len() * 256);
+        out.push('[');
+        for (i, v) in violations.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            out.push_str("\n  {\n    \"contract_index\": ");
+            push_number(&mut out, v.contract_index as f64);
+            out.push_str(",\n    \"category\": ");
+            push_string(&mut out, &v.category);
+            out.push_str(",\n    \"config\": ");
+            push_string(&mut out, &v.config);
+            out.push_str(",\n    \"line_no\": ");
+            match v.line_no {
+                Some(n) => push_number(&mut out, f64::from(n)),
+                None => out.push_str("null"),
+            }
+            out.push_str(",\n    \"line\": ");
+            push_string(&mut out, &v.line);
+            out.push_str(",\n    \"message\": ");
+            push_string(&mut out, &v.message);
+            out.push_str("\n  }");
+        }
+        out.push_str("\n]");
+        out
+    }
+}
+
 impl std::fmt::Display for Violation {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self.line_no {
@@ -839,5 +876,31 @@ mod tests {
         let a = ctx.values_of(config, Some(pattern), 99, &Transform::Id);
         let b = ctx.values_of(config, Some(pattern), 99, &Transform::Id);
         assert!(std::rc::Rc::ptr_eq(&a, &b));
+    }
+
+    #[test]
+    fn pretty_violation_array_matches_the_json_tree() {
+        let violation = |line_no, text: &str| Violation {
+            contract_index: 7,
+            category: "relational".to_string(),
+            config: "dev \"a\"\\b".to_string(),
+            line_no,
+            line: text.to_string(),
+            message: format!("no line matching {text}\tfor value 10.0.0.1"),
+        };
+        let cases = [
+            vec![],
+            vec![violation(Some(12), "description caf\u{e9} \u{65e5}")],
+            vec![
+                violation(None, "ip address [a:ip4]"),
+                violation(Some(u32::MAX), "tab\there \"quoted\" back\\slash\u{1}"),
+            ],
+        ];
+        for violations in cases {
+            assert_eq!(
+                Violation::render_pretty_array(&violations),
+                concord_json::to_string_pretty(&violations).unwrap()
+            );
+        }
     }
 }

@@ -209,10 +209,9 @@ pub struct ConfigOutcome {
     /// The row each violation points at, index-aligned with
     /// `violations` (`u32::MAX` for a missing line).
     rows: Vec<u32>,
-    /// The rows relational and sequence contracts cover, as `(contract
-    /// index, row)`: relational sole witnesses and the interior rows of
-    /// a sequence.
-    covers: Vec<(u32, u32)>,
+    /// The rows relational and sequence contracts cover: relational sole
+    /// witnesses and the interior rows of a sequence.
+    covers: CoverRows,
     /// One tally per relational contract, in program order.
     relational: Vec<RelationalTally>,
     /// Per-phase wall-clock times (not cacheable — timing only).
@@ -240,8 +239,64 @@ impl ConfigOutcome {
             + strings
             + self.coverage.heap_bytes()
             + self.rows.capacity() * size_of::<u32>()
-            + self.covers.capacity() * size_of::<(u32, u32)>()
+            + self.covers.heap_bytes()
             + self.relational.capacity() * size_of::<RelationalTally>()
+    }
+}
+
+/// The rows the sequence and relational contracts cover in one
+/// configuration, one contract after another. A contract is named by its
+/// position in program order: the sequence contracts, then the relational
+/// ones.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct CoverRows {
+    /// Every contract's rows, end to end.
+    rows: Vec<u32>,
+    /// For each contract that covers a row, in program order: its
+    /// position, and where its rows end in `rows`.
+    ends: Vec<(u32, u32)>,
+}
+
+impl CoverRows {
+    /// Ends the rows of contract `k`: those pushed since the previous
+    /// contract's.
+    fn close(&mut self, k: usize) {
+        let end = u32::try_from(self.rows.len()).expect("covered rows fit u32");
+        if self.ends.last().map_or(0, |&(_, end)| end) < end {
+            let k = u32::try_from(k).expect("contract count fits u32");
+            self.ends.push((k, end));
+        }
+    }
+
+    /// Appends contract `k`'s rows of `previous`, moved by `edit`, as
+    /// contract `k`'s rows.
+    fn carry(&mut self, previous: &CoverRows, k: usize, edit: &RowEdit) {
+        if let Ok(i) = previous.ends.binary_search_by_key(&k, |&(k, _)| k as usize) {
+            let start = i.checked_sub(1).map_or(0, |j| previous.ends[j].1) as usize;
+            let rows = &previous.rows[start..previous.ends[i].1 as usize];
+            self.rows.extend(rows.iter().map(|&row| edit.moved(row)));
+        }
+        self.close(k);
+    }
+
+    /// Each contract that covers a row, with its rows, in program order.
+    pub(crate) fn by_contract(&self) -> impl Iterator<Item = (usize, &[u32])> {
+        let mut start = 0;
+        self.ends.iter().map(move |&(k, end)| {
+            let rows = &self.rows[start..end as usize];
+            start = end as usize;
+            (k as usize, rows)
+        })
+    }
+
+    fn shrink_to_fit(&mut self) {
+        self.rows.shrink_to_fit();
+        self.ends.shrink_to_fit();
+    }
+
+    fn heap_bytes(&self) -> usize {
+        self.rows.capacity() * std::mem::size_of::<u32>()
+            + self.ends.capacity() * std::mem::size_of::<(u32, u32)>()
     }
 }
 
@@ -286,7 +341,7 @@ impl<'a> ProgramContext<'a> {
 /// an edit-local recheck skipped.
 struct Found {
     violations: Vec<(u32, Violation)>,
-    covers: Vec<(u32, u32)>,
+    covers: CoverRows,
     relational: Vec<RelationalTally>,
     rerun: Rerun,
     /// Per contract index: skipped, its findings to be carried.
@@ -464,9 +519,9 @@ impl<'c> CheckProgram<'c> {
         }
     }
 
-    /// Moves into `found` what `previous` holds for the relational and
-    /// sequence contracts `found` skipped: their violations, with line
-    /// numbers re-read from the moved rows, and their covered rows. Their
+    /// Moves into `found` the violations `previous` holds for the
+    /// relational and sequence contracts `found` skipped, with line
+    /// numbers re-read from the moved rows. Their covered rows and
     /// tallies were carried as the contracts were skipped.
     fn carry(
         &self,
@@ -483,10 +538,14 @@ impl<'c> CheckProgram<'c> {
                 found.violations.push((row, v));
             }
         }
-        for &(idx, row) in &previous.covers {
-            if found.skipped[idx as usize] {
-                found.covers.push((idx, edit.moved(row)));
-            }
+    }
+
+    /// The index of the contract at position `k` of [`CoverRows`]'s
+    /// program order: the sequence contracts, then the relational ones.
+    pub(crate) fn covering_contract(&self, k: usize) -> usize {
+        match k.checked_sub(self.sequence.len()) {
+            Some(r) => self.relational[r].idx,
+            None => self.sequence[k].0,
         }
     }
 
@@ -573,7 +632,7 @@ impl<'c> CheckProgram<'c> {
     ) -> (Found, PhaseTimes) {
         let edit = previous.map(|(_, edit)| edit);
         let mut out = Vec::new();
-        let mut covers = Vec::new();
+        let mut covers = CoverRows::default();
         let mut rerun = Rerun::default();
         let mut skipped = vec![false; self.contracts.contracts.len()];
         let mut phases = PhaseTimes::default();
@@ -731,9 +790,11 @@ impl<'c> CheckProgram<'c> {
         // coverage rule rides along: the interior rows of a valid
         // progression of length >= 4 are covered.
         let t = Instant::now();
-        for &(idx, id) in &self.sequence {
+        for (k, &(idx, id)) in self.sequence.iter().enumerate() {
             if !touches(edit, id) {
+                let (previous, edit) = previous.expect("a full run touches every pattern");
                 skipped[idx] = true;
+                covers.carry(&previous.covers, k, edit);
                 continue;
             }
             rerun.sequence += 1;
@@ -746,7 +807,7 @@ impl<'c> CheckProgram<'c> {
             let sequential = sequence_is_sequential(&nums);
             if nums.len() >= 4 && sequential {
                 for (_, li) in &values[1..values.len() - 1] {
-                    covers.push((idx as u32, *li as u32));
+                    covers.rows.push(*li as u32);
                 }
             }
             if nums.len() >= 2 && !sequential {
@@ -772,6 +833,7 @@ impl<'c> CheckProgram<'c> {
                     },
                 ));
             }
+            covers.close(k);
         }
         phases.sequence = t.elapsed();
 
@@ -783,9 +845,10 @@ impl<'c> CheckProgram<'c> {
         for (k, compiled) in self.relational.iter().enumerate() {
             let consequent = self.index_specs[compiled.index_id].pattern;
             if !touches(edit, compiled.antecedent) && !touches(edit, consequent) {
-                let (previous, _) = previous.expect("a full run touches every pattern");
+                let (previous, edit) = previous.expect("a full run touches every pattern");
                 skipped[compiled.idx] = true;
                 relational.push(previous.relational[k]);
+                covers.carry(&previous.covers, self.sequence.len() + k, edit);
                 continue;
             }
             rerun.relational += 1;
@@ -829,7 +892,7 @@ impl<'c> CheckProgram<'c> {
                         WitnessProbe::One(w) => {
                             tally.hits += 1;
                             if w as usize != *li {
-                                covers.push((compiled.idx as u32, w));
+                                covers.rows.push(w);
                             }
                         }
                         WitnessProbe::Many => tally.hits += 1,
@@ -838,6 +901,7 @@ impl<'c> CheckProgram<'c> {
             }
             rerun.probes += u64::from(tally.probes);
             relational.push(tally);
+            covers.close(self.sequence.len() + k);
         }
         phases.relational = t.elapsed();
 

@@ -39,7 +39,7 @@ use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::marker::PhantomData;
 use std::ops::Range;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use concord_formats::{
     detect_format, embed_auto, embed_edit, EditWindow, EmbeddedLine, FormatCategory,
@@ -87,7 +87,7 @@ macro_rules! intern_id {
     )*};
 }
 
-intern_id!(PatternId, StrId, ParamSliceId);
+intern_id!(PatternId, StrId, ParamSliceId, ShapeId);
 
 /// The buffer an [`Interner`] stores its values in, end to end: a
 /// `String` for `str` values, a `Vec<Param>` for parameter slices.
@@ -122,6 +122,32 @@ impl InternBuf for String {
 
     #[inline]
     fn value_at(&self, range: Range<usize>) -> &str {
+        &self[range]
+    }
+
+    fn heap_bytes(&self) -> usize {
+        self.capacity()
+    }
+}
+
+impl InternBuf for Vec<u8> {
+    type Value = [u8];
+
+    #[inline]
+    fn hash_value(bytes: &[u8]) -> u64 {
+        let mut h = FxHasher::default();
+        h.write(bytes);
+        h.finish()
+    }
+
+    fn push_value(&mut self, bytes: &[u8]) -> Range<usize> {
+        let start = self.len();
+        self.extend_from_slice(bytes);
+        start..self.len()
+    }
+
+    #[inline]
+    fn value_at(&self, range: Range<usize>) -> &[u8] {
         &self[range]
     }
 
@@ -229,10 +255,10 @@ impl<B: InternBuf, I: InternId> Interner<B, I> {
         self.buf.value_at(off..off + len as usize)
     }
 
-    /// The probe walk: the id of `value` if it is interned, else the
-    /// empty slot its insert takes.
+    /// The probe walk over the values hashed `hash`: the id of the one
+    /// `eq` accepts, else the empty slot its insert takes.
     #[inline]
-    fn probe(&self, value: &B::Value, hash: u64) -> Result<u32, usize> {
+    fn find(&self, hash: u64, eq: impl Fn(&B::Value) -> bool) -> Result<u32, usize> {
         let mask = self.buckets.len() - 1;
         let mut slot = (hash as usize) & mask;
         loop {
@@ -241,7 +267,7 @@ impl<B: InternBuf, I: InternId> Interner<B, I> {
                 return Err(slot);
             }
             let i = entry as usize;
-            if self.hashes[i] == hash && self.value(i) == value {
+            if self.hashes[i] == hash && eq(self.value(i)) {
                 return Ok(entry);
             }
             slot = (slot + 1) & mask;
@@ -252,10 +278,15 @@ impl<B: InternBuf, I: InternId> Interner<B, I> {
     /// the same probe walk that would otherwise find the insertion slot.
     pub fn intern(&mut self, value: &B::Value) -> I {
         let hash = B::hash_value(value);
-        let slot = match self.probe(value, hash) {
-            Ok(id) => return I::from_raw(id),
-            Err(slot) => slot,
-        };
+        match self.find(hash, |v| v == value) {
+            Ok(id) => I::from_raw(id),
+            Err(slot) => self.insert_at(slot, value, hash),
+        }
+    }
+
+    /// Appends `value`, hashed `hash`, into `slot`: the empty slot a
+    /// [`Interner::find`] for it returned, with nothing interned since.
+    fn insert_at(&mut self, slot: usize, value: &B::Value, hash: u64) -> I {
         let id = u32::try_from(self.spans.len()).expect("interner fits u32 ids");
         let range = self.buf.push_value(value);
         let off = u32::try_from(range.start).expect("interner fits u32 offsets");
@@ -288,7 +319,7 @@ impl<B: InternBuf, I: InternId> Interner<B, I> {
 
     /// Looks up an already-interned value.
     pub fn get(&self, value: &B::Value) -> Option<I> {
-        self.probe(value, B::hash_value(value))
+        self.find(B::hash_value(value), |v| v == value)
             .ok()
             .map(I::from_raw)
     }
@@ -539,6 +570,205 @@ struct Columns {
     originals: Vec<StrId>,
 }
 
+impl Columns {
+    fn with_capacity(n: usize) -> Columns {
+        Columns {
+            patterns: Vec::with_capacity(n),
+            params: Vec::with_capacity(n),
+            line_nos: Vec::with_capacity(n),
+            originals: Vec::with_capacity(n),
+        }
+    }
+
+    fn push(&mut self, (pattern, params, original): RowIds, line_no: u32) {
+        self.patterns.push(pattern);
+        self.params.push(params);
+        self.line_nos.push(line_no);
+        self.originals.push(original);
+    }
+}
+
+/// One row's interned ids: its pattern, parameter slice and original
+/// text.
+type RowIds = (PatternId, ParamSliceId, StrId);
+
+/// A dense identifier for a line shape in a [`ShapeTable`].
+#[derive(Debug, Clone, Copy)]
+struct ShapeId(u32);
+
+/// The distinct embedded line shapes (parent chain and original text) one
+/// [`InternPass`] has interned, with the row ids each shape took.
+///
+/// A lookup hashes the shape's pieces where they lie and compares them
+/// with the stored key, so a repeated shape costs no key string. Keys are
+/// stored end to end, each piece prefixed with its byte length, and are
+/// hashed by [`shape_hash`], not by the interner's own hash: the table
+/// reaches its keys through `find` and `insert_at` only.
+#[derive(Default)]
+struct ShapeTable {
+    keys: Interner<Vec<u8>, ShapeId>,
+    /// Row ids per shape, indexed by [`ShapeId`].
+    rows: Vec<RowIds>,
+    /// Scratch for the key of a shape being added.
+    key: Vec<u8>,
+}
+
+/// The pieces of a line shape: its parents, outermost first, then its
+/// original text.
+fn shape_pieces<'a>(parents: &'a [String], original: &'a str) -> impl Iterator<Item = &'a str> {
+    parents.iter().map(String::as_str).chain([original])
+}
+
+/// The hash a [`ShapeTable`] files a shape under.
+fn shape_hash(parents: &[String], original: &str) -> u64 {
+    let mut h = FxHasher::default();
+    for piece in shape_pieces(parents, original) {
+        h.write(piece.as_bytes());
+        h.write_usize(piece.len());
+    }
+    h.finish()
+}
+
+/// Whether the stored `key` is the shape `(parents, original)`.
+fn same_shape(mut key: &[u8], parents: &[String], original: &str) -> bool {
+    for piece in shape_pieces(parents, original) {
+        let Some((len, rest)) = key.split_first_chunk::<4>() else {
+            return false;
+        };
+        if u32::from_le_bytes(*len) as usize != piece.len() || !rest.starts_with(piece.as_bytes()) {
+            return false;
+        }
+        key = &rest[piece.len()..];
+    }
+    key.is_empty()
+}
+
+impl ShapeTable {
+    /// The shape `(parents, original)`, hashed `hash`: its row ids if the
+    /// table holds it, else the slot its insert takes.
+    fn find(&self, hash: u64, parents: &[String], original: &str) -> Result<RowIds, usize> {
+        self.keys
+            .find(hash, |key| same_shape(key, parents, original))
+            .map(|shape| self.rows[shape as usize])
+    }
+
+    /// Adds the shape a [`ShapeTable::find`] just missed, at the slot it
+    /// returned.
+    fn insert(&mut self, slot: usize, hash: u64, parents: &[String], original: &str, ids: RowIds) {
+        self.key.clear();
+        for piece in shape_pieces(parents, original) {
+            let len = u32::try_from(piece.len()).expect("line fits u32 length");
+            self.key.extend_from_slice(&len.to_le_bytes());
+            self.key.extend_from_slice(piece.as_bytes());
+        }
+        self.keys.insert_at(slot, &self.key, hash);
+        self.rows.push(ids);
+    }
+}
+
+/// The ordered intern pass that a build, the upsert of a new
+/// configuration and a splice share.
+///
+/// Each embedded line's shape is looked up in the pass's [`ShapeTable`].
+/// A repeated shape takes the row ids its first occurrence was interned
+/// to and counts as a [`LexCache`] hit. A new shape is lexed, through the
+/// cache when there is one, and interned where it occurs. Interning a
+/// repeated shape again would add nothing, so every id, column and cache
+/// count is the one that lexing and interning every line in order gives.
+struct InternPass<'a> {
+    lexer: &'a Lexer,
+    cache: Option<&'a LexCache>,
+    shapes: ShapeTable,
+    /// Scratch for the pattern and parameters of the shape being lexed.
+    pattern: String,
+    params: Vec<Param>,
+    /// Lines the shape table answered.
+    repeats: u64,
+    /// Time spent lexing new shapes.
+    scan_time: Duration,
+}
+
+impl<'a> InternPass<'a> {
+    fn new(lexer: &'a Lexer, cache: Option<&'a LexCache>) -> Self {
+        InternPass {
+            lexer,
+            cache,
+            shapes: ShapeTable::default(),
+            pattern: String::new(),
+            params: Vec::new(),
+            repeats: 0,
+            scan_time: Duration::ZERO,
+        }
+    }
+
+    /// Lexes a shape into the scratch buffers, through the cache when
+    /// there is one.
+    fn lex(&mut self, parents: &[String], original: &str) {
+        let (pattern, params) = (&mut self.pattern, &mut self.params);
+        match self.cache {
+            Some(cache) => self
+                .lexer
+                .lex_into_cached(cache, parents, original, pattern, params),
+            None => self.lexer.lex_into(parents, original, pattern, params),
+        }
+    }
+
+    /// Lexes one line on its own, outside the shape table (metadata,
+    /// which is interned later and with its own pattern prefix).
+    fn lex_line(&mut self, line: &EmbeddedLine) -> LexedLine {
+        self.lex(&line.parents, &line.original);
+        LexedLine {
+            pattern: self.pattern.clone(),
+            params: self.params.clone(),
+            line_no: line.line_no,
+            original: line.original.clone(),
+        }
+    }
+
+    /// Interns `lines` in order into their id columns.
+    fn intern(
+        &mut self,
+        table: &mut PatternTable,
+        arenas: &mut Arenas,
+        lines: &[EmbeddedLine],
+    ) -> Columns {
+        let mut cols = Columns::with_capacity(lines.len());
+        for line in lines {
+            let hash = shape_hash(&line.parents, &line.original);
+            let ids = match self.shapes.find(hash, &line.parents, &line.original) {
+                Ok(ids) => {
+                    self.repeats += 1;
+                    ids
+                }
+                Err(slot) => {
+                    let start = Instant::now();
+                    self.lex(&line.parents, &line.original);
+                    self.scan_time += start.elapsed();
+                    let ids = (
+                        table.intern(&self.pattern),
+                        arenas.params.intern(&self.params),
+                        arenas.strings.intern(&line.original),
+                    );
+                    self.shapes
+                        .insert(slot, hash, &line.parents, &line.original, ids);
+                    ids
+                }
+            };
+            cols.push(ids, line.line_no);
+        }
+        cols
+    }
+
+    /// Ends the pass, counting its repeated shapes as lex cache hits, and
+    /// returns the time it spent lexing.
+    fn finish(self) -> Duration {
+        if let Some(cache) = self.cache {
+            cache.count_hits(self.repeats);
+        }
+        self.scan_time
+    }
+}
+
 /// The rows one [`Dataset::upsert_config`] splice changed, as row
 /// indices of the configuration's columns: rows `start..old_end` before
 /// the edit are rows `start..new_end` after it. Every other row kept its
@@ -609,9 +839,9 @@ pub struct Dataset {
     pub arenas: Arenas,
     /// The configurations.
     pub configs: Vec<ConfigIr>,
-    /// Lexed metadata files, kept so edits can append metadata to newly
-    /// upserted configurations.
-    meta_lexed: Vec<Vec<LexedLine>>,
+    /// Lexed metadata lines, all files in order, kept so edits can
+    /// append metadata to newly upserted configurations.
+    meta_lexed: Vec<LexedLine>,
     /// The shared metadata columns (interned lazily so id assignment
     /// matches the batch build order: first config's own lines, then
     /// metadata). `None` until the first configuration needs them.
@@ -657,8 +887,8 @@ impl Dataset {
     /// With `embed_context = false` every line is treated as flat text —
     /// the "Baseline" configuration of Figure 7.
     ///
-    /// Lexing goes through a fresh [`LexCache`], so each distinct line
-    /// shape across all configurations is scanned exactly once. Use
+    /// Each distinct line shape across all configurations is scanned
+    /// exactly once, through a fresh [`LexCache`]. Use
     /// [`Dataset::build_with_stats`] to share a cache across builds, to
     /// disable caching, or to observe timing and hit counts.
     pub fn build(
@@ -684,6 +914,14 @@ impl Dataset {
     /// (`None` disables caching entirely) and reporting [`BuildStats`]
     /// for the run: lexing/interning time and the cache hit/miss deltas
     /// this build contributed.
+    ///
+    /// Metadata is embedded and lexed first. Configurations are embedded
+    /// in parallel, one per task, then lexed and interned in one ordered
+    /// pass: each distinct embedded line shape is looked up in a table
+    /// local to the build, so it is scanned and interned once, where it
+    /// first occurs, and every repeat reuses its ids and counts as a
+    /// cache hit. A shape the cache already holds is replayed from it
+    /// instead of scanned.
     pub fn build_with_stats<N, T>(
         configs: &[(N, T)],
         metadata: &[(String, String)],
@@ -699,22 +937,25 @@ impl Dataset {
         let cache_before = cache.map(|c| c.stats());
 
         let lex_start = Instant::now();
-        // Metadata is lexed once and shared across configs.
-        let meta_lexed: Vec<Vec<LexedLine>> = metadata
-            .iter()
-            .map(|(_, text)| lex_text(text, lexer, embed_context, cache).1)
-            .collect();
-
-        // Lex configs (possibly in parallel), then intern sequentially so
-        // ids are deterministic regardless of thread count.
-        let lexed: Vec<(FormatCategory, Vec<LexedLine>)> = parallel::map(
+        let mut pass = InternPass::new(lexer, cache);
+        // Metadata is lexed once, first, and shared across configs.
+        let mut meta_lexed = Vec::new();
+        for (_, text) in metadata {
+            for line in &embed_text(text, embed_context).1 {
+                meta_lexed.push(pass.lex_line(line));
+            }
+        }
+        // Embed configs (possibly in parallel), then lex and intern them
+        // in one ordered pass so ids are deterministic regardless of
+        // thread count.
+        let embedded: Vec<(FormatCategory, Vec<EmbeddedLine>)> = parallel::map(
             configs,
-            |(_, text)| lex_text(text.as_ref(), lexer, embed_context, cache),
+            |(_, text)| embed_text(text.as_ref(), embed_context),
             parallelism,
         );
-        let lex_time = lex_start.elapsed();
+        let embed_time = lex_start.elapsed();
 
-        let intern_start = Instant::now();
+        let pass_start = Instant::now();
         let mut dataset = Dataset {
             table: PatternTable::new(),
             arenas: Arenas::default(),
@@ -723,12 +964,15 @@ impl Dataset {
             meta_cols: None,
             total_own: 0,
         };
-        for ((name, _), (format, lines)) in configs.iter().zip(lexed) {
-            let config = dataset.make_config(name.as_ref(), format, &lines);
+        for ((name, _), (format, lines)) in configs.iter().zip(embedded) {
+            let cols = pass.intern(&mut dataset.table, &mut dataset.arenas, &lines);
+            let config = dataset.assemble_config(name.as_ref(), format, cols);
             dataset.total_own += config.own_line_count();
             dataset.configs.push(config);
         }
-        let intern_time = intern_start.elapsed();
+        let scan_time = pass.finish();
+        let lex_time = embed_time + scan_time;
+        let intern_time = pass_start.elapsed().saturating_sub(scan_time);
 
         let (cache_hits, cache_misses) = match (cache_before, cache.map(|c| c.stats())) {
             (Some(before), Some(after)) => (after.hits - before.hits, after.misses - before.misses),
@@ -747,15 +991,15 @@ impl Dataset {
         Ok((dataset, stats))
     }
 
-    /// Interns one lexed configuration into SoA columns and appends the
-    /// shared metadata columns.
-    fn make_config(&mut self, name: &str, format: FormatCategory, lines: &[LexedLine]) -> ConfigIr {
+    /// Assembles a configuration from its interned own-line columns: the
+    /// shared metadata columns are appended and the name is interned.
+    fn assemble_config(&mut self, name: &str, format: FormatCategory, own: Columns) -> ConfigIr {
         let Columns {
             mut patterns,
             mut params,
             mut line_nos,
             mut originals,
-        } = self.intern_lines(lines);
+        } = own;
         let own_len = u32::try_from(patterns.len()).expect("config line count fits u32");
         let meta = self.shared_meta_cols();
         patterns.extend_from_slice(&meta.patterns);
@@ -774,23 +1018,6 @@ impl Dataset {
         }
     }
 
-    /// Interns lexed lines in order into their id columns.
-    fn intern_lines(&mut self, lines: &[LexedLine]) -> Columns {
-        let mut cols = Columns {
-            patterns: Vec::with_capacity(lines.len()),
-            params: Vec::with_capacity(lines.len()),
-            line_nos: Vec::with_capacity(lines.len()),
-            originals: Vec::with_capacity(lines.len()),
-        };
-        for l in lines {
-            cols.patterns.push(self.table.intern(&l.pattern));
-            cols.params.push(self.arenas.params.intern(&l.params));
-            cols.line_nos.push(l.line_no);
-            cols.originals.push(self.arenas.strings.intern(&l.original));
-        }
-        cols
-    }
-
     /// Returns the shared metadata columns, interning their patterns on
     /// first use (after the first configuration's own lines, matching the
     /// batch interning order).
@@ -800,7 +1027,7 @@ impl Dataset {
             // Move the lexed metadata out while interning to appease the
             // borrow checker, then put it back.
             let meta_lexed = std::mem::take(&mut self.meta_lexed);
-            for l in meta_lexed.iter().flat_map(|lines| lines.iter()) {
+            for l in &meta_lexed {
                 cols.patterns
                     .push(self.table.intern(&format!("@meta{}", l.pattern)));
                 cols.params.push(self.arenas.params.intern(&l.params));
@@ -871,14 +1098,16 @@ impl Dataset {
         let held = self.config_index(name);
         let previous = previous.filter(|_| held.is_some_and(|i| self.configs[i].format == format));
         let (window, embedded) = embed_edit(previous, text, format);
-        let lines = lex_embedded(&embedded, lexer, cache);
+        let mut pass = InternPass::new(lexer, cache);
+        let cols = pass.intern(&mut self.table, &mut self.arenas, &embedded);
+        pass.finish();
         match held {
             Some(index) => {
-                let (churn, edit) = self.splice(index, format, window, &lines);
+                let (churn, edit) = self.splice(index, format, window, cols);
                 Upserted { index, churn, edit }
             }
             None => {
-                let config = self.make_config(name, format, &lines);
+                let config = self.assemble_config(name, format, cols);
                 let i = {
                     let strings = &self.arenas.strings;
                     self.configs
@@ -897,9 +1126,8 @@ impl Dataset {
     }
 
     /// Replaces the own lines of configuration `ci` that `window` covers
-    /// with `lines` (the window's lexed lines, interned here in text
-    /// order), and moves the own lines after the window by its change in
-    /// line count. Metadata lines stay as they are. Returns the number of
+    /// with `cols` (the window's lines, interned in text order), and moves
+    /// the own lines after the window by its change in line count. Metadata lines stay as they are. Returns the number of
     /// rows removed plus the number inserted, and for a window of lines
     /// the rows that changed.
     fn splice(
@@ -907,9 +1135,8 @@ impl Dataset {
         ci: usize,
         format: FormatCategory,
         window: EditWindow,
-        lines: &[LexedLine],
+        cols: Columns,
     ) -> (usize, Option<RowEdit>) {
-        let cols = self.intern_lines(lines);
         let config = &mut self.configs[ci];
         let own = config.own_len as usize;
         let (rows, old_end, new_end) = match window {
@@ -1039,37 +1266,17 @@ impl Dataset {
     }
 }
 
-/// Runs embedding and lexing for one file.
-pub(crate) fn lex_text(
-    text: &str,
-    lexer: &Lexer,
-    embed_context: bool,
-    cache: Option<&LexCache>,
-) -> (FormatCategory, Vec<LexedLine>) {
-    let (format, embedded) = if embed_context {
+/// Embeds one file: its format (flat without context embedding) and its
+/// embedded lines.
+fn embed_text(text: &str, embed_context: bool) -> (FormatCategory, Vec<EmbeddedLine>) {
+    if embed_context {
         embed_auto(text)
     } else {
         (
             FormatCategory::Flat,
             concord_formats::embed(text, FormatCategory::Flat),
         )
-    };
-    (format, lex_embedded(&embedded, lexer, cache))
-}
-
-/// Lexes embedded lines, through `cache` when there is one.
-fn lex_embedded(
-    embedded: &[EmbeddedLine],
-    lexer: &Lexer,
-    cache: Option<&LexCache>,
-) -> Vec<LexedLine> {
-    embedded
-        .iter()
-        .map(|e| match cache {
-            Some(cache) => lexer.lex_line_cached(cache, &e.parents, &e.original, e.line_no),
-            None => lexer.lex_line(&e.parents, &e.original, e.line_no),
-        })
-        .collect()
+    }
 }
 
 #[cfg(test)]

@@ -65,16 +65,20 @@ pub struct BuildStats {
     pub lines: usize,
     /// Distinct patterns interned.
     pub patterns: usize,
-    /// Wall-clock time embedding and lexing all files.
+    /// Wall-clock time embedding all files and lexing the metadata, plus
+    /// the time the ordered intern pass spent scanning new line shapes.
     pub lex_time: Duration,
-    /// Wall-clock time interning patterns and assembling records.
+    /// Wall-clock time of the ordered intern pass less its scanning:
+    /// shape lookups, interning and assembling the columns.
     pub intern_time: Duration,
     /// Whether a lex cache was in use.
     pub cache_enabled: bool,
     /// Lex-cache hits contributed by this build.
     pub cache_hits: u64,
     /// Lex-cache misses contributed by this build (distinct line shapes
-    /// actually scanned).
+    /// actually scanned). A build looks each distinct shape up once and
+    /// counts its repeats as hits, so an unbounded cache reports what a
+    /// lookup per line would.
     pub cache_misses: u64,
 }
 

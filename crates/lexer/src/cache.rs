@@ -9,18 +9,22 @@
 //! and original text). Each distinct line shape is lexed exactly once per
 //! cache, no matter how many configurations contain it.
 //!
-//! The cache is sharded and internally synchronized, so the parallel
-//! dataset builder shares one cache across all worker threads. Hits and
-//! misses are counted with relaxed atomics and surface in the pipeline
-//! statistics (`concord-cli --stats`).
+//! The cache is sharded and internally synchronized, so one cache can be
+//! shared across threads and across the builds and edits of a resident
+//! engine. Hits and misses are counted with relaxed atomics and surface
+//! in the pipeline statistics (`concord-cli --stats`). A dataset build
+//! looks each distinct shape up once and counts the shape's repeats
+//! within the build as hits ([`LexCache::count_hits`]), so an unbounded
+//! cache reports the counts a lookup per line would.
 //!
 //! A cache can be *bounded* ([`LexCache::with_capacity`]): each shard
 //! evicts with a second-chance (clock) policy once it reaches its share
 //! of the capacity, so a long-lived resident process (`concord serve`)
 //! holds the hot working set without growing memory without limit.
-//! Evictions only ever cost a re-scan on the next occurrence of the
-//! evicted shape — hit/miss counters stay exact, and an eviction is
-//! counted separately.
+//! Evictions only ever cost a re-scan on the next lookup of the evicted
+//! shape (a later build or edit; a build does not look a shape up
+//! twice) — hit/miss counters stay exact, and an eviction is counted
+//! separately.
 //!
 //! A cache memoizes the output of *one* token-definition set: reusing a
 //! cache with a lexer built from different custom tokens returns stale
@@ -50,9 +54,10 @@ struct CachedLine {
 #[derive(Debug, Default)]
 struct Shard {
     map: HashMap<std::sync::Arc<str>, CachedLine>,
-    /// Clock order over the keys of `map` (shared allocations). Keys are
-    /// only removed by eviction, which pops from here in the same step,
-    /// so the queue and the map always hold the same key set.
+    /// Clock order over the keys of `map` (shared allocations), kept
+    /// only by a bounded cache. Keys are only removed by eviction, which
+    /// pops from here in the same step, so in a bounded cache the queue
+    /// and the map always hold the same key set.
     clock: VecDeque<std::sync::Arc<str>>,
 }
 
@@ -149,65 +154,63 @@ impl LexCache {
         &self.shards[(hasher.finish() as usize) % SHARDS]
     }
 
-    /// Looks up a memoized result, counting the hit or miss.
-    pub(crate) fn lookup(&self, key: &str) -> Option<(String, Vec<Param>)> {
-        let mut guard = self.shard(key).lock().expect("lex cache shard poisoned");
-        match guard.map.get_mut(key) {
-            Some(entry) => {
-                entry.hot = true;
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some((entry.pattern.clone(), entry.params.clone()))
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
-    }
-
-    /// Memoizes a freshly lexed line, evicting with the clock policy when
-    /// the shard is at capacity.
-    ///
-    /// A caller that finds the key already present lost a race: another
-    /// worker missed on the same shape and inserted it first. The first
-    /// write wins, and the caller's miss is recounted as a hit, so an
-    /// unbounded cache counts exactly one miss per distinct shape
-    /// whatever the interleaving.
-    pub(crate) fn insert(&self, key: String, pattern: &str, params: &[Param]) {
+    /// Answers one lookup of the shape `key`. A hit replays the memoized
+    /// pattern and parameters into `pattern` and `params`; a miss runs
+    /// `lex` into them and memoizes the result, evicting with the clock
+    /// policy when the shard is at capacity. The shard stays locked for
+    /// the whole call, so threads that look one new shape up together
+    /// scan it once and count one miss between them.
+    pub(crate) fn lex_through(
+        &self,
+        key: String,
+        pattern: &mut String,
+        params: &mut Vec<Param>,
+        lex: impl FnOnce(&mut String, &mut Vec<Param>),
+    ) {
         let mut guard = self.shard(&key).lock().expect("lex cache shard poisoned");
-        if let Some(entry) = guard.map.get_mut(key.as_str()) {
+        let shard = &mut *guard;
+        if let Some(entry) = shard.map.get_mut(key.as_str()) {
             entry.hot = true;
-            self.misses.fetch_sub(1, Ordering::Relaxed);
             self.hits.fetch_add(1, Ordering::Relaxed);
+            pattern.clone_from(&entry.pattern);
+            params.clone_from(&entry.params);
             return;
         }
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        lex(pattern, params);
+        let key: std::sync::Arc<str> = key.into();
         if self.shard_cap > 0 {
-            while guard.map.len() >= self.shard_cap {
-                let Some(victim) = guard.clock.pop_front() else {
+            while shard.map.len() >= self.shard_cap {
+                let Some(victim) = shard.clock.pop_front() else {
                     break; // defensive: clock and map always match.
                 };
-                let give_second_chance = guard
+                let give_second_chance = shard
                     .map
                     .get_mut(victim.as_ref())
                     .is_some_and(|entry| std::mem::take(&mut entry.hot));
                 if give_second_chance {
-                    guard.clock.push_back(victim);
+                    shard.clock.push_back(victim);
                 } else {
-                    guard.map.remove(victim.as_ref());
+                    shard.map.remove(victim.as_ref());
                     self.evictions.fetch_add(1, Ordering::Relaxed);
                 }
             }
+            shard.clock.push_back(key.clone());
         }
-        let key: std::sync::Arc<str> = key.into();
-        guard.clock.push_back(key.clone());
-        guard.map.insert(
+        shard.map.insert(
             key,
             CachedLine {
-                pattern: pattern.to_string(),
-                params: params.to_vec(),
+                pattern: pattern.clone(),
+                params: params.clone(),
                 hot: false,
             },
         );
+    }
+
+    /// Counts `n` hits that never reached the cache: lookups of shapes a
+    /// dataset build already looked up once, and answers itself.
+    pub fn count_hits(&self, n: u64) {
+        self.hits.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Returns the number of distinct line shapes cached.
@@ -238,18 +241,23 @@ mod tests {
     use super::*;
     use crate::Lexer;
 
+    /// Lexes one embedded line through `cache`.
+    fn lex(lexer: &Lexer, cache: &LexCache, parents: &[String], original: &str) -> String {
+        let (mut pattern, mut params) = (String::new(), Vec::new());
+        lexer.lex_into_cached(cache, parents, original, &mut pattern, &mut params);
+        pattern
+    }
+
     #[test]
     fn second_lookup_hits() {
         let lexer = Lexer::standard();
         let cache = LexCache::new();
         let parents = vec!["router bgp 65015".to_string()];
-        let first = lexer.lex_line_cached(&cache, &parents, "vlan 251", 3);
-        let second = lexer.lex_line_cached(&cache, &parents, "vlan 251", 9);
-        assert_eq!(first.pattern, second.pattern);
-        assert_eq!(first.params, second.params);
-        // line_no stays per-occurrence, outside the cache.
-        assert_eq!(first.line_no, 3);
-        assert_eq!(second.line_no, 9);
+        let (mut pattern, mut params) = (String::new(), Vec::new());
+        lexer.lex_into_cached(&cache, &parents, "vlan 251", &mut pattern, &mut params);
+        let first = (pattern.clone(), params.clone());
+        lexer.lex_into_cached(&cache, &parents, "vlan 251", &mut pattern, &mut params);
+        assert_eq!(first, (pattern, params));
         assert_eq!(
             cache.stats(),
             CacheStats {
@@ -262,18 +270,22 @@ mod tests {
     }
 
     #[test]
-    fn a_lost_insert_race_counts_as_a_hit() {
+    fn threads_missing_on_one_shape_count_one_miss() {
+        let lexer = Lexer::standard();
         let cache = LexCache::new();
-        let key = LexCache::key(&[], "vlan 251");
-        // Two workers miss on the same shape before either inserts.
-        assert!(cache.lookup(&key).is_none());
-        assert!(cache.lookup(&key).is_none());
-        cache.insert(key.clone(), "vlan <num>", &[]);
-        cache.insert(key, "vlan <num>", &[]);
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|scope| {
+            for _ in 0..4 {
+                scope.spawn(|| {
+                    start.wait();
+                    lex(&lexer, &cache, &[], "vlan 251")
+                });
+            }
+        });
         assert_eq!(
             cache.stats(),
             CacheStats {
-                hits: 1,
+                hits: 3,
                 misses: 1,
                 evictions: 0
             }
@@ -288,20 +300,24 @@ mod tests {
         let parents = vec!["interface Port-Channel110".to_string()];
         let line = "route-target import 00:00:0c:d3:00:6e";
         let direct = lexer.lex_line(&parents, line, 8);
-        lexer.lex_line_cached(&cache, &parents, line, 8); // prime
-        let cached = lexer.lex_line_cached(&cache, &parents, line, 8);
-        assert_eq!(cached, direct);
+        let (mut pattern, mut params) = (String::new(), Vec::new());
+        for _ in 0..2 {
+            // The first call primes the cache, the second replays it.
+            lexer.lex_into_cached(&cache, &parents, line, &mut pattern, &mut params);
+            assert_eq!((&pattern, &params), (&direct.pattern, &direct.params));
+        }
+        assert_eq!(cache.stats().hits, 1);
     }
 
     #[test]
     fn distinct_context_is_a_distinct_entry() {
         let lexer = Lexer::standard();
         let cache = LexCache::new();
-        let a = lexer.lex_line_cached(&cache, &["vlan 10".to_string()], "name X", 1);
-        let b = lexer.lex_line_cached(&cache, &["vlan 20".to_string()], "name X", 1);
+        let a = lex(&lexer, &cache, &["vlan 10".to_string()], "name X");
+        let b = lex(&lexer, &cache, &["vlan 20".to_string()], "name X");
         // Same pattern text (context lexes anonymously) but both shapes
         // were real misses: the key includes the raw parent text.
-        assert_eq!(a.pattern, b.pattern);
+        assert_eq!(a, b);
         assert_eq!(cache.stats().misses, 2);
         assert_eq!(cache.len(), 2);
     }
@@ -313,6 +329,15 @@ mod tests {
         let k1 = LexCache::key(&["a".to_string()], "b");
         let k2 = LexCache::key(&[], "a\nb");
         assert_ne!(k1, k2);
+    }
+
+    #[test]
+    fn counted_hits_add_to_the_hit_count() {
+        let cache = LexCache::new();
+        cache.count_hits(3);
+        assert_eq!(cache.stats().hits, 3);
+        assert_eq!(cache.stats().lookups(), 3);
+        assert!(cache.is_empty());
     }
 
     #[test]
@@ -333,7 +358,7 @@ mod tests {
         // SHARDS * 2 entries max, with keys spread across shards.
         let cache = LexCache::with_capacity(32);
         for i in 0..2000 {
-            lexer.lex_line_cached(&cache, &[], &format!("vlan {i} mode trunk-{i}"), 1);
+            lex(&lexer, &cache, &[], &format!("vlan {i} mode trunk-{i}"));
         }
         assert!(
             cache.len() <= cache.capacity(),
@@ -351,21 +376,18 @@ mod tests {
     fn evicted_entry_is_a_miss_then_reusable_again() {
         let lexer = Lexer::standard();
         let cache = LexCache::with_capacity(16); // one entry per shard
-        lexer.lex_line_cached(&cache, &[], "hostname ALPHA", 1);
+        lex(&lexer, &cache, &[], "hostname ALPHA");
         // Flood with distinct shapes to force ALPHA out of its shard.
         for i in 0..500 {
-            lexer.lex_line_cached(&cache, &[], &format!("ip route 10.0.{i}.0/24 drop"), 1);
+            lex(&lexer, &cache, &[], &format!("ip route 10.0.{i}.0/24 drop"));
         }
         let before = cache.stats();
-        let relex = lexer.lex_line_cached(&cache, &[], "hostname ALPHA", 2);
+        let relex = lex(&lexer, &cache, &[], "hostname ALPHA");
         let after = cache.stats();
         // Whether ALPHA survived depends on clock order; either way the
         // counters stay exact and the result is correct.
         assert_eq!(after.lookups(), before.lookups() + 1);
-        assert_eq!(
-            relex.pattern,
-            lexer.lex_line(&[], "hostname ALPHA", 2).pattern
-        );
+        assert_eq!(relex, lexer.lex_line(&[], "hostname ALPHA", 2).pattern);
         assert!(cache.len() <= cache.capacity());
     }
 
@@ -373,11 +395,11 @@ mod tests {
     fn second_chance_keeps_hot_entries() {
         let lexer = Lexer::standard();
         let cache = LexCache::with_capacity(16); // one entry per shard
-        lexer.lex_line_cached(&cache, &[], "hostname KEEP", 1);
+        lex(&lexer, &cache, &[], "hostname KEEP");
         for i in 0..200 {
             // Re-touch the hot entry between floods of cold shapes.
-            lexer.lex_line_cached(&cache, &[], "hostname KEEP", 1);
-            lexer.lex_line_cached(&cache, &[], &format!("vlan {i}"), 1);
+            lex(&lexer, &cache, &[], "hostname KEEP");
+            lex(&lexer, &cache, &[], &format!("vlan {i}"));
         }
         let hits = cache.stats().hits;
         assert!(
@@ -392,7 +414,7 @@ mod tests {
         assert_eq!(cache.capacity(), 0);
         let lexer = Lexer::standard();
         for i in 0..300 {
-            lexer.lex_line_cached(&cache, &[], &format!("vlan {i}"), 1);
+            lex(&lexer, &cache, &[], &format!("vlan {i}"));
         }
         assert_eq!(cache.len(), 300);
         assert_eq!(cache.stats().evictions, 0);

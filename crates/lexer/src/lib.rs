@@ -23,6 +23,15 @@
 //! matches the IPv4 regex but is rejected by the parser), and the longest
 //! valid candidate wins, with earlier definitions breaking ties.
 //!
+//! The regexes of [`TokenDef`] are the specification. The scanner reads
+//! `num`, `hex`, `ip4`, `pfx4` and `bool` with byte tests that take the
+//! longest match of each regex, and validates it with the same
+//! [`Value::parse_as`], keeping the parsed value for the parameter. Only
+//! a lead of at most four hex digits and `:` runs the `ip6`, `pfx6` and
+//! `mac` regexes, and custom definitions run theirs at every position.
+//! `tests/lexer_lead_checks.rs` pins [`Lexer::lex_line`] to a maximal
+//! munch over the regexes alone.
+//!
 //! Parent context from embedding is lexed *anonymously*: holes in parent
 //! components render as `[num]` with no variable, because Concord does not
 //! bind variables for embedded context (§3.2, footnote 2).
@@ -46,6 +55,7 @@ pub use cache::{CacheStats, LexCache};
 pub use token::{TokenDef, TokenDefError};
 
 use concord_types::{Value, ValueType};
+use token::run_len;
 
 /// A named, typed parameter extracted from a line.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -77,6 +87,80 @@ pub struct LexedLine {
 #[derive(Debug, Clone)]
 pub struct Lexer {
     defs: Vec<TokenDef>,
+    /// Number of user-defined definitions, which precede the built-ins.
+    custom: usize,
+}
+
+/// The token the scanner chose at one position.
+struct Token {
+    /// Index of the winning definition.
+    def: usize,
+    /// Its length in bytes.
+    len: usize,
+    /// Its value, when the scan already parsed it to validate the token.
+    value: Option<Value>,
+}
+
+/// The best candidate offered at one position so far: the longest, and
+/// of equally long ones the earliest definition.
+#[derive(Default)]
+struct Best(Option<Token>);
+
+impl Best {
+    fn offer(&mut self, def: usize, len: usize, value: Option<Value>) {
+        let better = match &self.0 {
+            Some(best) => len > best.len || (len == best.len && def < best.def),
+            None => true,
+        };
+        if better {
+            self.0 = Some(Token { def, len, value });
+        }
+    }
+}
+
+/// Whether a built-in token can start at byte `b`: a digit (`num`,
+/// `hex`, `ip4`, `pfx4`), a hex letter or `:` (the HexColon lead of
+/// `ip6`, `pfx6` and `mac`), or the `t` of `true` (`f` is a hex letter).
+fn may_start_builtin(b: u8) -> bool {
+    b.is_ascii_hexdigit() || b == b':' || b == b't'
+}
+
+/// The IPv4 shape at the start of `rest`, as the built-in regexes read
+/// it: three octets of 1-3 digits each followed by `.`, then the last
+/// octet's digit run. Returns the byte length of the `ip4` candidate (the
+/// last octet takes at most three digits) and, when that whole digit run
+/// has at most three digits and is followed by `/` and a digit, of the
+/// `pfx4` candidate (the length takes at most two digits).
+fn dotted_quad(rest: &[u8]) -> Option<(usize, Option<usize>)> {
+    let digit = u8::is_ascii_digit;
+    let mut at = 0;
+    for _ in 0..3 {
+        let n = run_len(&rest[at..], 4, digit);
+        if !(1..=3).contains(&n) || rest.get(at + n) != Some(&b'.') {
+            return None;
+        }
+        at += n + 1;
+    }
+    let last = run_len(&rest[at..], 4, digit);
+    if last == 0 {
+        return None;
+    }
+    let slash = at + last;
+    let pfx4 = (last <= 3 && rest.get(slash) == Some(&b'/'))
+        .then(|| run_len(&rest[slash + 1..], 2, digit))
+        .filter(|&n| n > 0)
+        .map(|n| slash + 1 + n);
+    Some((at + last.min(3), pfx4))
+}
+
+/// Byte length of the UTF-8 character led by byte `b`.
+fn utf8_len(b: u8) -> usize {
+    match b {
+        0..=0x7f => 1,
+        0xc0..=0xdf => 2,
+        0xe0..=0xef => 3,
+        _ => 4,
+    }
 }
 
 impl Lexer {
@@ -84,6 +168,7 @@ impl Lexer {
     pub fn standard() -> Lexer {
         Lexer {
             defs: token::builtin_defs(),
+            custom: 0,
         }
     }
 
@@ -102,8 +187,9 @@ impl Lexer {
         for (name, pattern) in custom {
             defs.push(TokenDef::custom(name.as_ref(), pattern.as_ref())?);
         }
+        let custom = defs.len();
         defs.extend(token::builtin_defs());
-        Ok(Lexer { defs })
+        Ok(Lexer { defs, custom })
     }
 
     /// Returns the token definitions in matching priority order.
@@ -114,15 +200,8 @@ impl Lexer {
     /// Lexes a full embedded line: anonymous patterns for the parents,
     /// bound parameters for the original text.
     pub fn lex_line(&self, parents: &[String], original: &str, line_no: u32) -> LexedLine {
-        let mut pattern = String::new();
-        for parent in parents {
-            pattern.push('/');
-            pattern.push_str(&self.fragment_pattern(parent, None).0);
-        }
-        pattern.push('/');
-        let mut params = Vec::new();
-        let (orig_pattern, _) = self.fragment_pattern(original, Some(&mut params));
-        pattern.push_str(&orig_pattern);
+        let (mut pattern, mut params) = (String::new(), Vec::new());
+        self.lex_into(parents, original, &mut pattern, &mut params);
         LexedLine {
             pattern,
             params,
@@ -131,110 +210,175 @@ impl Lexer {
         }
     }
 
-    /// Lexes a full embedded line through a shared [`LexCache`]: each
-    /// distinct `(parents, original)` content is scanned once per cache,
-    /// and later occurrences replay the memoized pattern and parameters
-    /// (with their own `line_no`).
+    /// Lexes a full embedded line into `pattern` and `params`, clearing
+    /// both first: the pattern and parameters [`Lexer::lex_line`] returns,
+    /// written into buffers a caller reuses across lines.
+    pub fn lex_into(
+        &self,
+        parents: &[String],
+        original: &str,
+        pattern: &mut String,
+        params: &mut Vec<Param>,
+    ) {
+        pattern.clear();
+        params.clear();
+        for parent in parents {
+            pattern.push('/');
+            self.fragment_pattern(parent, pattern, None);
+        }
+        pattern.push('/');
+        self.fragment_pattern(original, pattern, Some(params));
+    }
+
+    /// Like [`Lexer::lex_into`], through a shared [`LexCache`]: a shape
+    /// the cache holds replays its memoized pattern and parameters, and a
+    /// new one is scanned and memoized.
     ///
-    /// The result is identical to [`Lexer::lex_line`] as long as `cache`
+    /// The result is identical to [`Lexer::lex_into`] as long as `cache`
     /// is only ever used with lexers holding the same token definitions.
-    pub fn lex_line_cached(
+    pub fn lex_into_cached(
         &self,
         cache: &LexCache,
         parents: &[String],
         original: &str,
-        line_no: u32,
-    ) -> LexedLine {
-        let key = LexCache::key(parents, original);
-        if let Some((pattern, params)) = cache.lookup(&key) {
-            return LexedLine {
-                pattern,
-                params,
-                line_no,
-                original: original.to_string(),
-            };
-        }
-        let lexed = self.lex_line(parents, original, line_no);
-        cache.insert(key, &lexed.pattern, &lexed.params);
-        lexed
+        pattern: &mut String,
+        params: &mut Vec<Param>,
+    ) {
+        cache.lex_through(
+            LexCache::key(parents, original),
+            pattern,
+            params,
+            |pattern, params| self.lex_into(parents, original, pattern, params),
+        );
     }
 
     /// Lexes a standalone fragment, binding parameters.
     ///
     /// Returns the typed pattern and the extracted parameters.
     pub fn lex_fragment(&self, text: &str) -> (String, Vec<Param>) {
-        let mut params = Vec::new();
-        let (pattern, _) = self.fragment_pattern(text, Some(&mut params));
+        let (mut pattern, mut params) = (String::with_capacity(text.len()), Vec::new());
+        self.fragment_pattern(text, &mut pattern, Some(&mut params));
         (pattern, params)
     }
 
-    /// Core scanning loop: maximal munch over the token definitions.
+    /// Core scanning loop: maximal munch over the token definitions,
+    /// appending `text`'s typed pattern to `pattern`.
     ///
     /// With `params = None` the holes render anonymously (`[ty]`);
     /// otherwise they bind fresh variables (`[a:ty]`) and push values.
-    fn fragment_pattern(&self, text: &str, mut params: Option<&mut Vec<Param>>) -> (String, usize) {
-        let mut pattern = String::with_capacity(text.len());
-        let mut count = 0usize;
-        let mut pos = 0usize;
-        while pos < text.len() {
-            match self.best_token_at(text, pos) {
-                Some((def_idx, len)) => {
-                    let def = &self.defs[def_idx];
-                    let matched = &text[pos..pos + len];
-                    let value = Value::parse_as(def.ty(), matched)
-                        .expect("best_token_at validated the value");
-                    match params.as_deref_mut() {
-                        Some(params) => {
-                            let name = var_name(params.len());
-                            pattern.push('[');
-                            pattern.push_str(&name);
-                            pattern.push(':');
-                            pattern.push_str(def.ty().name());
-                            pattern.push(']');
-                            params.push(Param {
-                                name,
-                                ty: def.ty().clone(),
-                                value,
-                            });
-                        }
-                        None => {
-                            pattern.push('[');
-                            pattern.push_str(def.ty().name());
-                            pattern.push(']');
-                        }
-                    }
-                    count += 1;
-                    pos += len;
-                }
-                None => {
-                    let c = text[pos..].chars().next().expect("in-bounds position");
-                    pattern.push(c);
-                    pos += c.len_utf8();
-                }
+    /// Text between tokens is copied a run at a time; with no custom
+    /// definitions, bytes no built-in can start at are skipped without a
+    /// lookup.
+    fn fragment_pattern(
+        &self,
+        text: &str,
+        pattern: &mut String,
+        mut params: Option<&mut Vec<Param>>,
+    ) {
+        let bytes = text.as_bytes();
+        let (mut pos, mut literal) = (0, 0);
+        while pos < bytes.len() {
+            if self.custom == 0 && !may_start_builtin(bytes[pos]) {
+                pos += 1;
+                continue;
             }
+            let Some(token) = self.best_token_at(text, pos) else {
+                pos += utf8_len(bytes[pos]);
+                continue;
+            };
+            pattern.push_str(&text[literal..pos]);
+            let ty = self.defs[token.def].ty();
+            pattern.push('[');
+            if let Some(params) = params.as_deref_mut() {
+                let name = var_name(params.len());
+                pattern.push_str(&name);
+                pattern.push(':');
+                let value = token.value.unwrap_or_else(|| {
+                    Value::parse_as(ty, &text[pos..pos + token.len])
+                        .expect("the scan validated the token")
+                });
+                params.push(Param {
+                    name,
+                    ty: ty.clone(),
+                    value,
+                });
+            }
+            pattern.push_str(ty.name());
+            pattern.push(']');
+            pos += token.len;
+            literal = pos;
         }
-        (pattern, count)
+        pattern.push_str(&text[literal..]);
     }
 
-    /// Finds the best token at `pos`: longest valid match, ties broken by
-    /// definition order.
-    fn best_token_at(&self, text: &str, pos: usize) -> Option<(usize, usize)> {
-        let mut best: Option<(usize, usize)> = None;
-        for (idx, def) in self.defs.iter().enumerate() {
-            if let Some(len) = def.match_at(text, pos) {
-                if len == 0 {
-                    continue;
+    /// Finds the best token at `pos`: the longest valid match, ties broken
+    /// by definition order.
+    ///
+    /// Custom definitions run their regex at every position. The built-ins
+    /// dispatch on the first byte: a digit run is `num`, `0x` and hex
+    /// digits is `hex`, a dotted quad is scanned by hand and validated
+    /// with [`Value::parse_as`] as `pfx4` or `ip4`, and `true`/`false`
+    /// between word boundaries is `bool`. Only a HexColon lead (at most
+    /// four hex digits, then `:`) runs the `pfx6`, `ip6` and `mac`
+    /// regexes. Each hand scan reads the longest match of its regex, and
+    /// a longest match that fails validation yields no token, exactly as
+    /// [`TokenDef::match_at`] does.
+    fn best_token_at(&self, text: &str, pos: usize) -> Option<Token> {
+        use token::builtin::{BOOL, HEX, IP4, IP6, MAC, NUM, PFX4, PFX6};
+        let mut best = Best::default();
+        let base = self.custom;
+        let rest = &text.as_bytes()[pos..];
+        match rest[0] {
+            b'0'..=b'9' => {
+                best.offer(
+                    base + NUM,
+                    run_len(rest, usize::MAX, u8::is_ascii_digit),
+                    None,
+                );
+                if rest.starts_with(b"0x") {
+                    let digits = run_len(&rest[2..], usize::MAX, u8::is_ascii_hexdigit);
+                    if digits > 0 {
+                        best.offer(base + HEX, 2 + digits, None);
+                    }
                 }
-                let better = match best {
-                    Some((_, best_len)) => len > best_len,
-                    None => true,
-                };
-                if better {
-                    best = Some((idx, len));
+                if let Some((ip4, pfx4)) = dotted_quad(rest) {
+                    // A valid prefix is longer than the address it starts
+                    // with, so the address need not be parsed.
+                    let parse = |ty, len: usize| Value::parse_as(&ty, &text[pos..pos + len]);
+                    match pfx4.and_then(|len| Some((len, parse(ValueType::Pfx4, len)?))) {
+                        Some((len, value)) => best.offer(base + PFX4, len, Some(value)),
+                        None => {
+                            if let Some(value) = parse(ValueType::Ip4, ip4) {
+                                best.offer(base + IP4, ip4, Some(value));
+                            }
+                        }
+                    }
                 }
             }
+            b't' | b'f' => {
+                let word: &[u8] = if rest[0] == b't' { b"true" } else { b"false" };
+                if rest.starts_with(word)
+                    && token::boundary_before(text, pos)
+                    && token::boundary_after(text, pos + word.len())
+                {
+                    best.offer(base + BOOL, word.len(), None);
+                }
+            }
+            _ => {}
         }
-        best
+        // The VM path: every custom definition, and the IPv6 and MAC
+        // programs behind a HexColon lead.
+        let hex_colon: &[usize] = if token::Lead::HexColon.admits(rest) {
+            &[PFX6, IP6, MAC]
+        } else {
+            &[]
+        };
+        for def in (0..base).chain(hex_colon.iter().map(|&def| base + def)) {
+            if let Some(len) = self.defs[def].match_at(text, pos) {
+                best.offer(def, len, None);
+            }
+        }
+        best.0
     }
 }
 

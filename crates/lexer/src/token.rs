@@ -9,7 +9,7 @@ use concord_types::{Value, ValueType};
 /// the regex, never a sufficient one, so skipping never changes a match;
 /// `tests/lexer_lead_checks.rs` pins this against the unfiltered rule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Lead {
+pub(crate) enum Lead {
     /// 1-3 ASCII digits, then `.` (IPv4 addresses and prefixes).
     DottedQuad,
     /// At most four hex digits, then `:` (IPv6 and MAC shapes).
@@ -27,7 +27,7 @@ enum Lead {
 impl Lead {
     /// Whether `rest`, the text from the candidate position on, starts
     /// with this shape.
-    fn admits(self, rest: &[u8]) -> bool {
+    pub(crate) fn admits(self, rest: &[u8]) -> bool {
         match self {
             Lead::DottedQuad => {
                 let digits = run_len(rest, 4, |b| b.is_ascii_digit());
@@ -47,7 +47,7 @@ impl Lead {
 
 /// Length of the run of bytes satisfying `pred` at the start of `bytes`,
 /// counted up to `cap`.
-fn run_len(bytes: &[u8], cap: usize, pred: impl Fn(&u8) -> bool) -> usize {
+pub(crate) fn run_len(bytes: &[u8], cap: usize, pred: impl Fn(&u8) -> bool) -> usize {
     bytes.iter().take(cap).take_while(|b| pred(b)).count()
 }
 
@@ -132,7 +132,9 @@ impl TokenDef {
     }
 }
 
-fn boundary_before(text: &str, pos: usize) -> bool {
+/// Whether the character before byte `pos` of `text`, if any, is not
+/// alphanumeric (Unicode).
+pub(crate) fn boundary_before(text: &str, pos: usize) -> bool {
     pos == 0
         || text[..pos]
             .chars()
@@ -140,11 +142,26 @@ fn boundary_before(text: &str, pos: usize) -> bool {
             .is_none_or(|c| !c.is_alphanumeric())
 }
 
-fn boundary_after(text: &str, end: usize) -> bool {
+/// Whether the character at byte `end` of `text`, if any, is not
+/// alphanumeric (Unicode).
+pub(crate) fn boundary_after(text: &str, end: usize) -> bool {
     text[end..]
         .chars()
         .next()
         .is_none_or(|c| !c.is_alphanumeric())
+}
+
+/// Positions of the built-in definitions in [`builtin_defs`], which the
+/// lexer's byte scanner offers its candidates under.
+pub(crate) mod builtin {
+    pub const PFX4: usize = 0;
+    pub const IP4: usize = 1;
+    pub const PFX6: usize = 2;
+    pub const IP6: usize = 3;
+    pub const MAC: usize = 4;
+    pub const HEX: usize = 5;
+    pub const NUM: usize = 6;
+    pub const BOOL: usize = 7;
 }
 
 /// Builds the built-in token definitions in priority order.
@@ -222,6 +239,20 @@ mod tests {
     fn builtins_compile() {
         let defs = builtin_defs();
         assert_eq!(defs.len(), 8);
+    }
+
+    #[test]
+    fn builtin_positions_name_their_types() {
+        let defs = builtin_defs();
+        let at = |i: usize| defs[i].ty().clone();
+        assert_eq!(at(builtin::PFX4), ValueType::Pfx4);
+        assert_eq!(at(builtin::IP4), ValueType::Ip4);
+        assert_eq!(at(builtin::PFX6), ValueType::Pfx6);
+        assert_eq!(at(builtin::IP6), ValueType::Ip6);
+        assert_eq!(at(builtin::MAC), ValueType::Mac);
+        assert_eq!(at(builtin::HEX), ValueType::Hex);
+        assert_eq!(at(builtin::NUM), ValueType::Num);
+        assert_eq!(at(builtin::BOOL), ValueType::Bool);
     }
 
     #[test]
